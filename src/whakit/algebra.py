@@ -93,7 +93,8 @@ class FinDimAlgebra:
     def mul(self, a, b):
         a = np.asarray(a, dtype=complex).ravel()
         b = np.asarray(b, dtype=complex).ravel()
-        return np.einsum("i,j,ijk->k", a, b, self.c)
+        n = self.dim
+        return b @ (a @ self.c.reshape(n, n * n)).reshape(n, n)
 
     def left_mult(self, a):
         """Matrix of x -> a x."""
@@ -161,7 +162,9 @@ class FinDimAlgebra:
 
     def trace_form(self):
         """Gram matrix T[i,j] = Tr(L(e_i) L(e_j)) of the regular trace form."""
-        return np.einsum("iab,jba->ij", self._lmats, self._lmats)
+        n = self.dim
+        # L(e_j)[b, a] = c[j, a, b], so T = lmats_flat @ c_flat^T
+        return self._lmats.reshape(n, n * n) @ self.c.reshape(n, n * n).T
 
     def is_semisimple(self, tol: Tolerance | None = None) -> bool:
         tol = get_tol(tol)
@@ -173,8 +176,10 @@ class FinDimAlgebra:
     def center(self, tol: Tolerance | None = None) -> Subspace:
         """Elements commuting with the whole algebra."""
         tol = get_tol(tol)
-        rows = [self._lmats[i] - self.right_mult(self.basis_vector(i)) for i in range(self.dim)]
-        return Subspace(kernel(np.vstack(rows), tol), self.dim, tol)
+        n = self.dim
+        # row block i is L(e_i) - R(e_i), and R(e_i)[k, j] = c[j, i, k]
+        rows = (self._lmats - self.c.transpose(1, 2, 0)).reshape(n * n, n)
+        return Subspace(kernel(rows, tol), n, tol)
 
     def commutant_in(self, generators, within: Subspace | None = None, tol: Tolerance | None = None) -> Subspace:
         """Elements of ``within`` (default: all of A) commuting with the generators."""

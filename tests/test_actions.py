@@ -1,5 +1,8 @@
 """Module algebra actions, crossed products, regularity, Galois, smash."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,93 @@ def test_ill_defined_product_is_rejected(examples):
     bad.alpha[0, 1, 2] += 1e-2
     with pytest.raises((wk.IllDefinedProduct, wk.ValidationError)):
         wk.crossed_product(wk.WhaAction(act.wha, act.module, bad.alpha, name="broken"))
+
+
+def test_ill_defined_product_is_rejected_where_the_relation_span_is_nonzero(examples):
+    # on z3 A^L = C and the relation span is empty, so the descent check only
+    # runs where A^L is larger, as for the pair groupoid
+    act = wk.dual_regular_action(examples["p2"])
+    alpha = act.alpha.copy()
+    alpha[1, 0, 2] += 1e-2
+    with pytest.raises(wk.IllDefinedProduct, match="does not descend") as err:
+        wk.crossed_product(wk.WhaAction(act.wha, act.module, alpha, name="broken"))
+    resid = float(re.search(r"residual ([0-9.e+-]+)", str(err.value)).group(1))
+    assert resid == pytest.approx(1.0, abs=1e-3)
+
+
+def _rotated(w, seed):
+    """``w`` in the basis ``f_a = sum_i p[i, a] e_i`` of a random complex unitary ``p``."""
+    r = np.random.default_rng(seed)
+    p, _ = np.linalg.qr(r.normal(size=(w.dim, w.dim)) + 1j * r.normal(size=(w.dim, w.dim)))
+    q = p.conj().T
+    a = w.algebra
+    c = np.einsum("ia,jb,ijk,dk->abd", p, p, a.c, q, optimize=True)
+    d3 = np.einsum("ap,bq,pqj,jc->abc", q, q, w.delta3, p, optimize=True)
+    alg = wk.FinDimAlgebra(c, q @ a.unit, involution=q @ a.involution @ np.conj(p), name=a.name)
+    return wk.WeakHopfAlgebra(alg, d3.reshape(w.dim**2, w.dim), p.T @ w.eps, q @ w.antipode @ p)
+
+
+@pytest.mark.parametrize("key, blocks", [("s3", (6,)), ("m23", (5, 8))])
+def test_smash_product_on_a_complex_basis(examples, key, blocks):
+    # the star of the crossed product is antilinear, so the coproduct enters
+    # it conjugated; on a real basis the conjugation is invisible
+    w = _rotated(examples[key], seed=5)
+    assert wk.validate_star(w).ok
+    sp = wk.smash_product(w)
+    assert wk.block_decomposition(sp.algebra).sizes == blocks
+
+
+def _dense_reference(act):
+    """Product tensor of M x| A on M (x) A and its star matrix, formed densely."""
+    w, m_alg = act.wha, act.module
+    n = m_alg.dim * w.dim
+    big = np.einsum(
+        "pqa,pjr,irk,qbc->iajbkc", w.delta3, act.alpha, m_alg.c, w.algebra.c, optimize=True
+    ).reshape(n, n, n)
+    inv_a = w.algebra.involution
+    st = np.einsum(
+        "pqa,mp,mjr,ji,nq->rnia", np.conj(w.delta3), inv_a, act.alpha, m_alg.involution, inv_a,
+        optimize=True,
+    ).reshape(n, n)
+    return big, st
+
+
+@pytest.mark.parametrize("complex_basis", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("key", ["p2", "p3", "fp3", "m23"])
+def test_crossed_product_matches_dense_reference(examples, key, complex_basis):
+    w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
+    if complex_basis:
+        w = _rotated(w, seed=11)
+    act = wk.dual_regular_action(w)
+    cp = wk.crossed_product(act)
+    big, st = _dense_reference(act)
+    car = cp.carrier
+    cq = np.einsum("ia,jb,ijk,kg->abg", car, car, big, np.conj(car), optimize=True)
+    unit = car.conj().T @ np.kron(act.module.unit, act.wha.unit)
+    inv = car.conj().T @ st @ np.conj(car)
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    assert rel(cp.algebra.c, cq) < 1e-12
+    assert rel(cp.algebra.unit, unit) < 1e-12
+    assert rel(cp.algebra.involution, inv) < 1e-12
+    # the descent and embedding thresholds are tol.bound(|big|_F) * 100
+    thr = {c.name: c.threshold for c in cp.report.checks}["embedding-M-multiplicative"]
+    assert thr == pytest.approx(wk.DEFAULT_TOL.bound(np.linalg.norm(big)) * 100, rel=1e-12)
+
+
+def test_crossed_product_memory_stays_below_the_dense_tensor():
+    # the dense product tensor of p4 alone is 256^3 complex entries = 256 MiB
+    act = wk.dual_regular_action(wk.pair_groupoid_wha(4))
+    tracemalloc.start()
+    try:
+        cp = wk.crossed_product(act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cp.dim == 64
+    assert peak < 256 * 2**20
 
 
 @pytest.mark.parametrize("name", REGULAR)

@@ -10,7 +10,7 @@ from whakit.errors import (
     NotSemisimple,
     ValidationError,
 )
-from whakit.linalg import Subspace
+from whakit.linalg import Subspace, kernel
 
 
 def matrix_units(n, name=None):
@@ -68,6 +68,47 @@ class TestValidation(unittest.TestCase):
         x = rng.normal(size=9) + 1j * rng.normal(size=9)
         y = rng.normal(size=9)
         np.testing.assert_allclose(a.mul(x, y), a.left_mult(x) @ y, atol=1e-12)
+
+
+class TestKernels(unittest.TestCase):
+    """The matrix-product kernels of mul, trace_form and center against their einsum forms."""
+
+    def setUp(self):
+        rng = np.random.default_rng(11)
+        n = 7
+        self.random = wk.FinDimAlgebra(
+            rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n)), np.ones(n)
+        )
+        # M_2 + M_1 + M_1 (center of dimension 3) in a random complex basis
+        c = np.zeros((6, 6, 6))
+        c[:4, :4, :4] = matrix_units(2).c.real
+        c[4, 4, 4] = c[5, 5, 5] = 1.0
+        p, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        c = np.einsum("ia,jb,ijk,dk->abd", p, p, c, p.conj().T)
+        unit = p.conj().T @ np.array([1.0, 0, 0, 1, 1, 1])
+        self.rotated = wk.FinDimAlgebra(c, unit)
+        self.rng = rng
+
+    def assertClose(self, got, want):
+        self.assertLess(np.linalg.norm(got - want), 1e-12 * np.linalg.norm(want))
+
+    def test_mul(self):
+        for alg in (self.random, self.rotated):
+            a, b = self.rng.normal(size=(2, alg.dim)) + 1j * self.rng.normal(size=(2, alg.dim))
+            self.assertClose(alg.mul(a, b), np.einsum("i,j,ijk->k", a, b, alg.c))
+
+    def test_trace_form(self):
+        for alg in (self.random, self.rotated):
+            lm = alg.c.transpose(0, 2, 1)
+            self.assertClose(alg.trace_form(), np.einsum("iab,jba->ij", lm, lm))
+
+    def test_center(self):
+        alg = self.rotated
+        rows = [alg.left_mult(alg.basis_vector(i)) - alg.right_mult(alg.basis_vector(i)) for i in range(alg.dim)]
+        want = Subspace(kernel(np.vstack(rows)), alg.dim)
+        got = alg.center()
+        self.assertEqual(got.dim, 3)
+        self.assertClose(got.projector(), want.projector())
 
 
 class TestBlockStructure(unittest.TestCase):
