@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    FinDimAlgebra,
-    block_decomposition,
-    induced_algebra,
-    inclusion_matrix,
-    watatani_index,
-)
+from .algebra import FinDimAlgebra, induced_algebra, inclusion_matrix, watatani_index
 from .config import Tolerance, get_tol
 from .errors import (
     CrossCheckMismatch,
@@ -31,10 +25,9 @@ from .errors import (
     NotConditionalExpectation,
     NotSemisimple,
 )
-from .integrals import haar_integral
 from .linalg import Subspace, kernel, orth
 from .report import AxiomReport
-from .wha import WeakHopfAlgebra, dual_wha
+from .wha import WeakHopfAlgebra
 
 __all__ = [
     "WhaAction",
@@ -130,7 +123,7 @@ def invariants(action: WhaAction, tol: Tolerance | None = None) -> Subspace:
     for t in range(w.dim):
         rows.append(action.amat(w.algebra.basis_vector(t)) - action.amat(pi_l[:, t]))
     fixed = Subspace(kernel(np.vstack(rows), tol), m_alg.dim, tol)
-    h = haar_integral(w, tol)
+    h = w.derived(tol).haar
     if h is None:
         raise NotSemisimple(f"{w.name} has no Haar integral; invariants need one")
     image = Subspace(orth(action.amat(h), tol), m_alg.dim, tol)
@@ -155,7 +148,7 @@ def invariants(action: WhaAction, tol: Tolerance | None = None) -> Subspace:
 def m_r_subalgebra(action: WhaAction, tol: Tolerance | None = None) -> tuple[Subspace, bool]:
     """``M^R = span{alpha_l(1_M) : l in A^L}`` and injectivity of ``l -> alpha_l(1_M)``."""
     tol = get_tol(tol)
-    al = action.wha.counital_subalgebras.left
+    al = action.wha.derived(tol).counital_subalgebras.left
     unit_m = action.module.unit
     cols = np.column_stack([action.amat(al.basis[:, b]) @ unit_m for b in range(al.dim)])
     span = Subspace(orth(cols, tol), action.module.dim, tol)
@@ -196,7 +189,7 @@ def _relation_span(action: WhaAction, tol: Tolerance) -> np.ndarray:
     of M and of A.
     """
     w, m_alg = action.wha, action.module
-    lb = w.counital_subalgebras.left.basis
+    lb = w.derived(tol).counital_subalgebras.left.basis
     dm, da = m_alg.dim, w.dim
     al1 = np.einsum("pb,pjr,j->br", lb, action.alpha, m_alg.unit, optimize=True)  # alpha_l(1_M)
     x = np.einsum("irk,br->bik", m_alg.c, al1)  # m_i alpha_l(1_M)
@@ -378,13 +371,13 @@ def is_regular(
     big = crossed.algebra
     gens = [crossed.embed_m[:, i] for i in range(m_alg.dim)]
     comm = big.commutant_in(gens, tol=tol)
-    ar = w.counital_subalgebras.right
+    ar = w.derived(tol).counital_subalgebras.right
     ar_image = Subspace(orth(crossed.embed_a @ ar.basis, tol), big.dim, tol)
     details["relative_commutant_dim"] = comm.dim
     details["a_r_dim"] = ar_image.dim
     clause_ii = comm.equals(ar_image, tol)
 
-    h = haar_integral(w, tol)
+    h = w.derived(tol).haar
     clause_iii = False
     if h is not None:
         try:
@@ -433,11 +426,11 @@ def verify_basic_construction(
         crossed = crossed_product(action, tol)
     big = crossed.algebra
     rep = AxiomReport(f"basic construction of {m_alg.name}^{w.name} c {m_alg.name}")
-    h = haar_integral(w, tol)
+    h = w.derived(tol).haar
     if h is None:
         raise NotSemisimple(f"{w.name} has no Haar integral")
     n_sub = invariants(action, tol)
-    sub = w.counital_subalgebras
+    sub = w.derived(tol).counital_subalgebras
     thr = 1e-8
 
     e = crossed.element(m_alg.unit, h)
@@ -532,7 +525,7 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
 
     # target M (x)_(A^L) A^: quotient by m alpha_l(1) (x) phi - m (x) l.phi,
     # where <l.phi, x> = <phi, x_(1)> eps(x_(2) l)
-    al = w.counital_subalgebras.left
+    al = w.derived(tol).counital_subalgebras.left
     cols = []
     for b in range(al.dim):
         l = al.basis[:, b]
@@ -567,7 +560,7 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
 def dual_regular_action(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> WhaAction:
     """The arrow action of A^ on A, ``alpha_phi(x) = phi > x = x_(1) <phi, x_(2)>``."""
     tol = get_tol(tol)
-    wd = dual_wha(w, tol)
+    wd = w.dual
     alpha = w.delta3.transpose(1, 2, 0).copy()  # alpha[phi, x, out]
     action = WhaAction(wd, w.algebra, alpha, name="dual regular action")
     action.validate(tol).raise_if_failed()
@@ -580,7 +573,7 @@ def arrow_action(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> WhaAction:
     For a group algebra this is the translation action on the function algebra.
     """
     tol = get_tol(tol)
-    wd = dual_wha(w, tol)
+    wd = w.dual
     alpha = np.ascontiguousarray(np.einsum("bia->iab", w.algebra.c))
     action = WhaAction(w, wd.algebra, alpha, name="arrow action")
     action.validate(tol).raise_if_failed()
@@ -608,10 +601,10 @@ def smash_product(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> CrossedPr
     if not big.is_semisimple(tol):
         raise CrossCheckMismatch("smash product is not semisimple")
 
-    al = w.counital_subalgebras.left
+    al = w.derived(tol).counital_subalgebras.left
     al_alg, _ = induced_algebra(w.algebra, al, tol=tol, name=f"{w.name}^L")
-    n_left = len(block_decomposition(al_alg, tol).blocks)
-    n_big = len(block_decomposition(big, tol).blocks)
+    n_left = len(al_alg.block_decomposition(tol).blocks)
+    n_big = len(big.block_decomposition(tol).blocks)
     if n_big != n_left:
         raise CrossCheckMismatch(
             f"smash product has {n_big} blocks but A^L has {n_left}"

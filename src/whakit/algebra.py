@@ -82,6 +82,7 @@ class FinDimAlgebra:
         self.name = name
         # left multiplication matrices of all basis vectors, L[i][k,j] = c[i,j,k]
         self._lmats = c.transpose(0, 2, 1).copy()
+        self._blocks: dict[Tolerance, BlockDecomposition] = {}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -192,7 +193,15 @@ class FinDimAlgebra:
         return comm if within is None else comm.intersection(within)
 
     def block_decomposition(self, tol: Tolerance | None = None) -> "BlockDecomposition":
-        return block_decomposition(self, tol)
+        """Wedderburn blocks, computed once per tolerance (the algebra is immutable)."""
+        tol = get_tol(tol)
+        if tol not in self._blocks:
+            self._blocks[tol] = block_decomposition(self, tol)
+        return self._blocks[tol]
+
+    def block_trace(self, block: "Block", x) -> complex:
+        """Trace of ``x`` in the irreducible representation of ``block``: tr(z_q x) / n_q."""
+        return self.regular_trace(self.mul(block.central_idempotent, x)) / block.size
 
 
 @dataclass(frozen=True)
@@ -334,15 +343,15 @@ def inclusion_matrix(algebra: FinDimAlgebra, sub: Subspace, tol: Tolerance | Non
     Returns ``(Lambda, blocks_B, blocks_A)``.
     """
     tol = get_tol(tol)
-    blocks_a = block_decomposition(algebra, tol)
+    blocks_a = algebra.block_decomposition(tol)
     b_alg, q = induced_algebra(algebra, sub, tol=tol, name=f"{algebra.name}|B")
-    blocks_b = block_decomposition(b_alg, tol)
+    blocks_b = b_alg.block_decomposition(tol)
     lam = np.zeros((len(blocks_b.blocks), len(blocks_a.blocks)), dtype=int)
     for mu, bb in enumerate(blocks_b.blocks):
         p_b = _minimal_idempotent_in_block(b_alg, bb, tol)
         p = q @ p_b  # back to ambient coordinates
         for qi, ba in enumerate(blocks_a.blocks):
-            tr = algebra.regular_trace(algebra.mul(ba.central_idempotent, p)) / ba.size
+            tr = algebra.block_trace(ba, p)
             lam[mu, qi] = round_to_int(tr, f"inclusion multiplicity ({mu},{qi})")
     sizes_a = np.array([b.size for b in blocks_a.blocks])
     sizes_b = np.array([b.size for b in blocks_b.blocks])
@@ -390,8 +399,7 @@ class MarkovTrace:
     def trace(self, algebra: FinDimAlgebra, blocks: BlockDecomposition, a) -> complex:
         val = 0.0 + 0.0j
         for w, qi in zip(self.weights, self.block_indices):
-            b = blocks.blocks[qi]
-            val += w * algebra.regular_trace(algebra.mul(b.central_idempotent, a)) / b.size
+            val += w * algebra.block_trace(blocks.blocks[qi], a)
         return complex(val)
 
 

@@ -27,7 +27,7 @@ from .actions import (
     trivial_action,
     validate_action,
 )
-from .algebra import FinDimAlgebra, block_decomposition, watatani_index
+from .algebra import FinDimAlgebra, watatani_index
 from .config import Tolerance, get_tol
 from .errors import NotSemisimple, SchemaError, ValidationError, WhakitError
 from .fixtures import (
@@ -40,15 +40,8 @@ from .fixtures import (
     sweedler_h4,
     symmetric_wha,
 )
-from .integrals import (
-    canonical_grouplike,
-    haar_criterion,
-    haar_expectations,
-    haar_integral,
-    haar_state,
-    maschke_check,
-)
-from .reptheory import markov_index, sector_dimensions
+from .integrals import haar_criterion, haar_expectations, haar_state, maschke_check
+from .reptheory import markov_index
 from .wha import (
     antipode_report,
     dual_wha,
@@ -233,9 +226,11 @@ def analyze_wha(w, tol: Tolerance | None = None) -> dict:
         out["stages"]["skipped"] = "axioms failed; structural stages not run"
         return out
 
+    derived = w.derived(tol)
+
     def _structure():
-        sub = w.counital_subalgebras
-        dual_sub = dual_wha(w).counital_subalgebras
+        sub = derived.counital_subalgebras
+        dual_sub = w.dual.derived(tol).counital_subalgebras
         return {
             "dims": {
                 "A": w.dim,
@@ -257,7 +252,7 @@ def analyze_wha(w, tol: Tolerance | None = None) -> dict:
     stage("structure", _structure)
 
     def _haar():
-        h = haar_integral(w, tol)
+        h = derived.haar
         if h is None:
             return {"absent": "NoHaar", "reason": "no normalized two-sided integral"}
         res = {
@@ -279,7 +274,7 @@ def analyze_wha(w, tol: Tolerance | None = None) -> dict:
     have_haar = bool(haar) and "absent" not in haar
 
     def _grouplike():
-        cg = canonical_grouplike(w, tol)
+        cg = derived.grouplike
         if cg is None:
             return {"absent": "NoHaar", "reason": "canonical grouplike needs a faithful Haar state"}
         return {
@@ -291,7 +286,7 @@ def analyze_wha(w, tol: Tolerance | None = None) -> dict:
     stage("grouplike", _grouplike)
 
     def _sectors():
-        table = sector_dimensions(w, tol=tol)
+        table = derived.sectors
         return {
             "vacua": int(table.vacua.count),
             "sectors": [
@@ -325,13 +320,13 @@ def analyze_wha(w, tol: Tolerance | None = None) -> dict:
         return entry
 
     def _index():
-        if w.counital_subalgebras.hypercenter.dim == 1:
+        if derived.counital_subalgebras.hypercenter.dim == 1:
             return _one_index(w)
         rows = []
         for comp in hypercentral_components(w, tol):
             entry: dict = {"name": comp.name, "dim": comp.dim}
             try:
-                entry["delta"] = float(sector_dimensions(comp, tol=tol).delta)
+                entry["delta"] = float(comp.derived(tol).sectors.delta)
                 entry.update(_one_index(comp))
             except WhakitError as exc:
                 entry["absent"] = type(exc).__name__
@@ -510,12 +505,12 @@ def cmd_crossprod(args) -> int:
     checks = _check_rows(validate_action(action, tol))
     action_ok = all(r["passed"] for r in checks)
     try:
-        sizes = sorted(b.size for b in block_decomposition(cp.algebra, tol))
+        sizes = sorted(b.size for b in cp.algebra.block_decomposition(tol))
     except NotSemisimple:
         sizes = None
     reg = is_regular(action, cp, tol)
     gal_mat, gal_bij = galois_map(action, tol)
-    al_dim = action.wha.counital_subalgebras.left.dim
+    al_dim = action.wha.derived(tol).counital_subalgebras.left.dim
     doc = {
         "report_version": REPORT_VERSION,
         "kind": args.kind,

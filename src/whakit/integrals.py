@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GnsRep, block_decomposition, gns_rep
+from .algebra import GnsRep, gns_rep
 from .config import Tolerance, get_tol, rng
 from .errors import (
     CrossCheckMismatch,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import Subspace, hermitian_sqrt, kernel, lstsq
 from .report import AxiomReport
-from .wha import SweedlerArrows, WeakHopfAlgebra, dual_wha, is_weak_kac
+from .wha import SweedlerArrows, WeakHopfAlgebra, is_weak_kac
 
 __all__ = [
     "integral_spaces",
@@ -73,7 +73,7 @@ def _solve_normalized(w, space: Subspace, maps, tol: Tolerance):
 def normalized_left_integral(w: WeakHopfAlgebra, tol: Tolerance | None = None):
     """A left integral with ``pi^L(l) = 1``, or None if there is none."""
     tol = get_tol(tol)
-    left, _ = integral_spaces(w, tol)
+    left, _ = w.derived(tol).integral_spaces
     pi_l, _ = w.counital_maps
     return _solve_normalized(w, left, [pi_l], tol)
 
@@ -86,7 +86,7 @@ def haar_integral(w: WeakHopfAlgebra, tol: Tolerance | None = None):
     uniqueness of the normalized two-sided integral.
     """
     tol = get_tol(tol)
-    left, right = integral_spaces(w, tol)
+    left, right = w.derived(tol).integral_spaces
     inter = left.intersection(right)
     pi_l, pi_r = w.counital_maps
     h = _solve_normalized(w, inter, [pi_l, pi_r], tol)
@@ -108,7 +108,7 @@ def haar_integral(w: WeakHopfAlgebra, tol: Tolerance | None = None):
 
 def haar_functional(w: WeakHopfAlgebra, tol: Tolerance | None = None):
     """The Haar integral of the dual, as a covector on A; None if absent."""
-    return haar_integral(dual_wha(w), tol)
+    return haar_integral(w.dual, tol)
 
 
 def maschke_check(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:
@@ -131,7 +131,7 @@ def haar_criterion(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:
     result is cross-checked against directly solving for the Haar integral.
     """
     tol = get_tol(tol)
-    direct = haar_integral(w, tol) is not None
+    direct = w.derived(tol).haar is not None
     predicted = False
     if w.algebra.is_semisimple(tol):
         n = w.dim
@@ -142,7 +142,7 @@ def haar_criterion(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:
         ]
         space = kernel(np.vstack(rows), tol)
         if space.shape[1]:
-            blocks = block_decomposition(w.algebra, tol)
+            blocks = w.algebra.block_decomposition(tol)
             for attempt in range(8):
                 t = rng(attempt).standard_normal(space.shape[1]) + 1j * rng(
                     100 + attempt
@@ -152,10 +152,7 @@ def haar_criterion(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:
                     g_inv = w.algebra.inverse(g, tol)
                 except RankDeficient:
                     continue
-                traces = [
-                    w.algebra.regular_trace(w.algebra.mul(b.central_idempotent, g_inv)) / b.size
-                    for b in blocks
-                ]
+                traces = [w.algebra.block_trace(b, g_inv) for b in blocks]
                 cut = 1e-8 * max(1.0, float(np.linalg.norm(g_inv)))
                 predicted = all(abs(t_q) > cut for t_q in traces)
                 break
@@ -174,13 +171,13 @@ def haar_expectations(w: WeakHopfAlgebra, tol: Tolerance | None = None):
     and range identities are verified before returning.
     """
     tol = get_tol(tol)
-    hd = haar_functional(w, tol)
+    hd = w.derived(tol).haar_functional
     if hd is None:
         return None
     d3 = w.delta3
     e_l = np.einsum("pqj,q->pj", d3, hd)
     e_r = np.einsum("pqj,p->qj", d3, hd)
-    sub = w.counital_subalgebras
+    sub = w.derived(tol).counital_subalgebras
     rep = AxiomReport(f"{w.name} Haar expectations")
     for name, mat, target in (("E^L", e_l, sub.left), ("E^R", e_r, sub.right)):
         scale = max(1.0, float(np.linalg.norm(mat)))
@@ -196,7 +193,7 @@ def haar_expectations(w: WeakHopfAlgebra, tol: Tolerance | None = None):
 def haar_state(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> GnsRep | None:
     """GNS data of the Haar functional (None when there is no dual Haar)."""
     tol = get_tol(tol)
-    hd = haar_functional(w, tol)
+    hd = w.derived(tol).haar_functional
     if hd is None:
         return None
     return gns_rep(w.algebra, hd, tol)
@@ -225,8 +222,7 @@ def canonical_grouplike(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Can
     Returns None when the Haar integral (either side) does not exist.
     """
     tol = get_tol(tol)
-    h = haar_integral(w, tol)
-    hd = haar_functional(w, tol)
+    h, hd = w.derived(tol).haar, w.derived(tol).haar_functional
     if h is None or hd is None:
         return None
     gns = gns_rep(w.algebra, hd, tol)
@@ -263,12 +259,9 @@ def canonical_grouplike(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Can
     rep.add("grouplike-self-adjoint", np.linalg.norm(op_g - op_g.conj().T), 1e-7 * max(1.0, float(np.linalg.norm(op_g))))
     eigs = np.linalg.eigvalsh((op_g + op_g.conj().T) / 2)
     rep.add("grouplike-positive", 0.0 if float(eigs[0]) > 0 else 1.0, 0.5)
-    blocks = block_decomposition(w.algebra, tol)
     worst_tr = 0.0
-    for b in blocks:
-        t_g = w.algebra.regular_trace(w.algebra.mul(b.central_idempotent, g)) / b.size
-        t_gi = w.algebra.regular_trace(w.algebra.mul(b.central_idempotent, g_inv)) / b.size
-        worst_tr = max(worst_tr, abs(t_g - t_gi))
+    for b in w.algebra.block_decomposition(tol):
+        worst_tr = max(worst_tr, abs(w.algebra.block_trace(b, g) - w.algebra.block_trace(b, g_inv)))
     rep.add("block-traces-balanced", worst_tr, 1e-6 * max(1.0, float(np.linalg.norm(g))))
     # modular identity: omega(ab) = omega(b t a t^-1) with t = g_l g_r
     t_el = w.mul(g_l, g_r)

@@ -16,14 +16,12 @@ from .errors import DimensionMismatch, NotNonnegative, RankDeficient
 __all__ = [
     "orth",
     "kernel",
-    "cokernel",
     "lstsq",
     "normalize_phase",
     "Subspace",
     "perron_frobenius",
     "is_irreducible_nonneg",
     "hermitian_sqrt",
-    "eig_cluster",
 ]
 
 
@@ -84,11 +82,6 @@ def kernel(a, tol: Tolerance | None = None):
     return np.column_stack([normalize_phase(q[:, j], tol) for j in range(q.shape[1])]) if q.shape[1] else q
 
 
-def cokernel(a, tol: Tolerance | None = None):
-    """Orthonormal basis of the left null space of ``a``."""
-    return kernel(_as_matrix(a).conj().T, tol)
-
-
 def lstsq(a, b, tol: Tolerance | None = None):
     """Least squares solve; returns ``(x, residual)`` with the actual residual norm."""
     tol = get_tol(tol)
@@ -118,28 +111,6 @@ def hermitian_sqrt(m, tol: Tolerance | None = None):
         raise NotPositive(f"matrix has negative eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def eig_cluster(m, tol: Tolerance | None = None):
-    """Eigenvalues of ``m`` grouped into clusters of nearly equal values.
-
-    Returns ``(values, groups)`` where ``groups`` is a list of index arrays
-    into the eigenvector matrix, and ``vectors`` the raw eigenvector matrix.
-    """
-    tol = get_tol(tol)
-    m = _as_matrix(m)
-    vals, vecs = np.linalg.eig(m)
-    order = np.lexsort((vals.imag.round(6), vals.real.round(6)))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    groups: list[list[int]] = []
-    for i, lam in enumerate(vals):
-        if groups and abs(lam - vals[groups[-1][-1]]) <= 1e-6 * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return vals, [np.array(g) for g in groups], vecs
 
 
 class Subspace:

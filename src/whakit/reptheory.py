@@ -12,18 +12,16 @@ whose Perron eigenvalue is the Markov index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    Block,
     BlockDecomposition,
     GnsRep,
     _minimal_central_idempotents,
     _minimal_idempotent_in_block,
     _support_key,
-    block_decomposition,
     gns_rep,
     induced_algebra,
     markov_trace,
@@ -40,10 +38,10 @@ from .errors import (
     VacuumAssignmentFailed,
     ZeroIntertwiner,
 )
-from .integrals import CanonicalGrouplikes, canonical_grouplike
+from .integrals import CanonicalGrouplikes, haar_state
 from .linalg import Subspace, kernel, lstsq, normalize_phase, orth, perron_frobenius
 from .report import AxiomReport
-from .wha import WeakHopfAlgebra, dual_wha
+from .wha import WeakHopfAlgebra
 
 __all__ = [
     "Representation",
@@ -134,7 +132,7 @@ def gns_counit_rep(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Represen
     n = w.dim
     mats = np.stack([g.rep(w.algebra.basis_vector(j)) for j in range(n)])
     rep = Representation(w, mats, name="D_eps", gns=g)
-    al_dim = w.counital_subalgebras.left.dim
+    al_dim = w.derived(tol).counital_subalgebras.left.dim
     if rep.dim != al_dim:
         raise CrossCheckMismatch(
             f"counit GNS carrier has dimension {rep.dim} but dim A^L = {al_dim}"
@@ -209,27 +207,21 @@ def _star_conjugate_rep(
     return out
 
 
-def irreducible_representations(
-    w: WeakHopfAlgebra, tol: Tolerance | None = None, gram: np.ndarray | None = None
-) -> list[Representation]:
+def irreducible_representations(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> list[Representation]:
     """One unitary irreducible representation per Wedderburn block, in block order.
 
     Carriers are the left ideals ``A p`` (p a minimal idempotent),
     orthonormalized in the inner product of a faithful Haar state.
     """
     tol = get_tol(tol)
-    if gram is None:
-        from .integrals import haar_state
-
-        state = haar_state(w, tol)
-        if state is None:
-            raise NotSemisimple(f"{w.name}: irreducible carriers need a Haar state")
-        if not state.faithful:
-            raise NotSemisimple(f"{w.name}: Haar state is not faithful")
-        gram = state.gram
-    blocks = block_decomposition(w.algebra, tol)
+    state = haar_state(w, tol)
+    if state is None:
+        raise NotSemisimple(f"{w.name}: irreducible carriers need a Haar state")
+    if not state.faithful:
+        raise NotSemisimple(f"{w.name}: Haar state is not faithful")
+    gram = state.gram
     out = []
-    for b in blocks:
+    for b in w.algebra.block_decomposition(tol):
         p = _minimal_idempotent_in_block(w.algebra, b, tol)
         ideal = orth(w.algebra.right_mult(p), tol)  # columns span A p
         k = ideal.conj().T @ gram @ ideal
@@ -264,7 +256,7 @@ def vacua(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> VacuumData:
     and their images in the counit GNS representation, which must be nonzero
     orthogonal projections summing to the identity."""
     tol = get_tol(tol)
-    sub = w.counital_subalgebras
+    sub = w.derived(tol).counital_subalgebras
     idems = _minimal_central_idempotents(w.algebra, sub.center_left, tol)
     idems.sort(key=lambda z: _support_key(z, tol))
     d_eps = gns_counit_rep(w, tol)
@@ -302,18 +294,10 @@ def vacua(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> VacuumData:
     )
 
 
-def block_multiplicities(
-    w: WeakHopfAlgebra,
-    rep: Representation,
-    blocks: BlockDecomposition | None = None,
-    tol: Tolerance | None = None,
-) -> np.ndarray:
+def block_multiplicities(w: WeakHopfAlgebra, rep: Representation, tol: Tolerance | None = None) -> np.ndarray:
     """Integers N_q(D) = rank(D(z_q)) / n_q for each block q."""
-    tol = get_tol(tol)
-    if blocks is None:
-        blocks = block_decomposition(w.algebra, tol)
     out = []
-    for b in blocks:
+    for b in w.algebra.block_decomposition(tol):
         if rep.dim == 0:
             out.append(0)
             continue
@@ -436,12 +420,7 @@ def _proportionality_constant(x, proj, what):
     return c
 
 
-def standard_solutions(
-    w: WeakHopfAlgebra,
-    q: int | Representation,
-    tol: Tolerance | None = None,
-    _context: dict | None = None,
-) -> StandardSolution:
+def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Tolerance | None = None) -> StandardSolution:
     """Standard solution of the conjugate equations for the irreducible block ``q``.
 
     ``R`` spans Hom(D_eps, conj(q) (x) q) over a single vacuum mu (= q^R) and
@@ -451,20 +430,12 @@ def standard_solutions(
     ``sqrt(c1 c2 / |lambda1 lambda2|)`` of the raw data.
     """
     tol = get_tol(tol)
-    ctx = _context or {}
-    cg: CanonicalGrouplikes | None = ctx.get("grouplike")
+    derived = w.derived(tol)
+    cg = derived.grouplike
     if cg is None:
-        cg = canonical_grouplike(w, tol)
-        if cg is None:
-            raise NotSemisimple(f"{w.name}: standard solutions need the Haar integral")
-    vac: VacuumData = ctx.get("vacua") or vacua(w, tol)
-    if isinstance(q, Representation):
-        d_q = q
-    else:
-        irreps = ctx.get("irreps")
-        if irreps is None:
-            irreps = irreducible_representations(w, tol, gram=cg.gns.gram)
-        d_q = irreps[q]
+        raise NotSemisimple(f"{w.name}: standard solutions need the Haar integral")
+    vac = derived.vacua
+    d_q = q if isinstance(q, Representation) else derived.irreps[q]
     d_eps = vac.counit_rep
     qbar = _star_conjugate_rep(w, d_q, cg.g_half, cg.g_half_inv, tol)
 
@@ -530,6 +501,7 @@ class SectorTable:
     vacua: VacuumData
     sectors: list[Sector]
     grouplike: CanonicalGrouplikes
+    tol: Tolerance
 
     @property
     def delta(self) -> float:
@@ -546,7 +518,7 @@ class SectorTable:
         return out
 
     def multiplicities(self, rep: Representation) -> np.ndarray:
-        return block_multiplicities(self.wha, rep, self.blocks)
+        return block_multiplicities(self.wha, rep, self.tol)
 
     def dimension_matrix(self, rep: Representation) -> np.ndarray:
         """Vacuum-indexed dimension matrix of an arbitrary representation."""
@@ -558,32 +530,23 @@ class SectorTable:
         return out
 
 
-def _block_trace(w: WeakHopfAlgebra, block: Block, x) -> complex:
-    return w.algebra.regular_trace(w.algebra.mul(block.central_idempotent, x)) / block.size
-
-
-def sector_dimensions(
-    w: WeakHopfAlgebra,
-    grouplike: CanonicalGrouplikes | None = None,
-    tol: Tolerance | None = None,
-) -> SectorTable:
+def sector_dimensions(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> SectorTable:
     """Full sector table: vacuum assignments, d_q by two routes, dimension matrix.
 
     d_q from the grouplike trace formula ``k(qL)^(-1/2) k(qR)^(-1/2) tr_q(g)``
     must agree with the standard-solution route within 1e-6.
     """
     tol = get_tol(tol)
-    cg = grouplike or canonical_grouplike(w, tol)
+    derived = w.derived(tol)
+    cg = derived.grouplike
     if cg is None:
         raise NotSemisimple(f"{w.name}: sector pipeline needs the Haar integral")
-    vac = vacua(w, tol)
-    blocks = block_decomposition(w.algebra, tol)
-    irreps = irreducible_representations(w, tol, gram=cg.gns.gram)
-    ctx = {"grouplike": cg, "vacua": vac, "irreps": irreps}
+    vac = derived.vacua
+    blocks = w.algebra.block_decomposition(tol)
     sectors = []
-    for qi, (block, rep) in enumerate(zip(blocks, irreps)):
-        sol = standard_solutions(w, qi, tol, _context=ctx)
-        tr_g = _block_trace(w, block, cg.g)
+    for qi, (block, rep) in enumerate(zip(blocks, derived.irreps)):
+        sol = standard_solutions(w, qi, tol)
+        tr_g = w.algebra.block_trace(block, cg.g)
         if abs(tr_g.imag) > 1e-8 * max(1.0, abs(tr_g)):
             raise CrossCheckMismatch(f"tr_q(g) = {tr_g} is not real")
         d_trace = float(tr_g.real) / np.sqrt(vac.weights[sol.vacuum_left] * vac.weights[sol.vacuum_right])
@@ -602,7 +565,7 @@ def sector_dimensions(
                 solution=sol,
             )
         )
-    return SectorTable(wha=w, blocks=blocks, vacua=vac, sectors=sectors, grouplike=cg)
+    return SectorTable(wha=w, blocks=blocks, vacua=vac, sectors=sectors, grouplike=cg, tol=tol)
 
 
 def _corner_markov_index(w: WeakHopfAlgebra, vac: VacuumData, tol: Tolerance) -> float:
@@ -610,7 +573,7 @@ def _corner_markov_index(w: WeakHopfAlgebra, vac: VacuumData, tol: Tolerance) ->
     z = vac.projections[0]
     corner_space = Subspace(orth(w.algebra.left_mult(z), tol), w.dim, tol)
     corner, qmat = induced_algebra(w.algebra, corner_space, unit_vec=z, tol=tol, name=f"{w.name}|corner")
-    al = w.counital_subalgebras.left
+    al = w.derived(tol).counital_subalgebras.left
     cols = w.algebra.left_mult(z) @ al.basis
     coords, resid = lstsq(qmat, cols, tol)
     if resid > 1e-8 * max(1.0, float(np.linalg.norm(cols))):
@@ -626,12 +589,11 @@ def markov_index(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> float:
     """Markov index δ = PF(d_A), cross-checked against PF(d_dual) and the
     corner inclusion z A^L ⊂ z A; for pure fixtures also against Σ n_q d_q."""
     tol = get_tol(tol)
-    if w.counital_subalgebras.hypercenter.dim != 1:
+    if w.derived(tol).counital_subalgebras.hypercenter.dim != 1:
         raise NotConnected(f"{w.name} is decomposable; split along its hypercenter first")
-    table = sector_dimensions(w, tol=tol)
+    table = w.derived(tol).sectors
     delta_a = table.delta
-    table_dual = sector_dimensions(dual_wha(w), tol=tol)
-    delta_b = table_dual.delta
+    delta_b = w.dual.derived(tol).sectors.delta
     delta_c = _corner_markov_index(w, table.vacua, tol)
     values = (delta_a, delta_b, delta_c)
     spread = max(values) - min(values)
@@ -649,21 +611,12 @@ def markov_index(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> float:
     return float(delta_a)
 
 
-def dimension_factorization(
-    w: WeakHopfAlgebra,
-    tol: Tolerance | None = None,
-    tables: tuple[SectorTable, SectorTable] | None = None,
-):
+def dimension_factorization(w: WeakHopfAlgebra, tol: Tolerance | None = None):
     """Nonnegative 𝐝^L (vacua_A x vacua_dual) with 𝐝_A = 𝐝^L 𝐝^R, 𝐝_dual = 𝐝^R 𝐝^L,
     𝐝^R = (𝐝^L)^T.  Closed form when either side has a single vacuum; otherwise a
     projected least-squares search over the nonnegative cone."""
     tol = get_tol(tol)
-    if tables is None:
-        t_a = sector_dimensions(w, tol=tol)
-        t_b = sector_dimensions(dual_wha(w), tol=tol)
-    else:
-        t_a, t_b = tables
-    da, db = t_a.d_matrix, t_b.d_matrix
+    da, db = w.derived(tol).sectors.d_matrix, w.dual.derived(tol).sectors.d_matrix
     v, vd = da.shape[0], db.shape[0]
     if vd == 1:
         x = np.sqrt(np.diag(da)).reshape(v, 1)

@@ -11,13 +11,14 @@ consistency check.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import FinDimAlgebra, induced_algebra
-from .config import Tolerance, get_tol
+from .config import DEFAULT_TOL, Tolerance, get_tol
 from .errors import (
     CrossCheckMismatch,
     DimensionMismatch,
@@ -33,6 +34,7 @@ from .report import AxiomReport
 __all__ = [
     "WeakBialgebra",
     "WeakHopfAlgebra",
+    "Derived",
     "CounitalSubalgebras",
     "validate_wba",
     "solve_antipode",
@@ -61,6 +63,7 @@ class WeakBialgebra:
         self.algebra = algebra
         self.delta = delta
         self.eps = eps
+        self._derived: dict[Tolerance, Derived] = {}
 
     # convenience pass-throughs
     @property
@@ -112,9 +115,17 @@ class WeakBialgebra:
         pi_r = np.einsum("kq,jq->kj", w, feps)
         return pi_l, pi_r
 
-    @cached_property
+    def derived(self, tol: Tolerance | None = None) -> "Derived":
+        """The structures derived from this algebra at ``tol`` (one cache per tolerance)."""
+        tol = get_tol(tol)
+        if tol not in self._derived:
+            self._derived[tol] = Derived(self, tol)
+        return self._derived[tol]
+
+    @property
     def counital_subalgebras(self) -> "CounitalSubalgebras":
-        return _counital_subalgebras(self)
+        """A^L, A^R and their centers at ``DEFAULT_TOL``."""
+        return self.derived(DEFAULT_TOL).counital_subalgebras
 
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
         return validate_wba(self, tol)
@@ -133,9 +144,58 @@ class WeakHopfAlgebra(WeakBialgebra):
     def s(self, a):
         return self.antipode @ np.asarray(a, dtype=complex).ravel()
 
+    @cached_property
+    def dual(self) -> "WeakHopfAlgebra":
+        """The dual, built once; its own ``dual`` is this algebra.
+
+        The construction makes no rank decision, so one dual serves every
+        tolerance.
+        """
+        d = dual_wha(self)
+        d.__dict__["dual"] = self
+        return d
+
     @classmethod
     def from_wba(cls, wba: WeakBialgebra, tol: Tolerance | None = None) -> "WeakHopfAlgebra":
         return cls(wba.algebra, wba.delta, wba.eps, solve_antipode(wba, tol))
+
+
+def _entry(module: str, function: str) -> cached_property:
+    """A cached ``function(w, tol)``, looked up in ``whakit.<module>`` when first computed
+    so that a wrapper rebound to that module attribute sees every computation."""
+
+    def compute(self: "Derived"):
+        return getattr(importlib.import_module(f".{module}", __package__), function)(self.wha, self.tol)
+
+    return cached_property(compute)
+
+
+class Derived:
+    """Structures derived from one algebra at one tolerance, each computed on first use.
+
+    The entries are the counital subalgebras, the (left, right) integral
+    spaces, the Haar pair (``haar`` = h, ``haar_functional`` = the dual's h as
+    a covector on A), the canonical grouplike (None without the Haar pair),
+    the vacua, the irreducible representations in block order and the sector
+    table.  They are kept because an algebra is treated as immutable: build a
+    new one instead of changing its arrays.  An entry that raises is not kept.
+    """
+
+    def __init__(self, w: WeakBialgebra, tol: Tolerance):
+        self.wha = w
+        self.tol = tol
+
+    counital_subalgebras = _entry("wha", "_counital_subalgebras")
+    integral_spaces = _entry("integrals", "integral_spaces")
+    haar = _entry("integrals", "haar_integral")
+    grouplike = _entry("integrals", "canonical_grouplike")
+    vacua = _entry("reptheory", "vacua")
+    irreps = _entry("reptheory", "irreducible_representations")
+    sectors = _entry("reptheory", "sector_dimensions")
+
+    @property
+    def haar_functional(self):
+        return self.wha.dual.derived(self.tol).haar
 
 
 @dataclass
@@ -157,8 +217,7 @@ class CounitalSubalgebras:
         return self.hypercenter.dim == 1
 
 
-def _counital_subalgebras(w: WeakBialgebra, tol: Tolerance | None = None) -> CounitalSubalgebras:
-    tol = get_tol(tol)
+def _counital_subalgebras(w: WeakBialgebra, tol: Tolerance) -> CounitalSubalgebras:
     n = w.dim
     pi_l, pi_r = w.counital_maps
     left = Subspace(orth(pi_l, tol), n, tol)
@@ -221,13 +280,19 @@ def validate_wba(w: WeakBialgebra, tol: Tolerance | None = None) -> AxiomReport:
     rep.add("counit-weak-multiplicativity", np.linalg.norm(lhs1 - rhs3), tol.bound(scale**3))
     rep.add("counit-weak-multiplicativity-opposite", np.linalg.norm(lhs2 - rhs3), tol.bound(scale**3))
 
-    inv = w.algebra.involution
-    if inv is not None:
-        lhs_star = np.einsum("abm,mj->abj", d3, inv)
-        rhs_star = np.einsum("pqj,ap,bq->abj", np.conj(d3), inv, inv, optimize=True)
-        rep.add("comultiplication-star-compatible", np.linalg.norm(lhs_star - rhs_star), tol.bound(scale**2))
-        rep.add("counit-star-compatible", np.linalg.norm(eps @ inv - np.conj(eps)), tol.bound(scale))
+    if w.algebra.involution is not None:
+        _add_star_coalgebra_checks(rep, w, tol)
     return rep
+
+
+def _add_star_coalgebra_checks(rep: AxiomReport, w: WeakBialgebra, tol: Tolerance) -> None:
+    """The rows tying the involution to the comultiplication and the counit."""
+    inv, d3, eps = w.algebra.involution, w.delta3, w.eps
+    scale = max(1.0, float(np.linalg.norm(w.algebra.c)), float(np.linalg.norm(d3)))
+    lhs_star = np.einsum("abm,mj->abj", d3, inv)
+    rhs_star = np.einsum("pqj,ap,bq->abj", np.conj(d3), inv, inv, optimize=True)
+    rep.add("comultiplication-star-compatible", np.linalg.norm(lhs_star - rhs_star), tol.bound(scale**2))
+    rep.add("counit-star-compatible", np.linalg.norm(eps @ inv - np.conj(eps)), tol.bound(scale))
 
 
 def solve_antipode(w: WeakBialgebra, tol: Tolerance | None = None):
@@ -283,7 +348,7 @@ def antipode_report(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRe
     rhs = np.einsum("pj,qi,pqk->ijk", s, s, c, optimize=True)  # S(e_j) S(e_i)
     rep.add("antipode-antimultiplicative", np.linalg.norm(lhs - rhs), tol.bound(scale**2))
     rep.add("antipode-unit", np.linalg.norm(w.s(w.unit) - w.unit), tol.bound(1.0))
-    sub = w.counital_subalgebras
+    sub = w.derived(tol).counital_subalgebras
     image_l = Subspace(orth(s @ sub.left.basis, tol), w.dim, tol)
     rep.add(
         "antipode-swaps-counital-subalgebras",
@@ -361,10 +426,7 @@ def validate_star(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRepo
     # S( S(a)* )* = a, as the composite of two antilinear maps
     comp = inv @ np.conj(s @ inv @ np.conj(s))
     rep.add("antipode-star-compatible", np.linalg.norm(comp - np.eye(w.dim)), tol.bound(float(np.linalg.norm(s)) ** 2))
-    full = validate_wba(w, tol)
-    for check in full.checks:
-        if "star" in check.name and check.name not in {c.name for c in rep.checks}:
-            rep.checks.append(check)
+    _add_star_coalgebra_checks(rep, w, tol)
     return rep
 
 
@@ -394,7 +456,7 @@ def separability_structure(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> 
     ``delta(x) = sum_i x S(u_i) (x) w_i`` with counit ``eps`` restricted.
     """
     tol = get_tol(tol)
-    sub = w.counital_subalgebras
+    sub = w.derived(tol).counital_subalgebras
     w1 = w.delta1
     n = w.dim
     p_r = sub.right.projector()
@@ -450,7 +512,7 @@ def hypercentral_components(w: WeakHopfAlgebra, tol: Tolerance | None = None) ->
     tol = get_tol(tol)
     from .algebra import _minimal_central_idempotents
 
-    sub = w.counital_subalgebras
+    sub = w.derived(tol).counital_subalgebras
     hyper = sub.hypercenter
     if hyper.dim == 1:
         return [w]

@@ -24,23 +24,6 @@ STAR = ("z2", "z3", "z4", "z5", "s3", "p2", "p3", "p4", "fp2", "m23")
 WEAK_KAC = {k: k != "m23" for k in STAR}
 EXACT_DELTA = {"z2": 2, "z3": 3, "z4": 4, "z5": 5, "p2": 2, "p3": 3, "p4": 4}
 
-# caches: duals and sector tables are reused by several criteria
-_DUALS: dict[str, wk.WeakHopfAlgebra] = {}
-_TABLES: dict[str, object] = {}
-
-
-def _dual(key, w):
-    if key not in _DUALS:
-        _DUALS[key] = wk.dual_wha(w)
-    return _DUALS[key]
-
-
-def _table(key, w):
-    if key not in _TABLES:
-        _TABLES[key] = wk.sector_dimensions(w)
-    return _TABLES[key]
-
-
 class _Criterion:
     """Collects sub-check failures and records one verdict line on exit."""
 
@@ -112,7 +95,7 @@ def test_criterion_01_axioms_and_perturbation_gate(examples, acceptance):
     with _Criterion(acceptance, 1) as c:
         gate = dict(examples)
         for key in ("z3", "p2", "s3", "fp2"):
-            gate[key + "^"] = _dual(key, examples[key])
+            gate[key + "^"] = examples[key].dual
 
         slowest = 0.0
         for key, w in gate.items():
@@ -241,7 +224,7 @@ def test_criterion_04_haar_integral_and_positivity(examples, acceptance):
 
         ratios = []
         for key in STAR:
-            gram = wk.haar_state(_dual(key, examples[key])).gram
+            gram = wk.haar_state(examples[key].dual).gram
             eig = np.linalg.eigvalsh(gram)
             ratios.append(eig.min() / eig.max())
             c.check(
@@ -316,7 +299,7 @@ def test_criterion_05_canonical_grouplike_and_modular_identity(examples, accepta
 def test_criterion_06_bidual_and_counital_duality(examples, acceptance):
     with _Criterion(acceptance, 6) as c:
         for key, w in examples.items():
-            b = wk.dual_wha(_dual(key, w))
+            b = wk.dual_wha(w.dual)
             pairs = [
                 ("multiplication", b.algebra.c, w.algebra.c),
                 ("unit", b.unit, w.unit),
@@ -336,7 +319,7 @@ def test_criterion_06_bidual_and_counital_duality(examples, acceptance):
 
             # l |-> l -> 1^ maps A^L bijectively onto the dual's A^R,
             # and r |-> 1^ <- r maps A^R onto the dual's A^L
-            d = _dual(key, w)
+            d = w.dual
             arr = wk.sweedler_arrows(w)
             one_hat = d.unit
             sub = w.counital_subalgebras
@@ -375,9 +358,9 @@ def test_criterion_07_index_routes_agree(examples, acceptance):
         spread_worst = 0.0
         for key in STAR:
             w = examples[key]
-            delta = _table(key, w).delta
+            delta = w.derived().sectors.delta
             routes = {
-                "PF of the dual dimension matrix": _table(key + "^", _dual(key, w)).delta,
+                "PF of the dual dimension matrix": w.dual.derived().sectors.delta,
                 "corner inclusion index": _corner_index(w),
                 "markov_index": wk.markov_index(w),
             }
@@ -418,7 +401,7 @@ def test_criterion_08_representation_category(examples, acceptance):
 
         for key in ("z3", "s3", "fp2", "m23"):
             w = examples[key]
-            t = _table(key, w)
+            t = w.derived().sectors
             irreps = [s.rep for s in t.sectors]
 
             # fusion: integrality and associativity of the multiplicities
@@ -454,7 +437,7 @@ def test_criterion_08_representation_category(examples, acceptance):
         worst = 0.0
         for key in STAR:
             w = examples[key]
-            t = _table(key, w)
+            t = w.derived().sectors
             alg = w.algebra
             weights = np.asarray(t.vacua.weights)
             for s in t.sectors:
@@ -590,7 +573,7 @@ def test_criterion_11_m2_m3_showcase(acceptance):
         c.check(abs(d2 - 1) < 1e-6, f"d_2 = {d2!r}, expected 1")
         c.check(abs(d3 - GOLDEN) < 1e-6, f"d_3 = {d3!r}, expected (1+sqrt 5)/2")
 
-        t = _table("m23", w)
+        t = w.derived().sectors
         tau = next(s.rep for s in t.sectors if s.size == 3)
         fusion = np.rint(np.real(t.multiplicities(wk.monoidal_product(w, tau, tau)))).astype(int)
         c.check(np.array_equal(fusion, [1, 1]), f"3 x 3 decomposes as {fusion}, expected 2 + 3")

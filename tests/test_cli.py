@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, report content."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -193,3 +194,44 @@ def test_analyze_wha_is_reusable_in_memory(z3):
     assert doc["ok"] is True
     assert doc["stages"]["sectors"]["delta"] == pytest.approx(3.0, abs=1e-9)
     assert doc["stages"]["haar"]["criterion"] is True
+
+
+def test_analyze_computes_each_derived_structure_once(monkeypatch):
+    """One analyze run builds each derived structure once per algebra.
+
+    The computing functions are wrapped wherever a whakit module holds them,
+    so calls through a name imported into another module are counted too.
+    A fresh algebra is used because the session fixtures keep their caches.
+    """
+    expected = {
+        "wha.dual_wha": 1,
+        "wha.validate_wba": 1,
+        "integrals.haar_integral": 2,  # h and the dual's h^
+        "integrals.canonical_grouplike": 2,  # A and A^
+        "reptheory.sector_dimensions": 2,  # A and A^
+        "reptheory.standard_solutions": 4,  # two sectors on each side
+        "algebra.block_decomposition": 4,  # A, A^, the corner and its subalgebra
+    }
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key == "whakit" or key.startswith("whakit.")]
+    for name in expected:
+        modname, attr = name.split(".")
+        original = getattr(sys.modules[f"whakit.{modname}"], attr)
+        wrapper = counting(name, original)
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    w = wk.m2_m3()
+    doc = analyze_wha(w)
+    assert doc["ok"] and not doc["failed"]
+    assert calls == expected
+    assert w.dual.dual is w

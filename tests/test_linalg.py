@@ -5,7 +5,6 @@ from whakit.config import Tolerance
 from whakit.errors import DimensionMismatch, NotNonnegative
 from whakit.linalg import (
     Subspace,
-    eig_cluster,
     hermitian_sqrt,
     is_irreducible_nonneg,
     kernel,
@@ -88,11 +87,3 @@ def test_hermitian_sqrt():
     r = hermitian_sqrt(h)
     assert np.allclose(r @ r, h, atol=1e-10)
     assert np.allclose(r, r.conj().T, atol=1e-10)
-
-
-def test_eig_cluster_groups_degenerate_eigenvalues():
-    d = np.diag([1.0, 1.0 + 1e-13, 2.0])
-    vals, groups, _ = eig_cluster(d, Tolerance(1e-9, 1e-9))
-    sizes = sorted(len(g) for g in groups)
-    assert sizes == [1, 2]
-    assert len(vals) == 3

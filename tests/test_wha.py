@@ -44,6 +44,35 @@ def test_star_requires_involution(h4):
         wk.validate_star(h4)
 
 
+@pytest.mark.parametrize("key", ["s3", "m23"])
+def test_star_report_carries_the_coalgebra_star_rows_of_validate_wba(examples, key):
+    w = examples[key]
+    star = wk.validate_star(w)
+    names = [c.name for c in w.algebra.validate().checks] + [
+        "antipode-star-compatible",
+        "comultiplication-star-compatible",
+        "counit-star-compatible",
+    ]
+    assert [c.name for c in star.checks] == names
+    wba = {c.name: c for c in wk.validate_wba(w).checks}
+    for c in star.checks[-2:]:
+        assert (c.residual, c.threshold) == (wba[c.name].residual, wba[c.name].threshold)
+
+
+def test_counital_subalgebras_are_cached_per_tolerance():
+    w = wk.m2_m3()
+    loose = wk.Tolerance(1e-6, 1e-6)
+    default = w.derived().counital_subalgebras
+    other = w.derived(loose).counital_subalgebras
+    assert other is not default
+    assert w.counital_subalgebras is default
+    assert w.derived(wk.Tolerance(1e-9, 1e-9)).counital_subalgebras is default
+    assert w.derived(loose).counital_subalgebras is other
+    assert default.left.tol == wk.DEFAULT_TOL
+    assert other.left.tol == other.hypercenter.tol == loose
+    assert other.left.dim == default.left.dim == 2
+
+
 @pytest.mark.parametrize("key", ALL)
 def test_counital_subalgebra_dims(examples, key):
     sub = examples[key].counital_subalgebras
