@@ -25,7 +25,7 @@ from .errors import (
     NotConditionalExpectation,
     NotSemisimple,
 )
-from .linalg import Subspace, kernel, orth
+from .linalg import Subspace, kernel, kron_sum, matrix_rank, orth
 from .report import AxiomReport
 from .wha import WeakHopfAlgebra
 
@@ -126,7 +126,7 @@ def invariants(action: WhaAction, tol: Tolerance | None = None) -> Subspace:
     h = w.derived(tol).haar
     if h is None:
         raise NotSemisimple(f"{w.name} has no Haar integral; invariants need one")
-    image = Subspace(orth(action.amat(h), tol), m_alg.dim, tol)
+    image = Subspace(action.amat(h), m_alg.dim, tol)
     if not fixed.equals(image, tol):
         raise InvariantMismatch(
             f"fixed-point space (dim {fixed.dim}) differs from alpha_h(M) (dim {image.dim})"
@@ -149,10 +149,9 @@ def m_r_subalgebra(action: WhaAction, tol: Tolerance | None = None) -> tuple[Sub
     """``M^R = span{alpha_l(1_M) : l in A^L}`` and injectivity of ``l -> alpha_l(1_M)``."""
     tol = get_tol(tol)
     al = action.wha.derived(tol).counital_subalgebras.left
-    unit_m = action.module.unit
-    cols = np.column_stack([action.amat(al.basis[:, b]) @ unit_m for b in range(al.dim)])
-    span = Subspace(orth(cols, tol), action.module.dim, tol)
-    injective = int(np.linalg.matrix_rank(cols, tol=1e-9)) == al.dim
+    cols = np.einsum("ijk,j->ki", action.alpha, action.module.unit) @ al.basis  # alpha_l(1_M)
+    span = Subspace(cols, action.module.dim, tol)
+    injective = matrix_rank(cols, tol) == al.dim
     return span, injective
 
 
@@ -182,20 +181,18 @@ class CrossedProduct:
         return self.carrier.conj().T @ np.kron(m, a)
 
 
-def _relation_span(action: WhaAction, tol: Tolerance) -> np.ndarray:
-    """Orthonormal span of ``m alpha_l(1) (x) a - m (x) l a`` inside M (x) A.
+def _relation_span(action: WhaAction, l_mats: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal span of ``m alpha_l(1) (x) x - m (x) l.x`` inside M (x) X.
 
-    The spanning vectors run over the basis of A^L (outermost), then the bases
-    of M and of A.
+    ``l_mats[b]`` is the matrix of ``x -> l.x`` on the second leg X for the
+    b-th basis vector l of A^L.  The spanning vectors run over the basis of
+    A^L (outermost), then the bases of M and of X.
     """
-    w, m_alg = action.wha, action.module
-    lb = w.derived(tol).counital_subalgebras.left.basis
-    dm, da = m_alg.dim, w.dim
+    m_alg = action.module
+    lb = action.wha.derived(tol).counital_subalgebras.left.basis
     al1 = np.einsum("pb,pjr,j->br", lb, action.alpha, m_alg.unit, optimize=True)  # alpha_l(1_M)
-    x = np.einsum("irk,br->bik", m_alg.c, al1)  # m_i alpha_l(1_M)
-    lmat = np.einsum("qb,qac->bca", lb, w.algebra.c)  # column a: l e_a
-    rel = np.einsum("bik,ca->kcbia", x, np.eye(da)) - np.einsum("ki,bca->kcbia", np.eye(dm), lmat)
-    return orth(rel.reshape(dm * da, -1), tol)
+    rel = kron_sum(np.einsum("irk,br->bki", m_alg.c, al1), l_mats)  # m -> m alpha_l(1_M)
+    return orth(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1), tol)
 
 
 def _multiplicativity_residual(out: FinDimAlgebra, emb: np.ndarray, c_src: np.ndarray) -> float:
@@ -230,7 +227,8 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     w, m_alg, alpha = action.wha, action.module, action.alpha
     dm, da = m_alg.dim, w.dim
     d_full = dm * da
-    v_rel = _relation_span(action, tol)
+    lb = w.derived(tol).counital_subalgebras.left.basis
+    v_rel = _relation_span(action, np.einsum("qb,qac->bca", lb, w.algebra.c), tol)  # a -> l a
     carrier = kernel(v_rel.conj().T, tol)
     d = carrier.shape[1]
     cbar = carrier.conj().reshape(dm, da, d)
@@ -307,7 +305,7 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     )
     rep.add(
         "embedding-M-injective",
-        float(dm - np.linalg.matrix_rank(embed_m, tol=1e-9)),
+        float(dm - matrix_rank(embed_m, tol)),
         0.5,
     )
     rep.add(
@@ -372,7 +370,7 @@ def is_regular(
     gens = [crossed.embed_m[:, i] for i in range(m_alg.dim)]
     comm = big.commutant_in(gens, tol=tol)
     ar = w.derived(tol).counital_subalgebras.right
-    ar_image = Subspace(orth(crossed.embed_a @ ar.basis, tol), big.dim, tol)
+    ar_image = Subspace(crossed.embed_a @ ar.basis, big.dim, tol)
     details["relative_commutant_dim"] = comm.dim
     details["a_r_dim"] = ar_image.dim
     clause_ii = comm.equals(ar_image, tol)
@@ -460,36 +458,25 @@ def verify_basic_construction(
 
     gens_m = [crossed.embed_m[:, i] for i in range(m_alg.dim)]
     m_comm = big.commutant_in(gens_m, tol=tol)
-    ar_image = Subspace(orth(crossed.embed_a @ sub.right.basis, tol), big.dim, tol)
+    ar_image = Subspace(crossed.embed_a @ sub.right.basis, big.dim, tol)
     rep.add("item3: M' in M2 = A^R", _subspace_distance(m_comm, ar_image), thr)
 
     gens_n = [crossed.embed_m @ n_sub.basis[:, i] for i in range(n_sub.dim)]
     n_comm = big.commutant_in(gens_n, tol=tol)
-    a_image = Subspace(orth(crossed.embed_a, tol), big.dim, tol)
+    a_image = Subspace(crossed.embed_a, big.dim, tol)
     rep.add("item4: N' in M2 = A", _subspace_distance(n_comm, a_image), thr)
 
     n_alg, n_coords = induced_algebra(m_alg, n_sub, tol=tol, name="invariants")
-    center_n = Subspace(orth(n_coords @ n_alg.center(tol).basis, tol), m_alg.dim, tol)
-    zl_image = Subspace(
-        orth(np.column_stack(
-            [action.amat(sub.center_left.basis[:, b]) @ m_alg.unit for b in range(sub.center_left.dim)]
-        ), tol),
-        m_alg.dim,
-        tol,
-    )
+    center_n = Subspace(n_coords @ n_alg.center(tol).basis, m_alg.dim, tol)
+    on_unit = np.einsum("ijk,j->ki", action.alpha, m_alg.unit)  # a -> alpha_a(1_M)
+    zl_image = Subspace(on_unit @ sub.center_left.basis, m_alg.dim, tol)
     rep.add("item5: Center N = Z^L", _subspace_distance(center_n, zl_image), thr)
 
     lr = sub.left.intersection(sub.right)
-    lr_image = Subspace(
-        orth(np.column_stack(
-            [action.amat(lr.basis[:, b]) @ m_alg.unit for b in range(lr.dim)]
-        ), tol) if lr.dim else np.zeros((m_alg.dim, 0)),
-        m_alg.dim,
-        tol,
-    )
+    lr_image = Subspace(on_unit @ lr.basis, m_alg.dim, tol)
     rep.add("item5: Center M = A^L n A^R", _subspace_distance(m_alg.center(tol), lr_image), thr)
 
-    zr_image = Subspace(orth(crossed.embed_a @ sub.center_right.basis, tol), big.dim, tol)
+    zr_image = Subspace(crossed.embed_a @ sub.center_right.basis, big.dim, tol)
     rep.add("item5: Center M2 = Z^R", _subspace_distance(big.center(tol), zr_image), thr)
     return rep
 
@@ -511,45 +498,25 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     n_sub = invariants(action, tol)
 
     # domain M (x)_N M: quotient by m n (x) m' - m (x) n m'
-    cols = []
-    for b in range(n_sub.dim):
-        nv = n_sub.basis[:, b]
-        rmat = m_alg.right_mult(nv)  # x -> x n
-        lmat = m_alg.left_mult(nv)
-        for i in range(dm):
-            for j in range(dm):
-                v = np.kron(rmat[:, i], np.eye(dm)[j]) - np.kron(np.eye(dm)[i], lmat[:, j])
-                cols.append(v)
-    v_dom = orth(np.column_stack(cols), tol) if cols else np.zeros((dm * dm, 0))
-    w_dom = kernel(v_dom.conj().T, tol) if v_dom.shape[1] else np.eye(dm * dm, dtype=complex)
+    nb = n_sub.basis
+    rel = kron_sum(np.einsum("jb,ijk->bki", nb, m_alg.c), np.einsum("ib,ijk->bkj", nb, m_alg.c))
+    v_dom = orth(rel.transpose(1, 0, 2).reshape(dm * dm, -1), tol)
+    w_dom = kernel(v_dom.conj().T, tol)
 
     # target M (x)_(A^L) A^: quotient by m alpha_l(1) (x) phi - m (x) l.phi,
     # where <l.phi, x> = <phi, x_(1)> eps(x_(2) l)
-    al = w.derived(tol).counital_subalgebras.left
-    cols = []
-    for b in range(al.dim):
-        l = al.basis[:, b]
-        al1 = action.amat(l) @ m_alg.unit
-        el = np.einsum("qst,s,t->q", w.algebra.c, l, w.eps, optimize=True)
-        arrow = np.einsum("aqb,q->ba", w.delta3, el)  # column a: coords of l . e^_a
-        for i in range(dm):
-            mi = m_alg.basis_vector(i)
-            x = m_alg.mul(mi, al1)
-            for a in range(da):
-                v = np.kron(x, np.eye(da)[a]) - np.kron(mi, arrow[:, a])
-                cols.append(v)
-    v_tgt = orth(np.column_stack(cols), tol) if cols else np.zeros((dm * da, 0))
-    w_tgt = kernel(v_tgt.conj().T, tol) if v_tgt.shape[1] else np.eye(dm * da, dtype=complex)
+    lb = w.derived(tol).counital_subalgebras.left.basis
+    el = np.einsum("qst,sb,t->bq", w.algebra.c, lb, w.eps, optimize=True)
+    v_tgt = _relation_span(action, np.einsum("aqk,bq->bka", w.delta3, el), tol)  # phi -> l.phi
+    w_tgt = kernel(v_tgt.conj().T, tol)
 
     g_full = np.einsum("tjr,irk->ktij", alpha, m_alg.c, optimize=True).reshape(dm * da, dm * dm)
-    if v_dom.shape[1]:
-        p_tgt = v_tgt @ v_tgt.conj().T if v_tgt.shape[1] else np.zeros((dm * da, dm * da))
-        resid = float(np.linalg.norm((np.eye(dm * da) - p_tgt) @ (g_full @ v_dom)))
-        if resid > tol.bound(max(1.0, float(np.linalg.norm(g_full)))) * 100:
-            raise IllDefinedProduct(f"Galois map does not descend to the quotients ({resid:.3e})")
-    mat = w_tgt.conj().T @ g_full @ w_dom
-    rank = int(np.linalg.matrix_rank(mat, tol=1e-9)) if mat.size else 0
-    bijective = mat.shape[0] == mat.shape[1] == rank
+    g_tgt = w_tgt.conj().T @ g_full
+    resid = float(np.linalg.norm(g_tgt @ v_dom))
+    if resid > tol.bound(max(1.0, float(np.linalg.norm(g_full)))) * 100:
+        raise IllDefinedProduct(f"Galois map does not descend to the quotients ({resid:.3e})")
+    mat = g_tgt @ w_dom
+    bijective = mat.shape[0] == mat.shape[1] == matrix_rank(mat, tol)
     return mat, bijective
 
 
@@ -613,7 +580,7 @@ def smash_product(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> CrossedPr
         # basic construction: Lambda(A c A#A^) is the transpose of
         # Lambda(A^L c A), up to reordering of the isomorphic copies' blocks
         lam_base, blocks_l, blocks_a = inclusion_matrix(w.algebra, al, tol)
-        a_sub = Subspace(orth(out.embed_m, tol), big.dim, tol)
+        a_sub = Subspace(out.embed_m, big.dim, tol)
         lam_top, blocks_copy, blocks_big = inclusion_matrix(big, a_sub, tol)
         ok = _same_up_to_permutations(
             lam_top,

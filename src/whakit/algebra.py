@@ -27,7 +27,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .linalg import Subspace, is_irreducible_nonneg, kernel, lstsq, orth, perron_frobenius
+from .linalg import Subspace, is_irreducible_nonneg, kernel, lstsq, perron_frobenius
 from .report import AxiomReport
 
 __all__ = [
@@ -284,7 +284,7 @@ def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) ->
     idems = _minimal_central_idempotents(algebra, center, tol)
     blocks = []
     for e in idems:
-        image = Subspace(orth(algebra.left_mult(e), tol), algebra.dim, tol)
+        image = Subspace(algebra.left_mult(e), algebra.dim, tol)
         d = image.dim
         size = int(round(np.sqrt(d)))
         if abs(size * size - d) > 0 or abs(np.sqrt(d) - size) > INT_ROUNDING_TOL:
@@ -546,7 +546,7 @@ def watatani_index(algebra: FinDimAlgebra, expectation, tol: Tolerance | None = 
     checks = AxiomReport("conditional expectation")
     checks.add("idempotent", np.linalg.norm(e @ e - e), tol.bound(scale**2) * 10)
     checks.add("unital", np.linalg.norm(e @ algebra.unit - algebra.unit), tol.bound(scale) * 10)
-    ran = Subspace(orth(e, tol), n, tol)
+    ran = Subspace(e, n, tol)
     for j in range(ran.dim):
         b = ran.basis[:, j]
         lb, rb = algebra.left_mult(b), algebra.right_mult(b)

@@ -40,7 +40,8 @@ from .fixtures import (
     sweedler_h4,
     symmetric_wha,
 )
-from .integrals import haar_criterion, haar_expectations, haar_state, maschke_check
+from .integrals import haar_criterion, haar_expectations, maschke_check
+from .report import AxiomReport
 from .reptheory import markov_index
 from .wha import (
     antipode_report,
@@ -101,19 +102,8 @@ def _cvec(v: np.ndarray) -> list:
     return [[float(np.real(x)), float(np.imag(x))] for x in np.asarray(v).ravel()]
 
 
-def _check_rows(*reports) -> list[dict]:
-    rows = []
-    for rep in reports:
-        for c in rep.checks:
-            rows.append(
-                {
-                    "name": c.name,
-                    "residual": float(c.residual),
-                    "threshold": float(c.threshold),
-                    "passed": bool(c.passed),
-                }
-            )
-    return rows
+def _check_rows(rep: AxiomReport) -> list[dict]:
+    return rep.as_dict()["checks"]
 
 
 def _render_checks(rows: list[dict]) -> list[str]:
@@ -261,7 +251,7 @@ def analyze_wha(w, tol: Tolerance | None = None) -> dict:
         }
         if w.algebra.involution is not None:
             res["self_adjoint"] = float(np.linalg.norm(w.algebra.star(h) - h))
-        state = haar_state(w, tol)
+        state = derived.haar_state
         return {
             "element": _cvec(h),
             "residuals": res,

@@ -225,7 +225,7 @@ def canonical_grouplike(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Can
     h, hd = w.derived(tol).haar, w.derived(tol).haar_functional
     if h is None or hd is None:
         return None
-    gns = gns_rep(w.algebra, hd, tol)
+    gns = w.derived(tol).haar_state
     if not gns.faithful:
         raise NotPositiveDefinite("Haar state is not faithful; canonical square roots unavailable")
     arrows = SweedlerArrows(w)

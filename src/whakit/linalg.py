@@ -17,6 +17,8 @@ __all__ = [
     "orth",
     "kernel",
     "lstsq",
+    "matrix_rank",
+    "kron_sum",
     "normalize_phase",
     "Subspace",
     "perron_frobenius",
@@ -82,6 +84,30 @@ def kernel(a, tol: Tolerance | None = None):
     return np.column_stack([normalize_phase(q[:, j], tol) for j in range(q.shape[1])]) if q.shape[1] else q
 
 
+def matrix_rank(a, tol: Tolerance | None = None) -> int:
+    """Number of singular values of ``a`` kept by the cut of :func:`orth` and :func:`kernel`."""
+    tol = get_tol(tol)
+    a = _as_matrix(a)
+    if a.size == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)
+    return _svd_cut(s, tol, s[0])
+
+
+def kron_sum(x, y):
+    """The stack ``X_b (x) 1 - 1 (x) Y_b`` for square ``x`` (B, p, p) and ``y`` (B, r, r).
+
+    Returns shape (B, p r, p r) in row-major Kronecker order, entry
+    ``[b, (i, k), (j, l)] = X_b[i, j] delta_kl - delta_ij Y_b[k, l]``.  The
+    kernel of the stacked rows is a Hom space; the span of the stacked columns
+    is the relation space of a relative tensor product.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    n, p, r = x.shape[0], x.shape[1], y.shape[1]
+    out = x[:, :, None, :, None] * np.eye(r)[:, None, :] - np.eye(p)[:, None, :, None] * y[:, None, :, None, :]
+    return out.reshape(n, p * r, p * r)
+
+
 def lstsq(a, b, tol: Tolerance | None = None):
     """Least squares solve; returns ``(x, residual)`` with the actual residual norm."""
     tol = get_tol(tol)
@@ -126,7 +152,7 @@ class Subspace:
         basis = _as_matrix(basis)
         if ambient is not None and basis.shape[0] != ambient:
             raise DimensionMismatch(f"ambient {ambient} != rows {basis.shape[0]}")
-        # re-orthonormalize defensively; input may be any spanning set
+        # the input may be any spanning set
         self.basis = orth(basis, tol) if basis.shape[1] else basis
         self.ambient = basis.shape[0]
         self.tol = tol

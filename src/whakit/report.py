@@ -45,11 +45,6 @@ class AxiomReport:
             raise ValidationError(worst.name, worst.residual, worst.threshold)
         return self
 
-    def merged(self, other: "AxiomReport") -> "AxiomReport":
-        out = AxiomReport(self.subject)
-        out.checks = list(self.checks) + list(other.checks)
-        return out
-
     def as_dict(self) -> dict:
         return {
             "subject": self.subject,

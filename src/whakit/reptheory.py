@@ -38,8 +38,8 @@ from .errors import (
     VacuumAssignmentFailed,
     ZeroIntertwiner,
 )
-from .integrals import CanonicalGrouplikes, haar_state
-from .linalg import Subspace, kernel, lstsq, normalize_phase, orth, perron_frobenius
+from .integrals import CanonicalGrouplikes
+from .linalg import Subspace, kernel, kron_sum, lstsq, matrix_rank, normalize_phase, orth, perron_frobenius
 from .report import AxiomReport
 from .wha import WeakHopfAlgebra
 
@@ -148,10 +148,8 @@ def intertwiner_space(
     a, b = d1.dim, d2.dim
     if a == 0 or b == 0:
         return []
-    rows = []
-    for j in range(w.dim):
-        rows.append(np.kron(np.eye(b), d1.matrices[j].T) - np.kron(d2.matrices[j], np.eye(a)))
-    basis = kernel(np.vstack(rows), tol)
+    rows = kron_sum(d2.matrices, d1.matrices.transpose(0, 2, 1))
+    basis = kernel(rows.reshape(-1, a * b), tol)
     return [basis[:, k].reshape(b, a) for k in range(basis.shape[1])]
 
 
@@ -214,7 +212,7 @@ def irreducible_representations(w: WeakHopfAlgebra, tol: Tolerance | None = None
     orthonormalized in the inner product of a faithful Haar state.
     """
     tol = get_tol(tol)
-    state = haar_state(w, tol)
+    state = w.derived(tol).haar_state
     if state is None:
         raise NotSemisimple(f"{w.name}: irreducible carriers need a Haar state")
     if not state.faithful:
@@ -301,27 +299,13 @@ def block_multiplicities(w: WeakHopfAlgebra, rep: Representation, tol: Tolerance
         if rep.dim == 0:
             out.append(0)
             continue
-        r = np.linalg.matrix_rank(rep.apply(b.central_idempotent), tol=1e-8)
+        r = matrix_rank(rep.apply(b.central_idempotent), tol)
         out.append(round_to_int(r / b.size, f"multiplicity of block size {b.size}"))
     return np.array(out, dtype=int)
 
 
 # ---------------------------------------------------------------------------
 # standard solutions of the conjugate equations
-
-
-def _hom_supported_on(w, d_eps, target, proj, tol) -> list[np.ndarray]:
-    """Hom(D_eps, target) elements X with X = X proj (proj = D_eps(z_mu))."""
-    a, b = d_eps.dim, target.dim
-    if b == 0:
-        return []
-    rows = [
-        np.kron(np.eye(b), d_eps.matrices[j].T) - np.kron(target.matrices[j], np.eye(a))
-        for j in range(w.dim)
-    ]
-    rows.append(np.kron(np.eye(b), (np.eye(a) - proj).T))
-    basis = kernel(np.vstack(rows), tol)
-    return [basis[:, k].reshape(b, a) for k in range(basis.shape[1])]
 
 
 def _unit_intertwiner(w, d_eps, d, side, tol):
@@ -391,23 +375,27 @@ class StandardSolution:
 
 
 def _pick_supported_hom(w, d_eps, target, vac: VacuumData, tol, what: str):
-    """The unique vacuum mu with nontrivial Hom supported on D_eps(z_mu), and its element."""
+    """The unique vacuum mu with nontrivial Hom supported on D_eps(z_mu), and its element.
+
+    The part of Hom(D_eps, target) on mu is span{X D_eps(z_mu)}: each
+    D_eps(z_mu) is a central projection in the image of D_eps, so X D_eps(z_mu)
+    is again an intertwiner, and it is the whole of X when X = X D_eps(z_mu).
+    """
+    homs = intertwiner_space(w, d_eps, target, tol)
+    if not homs:
+        raise ZeroIntertwiner(f"{what}: intertwiner space is trivial")
     found = []
     for mu, proj in enumerate(vac.rep_projections):
-        homs = _hom_supported_on(w, d_eps, target, proj, tol)
-        if homs:
-            found.append((mu, homs))
-    if not found:
-        raise ZeroIntertwiner(f"{what}: intertwiner space is trivial")
+        part = orth(np.column_stack([(x @ proj).ravel() for x in homs]), tol)
+        if part.shape[1]:
+            found.append((mu, part))
     if len(found) > 1:
         labels = [mu for mu, _ in found]
         raise NotProportionalToMinimal(f"{what}: support on several minimal projections {labels}")
-    mu, homs = found[0]
-    if len(homs) > 1:
-        raise VacuumAssignmentFailed(f"{what}: Hom space on vacuum {mu} has dimension {len(homs)}")
-    x = homs[0]
-    flat = normalize_phase(x.reshape(-1), tol)
-    return mu, flat.reshape(x.shape)
+    mu, part = found[0]
+    if part.shape[1] > 1:
+        raise VacuumAssignmentFailed(f"{what}: Hom space on vacuum {mu} has dimension {part.shape[1]}")
+    return mu, part[:, 0].reshape(homs[0].shape)
 
 
 def _proportionality_constant(x, proj, what):
@@ -571,14 +559,14 @@ def sector_dimensions(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Secto
 def _corner_markov_index(w: WeakHopfAlgebra, vac: VacuumData, tol: Tolerance) -> float:
     """Markov-trace index of z A^L ⊂ z A for the first vacuum projection z."""
     z = vac.projections[0]
-    corner_space = Subspace(orth(w.algebra.left_mult(z), tol), w.dim, tol)
+    corner_space = Subspace(w.algebra.left_mult(z), w.dim, tol)
     corner, qmat = induced_algebra(w.algebra, corner_space, unit_vec=z, tol=tol, name=f"{w.name}|corner")
     al = w.derived(tol).counital_subalgebras.left
     cols = w.algebra.left_mult(z) @ al.basis
     coords, resid = lstsq(qmat, cols, tol)
     if resid > 1e-8 * max(1.0, float(np.linalg.norm(cols))):
         raise CrossCheckMismatch("z A^L does not sit inside the corner algebra")
-    sub = Subspace(orth(coords, tol), corner.dim, tol)
+    sub = Subspace(coords, corner.dim, tol)
     mt = markov_trace(corner, sub, tol)
     if isinstance(mt, list):
         raise NotConnected("corner inclusion is not connected")

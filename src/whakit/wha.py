@@ -28,7 +28,7 @@ from .errors import (
     NotSeparable,
     ValidationError,
 )
-from .linalg import Subspace, kernel, lstsq, orth
+from .linalg import Subspace, kernel, lstsq, matrix_rank
 from .report import AxiomReport
 
 __all__ = [
@@ -175,7 +175,8 @@ class Derived:
 
     The entries are the counital subalgebras, the (left, right) integral
     spaces, the Haar pair (``haar`` = h, ``haar_functional`` = the dual's h as
-    a covector on A), the canonical grouplike (None without the Haar pair),
+    a covector on A), the GNS data of the Haar state (None without the dual's
+    h), the canonical grouplike (None without the Haar pair),
     the vacua, the irreducible representations in block order and the sector
     table.  They are kept because an algebra is treated as immutable: build a
     new one instead of changing its arrays.  An entry that raises is not kept.
@@ -188,6 +189,7 @@ class Derived:
     counital_subalgebras = _entry("wha", "_counital_subalgebras")
     integral_spaces = _entry("integrals", "integral_spaces")
     haar = _entry("integrals", "haar_integral")
+    haar_state = _entry("integrals", "haar_state")
     grouplike = _entry("integrals", "canonical_grouplike")
     vacua = _entry("reptheory", "vacua")
     irreps = _entry("reptheory", "irreducible_representations")
@@ -220,8 +222,8 @@ class CounitalSubalgebras:
 def _counital_subalgebras(w: WeakBialgebra, tol: Tolerance) -> CounitalSubalgebras:
     n = w.dim
     pi_l, pi_r = w.counital_maps
-    left = Subspace(orth(pi_l, tol), n, tol)
-    right = Subspace(orth(pi_r, tol), n, tol)
+    left = Subspace(pi_l, n, tol)
+    right = Subspace(pi_r, n, tol)
     c, w1 = w.algebra.c, w.delta1
     # cross-check A^L against {a : Delta(a) = (a x 1) Delta(1) = Delta(1) (a x 1)}
     d_flat = w.delta
@@ -349,7 +351,7 @@ def antipode_report(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRe
     rep.add("antipode-antimultiplicative", np.linalg.norm(lhs - rhs), tol.bound(scale**2))
     rep.add("antipode-unit", np.linalg.norm(w.s(w.unit) - w.unit), tol.bound(1.0))
     sub = w.derived(tol).counital_subalgebras
-    image_l = Subspace(orth(s @ sub.left.basis, tol), w.dim, tol)
+    image_l = Subspace(s @ sub.left.basis, w.dim, tol)
     rep.add(
         "antipode-swaps-counital-subalgebras",
         0.0 if image_l.equals(sub.right, tol.scaled(100)) else 1.0,
@@ -470,7 +472,7 @@ def separability_structure(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> 
             f"Delta(1) legs leave the counital subalgebras (residuals {left_resid:.3e}, {right_resid:.3e})"
         )
     u_mat, sing, vh = np.linalg.svd(w1)
-    rank = int(np.sum(sing > tol.bound(sing[0] if sing.size else 1.0)))
+    rank = matrix_rank(w1, tol)
     lefts = u_mat[:, :rank] * np.sqrt(sing[:rank])
     rights = (vh[:rank, :].conj().T) * np.sqrt(sing[:rank])  # columns w_i
     rep = AxiomReport(f"{w.name} separability")
@@ -519,7 +521,7 @@ def hypercentral_components(w: WeakHopfAlgebra, tol: Tolerance | None = None) ->
     idems = _minimal_central_idempotents(w.algebra, hyper, tol)
     out = []
     for z in idems:
-        image = Subspace(orth(w.algebra.left_mult(z), tol), w.dim, tol)
+        image = Subspace(w.algebra.left_mult(z), w.dim, tol)
         alg_z, q = induced_algebra(w.algebra, image, unit_vec=z, tol=tol, name=f"{w.name}|component")
         m = q.shape[1]
         sz = w.antipode @ z

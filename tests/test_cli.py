@@ -211,6 +211,7 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
         "reptheory.sector_dimensions": 2,  # A and A^
         "reptheory.standard_solutions": 4,  # two sectors on each side
         "algebra.block_decomposition": 4,  # A, A^, the corner and its subalgebra
+        "algebra.gns_rep": 4,  # the Haar states of A and A^, and D_eps of each
     }
     calls = dict.fromkeys(expected, 0)
 

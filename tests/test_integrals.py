@@ -87,6 +87,26 @@ def test_maschke(examples, key):
     assert (li is not None) is semisimple
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=wk.errors.InconsistentMaschke,
+    reason="is_semisimple compares the trace form's smallest singular value with the unscaled abs_tol",
+)
+def test_maschke_survives_rescaling_the_basis(examples):
+    """Known defect: in the basis f_i = 1e-5 e_i z3 and m23 stay valid weak Hopf
+    algebras with a Haar integral, but the trace form shrinks to ~1e-10, below
+    ``tol.abs_tol``, so maschke_check calls them non-semisimple and raises."""
+    s = 1e-5
+    for key in ("z3", "m23"):
+        w = examples[key]
+        a = w.algebra
+        alg = wk.FinDimAlgebra(a.c * s, a.unit / s, involution=a.involution, name=f"{a.name} rescaled")
+        r = wk.WeakHopfAlgebra(alg, w.delta / s, w.eps * s, w.antipode)
+        assert wk.validate_wba(r).ok
+        assert wk.haar_integral(r) is not None
+        assert wk.maschke_check(r) is True
+
+
 @pytest.mark.parametrize("key", ALL)
 def test_haar_criterion_agrees_with_existence(examples, key):
     w = examples[key]

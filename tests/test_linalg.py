@@ -8,7 +8,9 @@ from whakit.linalg import (
     hermitian_sqrt,
     is_irreducible_nonneg,
     kernel,
+    kron_sum,
     lstsq,
+    matrix_rank,
     orth,
     perron_frobenius,
 )
@@ -36,6 +38,23 @@ def test_kernel_wide_and_tall():
         assert np.allclose(k.conj().T @ k, np.eye(k.shape[1]), atol=1e-12)
         # rank-nullity
         assert k.shape[1] == shape[1] - np.linalg.matrix_rank(a, tol=1e-10)
+
+
+def test_kron_sum_matches_np_kron():
+    x = RNG.normal(size=(3, 2, 2)) + 1j * RNG.normal(size=(3, 2, 2))
+    y = RNG.normal(size=(3, 4, 4))
+    want = np.stack([np.kron(x[b], np.eye(4)) - np.kron(np.eye(2), y[b]) for b in range(3)])
+    np.testing.assert_array_equal(kron_sum(x, y), want)
+    assert kron_sum(x[:0], y[:0]).shape == (0, 8, 8)
+
+
+def test_matrix_rank_uses_the_orth_cut():
+    a = RNG.normal(size=(6, 4)) + 1j * RNG.normal(size=(6, 4))
+    a[:, 3] = a[:, 0] - 2 * a[:, 1]
+    assert matrix_rank(a) == orth(a).shape[1] == 3
+    assert matrix_rank(1e-12 * a) == orth(1e-12 * a).shape[1] == 0
+    assert matrix_rank(1e-12 * a, Tolerance(1e-14, 1e-9)) == 3
+    assert matrix_rank(np.zeros((0, 3))) == 0
 
 
 def test_lstsq_exact_and_inconsistent():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import whakit as wk
+from whakit.linalg import kernel
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -58,6 +59,29 @@ def test_vacua(examples):
         v = wk.vacua(examples[key])
         assert v.count == count
         np.testing.assert_allclose(sorted(np.asarray(v.weights).real), weights, atol=1e-9)
+
+
+def test_standard_solutions_solve_the_vacuum_supported_hom_systems(fp2):
+    """R spans the solutions X of X D_eps(a) = T(a) X, X = X D_eps(z_mu) (the
+    system stacked with its support condition), on its vacuum mu only."""
+    vac = wk.vacua(fp2)
+    assert vac.count == 2
+    d_eps = vac.counit_rep
+    for q, rep in enumerate(wk.irreducible_representations(fp2)):
+        sol = wk.standard_solutions(fp2, q)
+        target = wk.monoidal_product(fp2, sol.conj, rep)
+        a, b = d_eps.dim, target.dim
+        for mu, proj in enumerate(vac.rep_projections):
+            rows = [
+                np.kron(np.eye(b), d_eps.matrices[j].T) - np.kron(target.matrices[j], np.eye(a))
+                for j in range(fp2.dim)
+            ]
+            rows.append(np.kron(np.eye(b), (np.eye(a) - proj).T))
+            ref = kernel(np.vstack(rows))
+            assert ref.shape[1] == (mu == sol.vacuum_right)
+            if ref.shape[1]:
+                r = sol.r.reshape(-1) / np.linalg.norm(sol.r)
+                assert abs(np.vdot(ref[:, 0], r)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
