@@ -92,6 +92,7 @@ from .wha import (
     sweedler_arrows,
     validate_star,
     validate_wba,
+    validate_wha,
 )
 from .whafile import from_dict, load, loads, save, to_dict
 

@@ -560,8 +560,8 @@ def watatani_index(algebra: FinDimAlgebra, expectation, tol: Tolerance | None = 
         raise NotConditionalExpectation(f"{worst.name}: residual {worst.residual:.3e}")
 
     c = algebra.c
-    l1 = np.einsum("jlp,mp,imk->klij", c, e, c).reshape(n * n, n * n)
-    l2 = np.einsum("lip,mp,mjk->klij", c, e, c).reshape(n * n, n * n)
+    l1 = np.einsum("jlp,mp,imk->klij", c, e, c, optimize=True).reshape(n * n, n * n)
+    l2 = np.einsum("lip,mp,mjk->klij", c, e, c, optimize=True).reshape(n * n, n * n)
     target = np.eye(n, dtype=complex).reshape(n * n)
     t, resid = lstsq(np.vstack([l1, l2]), np.concatenate([target, target]), tol)
     if resid > 1e-7 * np.sqrt(n):

@@ -33,19 +33,9 @@ class Tolerance:
         scale = max((float(s) for s in scales), default=0.0)
         return self.abs_tol + self.rel_tol * scale
 
-    def close(self, x, y) -> bool:
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        if x.shape != y.shape:
-            return False
-        return float(np.linalg.norm(x - y)) <= self.bound(np.linalg.norm(x), np.linalg.norm(y))
-
     def residual(self, x, y) -> float:
         """Frobenius-norm distance between two arrays."""
         return float(np.linalg.norm(np.asarray(x, dtype=complex) - np.asarray(y, dtype=complex)))
-
-    def is_zero(self, x, scale: float = 1.0) -> bool:
-        return float(np.linalg.norm(np.asarray(x, dtype=complex))) <= self.bound(scale)
 
     def scaled(self, factor: float) -> "Tolerance":
         return Tolerance(self.abs_tol * factor, self.rel_tol * factor)

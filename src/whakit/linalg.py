@@ -157,15 +157,6 @@ class Subspace:
         self.ambient = basis.shape[0]
         self.tol = tol
 
-    @classmethod
-    def from_span(cls, vectors, ambient: int | None = None, tol: Tolerance | None = None):
-        vectors = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-        if not vectors:
-            if ambient is None:
-                raise DimensionMismatch("empty span needs an explicit ambient dimension")
-            return cls(np.zeros((ambient, 0)), ambient, tol)
-        return cls(np.column_stack(vectors), ambient, tol)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]

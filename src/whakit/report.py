@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -46,13 +47,14 @@ class AxiomReport:
         return self
 
     def as_dict(self) -> dict:
+        """Plain-dict form; a non-finite residual becomes None so the dict is strict JSON."""
         return {
             "subject": self.subject,
             "ok": self.ok,
             "checks": [
                 {
                     "name": c.name,
-                    "residual": c.residual,
+                    "residual": c.residual if math.isfinite(c.residual) else None,
                     "threshold": c.threshold,
                     "passed": c.passed,
                 }

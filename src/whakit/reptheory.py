@@ -97,17 +97,6 @@ class Representation:
         )
         return rep
 
-    def is_star(self, tol: Tolerance | None = None) -> bool:
-        tol = get_tol(tol)
-        inv = self.wha.algebra.involution
-        if inv is None:
-            return False
-        starred = np.einsum("mj,mab->jab", inv, self.matrices)
-        adjoint = np.conj(self.matrices.transpose(0, 2, 1))
-        return float(np.linalg.norm(starred - adjoint)) <= tol.bound(
-            max(1.0, float(np.linalg.norm(self.matrices)))
-        ) * 100
-
     def direct_sum(self, other: "Representation") -> "Representation":
         n = self.wha.dim
         d1, d2 = self.dim, other.dim

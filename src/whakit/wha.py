@@ -27,6 +27,7 @@ from .errors import (
     NonUniqueAntipode,
     NotSeparable,
     ValidationError,
+    WhakitError,
 )
 from .linalg import Subspace, kernel, lstsq, matrix_rank
 from .report import AxiomReport
@@ -37,6 +38,7 @@ __all__ = [
     "Derived",
     "CounitalSubalgebras",
     "validate_wba",
+    "validate_wha",
     "solve_antipode",
     "dual_wha",
     "SweedlerArrows",
@@ -98,10 +100,6 @@ class WeakBialgebra:
 
     def counit(self, a) -> complex:
         return complex(self.eps @ np.asarray(a, dtype=complex).ravel())
-
-    def pair_mul(self, x, y):
-        """Product of two elements of A (x) A given as (n, n) matrices."""
-        return np.einsum("pq,PQ,pPa,qQb->ab", x, y, self.algebra.c, self.algebra.c, optimize=True)
 
     @cached_property
     def counital_maps(self):
@@ -362,6 +360,38 @@ def antipode_report(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRe
     return rep
 
 
+def validate_wha(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomReport:
+    """The weak Hopf algebra gate: every axiom an input must pass, in two stages.
+
+    Stage 1 is the rows of :func:`validate_wba`.  Only when all of them pass,
+    stage 2 compares the stored antipode with the solved one, adds the rows of
+    :func:`antipode_report` and, for a star algebra, ``antipode-star-compatible``.
+    A stage-2 computation that raises becomes one failed row named after the
+    stage and the error (residual inf, threshold 0); the other stages still run.
+    """
+    tol = get_tol(tol)
+    rep = validate_wba(w, tol)
+    if not rep.ok:
+        return rep
+
+    try:
+        solved = solve_antipode(w, tol)
+    except WhakitError as exc:
+        rep.add(f"antipode solvable ({type(exc).__name__})", float("inf"), 0.0)
+    else:
+        bound = tol.bound(max(1.0, float(np.linalg.norm(solved)))) * 100
+        rep.add("antipode agrees with solved antipode", np.linalg.norm(w.antipode - solved), bound)
+    try:
+        laws = antipode_report(w, tol)
+    except WhakitError as exc:
+        rep.add(f"antipode laws ({type(exc).__name__})", float("inf"), 0.0)
+    else:
+        rep.checks.extend(laws.checks)
+    if w.algebra.involution is not None:
+        _add_antipode_star_check(rep, w, tol)
+    return rep
+
+
 def dual_wha(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> WeakHopfAlgebra:
     """The dual weak Hopf algebra on the dual basis.
 
@@ -424,12 +454,16 @@ def validate_star(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRepo
         raise NoInvolution(f"{w.name} carries no involution")
     rep = w.algebra.validate(tol)
     rep.subject = f"{w.name} star"
-    inv, s = w.algebra.involution, w.antipode
-    # S( S(a)* )* = a, as the composite of two antilinear maps
-    comp = inv @ np.conj(s @ inv @ np.conj(s))
-    rep.add("antipode-star-compatible", np.linalg.norm(comp - np.eye(w.dim)), tol.bound(float(np.linalg.norm(s)) ** 2))
+    _add_antipode_star_check(rep, w, tol)
     _add_star_coalgebra_checks(rep, w, tol)
     return rep
+
+
+def _add_antipode_star_check(rep: AxiomReport, w: WeakHopfAlgebra, tol: Tolerance) -> None:
+    """The row S(S(a)*)* = a, as the composite of two antilinear maps."""
+    inv, s = w.algebra.involution, w.antipode
+    comp = inv @ np.conj(s @ inv @ np.conj(s))
+    rep.add("antipode-star-compatible", np.linalg.norm(comp - np.eye(w.dim)), tol.bound(float(np.linalg.norm(s)) ** 2))
 
 
 def is_weak_kac(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:

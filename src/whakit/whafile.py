@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import FinDimAlgebra
 from .config import Tolerance, get_tol
 from .errors import SchemaError
-from .wha import WeakHopfAlgebra, solve_antipode, validate_star, validate_wba
+from .wha import WeakBialgebra, WeakHopfAlgebra, validate_wba, validate_wha
 
 __all__ = ["SCHEMA_VERSION", "schema", "to_dict", "from_dict", "dumps", "loads", "save", "load"]
 
@@ -130,9 +130,10 @@ def _carray(doc: dict, field: str, shape: tuple[int, ...]) -> np.ndarray:
 def from_dict(doc: dict, validate: bool = True, tol: Tolerance | None = None) -> WeakHopfAlgebra:
     """Rebuild a :class:`WeakHopfAlgebra` from its dict form.
 
-    With ``validate=True`` (the default) the axioms are re-checked, the star
-    structure is re-verified when present, and a supplied antipode is compared
-    against the one solved from the comultiplication.
+    A missing antipode is solved from the comultiplication once the weak
+    bialgebra axioms pass.  With ``validate=True`` (the default) the result
+    must pass :func:`~whakit.wha.validate_wha`, which also compares a supplied
+    antipode with the solved one.
     """
     tol = get_tol(tol)
     try:
@@ -152,21 +153,13 @@ def from_dict(doc: dict, validate: bool = True, tol: Tolerance | None = None) ->
     meta = doc.get("metadata", {})
     alg = FinDimAlgebra(c, unit, involution=involution, basis_labels=labels, name=str(meta.get("name", "loaded")))
     if "antipode" in doc:
-        s = _carray(doc, "antipode", (n, n))
+        w = WeakHopfAlgebra(alg, delta, eps, _carray(doc, "antipode", (n, n)))
     else:
-        s = None
-    w = WeakHopfAlgebra(alg, delta, eps, s if s is not None else np.eye(n, dtype=complex))
-    if s is None or validate:
-        validate_wba(w, tol).raise_if_failed()
-        solved = solve_antipode(w, tol)
-        if s is None:
-            w = WeakHopfAlgebra(alg, delta, eps, solved)
-        else:
-            resid = float(np.linalg.norm(s - solved))
-            if resid > tol.bound(max(1.0, float(np.linalg.norm(solved)))) * 100:
-                raise SchemaError(f"antipode: disagrees with the solved antipode (residual {resid:.3e})")
-    if validate and involution is not None:
-        validate_star(w, tol).raise_if_failed()
+        wba = WeakBialgebra(alg, delta, eps)
+        validate_wba(wba, tol).raise_if_failed()
+        w = WeakHopfAlgebra.from_wba(wba, tol)
+    if validate:
+        validate_wha(w, tol).raise_if_failed()
     return w
 
 

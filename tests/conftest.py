@@ -7,6 +7,7 @@ per criterion; the hook at the bottom echoes those after the run.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import whakit as wk
@@ -61,6 +62,21 @@ def h4(examples):
 @pytest.fixture(scope="session")
 def m23(examples):
     return examples["m23"]
+
+
+@pytest.fixture(scope="session")
+def idempotent_monoid() -> wk.WeakHopfAlgebra:
+    """C[{1, x}] with x^2 = x: a bialgebra (Delta g = g (x) g) without an antipode.
+
+    It passes every weak bialgebra axiom; the identity matrix stands in for
+    the antipode it does not have.
+    """
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = c[1, 1, 1] = 1.0
+    delta = np.zeros((4, 2))
+    delta[0, 0] = delta[3, 1] = 1.0
+    alg = wk.FinDimAlgebra(c, np.array([1.0, 0.0]), involution=np.eye(2), basis_labels=["1", "x"], name="C[1,x]")
+    return wk.WeakHopfAlgebra(alg, delta, np.ones(2), np.eye(2))
 
 
 # --------------------------------------------------------------------------

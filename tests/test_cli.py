@@ -148,6 +148,39 @@ def test_analyze_on_perturbed_file_fails_axioms(z3, tmp_path, capsys):
     assert "remaining stages skipped" in capsys.readouterr().out
 
 
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_stay_strict_json_without_an_antipode(idempotent_monoid, tmp_path, capsys):
+    path = str(tmp_path / "monoid.wha.json")
+    whafile.save(idempotent_monoid, path)
+    assert main(["validate", path, "--format", "json"]) == EX_AXIOM
+    checks = _strict_json(capsys.readouterr().out)["checks"]
+    [bad] = [c for c in checks if not c["passed"]]
+    assert bad["name"].startswith("antipode solvable (")
+    assert bad["residual"] is None
+    assert main(["analyze", path, "--format", "json"]) == EX_AXIOM
+    assert _strict_json(capsys.readouterr().out)["stages"]["axioms"]["checks"] == checks
+    assert main(["validate", path]) == EX_AXIOM
+    assert "residual not finite" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_broken_weak_bialgebra_exits_with_its_axiom_rows(z3, tmp_path, capsys, command):
+    broken = wk.perturb(z3, field="unit", magnitude=1e-3, seed=0)
+    path = str(tmp_path / "unit.wha.json")
+    whafile.save(broken, path)
+    assert main([command, path, "--format", "json"]) == EX_AXIOM
+    doc = json.loads(capsys.readouterr().out)
+    checks = doc["checks"] if command == "validate" else doc["stages"]["axioms"]["checks"]
+    assert any(not c["passed"] for c in checks)
+    assert not any(c["name"].startswith("antipode") for c in checks)  # stage 2 never ran
+
+
 def test_crossprod_translation(capsys):
     assert main(["crossprod", "translation", "3", "--format", "json"]) == EX_OK
     doc = json.loads(capsys.readouterr().out)
@@ -236,3 +269,21 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
     assert doc["ok"] and not doc["failed"]
     assert calls == expected
     assert w.dual.dual is w
+
+
+def test_gate_validates_the_algebra_once(monkeypatch):
+    """One analyze run, and one validating load, check the algebra axioms of A once."""
+    calls = []
+    original = wk.FinDimAlgebra.validate
+
+    def counting(self, tol=None):
+        calls.append(self.name)
+        return original(self, tol)
+
+    monkeypatch.setattr(wk.FinDimAlgebra, "validate", counting)
+    w = wk.m2_m3()
+    assert analyze_wha(w)["ok"]
+    assert calls == [w.name]
+    calls.clear()
+    whafile.loads(whafile.dumps(w))
+    assert calls == [w.name]

@@ -59,6 +59,38 @@ def test_star_report_carries_the_coalgebra_star_rows_of_validate_wba(examples, k
         assert (c.residual, c.threshold) == (wba[c.name].residual, wba[c.name].threshold)
 
 
+@pytest.mark.parametrize("key", ["s3", "h4"])
+def test_gate_appends_the_antipode_rows_to_validate_wba(examples, key):
+    w = examples[key]
+    names = [c.name for c in wk.validate_wba(w).checks] + ["antipode agrees with solved antipode"]
+    names += [c.name for c in antipode_report(w).checks]
+    if w.algebra.involution is not None:
+        names.append("antipode-star-compatible")
+    rep = wk.validate_wha(w)
+    assert rep.ok
+    assert [c.name for c in rep.checks] == names
+
+
+def test_gate_stops_after_a_failed_weak_bialgebra_row(z3):
+    broken = wk.perturb(z3, field="unit", magnitude=1e-3, seed=0)
+    rep = wk.validate_wha(broken)
+    assert not rep.ok
+    assert rep.checks == wk.validate_wba(broken).checks
+
+
+def test_gate_reports_a_missing_antipode_as_one_row(idempotent_monoid):
+    assert wk.validate_wba(idempotent_monoid).ok
+    rep = wk.validate_wha(idempotent_monoid)
+    [bad] = rep.failures
+    assert bad.name.startswith("antipode solvable (")
+    assert (bad.residual, bad.threshold) == (float("inf"), 0.0)
+    names = [c.name for c in rep.checks]
+    assert "antipode-invertible" in names  # the other stage-2 rows still run
+    assert names[-1] == "antipode-star-compatible"
+    with pytest.raises(wk.ValidationError):
+        rep.raise_if_failed()
+
+
 def test_counital_subalgebras_are_cached_per_tolerance():
     w = wk.m2_m3()
     loose = wk.Tolerance(1e-6, 1e-6)
@@ -128,23 +160,8 @@ def test_sweedler_antipode_has_order_four(h4):
 
 def _first_violation(w):
     """Name of the first failed check of the staged rejection pipeline."""
-    rep = wk.validate_wba(w)
-    if not rep.ok:
-        return rep.failures[0].name
-    rep = antipode_report(w)
-    if not rep.ok:
-        return rep.failures[0].name
-    if w.algebra.involution is not None:
-        rep = wk.validate_star(w)
-        if not rep.ok:
-            return rep.failures[0].name
-    try:
-        s = wk.solve_antipode(w)
-    except wk.WhakitError as exc:
-        return type(exc).__name__
-    if np.linalg.norm(s - w.antipode) > 1e-6:
-        return "antipode-differs-from-solved"
-    return None
+    rep = wk.validate_wha(w)
+    return None if rep.ok else rep.failures[0].name
 
 
 @pytest.mark.parametrize("field", [

@@ -62,6 +62,13 @@ def test_load_validates_by_default(z3, tmp_path):
     np.testing.assert_array_equal(again.algebra.c, broken.algebra.c)
 
 
+def test_mismatched_antipode_is_a_validation_error(z3):
+    broken = wk.perturb(z3, field="antipode", magnitude=1e-3, seed=0)
+    with pytest.raises(wk.ValidationError) as err:
+        whafile.loads(whafile.dumps(broken))
+    assert err.value.axiom.startswith("antipode")
+
+
 def test_involution_failures_are_caught_on_load(z3):
     broken = wk.perturb(z3, field="involution", magnitude=1e-2, seed=1)
     text = whafile.dumps(broken)

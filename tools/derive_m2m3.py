@@ -53,16 +53,7 @@ from whakit.config import get_tol
 from whakit.integrals import haar_expectations, haar_integral
 from whakit.linalg import lstsq
 from whakit.reptheory import markov_index, sector_dimensions
-from whakit.wha import (
-    WeakBialgebra,
-    WeakHopfAlgebra,
-    antipode_report,
-    dual_wha,
-    is_weak_kac,
-    solve_antipode,
-    validate_star,
-    validate_wba,
-)
+from whakit.wha import WeakBialgebra, WeakHopfAlgebra, dual_wha, is_weak_kac, validate_wha
 from whakit import whafile
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -189,12 +180,8 @@ def build() -> WeakHopfAlgebra:
         basis_labels=[f"E{k}[{p}{q}]" for k, p, q in basis],
         name="M2+M3",
     )
-    wb = WeakBialgebra(alg, delta, np.asarray(eps, dtype=complex).ravel())
-    validate_wba(wb).raise_if_failed()
-    s = solve_antipode(wb)
-    w = WeakHopfAlgebra(alg, delta, np.asarray(eps, dtype=complex).ravel(), s)
-    antipode_report(w).raise_if_failed()
-    validate_star(w).raise_if_failed()
+    w = WeakHopfAlgebra.from_wba(WeakBialgebra(alg, delta, np.asarray(eps, dtype=complex).ravel()))
+    validate_wha(w).raise_if_failed()
     return w
 
 
