@@ -38,6 +38,7 @@ from .fixtures import (
     cyclic_wha,
     disjoint_union,
     function_wha,
+    fusion_wha,
     groupoid_wha,
     m2_m3,
     pair_groupoid,

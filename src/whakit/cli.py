@@ -411,10 +411,7 @@ def cmd_generate(args) -> int:
         raise _CliError(EX_USAGE, f"generate {args.kind} requires a size argument")
     if not needs_n and args.n is not None:
         raise _CliError(EX_USAGE, f"generate {args.kind} takes no size argument")
-    try:
-        w = maker(args.n) if needs_n else maker()
-    except FileNotFoundError:
-        raise _CliError(EX_NOFILE, f"fixture data for {args.kind} is not packaged") from None
+    w = maker(args.n) if needs_n else maker()
     spec = f"{args.kind} {args.n}" if needs_n else args.kind
     _emit(args, whafile.dumps(w, provenance=f"whakit generate {spec}"))
     return EX_OK

@@ -4,8 +4,10 @@ Groupoid algebras C[G] (comultiplication g -> g (x) g, antipode g -> g^-1,
 star g -> g^-1) cover the commutative-coalgebra corner; their duals, the
 function algebras on G, cover the commutative-algebra corner.  Group algebras
 are the one-object case.  Sweedler's four-dimensional Hopf algebra is the
-stock non-semisimple example.  ``m2_m3`` ships a genuinely non-group-like
-quantum groupoid on M_2 + M_3 from packaged data.
+stock non-semisimple example.  ``fusion_wha`` builds the weak Hopf algebra
+of a fusion category from its fusion rules and F-symbols; ``m2_m3`` is the
+one of the Fibonacci category, a genuinely non-group-like quantum groupoid on
+M_2 + M_3 with S^2 != id.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 from .algebra import FinDimAlgebra
 from .config import DEFAULT_SEED, rng
 from .errors import InvalidGroupoid
-from .wha import WeakHopfAlgebra
+from .linalg import lstsq
+from .wha import WeakBialgebra, WeakHopfAlgebra
 
 __all__ = [
     "Groupoid",
@@ -32,6 +35,7 @@ __all__ = [
     "symmetric_wha",
     "pair_groupoid_wha",
     "sweedler_h4",
+    "fusion_wha",
     "m2_m3",
     "perturb",
 ]
@@ -273,15 +277,86 @@ def sweedler_h4() -> WeakHopfAlgebra:
     return WeakHopfAlgebra(alg, delta, eps, s)
 
 
+def fusion_wha(fusion_rules, f_symbol, name: str = "fusion") -> WeakHopfAlgebra:
+    """The weak Hopf *-algebra H = (+)_k End(V_k) of a multiplicity-free fusion category.
+
+    ``fusion_rules[(a, b)]`` lists the channels of a (x) b over sortable labels,
+    and ``f_symbol(y, a, b, w, z, m)`` is the recoupling coefficient
+    [F^{y a b}_w]_{z m}.  The carrier of sector k is
+    V_k = span{(y, x) : x in y (x) k}, H is spanned by the matrix units of the
+    V_k in label order with the blockwise adjoint as involution, and
+
+        Delta(T) = sum_{a, b, m} (J^m_{ab})^* T_m J^m_{ab},
+
+    where J^m_{ab} : V_a (x) V_b -> V_m sends (y, z) (x) (z, w) to
+    [F^{y a b}_w]_{z m} (y, w).  The counit solves (eps (x) id) Delta = id =
+    (id (x) eps) Delta in least squares and the antipode is solved by
+    :meth:`WeakHopfAlgebra.from_wba`, so an F that breaks the pentagon or
+    unitarity raises :class:`~whakit.errors.ValidationError` naming the
+    failed axiom.
+    """
+    labels = sorted({a for a, _ in fusion_rules})
+    carriers = {k: [(y, x) for y in labels for x in labels if x in fusion_rules[(y, k)]] for k in labels}
+    dims = {k: len(carriers[k]) for k in labels}
+    offset, n = {}, 0
+    for k in labels:
+        offset[k], n = n, n + dims[k] ** 2
+    block = {k: slice(offset[k], offset[k] + dims[k] ** 2) for k in labels}
+
+    c = np.zeros((n, n, n), dtype=complex)
+    unit = np.zeros(n, dtype=complex)
+    involution = np.zeros((n, n), dtype=complex)
+    for k in labels:  # E_pq E_qs = E_ps, 1 = sum_p E_pp, E_pq^* = E_qp
+        o, d = offset[k], dims[k]
+        p, q, s = np.indices((d, d, d))
+        c[o + p * d + q, o + q * d + s, o + p * d + s] = 1.0
+        unit[o + np.arange(d) * (d + 1)] = 1.0
+        p, q = np.indices((d, d))
+        involution[o + q * d + p, o + p * d + q] = 1.0
+
+    delta3 = np.zeros((n, n, n), dtype=complex)
+    for (a, b), channels in fusion_rules.items():
+        da, db = dims[a], dims[b]
+        for m in channels:
+            j = np.zeros((dims[m], da, db), dtype=complex)
+            for row, (y, w) in enumerate(carriers[m]):
+                for pa, (ya, z) in enumerate(carriers[a]):
+                    for pb, (zb, wb) in enumerate(carriers[b]):
+                        if (ya, zb, wb) == (y, z, w):
+                            j[row, pa, pb] = f_symbol(y, a, b, w, z, m)
+            # <E^a_{pa qa} (x) E^b_{pb qb}, Delta(E^m_{pq})> = conj(J[p, pa, pb]) J[q, qa, qb]
+            delta3[block[a], block[b], block[m]] = np.einsum("pxy,quv->xuyvpq", j.conj(), j).reshape(da**2, db**2, -1)
+
+    # counit: sum_p eps_p d3[p, q, j] = delta_qj and sum_q eps_q d3[p, q, j] = delta_pj
+    rows = np.vstack([delta3.transpose(1, 2, 0).reshape(n * n, n), delta3.transpose(0, 2, 1).reshape(n * n, n)])
+    eye = np.eye(n).reshape(n * n)
+    eps, _ = lstsq(rows, np.concatenate([eye, eye]))
+
+    alg = FinDimAlgebra(
+        c,
+        unit,
+        involution=involution,
+        basis_labels=[f"E{k}[{p}{q}]" for k in labels for p in range(dims[k]) for q in range(dims[k])],
+        name=name,
+    )
+    return WeakHopfAlgebra.from_wba(WeakBialgebra(alg, delta3.reshape(n * n, n), eps))
+
+
+_FIBONACCI_RULES = {(0, 0): (0,), (0, 1): (1,), (1, 0): (1,), (1, 1): (0, 1)}
+_PHI = (1.0 + np.sqrt(5.0)) / 2.0
+_F_TAU = np.array([[1.0 / _PHI, 1.0 / np.sqrt(_PHI)], [1.0 / np.sqrt(_PHI), -1.0 / _PHI]])
+
+
+def _fibonacci_f(y, a, b, w, z, m):
+    """Fibonacci F-symbols: only [F^{tau tau tau}_tau]_{zm} is not the scalar 1."""
+    return _F_TAU[z, m] if (y, a, b, w) == (1, 1, 1, 1) else 1.0
+
+
 def m2_m3() -> WeakHopfAlgebra:
-    """A 13-dimensional weak Hopf *-algebra on M_2 + M_3 with a
-    non-involutive antipode, loaded from packaged data."""
-    from importlib.resources import files
-
-    from .whafile import loads
-
-    text = files("whakit").joinpath("data/m2_m3.wha.json").read_text(encoding="utf-8")
-    return loads(text, validate=False)
+    """A 13-dimensional weak Hopf *-algebra on M_2 + M_3 with a non-involutive
+    antipode: :func:`fusion_wha` of the Fibonacci category (sectors 1 and tau,
+    tau (x) tau = 1 + tau, quantum dimensions 1 and the golden ratio)."""
+    return fusion_wha(_FIBONACCI_RULES, _fibonacci_f, name="M2+M3")
 
 
 _PERTURBABLE = ("structure_constants", "unit", "counit", "comultiplication", "antipode", "involution")

@@ -317,10 +317,9 @@ def _unit_intertwiner(w, d_eps, d, side, tol):
     return flat.reshape(prod.dim, d.dim), prod
 
 
-def _associator(w, ra, rb, rc, tol):
-    """Unitary from H_((ab)c) to H_(a(bc)), plus the four product reps."""
-    ab = monoidal_product(w, ra, rb, tol)
-    bc = monoidal_product(w, rb, rc, tol)
+def _associator(w, ra, rc, ab, bc, tol):
+    """Unitary from H_((ab)c) to H_(a(bc)), plus the two iterated product reps,
+    given the pair products ``ab`` = a (x) b and ``bc`` = b (x) c."""
     left = monoidal_product(w, ab, rc, tol)
     right = monoidal_product(w, ra, bc, tol)
     u_l = np.kron(ab.isometry, np.eye(rc.dim)) @ left.isometry
@@ -335,7 +334,7 @@ def _associator(w, ra, rb, rc, tol):
     )
     if worst > 1e-7 * max(1.0, float(np.linalg.norm(left.matrices))):
         raise CrossCheckMismatch(f"associator fails to intertwine (residual {worst:.3e})")
-    return a, ab, bc, left, right
+    return a, left, right
 
 
 def _scalar_of(m, what):
@@ -416,8 +415,10 @@ def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Toleran
     d_eps = vac.counit_rep
     qbar = _star_conjugate_rep(w, d_q, cg.g_half, cg.g_half_inv, tol)
 
-    assoc, m2, m1, left, right = _associator(w, d_q, qbar, d_q, tol)
-    # m2 = q (x) qbar, m1 = qbar (x) q, left = (q qbar) q, right = q (qbar q)
+    m2 = monoidal_product(w, d_q, qbar, tol)
+    m1 = monoidal_product(w, qbar, d_q, tol)
+    assoc, left, right = _associator(w, d_q, d_q, m2, m1, tol)
+    # left = (q qbar) q, right = q (qbar q)
     mu, r = _pick_supported_hom(w, d_eps, m1, vac, tol, "R")
     nu, rbar = _pick_supported_hom(w, d_eps, m2, vac, tol, "Rbar")
     c1 = _proportionality_constant(r, vac.rep_projections[mu], "R")
@@ -429,7 +430,7 @@ def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Toleran
     x2 = eq.isometry.conj().T @ np.kron(rbar.conj().T, np.eye(d_q.dim)) @ left.isometry
     lam1 = _scalar_of(u_l.conj().T @ x2 @ assoc.conj().T @ x1 @ u_r, "zigzag on q")
 
-    assoc2, m1b, m2b, left2, right2 = _associator(w, qbar, d_q, qbar, tol)
+    assoc2, left2, right2 = _associator(w, qbar, qbar, m1, m2, tol)
     ub_r, qbe = _unit_intertwiner(w, d_eps, qbar, "right", tol)
     ub_l, eqb = _unit_intertwiner(w, d_eps, qbar, "left", tol)
     y1 = right2.isometry.conj().T @ np.kron(np.eye(qbar.dim), rbar) @ qbe.isometry

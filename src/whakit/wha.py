@@ -155,6 +155,9 @@ class WeakHopfAlgebra(WeakBialgebra):
 
     @classmethod
     def from_wba(cls, wba: WeakBialgebra, tol: Tolerance | None = None) -> "WeakHopfAlgebra":
+        """Complete ``wba`` with its solved antipode; raises ValidationError naming
+        the first failed weak bialgebra axiom before any antipode is solved."""
+        validate_wba(wba, tol).raise_if_failed()
         return cls(wba.algebra, wba.delta, wba.eps, solve_antipode(wba, tol))
 
 
@@ -317,15 +320,15 @@ def solve_antipode(w: WeakBialgebra, tol: Tolerance | None = None):
     stacked = np.vstack([m1, m2, m3 - eye, m4 - eye])
     zeros = np.zeros(n * n, dtype=complex)
     target = np.concatenate([pi_l.reshape(n * n), pi_r.reshape(n * n), zeros, zeros])
+    vec_s, resid = lstsq(stacked, target, tol)
+    if resid > 1e-7 * np.sqrt(n) * max(1.0, float(np.linalg.norm(target))):
+        raise NoAntipode(f"antipode equations have no solution (residual {resid:.3e})")
     svals = np.linalg.svd(stacked, compute_uv=False)
     scale = float(svals[0]) if svals.size else 1.0
     if svals.size and svals[-1] <= tol.bound(scale) * 10:
         raise NonUniqueAntipode(
             f"antipode equations are degenerate (smallest singular value {svals[-1]:.3e})"
         )
-    vec_s, resid = lstsq(stacked, target, tol)
-    if resid > 1e-7 * np.sqrt(n) * max(1.0, float(np.linalg.norm(target))):
-        raise NoAntipode(f"antipode equations have no solution (residual {resid:.3e})")
     s = vec_s.reshape(n, n)
     # post-check: S(a_(1)) a_(2) S(a_(3)) = S(a)
     d2 = np.einsum("abp,pqj->abqj", d3, d3, optimize=True)

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import FinDimAlgebra
 from .config import Tolerance, get_tol
 from .errors import SchemaError
-from .wha import WeakBialgebra, WeakHopfAlgebra, validate_wba, validate_wha
+from .wha import WeakBialgebra, WeakHopfAlgebra, validate_wha
 
 __all__ = ["SCHEMA_VERSION", "schema", "to_dict", "from_dict", "dumps", "loads", "save", "load"]
 
@@ -155,9 +155,7 @@ def from_dict(doc: dict, validate: bool = True, tol: Tolerance | None = None) ->
     if "antipode" in doc:
         w = WeakHopfAlgebra(alg, delta, eps, _carray(doc, "antipode", (n, n)))
     else:
-        wba = WeakBialgebra(alg, delta, eps)
-        validate_wba(wba, tol).raise_if_failed()
-        w = WeakHopfAlgebra.from_wba(wba, tol)
+        w = WeakHopfAlgebra.from_wba(WeakBialgebra(alg, delta, eps), tol)
     if validate:
         validate_wha(w, tol).raise_if_failed()
     return w

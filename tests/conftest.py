@@ -65,6 +65,35 @@ def m23(examples):
 
 
 @pytest.fixture(scope="session")
+def ising_category():
+    """Fusion rules and F-symbols of the Ising category on labels 0 = 1, 1 = sigma, 2 = psi.
+
+    sigma (x) sigma = 1 + psi, sigma (x) psi = psi (x) sigma = sigma, psi (x) psi = 1;
+    F^{sigma sigma sigma}_sigma = [[1, 1], [1, -1]] / sqrt 2 over (z, m) in {1, psi},
+    F^{sigma psi sigma}_psi = F^{psi sigma psi}_sigma = -1, every other F-symbol is 1.
+    """
+    rules = {
+        (0, 0): (0,), (0, 1): (1,), (0, 2): (2,),
+        (1, 0): (1,), (1, 1): (0, 2), (1, 2): (1,),
+        (2, 0): (2,), (2, 1): (1,), (2, 2): (0,),
+    }
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+    def f_symbol(y, a, b, w, z, m):
+        if (y, a, b, w) == (1, 1, 1, 1):
+            return hadamard[z // 2, m // 2]
+        return -1.0 if (y, a, b, w) in ((1, 2, 1, 2), (2, 1, 2, 1)) else 1.0
+
+    return rules, f_symbol
+
+
+@pytest.fixture(scope="session")
+def ising(ising_category) -> wk.WeakHopfAlgebra:
+    """The weak Hopf algebra M_3 + M_4 + M_3 of the Ising category (dim 34, S^2 != id)."""
+    return wk.fusion_wha(*ising_category, name="Ising")
+
+
+@pytest.fixture(scope="session")
 def idempotent_monoid() -> wk.WeakHopfAlgebra:
     """C[{1, x}] with x^2 = x: a bialgebra (Delta g = g (x) g) without an antipode.
 
@@ -87,7 +116,7 @@ _ACCEPTANCE: list[tuple[int, str]] = []
 
 @pytest.fixture(scope="session")
 def acceptance():
-    """Record `criterion N PASS/FAIL/SKIPPED` lines for the terminal summary."""
+    """Record `criterion N PASS/FAIL` lines for the terminal summary."""
 
     def record(num: int, status: str, detail: str = "") -> None:
         line = f"criterion {num:2d}  {status}" + (f"  — {detail}" if detail else "")

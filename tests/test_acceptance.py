@@ -1,7 +1,7 @@
 """Acceptance suite: the numerical guarantees the package advertises.
 
 One test per guarantee.  Each registers a single ``criterion N
-PASS/FAIL/SKIPPED`` line (see conftest) so the terminal summary doubles as
+PASS/FAIL`` line (see conftest) so the terminal summary doubles as
 the acceptance report.  The tolerances quoted here are the advertised ones,
 not implementation slack — loosening any of them is an interface change.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 import whakit as wk
 from whakit.linalg import Subspace, kernel, lstsq, orth
@@ -541,15 +540,10 @@ def test_criterion_10_smash_products(examples, acceptance):
 
 
 def test_criterion_11_m2_m3_showcase(acceptance):
-    try:
-        w = wk.m2_m3()
-    except Exception as exc:
-        acceptance(11, "SKIPPED", f"fixture data unavailable ({exc})")
-        pytest.skip(f"M2+M3 fixture data unavailable: {exc}")
-
     from whakit.cli import analyze_wha
 
     with _Criterion(acceptance, 11) as c:
+        w = wk.m2_m3()
         stages = analyze_wha(w)["stages"]
         sizes = {s["n_q"]: s["d_q"] for s in stages["sectors"]["sectors"]}
         c.check(set(sizes) == {2, 3}, f"unexpected sector sizes {sorted(sizes)}")

@@ -234,7 +234,8 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
 
     The computing functions are wrapped wherever a whakit module holds them,
     so calls through a name imported into another module are counted too.
-    A fresh algebra is used because the session fixtures keep their caches.
+    A fresh algebra is used because the session fixtures keep their caches;
+    it is built before the wrappers go in, since building it validates it.
     """
     expected = {
         "wha.dual_wha": 1,
@@ -245,7 +246,9 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
         "reptheory.standard_solutions": 4,  # two sectors on each side
         "algebra.block_decomposition": 4,  # A, A^, the corner and its subalgebra
         "algebra.gns_rep": 4,  # the Haar states of A and A^, and D_eps of each
+        "reptheory.monoidal_product": 40,  # ten per standard solution
     }
+    w = wk.m2_m3()
     calls = dict.fromkeys(expected, 0)
 
     def counting(name, fn):
@@ -264,7 +267,6 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
             for key, val in list(vars(mod).items()):
                 if val is original:
                     monkeypatch.setattr(mod, key, wrapper)
-    w = wk.m2_m3()
     doc = analyze_wha(w)
     assert doc["ok"] and not doc["failed"]
     assert calls == expected
@@ -273,6 +275,7 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
 
 def test_gate_validates_the_algebra_once(monkeypatch):
     """One analyze run, and one validating load, check the algebra axioms of A once."""
+    w = wk.m2_m3()
     calls = []
     original = wk.FinDimAlgebra.validate
 
@@ -281,7 +284,6 @@ def test_gate_validates_the_algebra_once(monkeypatch):
         return original(self, tol)
 
     monkeypatch.setattr(wk.FinDimAlgebra, "validate", counting)
-    w = wk.m2_m3()
     assert analyze_wha(w)["ok"]
     assert calls == [w.name]
     calls.clear()
