@@ -27,7 +27,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .linalg import Subspace, is_irreducible_nonneg, kernel, lstsq, perron_frobenius
+from .linalg import Subspace, is_irreducible_nonneg, kernel, lstsq, orth, perron_frobenius
 from .report import AxiomReport
 
 __all__ = [
@@ -124,22 +124,35 @@ class FinDimAlgebra:
     # -- validation ---------------------------------------------------------
 
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
-        """Associativity, unit laws, and (if present) the star axioms."""
+        """Associativity, unit laws, and (if present) the star axioms.
+
+        Associativity is compared with ``tol.bound(|c|_F^2)`` by one of two
+        routes, chosen by the dimension n:
+
+        * below :data:`CERTIFY_ASSOCIATIVITY_FROM_DIM`, the Frobenius norm of
+          the associator ``(e_i e_j) e_k - e_i (e_j e_k)`` over all basis
+          triples, computed by :func:`_dense_associator_norm` in O(n^5);
+        * from that dimension on (the measured crossover, recorded at the
+          constant), the bound of :func:`_associator_bound`, which costs
+          O(n^4) through the Wedderburn map phi of the cached
+          :meth:`block_decomposition`.  With ``R(x, y) = phi(xy) -
+          phi(x) phi(y)`` one has ``phi(assoc(x, y, z)) = R(x, y) phi(z) +
+          R(xy, z) - phi(x) R(y, z) - R(x, yz)``, so summed over basis triples
+          ``|assoc|_F <= 2 (|Phi|_F + |c|_F) |R|_F / sigma_min(Phi)``, Phi being
+          the matrix of phi.  The row reports that bound when it meets the
+          threshold.  Otherwise, and whenever the algebra does not decompose,
+          the dense norm is computed and reported, so the verdict, and a
+          failing row's residual, are those of the dense route.
+        """
         tol = get_tol(tol)
         rep = AxiomReport(self.name)
         c = self.c
         scale = float(np.linalg.norm(c)) or 1.0
-        # associativity slice-by-slice: (e_i e_j) e_k vs e_i (e_j e_k); one
-        # i-slice at a time keeps the intermediate at n^3 instead of n^4
-        n = self.dim
-        flat_l = c.reshape(n, n * n)
-        flat_r = c.reshape(n * n, n)
-        acc = 0.0
-        for i in range(n):
-            left = (c[i] @ flat_l).reshape(n, n, n)  # (e_i e_j) e_k over j, k
-            right = (flat_r @ c[i]).reshape(n, n, n)  # e_i (e_j e_k) over j, k
-            acc += float(np.linalg.norm(left - right)) ** 2
-        rep.add("associativity", np.sqrt(acc), tol.bound(scale**2))
+        threshold = tol.bound(scale**2)
+        assoc = _associator_bound(self, tol) if self.dim >= CERTIFY_ASSOCIATIVITY_FROM_DIM else None
+        if assoc is None or not assoc <= threshold:
+            assoc = _dense_associator_norm(c)
+        rep.add("associativity", assoc, threshold)
         lu = np.einsum("i,ijk->jk", self.unit, c)
         ru = np.einsum("j,ijk->ik", self.unit, c)
         eye = np.eye(self.dim)
@@ -204,6 +217,65 @@ class FinDimAlgebra:
         return self.regular_trace(self.mul(block.central_idempotent, x)) / block.size
 
 
+#: Dimension from which :meth:`FinDimAlgebra.validate` certifies associativity
+#: through the Wedderburn map instead of the dense loop.  Dense loop vs. block
+#: decomposition plus certificate on smash products (minimum of 7 runs, 2 vCPUs,
+#: numpy 2.4, OpenBLAS): n = 16: 1.0 vs. 2.2 ms; n = 25: 5.7 vs. 4.5 ms;
+#: n = 27: 7.4 vs. 6.5 ms; n = 36: 22 vs. 8.4 ms; n = 64: 0.44 s vs. 0.09 s;
+#: n = 89: 2.0 s vs. 0.19 s.  Below 32 the gain is at most about a millisecond
+#: and a decomposition that nothing else may reuse is a cost, so every input
+#: of dimension <= 27 keeps the dense route.
+CERTIFY_ASSOCIATIVITY_FROM_DIM = 32
+
+
+def _dense_associator_norm(c) -> float:
+    """Frobenius norm of ``(e_i e_j) e_k - e_i (e_j e_k)`` over all basis triples, O(n^5)."""
+    n = c.shape[0]
+    flat_l = c.reshape(n, n * n)
+    flat_r = c.reshape(n * n, n)
+    acc = 0.0
+    # one i-slice at a time keeps the intermediate at n^3 instead of n^4
+    for i in range(n):
+        left = (c[i] @ flat_l).reshape(n, n, n)  # (e_i e_j) e_k over j, k
+        right = (flat_r @ c[i]).reshape(n, n, n)  # e_i (e_j e_k) over j, k
+        acc += float(np.linalg.norm(left - right)) ** 2
+    return float(np.sqrt(acc))
+
+
+def _associator_bound(algebra: FinDimAlgebra, tol: Tolerance) -> float | None:
+    """Upper bound on :func:`_dense_associator_norm` through the Wedderburn map.
+
+    phi_q(x) = V_q^H L(x) V_q on an orthonormal basis V_q of the left ideal
+    A p, p a minimal idempotent of block q (the carrier of
+    ``irreducible_representations``).  Costs one (n^2, n) x (n, n_q^2) GEMM per
+    block.  Returns None when the algebra does not decompose at ``tol`` or
+    phi is not injective.
+    """
+    try:
+        blocks = algebra.block_decomposition(tol)
+        ideals = [orth(algebra.right_mult(_minimal_idempotent_in_block(algebra, b, tol)), tol) for b in blocks]
+    except (NotSemisimple, NonIntegerBlockSize, np.linalg.LinAlgError):  # no decomposition at tol
+        return None
+    if [v.shape[1] for v in ideals] != list(blocks.sizes):
+        return None
+    n = algebra.dim
+    c_rows = algebra.c.reshape(n * n, n)
+    phis, r2 = [], 0.0
+    for v in ideals:
+        m = v.shape[1]
+        phi = np.matmul(v.conj().T, algebra._lmats @ v)  # (n, m, m): phi_q(e_i)
+        pairs = np.tensordot(phi, phi, axes=([2], [1])).transpose(0, 2, 1, 3)  # phi(e_i) phi(e_j)
+        r = c_rows @ phi.reshape(n, m * m) - pairs.reshape(n * n, m * m)
+        r2 += float(np.linalg.norm(r)) ** 2
+        phis.append(phi.reshape(n, m * m))
+    big_phi = np.concatenate(phis, axis=1).T  # column i stacks the blocks of phi(e_i)
+    svals = np.linalg.svd(big_phi, compute_uv=False)
+    if svals.size < n or svals[n - 1] == 0.0:
+        return None
+    scale = float(np.linalg.norm(big_phi)) + float(np.linalg.norm(algebra.c))
+    return 2.0 * scale * float(np.sqrt(r2)) / float(svals[n - 1])
+
+
 @dataclass(frozen=True)
 class Block:
     """One simple summand: central idempotent ``z`` with ``z A ~ M_n``."""
@@ -231,6 +303,9 @@ class BlockDecomposition:
 def _minimal_central_idempotents(algebra: FinDimAlgebra, center: Subspace, tol: Tolerance):
     """Split a commutative semisimple subalgebra into its minimal idempotents."""
     m = center.dim
+    if m == 0:
+        # a unital algebra's center holds the unit
+        raise NotSemisimple(f"{algebra.name}: the center is 0-dimensional at this tolerance")
     z = center.basis
     for attempt in range(8):
         t = rng(attempt).standard_normal(m)

@@ -158,7 +158,10 @@ class WeakHopfAlgebra(WeakBialgebra):
         """Complete ``wba`` with its solved antipode; raises ValidationError naming
         the first failed weak bialgebra axiom before any antipode is solved."""
         validate_wba(wba, tol).raise_if_failed()
-        return cls(wba.algebra, wba.delta, wba.eps, solve_antipode(wba, tol))
+        solved = solve_antipode(wba, tol)
+        w = cls(wba.algebra, wba.delta, wba.eps, solved)
+        w.derived(tol).__dict__["solved_antipode"] = solved  # what validate_wha compares with
+        return w
 
 
 def _entry(module: str, function: str) -> cached_property:
@@ -178,9 +181,10 @@ class Derived:
     spaces, the Haar pair (``haar`` = h, ``haar_functional`` = the dual's h as
     a covector on A), the GNS data of the Haar state (None without the dual's
     h), the canonical grouplike (None without the Haar pair),
-    the vacua, the irreducible representations in block order and the sector
-    table.  They are kept because an algebra is treated as immutable: build a
-    new one instead of changing its arrays.  An entry that raises is not kept.
+    the vacua, the irreducible representations in block order, the sector
+    table and the antipode solved from the comultiplication.  They are kept
+    because an algebra is treated as immutable: build a new one instead of
+    changing its arrays.  An entry that raises is not kept.
     """
 
     def __init__(self, w: WeakBialgebra, tol: Tolerance):
@@ -195,6 +199,7 @@ class Derived:
     vacua = _entry("reptheory", "vacua")
     irreps = _entry("reptheory", "irreducible_representations")
     sectors = _entry("reptheory", "sector_dimensions")
+    solved_antipode = _entry("wha", "solve_antipode")
 
     @property
     def haar_functional(self):
@@ -378,7 +383,7 @@ def validate_wha(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRepor
         return rep
 
     try:
-        solved = solve_antipode(w, tol)
+        solved = w.derived(tol).solved_antipode
     except WhakitError as exc:
         rep.add(f"antipode solvable ({type(exc).__name__})", float("inf"), 0.0)
     else:

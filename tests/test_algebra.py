@@ -3,8 +3,10 @@
 import unittest
 
 import numpy as np
+import pytest
 
 import whakit as wk
+from whakit import algebra
 from whakit.errors import (
     NotConditionalExpectation,
     NotSemisimple,
@@ -140,6 +142,17 @@ class TestBlockStructure(unittest.TestCase):
         with self.assertRaises(NotSemisimple):
             wk.block_decomposition(a)
 
+    def test_empty_center_is_not_semisimple(self):
+        # the perturbed product keeps a nondegenerate trace form but no
+        # nonzero element commutes with everything at the default tolerance
+        a = wk.pair_groupoid_wha(2).algebra
+        e = np.random.default_rng(0).standard_normal(a.c.shape)
+        b = wk.FinDimAlgebra(a.c + 1e-3 * e / np.linalg.norm(e), a.unit)
+        self.assertEqual(b.center().dim, 0)
+        self.assertTrue(b.is_semisimple())
+        with self.assertRaises(NotSemisimple):
+            wk.block_decomposition(b)
+
     def test_inverse(self):
         a = matrix_units(2)
         x = np.array([2.0, 1.0, 0.0, 1.0])  # [[2,1],[0,1]]
@@ -247,6 +260,122 @@ class TestGns(unittest.TestCase):
         g = wk.gns_rep(m2, np.array([1.0, 0.0, 0.0, 0.0]))
         self.assertFalse(g.faithful)
         self.assertEqual(g.dim, 2)
+
+
+# -- associativity: the Wedderburn certificate against the dense loop -------
+
+
+@pytest.fixture(scope="module")
+def crossed(s3, m23):
+    """Crossed products on both sides of the certificate cut, keyed by source."""
+    return {
+        "s3": wk.smash_product(s3).algebra,  # n = 36
+        "p3": wk.smash_product(wk.pair_groupoid_wha(3)).algebra,  # n = 27
+        "z8": wk.crossed_product(wk.arrow_action(wk.cyclic_wha(8))).algebra,  # n = 64
+        "m23": wk.smash_product(m23).algebra,  # n = 89
+    }
+
+
+def _fresh(a, c=None):
+    """The same algebra without its cached decompositions, or with structure constants ``c``."""
+    return wk.FinDimAlgebra(a.c if c is None else c, a.unit, involution=a.involution, name=a.name)
+
+
+def _associativity_row(rep):
+    [row] = [check for check in rep.checks if check.name == "associativity"]
+    return row
+
+
+def _count_dense_calls(monkeypatch):
+    calls = []
+    dense = algebra._dense_associator_norm
+
+    def wrapper(c):
+        calls.append(c.shape[0])
+        return dense(c)
+
+    monkeypatch.setattr(algebra, "_dense_associator_norm", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("key", ["s3", "z8", "m23"])
+def test_certificate_bounds_the_dense_associator(crossed, key):
+    a = _fresh(crossed[key])
+    assert a.dim >= algebra.CERTIFY_ASSOCIATIVITY_FROM_DIM
+    bound = algebra._associator_bound(a, wk.DEFAULT_TOL)
+    dense = algebra._dense_associator_norm(a.c)
+    row = _associativity_row(a.validate())
+    assert dense <= bound <= row.threshold
+    assert row.residual == bound
+
+
+@pytest.mark.parametrize("key", ["s3", "p3"])
+@pytest.mark.parametrize("eps", [1e-14, 1e-10, 1e-8, 1e-6, 1e-3])
+def test_certificate_keeps_the_dense_verdict_under_perturbation(crossed, monkeypatch, key, eps):
+    """validate() passes or fails exactly where the dense loop does; a failing
+    row reports the dense residual.  p3 (n = 27) sits below the cut, which is
+    lowered here so that its certificate route runs too."""
+    monkeypatch.setattr(algebra, "CERTIFY_ASSOCIATIVITY_FROM_DIM", 1)
+    base = crossed[key]
+    e = np.random.default_rng(0x57484131).standard_normal(base.c.shape)
+    a = _fresh(base, base.c + eps * e / np.linalg.norm(e))
+    dense = algebra._dense_associator_norm(a.c)
+    bound = algebra._associator_bound(_fresh(a), wk.DEFAULT_TOL)
+    row = _associativity_row(a.validate())
+    assert row.passed == (dense <= row.threshold)
+    if bound is not None:
+        assert bound >= dense
+    if not row.passed or bound is None or bound > row.threshold:
+        assert row.residual == dense
+    else:
+        assert row.residual == bound
+    if (key, eps) == ("s3", 1e-8):
+        # the dense residual meets the threshold, but the certificate cannot
+        # show it (the left ideal A p is 18-dimensional at the default
+        # tolerance, not 6): the fallback decides
+        assert bound is None or bound > row.threshold
+        assert row.passed and row.residual == dense
+    if (key, eps) == ("p3", 1e-8):
+        # here the certificate exists but overshoots the threshold
+        assert dense <= row.threshold < bound
+        assert row.passed and row.residual == dense
+
+
+def test_non_semisimple_algebra_above_the_cut_takes_the_dense_route(monkeypatch):
+    # upper-triangular 8 x 8 matrices: dim 36, nonzero Jacobson radical
+    pairs = [(i, j) for i in range(8) for j in range(i, 8)]
+    idx = {p: k for k, p in enumerate(pairs)}
+    c = np.zeros((36, 36, 36))
+    for (i, j) in pairs:
+        for l in range(j, 8):
+            c[idx[i, j], idx[j, l], idx[i, l]] = 1.0
+    unit = np.array([1.0 if i == j else 0.0 for (i, j) in pairs])
+    a = wk.FinDimAlgebra(c, unit, name="T8")
+    assert a.dim >= algebra.CERTIFY_ASSOCIATIVITY_FROM_DIM and not a.is_semisimple()
+    calls = _count_dense_calls(monkeypatch)
+    rep = a.validate()
+    assert rep.ok, rep.failures
+    assert calls == [36]
+    assert _associativity_row(rep).residual == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_coefficient_above_the_cut_fails_the_row(crossed):
+    # the decomposition's SVDs raise LinAlgError on NaN; the dense route reports it
+    base = crossed["s3"]
+    c = base.c.copy()
+    c[1, 2, 3] = np.nan
+    rep = _fresh(base, c).validate()
+    row = _associativity_row(rep)
+    assert not row.passed and np.isnan(row.residual)
+
+
+def test_dense_loop_runs_below_the_cut_only(m23, monkeypatch):
+    calls = _count_dense_calls(monkeypatch)
+    wk.smash_product(m23)  # validates its 89-dim result
+    assert calls == []
+    assert _fresh(m23.algebra).validate().ok
+    assert calls == [13]
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import whakit as wk
+from whakit import wha, whafile
 from whakit.wha import antipode_report
 
 ALL = ["z2", "z3", "z4", "z5", "s3", "p2", "p3", "p4", "fp2", "h4", "m23"]
@@ -89,6 +90,33 @@ def test_gate_reports_a_missing_antipode_as_one_row(idempotent_monoid):
     assert names[-1] == "antipode-star-compatible"
     with pytest.raises(wk.ValidationError):
         rep.raise_if_failed()
+
+
+def _count_antipode_solves(monkeypatch):
+    calls = []
+    solve = wha.solve_antipode
+
+    def wrapper(w, tol=None):
+        calls.append(w.name)
+        return solve(w, tol)
+
+    monkeypatch.setattr(wha, "solve_antipode", wrapper)
+    return calls
+
+
+def test_gate_reuses_the_antipode_solved_at_construction(monkeypatch):
+    w = wk.m2_m3()  # fusion_wha solves the antipode once, through from_wba
+    calls = _count_antipode_solves(monkeypatch)
+    assert wk.validate_wha(w).ok
+    assert calls == []
+
+
+def test_loading_without_an_antipode_solves_it_once(z3, monkeypatch):
+    doc = whafile.to_dict(z3)
+    del doc["antipode"]
+    calls = _count_antipode_solves(monkeypatch)
+    whafile.from_dict(doc, validate=True)
+    assert len(calls) == 1
 
 
 def test_counital_subalgebras_are_cached_per_tolerance():
