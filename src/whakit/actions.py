@@ -601,15 +601,27 @@ def smash_product(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> CrossedPr
 
 
 def _same_up_to_permutations(a, b, row_sizes_a, row_sizes_b) -> bool:
-    """Whether integer matrices agree after size-preserving row and column permutations."""
+    """Whether integer matrices agree after size-preserving row and column permutations.
+
+    With the columns of ``a`` in a fixed order, a size-preserving row
+    permutation exists iff the multisets of (size, row) agree; with the rows
+    in a fixed order, a column permutation exists iff the multisets of columns
+    agree.  So only the orders of the shorter axis are tried, at most
+    min(k, m)! of them.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         return False
+    k, m = a.shape
+    if m <= k:
+        target = sorted(zip(row_sizes_b, map(tuple, b.tolist())))
+        return any(
+            sorted(zip(row_sizes_a, map(tuple, a[:, list(q)].tolist()))) == target
+            for q in itertools.permutations(range(m))
+        )
     target = sorted(map(tuple, b.T.tolist()))
-    for pr in itertools.permutations(range(a.shape[0])):
-        if [row_sizes_a[i] for i in pr] != list(row_sizes_b):
-            continue
-        if sorted(map(tuple, a[list(pr)].T.tolist())) == target:
-            return True
-    return False
+    return any(
+        [row_sizes_a[i] for i in pr] == list(row_sizes_b) and sorted(map(tuple, a[list(pr)].T.tolist())) == target
+        for pr in itertools.permutations(range(k))
+    )

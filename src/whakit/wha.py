@@ -157,10 +157,12 @@ class WeakHopfAlgebra(WeakBialgebra):
     def from_wba(cls, wba: WeakBialgebra, tol: Tolerance | None = None) -> "WeakHopfAlgebra":
         """Complete ``wba`` with its solved antipode; raises ValidationError naming
         the first failed weak bialgebra axiom before any antipode is solved."""
-        validate_wba(wba, tol).raise_if_failed()
+        report = validate_wba(wba, tol).raise_if_failed()
         solved = solve_antipode(wba, tol)
         w = cls(wba.algebra, wba.delta, wba.eps, solved)
-        w.derived(tol).__dict__["solved_antipode"] = solved  # what validate_wha compares with
+        derived = w.derived(tol)
+        derived.__dict__["wba_report"] = report  # validate_wha's stage 1
+        derived.__dict__["solved_antipode"] = solved  # what validate_wha compares with
         return w
 
 
@@ -182,9 +184,10 @@ class Derived:
     a covector on A), the GNS data of the Haar state (None without the dual's
     h), the canonical grouplike (None without the Haar pair),
     the vacua, the irreducible representations in block order, the sector
-    table and the antipode solved from the comultiplication.  They are kept
-    because an algebra is treated as immutable: build a new one instead of
-    changing its arrays.  An entry that raises is not kept.
+    table, the report of :func:`validate_wba` and the antipode solved from
+    the comultiplication.  They are kept because an algebra is treated as
+    immutable: build a new one instead of changing its arrays.  An entry that
+    raises is not kept.
     """
 
     def __init__(self, w: WeakBialgebra, tol: Tolerance):
@@ -199,6 +202,7 @@ class Derived:
     vacua = _entry("reptheory", "vacua")
     irreps = _entry("reptheory", "irreducible_representations")
     sectors = _entry("reptheory", "sector_dimensions")
+    wba_report = _entry("wha", "validate_wba")
     solved_antipode = _entry("wha", "solve_antipode")
 
     @property
@@ -371,14 +375,16 @@ def antipode_report(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRe
 def validate_wha(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomReport:
     """The weak Hopf algebra gate: every axiom an input must pass, in two stages.
 
-    Stage 1 is the rows of :func:`validate_wba`.  Only when all of them pass,
+    Stage 1 is the rows of :func:`validate_wba`, computed once per algebra and
+    tolerance (``from_wba`` keeps the report it checked).  Only when all pass,
     stage 2 compares the stored antipode with the solved one, adds the rows of
     :func:`antipode_report` and, for a star algebra, ``antipode-star-compatible``.
     A stage-2 computation that raises becomes one failed row named after the
     stage and the error (residual inf, threshold 0); the other stages still run.
     """
     tol = get_tol(tol)
-    rep = validate_wba(w, tol)
+    stage1 = w.derived(tol).wba_report
+    rep = AxiomReport(stage1.subject, list(stage1.checks))
     if not rep.ok:
         return rep
 

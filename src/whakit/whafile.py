@@ -3,7 +3,12 @@
 The on-disk document is dense and explicitly versioned: every scalar is an
 ``[re, im]`` pair, floats carry 17 significant digits so a save/load round
 trip reproduces each double exactly, and a formal JSON schema ships with the
-package (``data/wha-schema.json``).  Structural problems raise
+package (``data/wha-schema.json``).  That schema is the specification of the
+format.  Loading checks it in two parts: ``jsonschema`` walks the document's
+skeleton (every key and value except the numeric fields, which it sees as
+empty arrays), and :func:`_carray` checks each numeric field in bulk against
+the same rules (nested lists, ``[re, im]`` pairs, numeric non-boolean leaves)
+plus the shape that ``dim`` implies.  Structural problems raise
 :class:`~whakit.errors.SchemaError` naming the offending field path; semantic
 problems (axiom violations, an antipode that disagrees with the solved one)
 surface through the usual validators as :class:`~whakit.errors.ValidationError`.
@@ -11,6 +16,7 @@ surface through the usual validators as :class:`~whakit.errors.ValidationError`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from importlib.resources import files
@@ -27,6 +33,9 @@ from .wha import WeakBialgebra, WeakHopfAlgebra, validate_wha
 __all__ = ["SCHEMA_VERSION", "schema", "to_dict", "from_dict", "dumps", "loads", "save", "load"]
 
 SCHEMA_VERSION = 1
+
+# The fields made of [re, im] pairs: _carray checks them, jsonschema the rest.
+_NUMERIC = ("structure_constants", "unit", "comultiplication", "counit", "antipode", "involution")
 
 _schema_cache: dict | None = None
 
@@ -115,21 +124,51 @@ def save(w: WeakHopfAlgebra, path, name: str | None = None, provenance: str | No
 # deserialization
 
 
+def _skeleton(doc):
+    """``doc`` with each numeric field replaced by ``[]``: what ``jsonschema`` walks."""
+    if not isinstance(doc, dict):
+        return doc
+    return {k: [] if k in _NUMERIC else v for k, v in doc.items()}
+
+
 def _carray(doc: dict, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of a numeric field, checked by the schema's rules in bulk.
+
+    The containers must be lists (the schema's arrays) of the given shape with
+    ``[re, im]`` pairs innermost, and every leaf a number by the schema's own
+    draft-7 rule, tested once per distinct leaf type.
+    """
     try:
-        raw = np.asarray(doc[field], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{field}: ragged or non-numeric array ({exc})") from None
+        raw = np.array(doc[field], dtype=object)
+    except ValueError as exc:
+        raise SchemaError(f"{field}: ragged array ({exc})") from None
     if raw.shape != shape + (2,):
         want = "x".join(str(s) for s in shape)
         got = "x".join(str(s) for s in raw.shape[:-1]) if raw.shape and raw.shape[-1] == 2 else str(raw.shape)
         raise SchemaError(f"{field}: expected {want} entries, got {got}")
+    level = [doc[field]]
+    for _ in raw.shape:
+        bad = next((x for x in level if not isinstance(x, list)), None)
+        if bad is not None:
+            raise SchemaError(f"{field}: a {type(bad).__name__} is not of type 'array'")
+        level = list(itertools.chain.from_iterable(level))
+    is_type = jsonschema.Draft7Validator.TYPE_CHECKER.is_type
+    for leaf in dict(zip(map(type, level), level)).values():
+        if not is_type(leaf, "number"):
+            raise SchemaError(f"{field}: {leaf!r} is not of type 'number'")
+    try:
+        raw = raw.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{field}: {exc}") from None
     return raw[..., 0] + 1j * raw[..., 1]
 
 
 def from_dict(doc: dict, validate: bool = True, tol: Tolerance | None = None) -> WeakHopfAlgebra:
     """Rebuild a :class:`WeakHopfAlgebra` from its dict form.
 
+    ``jsonschema`` checks the document's skeleton against the packaged schema
+    and :func:`_carray` checks the numeric payload in bulk, so every document
+    the packaged schema rejects raises :class:`~whakit.errors.SchemaError`.
     A missing antipode is solved from the comultiplication once the weak
     bialgebra axioms pass.  With ``validate=True`` (the default) the result
     must pass :func:`~whakit.wha.validate_wha`, which also compares a supplied
@@ -137,7 +176,7 @@ def from_dict(doc: dict, validate: bool = True, tol: Tolerance | None = None) ->
     """
     tol = get_tol(tol)
     try:
-        jsonschema.validate(doc, schema())
+        jsonschema.validate(_skeleton(doc), schema())
     except jsonschema.exceptions.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise SchemaError(f"{path}: {exc.message}") from None

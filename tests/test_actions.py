@@ -1,6 +1,8 @@
 """Module algebra actions, crossed products, regularity, Galois, smash."""
 
+import itertools
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -279,3 +281,46 @@ def test_smash_of_a_group_algebra_is_a_full_matrix_algebra(examples):
     sp = wk.smash_product(examples["z3"])
     assert wk.block_decomposition(sp.algebra).sizes == (3,)
     assert sp.algebra.center().dim == 1
+
+
+# ---------------------------------------------------------------------------
+# the block-permutation check of the basic construction
+
+
+def _same_by_brute_force(a, b, sizes_a, sizes_b):
+    k, m = len(a), len(a[0])
+    for pr in itertools.permutations(range(k)):
+        if [sizes_a[i] for i in pr] != list(sizes_b):
+            continue
+        for q in itertools.permutations(range(m)):
+            if all(a[pr[i]][q[j]] == b[i][j] for i in range(k) for j in range(m)):
+                return True
+    return False
+
+
+def test_same_up_to_permutations_agrees_with_brute_force():
+    rng = np.random.default_rng(20)
+    outcomes = set()
+    for _ in range(120):
+        k, m = rng.integers(1, 6, size=2)
+        a = rng.integers(0, 3, size=(k, m))
+        sizes_a = rng.integers(1, 3, size=k).tolist()
+        rows, cols = rng.permutation(k), rng.permutation(m)
+        b = a[rows][:, cols].copy()
+        sizes_b = [sizes_a[i] for i in rows]
+        if rng.random() < 0.5:  # a one-entry miss
+            b[rng.integers(k), rng.integers(m)] += 1
+        want = _same_by_brute_force(a.tolist(), b.tolist(), sizes_a, sizes_b)
+        assert wk.actions._same_up_to_permutations(a, b, sizes_a, sizes_b) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_same_up_to_permutations_on_a_tall_non_match_is_fast():
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 2, size=(12, 3))
+    b = a[rng.permutation(12)].copy()
+    b[0, 0] += 1
+    start = time.perf_counter()
+    assert not wk.actions._same_up_to_permutations(a, b, [1] * 12, [1] * 12)
+    assert time.perf_counter() - start < 0.5  # 3! column orders, not 12! row orders

@@ -64,6 +64,19 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert main(["validate", str(path)]) == EX_STAGE
 
 
+@pytest.mark.parametrize(
+    "field, leaf", [("unit", 10**400), ("structure_constants", True)], ids=["oversized-int", "bool"]
+)
+def test_bad_number_is_a_schema_error(z3, tmp_path, capsys, field, leaf):
+    doc = whafile.to_dict(z3)
+    pair = doc[field][0] if field == "unit" else doc[field][0][0][0]
+    pair[0] = leaf
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EX_STAGE
+    assert field in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["validate"])  # missing path
@@ -239,7 +252,7 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
     """
     expected = {
         "wha.dual_wha": 1,
-        "wha.validate_wba": 1,
+        "wha.validate_wba": 0,  # from_wba kept its report when it built the algebra
         "integrals.haar_integral": 2,  # h and the dual's h^
         "integrals.canonical_grouplike": 2,  # A and A^
         "reptheory.sector_dimensions": 2,  # A and A^
@@ -274,8 +287,8 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
 
 
 def test_gate_validates_the_algebra_once(monkeypatch):
-    """One analyze run, and one validating load, check the algebra axioms of A once."""
-    w = wk.m2_m3()
+    """Building A and one analyze run on it, and one validating load, check the
+    algebra axioms of A once: ``from_wba`` keeps the report for the gate."""
     calls = []
     original = wk.FinDimAlgebra.validate
 
@@ -284,6 +297,7 @@ def test_gate_validates_the_algebra_once(monkeypatch):
         return original(self, tol)
 
     monkeypatch.setattr(wk.FinDimAlgebra, "validate", counting)
+    w = wk.m2_m3()
     assert analyze_wha(w)["ok"]
     assert calls == [w.name]
     calls.clear()

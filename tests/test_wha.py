@@ -119,6 +119,26 @@ def test_loading_without_an_antipode_solves_it_once(z3, monkeypatch):
     assert len(calls) == 1
 
 
+def test_loading_without_an_antipode_validates_the_weak_bialgebra_once(z3, monkeypatch):
+    doc = whafile.to_dict(z3)
+    del doc["antipode"]
+    calls = []
+    validate = wha.validate_wba
+
+    def wrapper(w, tol=None):
+        calls.append(w.name)
+        return validate(w, tol)
+
+    monkeypatch.setattr(wha, "validate_wba", wrapper)
+    w = whafile.from_dict(doc, validate=True)
+    assert len(calls) == 1  # from_wba keeps its report for validate_wha
+    monkeypatch.undo()
+    rep = wk.validate_wha(w)
+    stage1 = wk.validate_wba(w).checks
+    assert rep.checks[: len(stage1)] == stage1
+    assert [c.name for c in rep.checks] == [c.name for c in wk.validate_wha(z3).checks]
+
+
 def test_counital_subalgebras_are_cached_per_tolerance():
     w = wk.m2_m3()
     loose = wk.Tolerance(1e-6, 1e-6)

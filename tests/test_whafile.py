@@ -1,7 +1,10 @@
 """Serialization round-trips and schema rejection."""
 
+import copy
 import json
+import random
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -110,6 +113,29 @@ class TestSchemaRejection:
         with pytest.raises(wk.SchemaError):
             whafile.loads(json.dumps([1, 2, 3]))
 
+    @pytest.mark.parametrize("leaf", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_integer_too_large_for_a_double(self, z3, leaf):
+        doc = self._doc(z3)
+        doc["unit"][0] = [leaf, 0]
+        with pytest.raises(wk.SchemaError) as err:
+            whafile.from_dict(doc)
+        assert "unit" in str(err.value)
+
+    @pytest.mark.parametrize("leaf", [True, None, "1.0", [1.0], {}])
+    def test_non_number_leaf(self, z3, leaf):
+        doc = self._doc(z3)
+        doc["structure_constants"][0][1][2][0] = leaf
+        with pytest.raises(wk.SchemaError) as err:
+            whafile.from_dict(doc)
+        assert "structure_constants" in str(err.value)
+
+    def test_tuple_is_not_an_array(self, z3):
+        doc = self._doc(z3)
+        doc["counit"][1] = tuple(doc["counit"][1])
+        with pytest.raises(wk.SchemaError) as err:
+            whafile.from_dict(doc)
+        assert "counit" in str(err.value)
+
     def test_schema_is_valid_json_schema(self):
         s = whafile.schema()
         assert s["properties"]["schema_version"]["const"] == whafile.SCHEMA_VERSION
@@ -123,3 +149,109 @@ def test_save_then_shell_round_trip_keeps_floats(m23, tmp_path):
     back = whafile.load(path, validate=False)
     assert np.array_equal(back.algebra.c, m23.algebra.c)
     assert np.array_equal(back.antipode, m23.antipode)
+
+
+# ---------------------------------------------------------------------------
+# the loader against the packaged schema
+
+_NUMERIC = ("structure_constants", "unit", "comultiplication", "counit", "antipode", "involution")
+_BAD_LEAVES = [True, False, None, "1.0", [1.0], {}, np.float64(0.25), float("nan"), 10**400, 2**53 + 1]
+_BAD_VALUES = [5, "x", None, True, {}, [], [[1.0, 0.0]], [[[1.0, 0.0]]]]
+
+
+def _mutate(doc: dict, rnd: random.Random) -> str:
+    """Break ``doc`` in place in one seeded way; returns the top-level key it touched."""
+    numeric = [f for f in _NUMERIC if f in doc]
+    kind = rnd.choice(["leaf", "pair", "ragged", "value", "tuple", "delete", "extra", "dim", "version", "labels", "metadata"])
+    if kind in ("leaf", "pair", "ragged", "tuple"):
+        field = rnd.choice(numeric)
+        parent, node = doc, field
+        while isinstance(parent[node][0][0], list):  # descend to a row of pairs
+            parent, node = parent[node], rnd.randrange(len(parent[node]))
+        row = parent[node]
+        i = rnd.randrange(len(row))
+        if kind == "leaf":
+            row[i][rnd.randrange(2)] = rnd.choice(_BAD_LEAVES)
+        elif kind == "pair":
+            row[i] = rnd.choice([row[i][:1], row[i] + [0.0], []])
+        elif kind == "ragged":
+            del row[i]
+        elif rnd.random() < 0.5:
+            row[i] = tuple(row[i])
+        else:
+            parent[node] = tuple(row)
+        return field
+    if kind == "value":
+        field = rnd.choice(numeric)
+        doc[field] = rnd.choice(_BAD_VALUES + [tuple(doc[field])])
+        return field
+    if kind == "delete":
+        key = rnd.choice(sorted(doc))
+        del doc[key]
+        return key
+    if kind == "extra":
+        key = rnd.choice(["extra", "Dim", "units"])
+        doc[key] = 1
+        return key
+    if kind == "dim":
+        doc["dim"] = rnd.choice([0, -1, "3", 2.5, True, None, doc["dim"] + 1, float(doc["dim"])])
+        return "dim"
+    if kind == "version":
+        doc["schema_version"] = rnd.choice([2, "1", True, None, 1.0])
+        return "schema_version"
+    if kind == "labels":
+        labels = doc["basis_labels"]
+        doc["basis_labels"] = rnd.choice([list(range(len(labels))), "abc", labels[:-1], None, labels + ["x"]])
+        return "basis_labels"
+    doc["metadata"] = rnd.choice(["name", {"name": 5}, {"provenance": 3}, {"other": 1}, []])
+    return "metadata"
+
+
+def test_loader_rejects_whatever_the_schema_rejects(z3, s3, p2):
+    validator = jsonschema.Draft7Validator(whafile.schema())
+    verdicts = set()
+    for w, seed, count in ((z3, 0, 200), (p2, 1, 80), (s3, 2, 30)):  # the full walk costs 6, 12 and 34 ms
+        base = json.loads(whafile.dumps(w))
+        rnd = random.Random(seed)
+        for _ in range(count):
+            doc = copy.deepcopy(base)
+            key = _mutate(doc, rnd)
+            schema_ok = validator.is_valid(doc)
+            try:
+                whafile.from_dict(doc, validate=False)
+            except wk.SchemaError as err:
+                named = {key, "structure_constants"} if key == "dim" else {key}
+                assert any(k in str(err) for k in named), (key, str(err))
+                verdicts.add(("rejected", schema_ok))
+            else:
+                assert schema_ok, key
+                verdicts.add(("accepted", schema_ok))
+    # every verdict the contract allows shows up: agreement both ways, and
+    # documents the schema allows but the shapes or doubles do not
+    assert verdicts == {("accepted", True), ("rejected", False), ("rejected", True)}
+
+
+@pytest.mark.parametrize("key", ["m23", "p4"])
+def test_loaded_arrays_are_bit_identical_to_a_float_conversion(examples, key):
+    doc = json.loads(whafile.dumps(examples[key]))
+    w = whafile.from_dict(doc, validate=False)
+    arrays = {
+        "structure_constants": w.algebra.c,
+        "unit": w.unit,
+        "comultiplication": w.delta,
+        "counit": w.eps,
+        "antipode": w.antipode,
+        "involution": w.algebra.involution,
+    }
+    for field, got in arrays.items():
+        raw = np.asarray(doc[field], dtype=float)
+        want = (raw[..., 0] + 1j * raw[..., 1]).reshape(got.shape)
+        assert got.tobytes() == want.tobytes(), field
+
+
+def test_random_doubles_load_bit_identically():
+    rng = np.random.default_rng(7)
+    leaves = rng.standard_normal((5, 2)) * 10.0 ** rng.integers(-300, 300, size=(5, 2))
+    doc = {"unit": json.loads(json.dumps(leaves.tolist()))}
+    got = whafile._carray(doc, "unit", (5,))
+    assert got.tobytes() == (leaves[:, 0] + 1j * leaves[:, 1]).tobytes()
