@@ -11,11 +11,13 @@ Markov traces, and Watatani index of a conditional expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import INT_ROUNDING_TOL, Tolerance, get_tol, rng, round_to_int
 from .errors import (
+    CrossCheckMismatch,
     DimensionMismatch,
     NoInvolution,
     NonIntegerBlockSize,
@@ -35,6 +37,7 @@ __all__ = [
     "Block",
     "BlockDecomposition",
     "block_decomposition",
+    "WedderburnMap",
     "inclusion_matrix",
     "MarkovTrace",
     "markov_trace",
@@ -83,6 +86,7 @@ class FinDimAlgebra:
         # left multiplication matrices of all basis vectors, L[i][k,j] = c[i,j,k]
         self._lmats = c.transpose(0, 2, 1).copy()
         self._blocks: dict[Tolerance, BlockDecomposition] = {}
+        self._wedderburn: dict[Tolerance, WedderburnMap] = {}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -212,10 +216,34 @@ class FinDimAlgebra:
             self._blocks[tol] = block_decomposition(self, tol)
         return self._blocks[tol]
 
+    def wedderburn_map(self, tol: Tolerance | None = None) -> "WedderburnMap":
+        """The Wedderburn map on the blocks of :meth:`block_decomposition`, computed once per tolerance.
+
+        Raises what :func:`block_decomposition` raises, and
+        :class:`CrossCheckMismatch` when a left ideal ``A p`` does not have the
+        dimension of its block or the blocks do not add up to the algebra.
+        """
+        tol = get_tol(tol)
+        if tol not in self._wedderburn:
+            blocks = self.block_decomposition(tol)
+            ideals = [orth(self.right_mult(_minimal_idempotent_in_block(self, b, tol)), tol) for b in blocks]
+            for v, b in zip(ideals, blocks):
+                if v.shape[1] != b.size:
+                    raise CrossCheckMismatch(f"ideal carrier {v.shape[1]} != block size {b.size}")
+            if sum(b.size**2 for b in blocks) != self.dim:
+                raise CrossCheckMismatch(f"blocks {blocks.sizes} do not fill an algebra of dimension {self.dim}")
+            phis = [np.matmul(v.conj().T, self._lmats @ v) for v in ideals]
+            self._wedderburn[tol] = WedderburnMap(blocks, ideals, phis)
+        return self._wedderburn[tol]
+
     def block_trace(self, block: "Block", x) -> complex:
         """Trace of ``x`` in the irreducible representation of ``block``: tr(z_q x) / n_q."""
         return self.regular_trace(self.mul(block.central_idempotent, x)) / block.size
 
+
+#: What :meth:`FinDimAlgebra.wedderburn_map` raises when the algebra does not
+#: decompose at the tolerance; the routes built on it then defer to a dense one.
+_NO_DECOMPOSITION = (NotSemisimple, NonIntegerBlockSize, CrossCheckMismatch, np.linalg.LinAlgError)
 
 #: Dimension from which :meth:`FinDimAlgebra.validate` certifies associativity
 #: through the Wedderburn map instead of the dense loop.  Dense loop vs. block
@@ -245,34 +273,26 @@ def _dense_associator_norm(c) -> float:
 def _associator_bound(algebra: FinDimAlgebra, tol: Tolerance) -> float | None:
     """Upper bound on :func:`_dense_associator_norm` through the Wedderburn map.
 
-    phi_q(x) = V_q^H L(x) V_q on an orthonormal basis V_q of the left ideal
-    A p, p a minimal idempotent of block q (the carrier of
-    ``irreducible_representations``).  Costs one (n^2, n) x (n, n_q^2) GEMM per
-    block.  Returns None when the algebra does not decompose at ``tol`` or
-    phi is not injective.
+    Costs one (n^2, n) x (n, n_q^2) GEMM per block of the cached
+    :meth:`FinDimAlgebra.wedderburn_map`.  Returns None when the algebra does
+    not decompose at ``tol`` or phi is not injective.
     """
     try:
-        blocks = algebra.block_decomposition(tol)
-        ideals = [orth(algebra.right_mult(_minimal_idempotent_in_block(algebra, b, tol)), tol) for b in blocks]
-    except (NotSemisimple, NonIntegerBlockSize, np.linalg.LinAlgError):  # no decomposition at tol
-        return None
-    if [v.shape[1] for v in ideals] != list(blocks.sizes):
+        wedderburn = algebra.wedderburn_map(tol)
+    except _NO_DECOMPOSITION:
         return None
     n = algebra.dim
     c_rows = algebra.c.reshape(n * n, n)
-    phis, r2 = [], 0.0
-    for v in ideals:
-        m = v.shape[1]
-        phi = np.matmul(v.conj().T, algebra._lmats @ v)  # (n, m, m): phi_q(e_i)
+    r2 = 0.0
+    for phi in wedderburn.phis:
+        m = phi.shape[1]
         pairs = np.tensordot(phi, phi, axes=([2], [1])).transpose(0, 2, 1, 3)  # phi(e_i) phi(e_j)
         r = c_rows @ phi.reshape(n, m * m) - pairs.reshape(n * n, m * m)
         r2 += float(np.linalg.norm(r)) ** 2
-        phis.append(phi.reshape(n, m * m))
-    big_phi = np.concatenate(phis, axis=1).T  # column i stacks the blocks of phi(e_i)
-    svals = np.linalg.svd(big_phi, compute_uv=False)
+    svals = wedderburn.svd[1]
     if svals.size < n or svals[n - 1] == 0.0:
         return None
-    scale = float(np.linalg.norm(big_phi)) + float(np.linalg.norm(algebra.c))
+    scale = float(np.linalg.norm(wedderburn.matrix)) + float(np.linalg.norm(algebra.c))
     return 2.0 * scale * float(np.sqrt(r2)) / float(svals[n - 1])
 
 
@@ -298,6 +318,31 @@ class BlockDecomposition:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(b.size for b in self.blocks)
+
+
+@dataclass
+class WedderburnMap:
+    """The Wedderburn isomorphism phi: A -> ⊕_q M_{n_q} of a semisimple algebra.
+
+    phi_q(x) = V_q^H L(x) V_q on an orthonormal basis V_q of the left ideal
+    A p, p a minimal idempotent of block q (the carrier of
+    ``irreducible_representations``), in the order of ``blocks``.
+    """
+
+    blocks: BlockDecomposition
+    ideals: list[np.ndarray]  # V_q, (n, n_q)
+    phis: list[np.ndarray]  # phi_q(e_i) over i, (n, n_q, n_q)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The (sum n_q^2, n) matrix of phi: column i stacks the row-major blocks of phi(e_i)."""
+        n = self.phis[0].shape[0]
+        return np.concatenate([phi.reshape(n, -1) for phi in self.phis], axis=1).T
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``np.linalg.svd`` of :attr:`matrix`."""
+        return np.linalg.svd(self.matrix)
 
 
 def _minimal_central_idempotents(algebra: FinDimAlgebra, center: Subspace, tol: Tolerance):

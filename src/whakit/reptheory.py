@@ -20,7 +20,6 @@ from .algebra import (
     BlockDecomposition,
     GnsRep,
     _minimal_central_idempotents,
-    _minimal_idempotent_in_block,
     _support_key,
     gns_rep,
     induced_algebra,
@@ -39,7 +38,7 @@ from .errors import (
     ZeroIntertwiner,
 )
 from .integrals import CanonicalGrouplikes
-from .linalg import Subspace, kernel, kron_sum, lstsq, matrix_rank, normalize_phase, orth, perron_frobenius
+from .linalg import Subspace, kernel, kron_sum, lstsq, matrix_rank, orth, perron_frobenius
 from .report import AxiomReport
 from .wha import WeakHopfAlgebra
 
@@ -197,8 +196,9 @@ def _star_conjugate_rep(
 def irreducible_representations(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> list[Representation]:
     """One unitary irreducible representation per Wedderburn block, in block order.
 
-    Carriers are the left ideals ``A p`` (p a minimal idempotent),
-    orthonormalized in the inner product of a faithful Haar state.
+    Carriers are the left ideals ``A p`` (p a minimal idempotent) of
+    :meth:`~whakit.algebra.FinDimAlgebra.wedderburn_map`, orthonormalized in
+    the inner product of a faithful Haar state.
     """
     tol = get_tol(tol)
     state = w.derived(tol).haar_state
@@ -208,19 +208,15 @@ def irreducible_representations(w: WeakHopfAlgebra, tol: Tolerance | None = None
         raise NotSemisimple(f"{w.name}: Haar state is not faithful")
     gram = state.gram
     out = []
-    for b in w.algebra.block_decomposition(tol):
-        p = _minimal_idempotent_in_block(w.algebra, b, tol)
-        ideal = orth(w.algebra.right_mult(p), tol)  # columns span A p
+    wedderburn = w.algebra.wedderburn_map(tol)
+    for b, ideal in zip(wedderburn.blocks, wedderburn.ideals):  # columns span A p
         k = ideal.conj().T @ gram @ ideal
         vals, vecs = np.linalg.eigh((k + k.conj().T) / 2)
         basis = ideal @ (vecs / np.sqrt(vals))
         mats = np.stack(
             [basis.conj().T @ gram @ w.algebra.left_mult(w.algebra.basis_vector(j)) @ basis for j in range(w.dim)]
         )
-        rep = Representation(w, mats, name=f"irrep[{b.size}]")
-        if rep.dim != b.size:
-            raise CrossCheckMismatch(f"ideal carrier {rep.dim} != block size {b.size}")
-        out.append(rep)
+        out.append(Representation(w, mats, name=f"irrep[{b.size}]"))
     return out
 
 
@@ -298,7 +294,12 @@ def block_multiplicities(w: WeakHopfAlgebra, rep: Representation, tol: Tolerance
 
 
 def _unit_intertwiner(w, d_eps, d, side, tol):
-    """Unitary in Hom(d, eps (x) d) (side='left') or Hom(d, d (x) eps)."""
+    """Unitary in Hom(d, eps (x) d) (side='left') or Hom(d, d (x) eps).
+
+    Its phase is that of the canonical unitor ``v -> (D_eps (x) D)(Delta(1)) (Omega (x) v)``
+    (or ``v (x) Omega``), Omega the GNS vector of the unit, so that the zigzag
+    scalars do not depend on the basis.
+    """
     prod = (
         monoidal_product(w, d_eps, d, tol) if side == "left" else monoidal_product(w, d, d_eps, tol)
     )
@@ -312,9 +313,12 @@ def _unit_intertwiner(w, d_eps, d, side, tol):
     u = u / np.sqrt(c.real)
     if prod.dim != d.dim or float(np.linalg.norm(u @ u.conj().T - np.eye(prod.dim))) > 1e-7:
         raise CrossCheckMismatch(f"unit intertwiner for {d.name} is not unitary")
-    u = u.reshape(prod.dim, d.dim)
-    flat = normalize_phase(u.reshape(-1), tol)
-    return flat.reshape(prod.dim, d.dim), prod
+    omega, eye = d_eps.gns.vector(w.unit)[:, None], np.eye(d.dim)
+    canonical = prod.isometry.conj().T @ (np.kron(omega, eye) if side == "left" else np.kron(eye, omega))
+    overlap = complex(np.vdot(u, canonical))
+    if abs(overlap) <= 1e-7 * float(np.linalg.norm(canonical)) * np.sqrt(d.dim):
+        raise CrossCheckMismatch(f"unit intertwiner for {d.name} is orthogonal to the canonical unitor")
+    return u * (overlap / abs(overlap)), prod
 
 
 def _associator(w, ra, rc, ab, bc, tol):
@@ -403,7 +407,10 @@ def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Toleran
     ``Rbar`` spans Hom(D_eps, q (x) conj(q)) over nu (= q^L).  The pair is
     rescaled so that both proportionality constants equal d_q and the zigzag
     composites have modulus one; d_q itself is the scaling-invariant
-    ``sqrt(c1 c2 / |lambda1 lambda2|)`` of the raw data.
+    ``sqrt(c1 c2 / |lambda1 lambda2|)`` of the raw data.  The phase of R is a
+    gauge: it is fixed so that lambda1 is real positive, and with canonical
+    unitors the gauge-invariant lambda1 lambda2 must be real positive, so both
+    zigzag composites are 1.
     """
     tol = get_tol(tol)
     derived = w.derived(tol)
@@ -441,6 +448,12 @@ def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Toleran
         raise CrossCheckMismatch(
             f"zigzag scalars have different moduli: |{lam1:.6g}| vs |{lam2:.6g}|"
         )
+    # R -> e^{i theta} R multiplies lambda1 by e^{i theta} and lambda2 by e^{-i theta}, not their product
+    product = lam1 * lam2
+    if product.real <= 0 or abs(product.imag) > 1e-6 * abs(product):
+        raise CrossCheckMismatch(f"zigzag product lambda1 lambda2 = {product:.6g} is not real positive")
+    phase = abs(lam1) / lam1
+    r, lam1, lam2 = r * phase, lam1 * phase, lam2 / phase
     d_val = float(np.sqrt(c1 * c2 / abs(lam1 * lam2)))
     r = r * np.sqrt(d_val / c1)
     rbar = rbar * np.sqrt(d_val / c2)

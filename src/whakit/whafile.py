@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from importlib.resources import files
 from pathlib import Path
 
@@ -61,51 +60,61 @@ def _pairs(arr: np.ndarray):
 
 def to_dict(w: WeakHopfAlgebra, name: str | None = None, provenance: str | None = None) -> dict:
     """Plain-dict form of ``w`` following the packaged schema."""
-    n = w.dim
+    return _document(w, name, provenance, _pairs)
+
+
+def _document(w: WeakHopfAlgebra, name: str | None, provenance: str | None, numeric) -> dict:
+    """The document of ``w`` with each numeric field's complex array passed through ``numeric``."""
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
-        "dim": n,
+        "dim": w.dim,
         "basis_labels": [str(lbl) for lbl in w.algebra.basis_labels],
-        "structure_constants": _pairs(w.algebra.c),
-        "unit": _pairs(w.algebra.unit),
-        "comultiplication": _pairs(w.delta),
-        "counit": _pairs(w.eps),
-        "antipode": _pairs(w.antipode),
+        "structure_constants": numeric(w.algebra.c),
+        "unit": numeric(w.algebra.unit),
+        "comultiplication": numeric(w.delta),
+        "counit": numeric(w.eps),
+        "antipode": numeric(w.antipode),
     }
     if w.algebra.involution is not None:
-        doc["involution"] = _pairs(w.algebra.involution)
+        doc["involution"] = numeric(w.algebra.involution)
     doc["metadata"] = {"name": name if name is not None else w.name}
     if provenance is not None:
         doc["metadata"]["provenance"] = provenance
     return doc
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise SchemaError(f"non-finite value {x!r} cannot be serialized")
-    return format(float(x), ".17g")
+def _emit_array(arr: np.ndarray, indent: int) -> str:
+    """``arr`` as nested lists of ``[re, im]`` pairs with 17-significant-digit floats.
+
+    Every float is formatted in one pass; then each level joins the text of
+    its children, the innermost pairs on one line each so matrices diff row
+    by row.
+    """
+    floats = np.stack([np.real(arr), np.imag(arr)], axis=-1).ravel()
+    if not np.isfinite(floats).all():
+        bad = float(floats[~np.isfinite(floats)][0])
+        raise SchemaError(f"non-finite value {bad!r} cannot be serialized")
+    text = [format(x, ".17g") for x in floats.tolist()]
+    pad = "  " * (indent + arr.ndim)
+    items = [f"{pad}[{re}, {im}]" for re, im in zip(text[::2], text[1::2])]
+    for level in reversed(range(arr.ndim)):
+        pad, k = "  " * (indent + level), arr.shape[level]
+        items = [pad + "[\n" + ",\n".join(items[i : i + k]) + "\n" + pad + "]" for i in range(0, len(items), k)]
+    return items[0]
 
 
 def _emit(node, indent: int) -> str:
-    """Render the document with 17-significant-digit floats.
-
-    Innermost numeric lists print on one line so matrices diff row by row.
-    """
+    """Render the document; its numeric fields are complex arrays (:func:`_emit_array`)."""
     pad = "  " * indent
+    if isinstance(node, np.ndarray):
+        return _emit_array(node, indent)
     if isinstance(node, dict):
         items = [f'{pad}  {json.dumps(k)}: {_emit(v, indent + 1).lstrip()}' for k, v in node.items()]
         return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(node, list):
-        if all(not isinstance(v, (list, dict)) for v in node):
-            return pad + "[" + ", ".join(_emit(v, 0) for v in node) + "]"
-        items = [_emit(v, indent + 1) for v in node]
-        return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(node, bool) or node is None:
-        return pad + json.dumps(node)
+    if isinstance(node, list):  # the basis labels
+        return pad + "[" + ", ".join(_emit(v, 0) for v in node) + "]"
     if isinstance(node, int):
         return pad + str(node)
-    if isinstance(node, float):
-        return pad + _fmt_float(node)
     if isinstance(node, str):
         return pad + json.dumps(node)
     raise SchemaError(f"cannot serialize value of type {type(node).__name__}")
@@ -113,7 +122,7 @@ def _emit(node, indent: int) -> str:
 
 def dumps(w: WeakHopfAlgebra, name: str | None = None, provenance: str | None = None) -> str:
     """Serialize ``w`` to schema-valid JSON text."""
-    return _emit(to_dict(w, name=name, provenance=provenance), 0) + "\n"
+    return _emit(_document(w, name, provenance, np.asarray), 0) + "\n"
 
 
 def save(w: WeakHopfAlgebra, path, name: str | None = None, provenance: str | None = None) -> None:

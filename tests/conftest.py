@@ -34,6 +34,25 @@ def examples() -> dict[str, wk.WeakHopfAlgebra]:
     return build_examples()
 
 
+def _rotated(w: wk.WeakHopfAlgebra, seed: int) -> wk.WeakHopfAlgebra:
+    """``w`` in the basis ``f_a = sum_i p[i, a] e_i`` of a random complex unitary ``p``."""
+    r = np.random.default_rng(seed)
+    p, _ = np.linalg.qr(r.normal(size=(w.dim, w.dim)) + 1j * r.normal(size=(w.dim, w.dim)))
+    q = p.conj().T
+    a = w.algebra
+    c = np.einsum("ia,jb,ijk,dk->abd", p, p, a.c, q, optimize=True)
+    d3 = np.einsum("ap,bq,pqj,jc->abc", q, q, w.delta3, p, optimize=True)
+    inv = None if a.involution is None else q @ a.involution @ np.conj(p)
+    alg = wk.FinDimAlgebra(c, q @ a.unit, involution=inv, name=a.name)
+    return wk.WeakHopfAlgebra(alg, d3.reshape(w.dim**2, w.dim), p.T @ w.eps, q @ w.antipode @ p)
+
+
+@pytest.fixture(scope="session")
+def rotated():
+    """``rotated(w, seed)``: ``w`` in a seeded random complex unitary basis."""
+    return _rotated
+
+
 @pytest.fixture(scope="session")
 def z3(examples):
     return examples["z3"]

@@ -114,23 +114,11 @@ def test_ill_defined_product_is_rejected_where_the_relation_span_is_nonzero(exam
     assert resid == pytest.approx(1.0, abs=1e-3)
 
 
-def _rotated(w, seed):
-    """``w`` in the basis ``f_a = sum_i p[i, a] e_i`` of a random complex unitary ``p``."""
-    r = np.random.default_rng(seed)
-    p, _ = np.linalg.qr(r.normal(size=(w.dim, w.dim)) + 1j * r.normal(size=(w.dim, w.dim)))
-    q = p.conj().T
-    a = w.algebra
-    c = np.einsum("ia,jb,ijk,dk->abd", p, p, a.c, q, optimize=True)
-    d3 = np.einsum("ap,bq,pqj,jc->abc", q, q, w.delta3, p, optimize=True)
-    alg = wk.FinDimAlgebra(c, q @ a.unit, involution=q @ a.involution @ np.conj(p), name=a.name)
-    return wk.WeakHopfAlgebra(alg, d3.reshape(w.dim**2, w.dim), p.T @ w.eps, q @ w.antipode @ p)
-
-
 @pytest.mark.parametrize("key, blocks", [("s3", (6,)), ("m23", (5, 8))])
-def test_smash_product_on_a_complex_basis(examples, key, blocks):
+def test_smash_product_on_a_complex_basis(examples, rotated, key, blocks):
     # the star of the crossed product is antilinear, so the coproduct enters
     # it conjugated; on a real basis the conjugation is invisible
-    w = _rotated(examples[key], seed=5)
+    w = rotated(examples[key], seed=5)
     assert wk.validate_star(w).ok
     sp = wk.smash_product(w)
     assert wk.block_decomposition(sp.algebra).sizes == blocks
@@ -153,10 +141,10 @@ def _dense_reference(act):
 
 @pytest.mark.parametrize("complex_basis", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("key", ["p2", "p3", "fp3", "m23"])
-def test_crossed_product_matches_dense_reference(examples, key, complex_basis):
+def test_crossed_product_matches_dense_reference(examples, rotated, key, complex_basis):
     w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
     if complex_basis:
-        w = _rotated(w, seed=11)
+        w = rotated(w, seed=11)
     act = wk.dual_regular_action(w)
     cp = wk.crossed_product(act)
     big, st = _dense_reference(act)

@@ -257,7 +257,7 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
         "integrals.canonical_grouplike": 2,  # A and A^
         "reptheory.sector_dimensions": 2,  # A and A^
         "reptheory.standard_solutions": 4,  # two sectors on each side
-        "algebra.block_decomposition": 4,  # A, A^, the corner and its subalgebra
+        "algebra.block_decomposition": 2,  # the corner and its subalgebra; the antipode solve built A's and A^'s
         "algebra.gns_rep": 4,  # the Haar states of A and A^, and D_eps of each
         "reptheory.monoidal_product": 40,  # ten per standard solution
     }

@@ -188,6 +188,19 @@ def test_quantum_dimension_from_standard_solutions(m23):
     assert sol.zigzag_left == pytest.approx(sol.zigzag_right, abs=1e-9)
 
 
+def test_zigzags_are_one_whatever_the_rounding_or_the_basis(m23, rotated):
+    """The phase of R is a gauge (lambda1 -> e^{i theta} lambda1, lambda2 -> e^{-i theta}
+    lambda2) and the unitors' phases are canonical; rounding noise in the antipode,
+    a complex basis or the dual must not move the zigzags off 1."""
+    noise = 1e-15j * np.random.default_rng(0).standard_normal(m23.antipode.shape)
+    noisy = wk.WeakHopfAlgebra(m23.algebra, m23.delta, m23.eps, m23.antipode + noise)
+    for w in (noisy, rotated(m23, seed=2), m23.dual):
+        for q in (0, 1):
+            sol = wk.standard_solutions(w, q)
+            assert sol.zigzag_left == pytest.approx(1.0, abs=1e-9)
+            assert sol.zigzag_right == pytest.approx(1.0, abs=1e-9)
+
+
 def test_dimension_is_additive_and_multiplicative(s3):
     table = wk.sector_dimensions(s3)
     reps = [s.rep for s in table.sectors]

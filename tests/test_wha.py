@@ -195,6 +195,99 @@ def test_weak_kac_flag(examples, key):
     assert wk.is_weak_kac(examples[key]) is WEAK_KAC[key]
 
 
+def _bialgebra(w):
+    """The weak bialgebra of ``w`` on a fresh algebra object, so that no cached decomposition is reused."""
+    return wk.WeakBialgebra(wk.FinDimAlgebra(w.algebra.c, w.unit, name=w.name), w.delta, w.eps)
+
+
+@pytest.mark.parametrize("key", [k for k in ALL if k != "h4"] + ["m23~", "p4~", "fp3~", "ising"])
+def test_block_route_agrees_with_the_dense_route(examples, rotated, request, key):
+    """On every fixture that decomposes, three of them in a complex basis (~), and Ising."""
+    if key == "ising":
+        w = request.getfixturevalue("ising")
+    elif key == "fp3~":
+        w = rotated(wk.function_wha(wk.pair_groupoid(3)), seed=3)
+    else:
+        w = rotated(examples[key[:-1]], seed=3) if key.endswith("~") else examples[key]
+    w = _bialgebra(w)
+    blocks = wha._solve_antipode_blocks(w, wk.DEFAULT_TOL)
+    assert blocks is not None
+    assert np.linalg.norm(blocks - wha._solve_antipode_dense(w, wk.DEFAULT_TOL)) < 1e-12
+
+
+def _count_dense_solves(monkeypatch):
+    calls = []
+    dense = wha._solve_antipode_dense
+
+    def wrapper(w, tol):
+        calls.append(w.name)
+        return dense(w, tol)
+
+    monkeypatch.setattr(wha, "_solve_antipode_dense", wrapper)
+    return calls
+
+
+def test_the_dense_route_decides_what_does_not_decompose(h4, monkeypatch):
+    monkeypatch.setattr(wha, "SOLVE_ANTIPODE_BY_BLOCKS_FROM_DIM", 0)
+    calls = _count_dense_solves(monkeypatch)
+    assert wha._solve_antipode_blocks(_bialgebra(h4), wk.DEFAULT_TOL) is None  # A is not semisimple
+    assert np.linalg.norm(wk.solve_antipode(_bialgebra(h4)) - h4.antipode) < 1e-12
+    assert calls == [h4.name]
+
+
+def test_the_dense_route_is_not_run_where_the_blocks_decide(examples, monkeypatch):
+    calls = _count_dense_solves(monkeypatch)
+    p4 = examples["p4"]
+    assert p4.dim >= wha.SOLVE_ANTIPODE_BY_BLOCKS_FROM_DIM
+    assert np.linalg.norm(wk.solve_antipode(_bialgebra(p4)) - p4.antipode) < 1e-12
+    assert calls == []
+
+
+def test_a_missing_antipode_falls_back_to_the_dense_verdict(idempotent_monoid, monkeypatch):
+    monkeypatch.setattr(wha, "SOLVE_ANTIPODE_BY_BLOCKS_FROM_DIM", 0)
+    calls = _count_dense_solves(monkeypatch)
+    assert wha._solve_antipode_blocks(idempotent_monoid, wk.DEFAULT_TOL) is None  # both algebras are C^2
+    [bad] = wk.validate_wha(idempotent_monoid).failures
+    assert bad.name == "antipode solvable (NoAntipode)"
+    assert calls == [idempotent_monoid.name]
+
+
+def test_perturbation_verdicts_do_not_depend_on_the_route(examples, rotated, monkeypatch):
+    """The verdicts with the block route tried at every dimension are those of
+    the dense route alone: every validate_wha row name and pass flag, and what
+    solve_antipode makes of perturbed weak bialgebras (solved or which error),
+    also where a 1e-8 perturbation leaves the equations nearly solvable."""
+    bases = {key: examples[key] for key in ("s3", "p4", "fp2", "h4", "m23")}
+    bases["fp3~"] = rotated(wk.function_wha(wk.pair_groupoid(3)), seed=7)
+    fields = ("structure_constants", "unit", "counit", "comultiplication", "antipode", "involution")
+
+    def rows(w, from_dim):
+        monkeypatch.setattr(wha, "SOLVE_ANTIPODE_BY_BLOCKS_FROM_DIM", from_dim)
+        return [(c.name, c.passed) for c in wk.validate_wha(w).checks]
+
+    def solved(w, from_dim):
+        monkeypatch.setattr(wha, "SOLVE_ANTIPODE_BY_BLOCKS_FROM_DIM", from_dim)
+        try:
+            wha.solve_antipode(w)
+        except wk.WhakitError as exc:
+            return type(exc).__name__
+        return "solved"
+
+    verdicts = set()
+    for w in bases.values():
+        for field in fields if w.algebra.involution is not None else fields[:-1]:
+            for seed in range(3):
+                broken = [wk.perturb(w, field, seed=seed) for _ in range(2)]
+                assert rows(broken[0], 0) == rows(broken[1], 10**9), (w.name, field, seed)
+        for field in fields[:4]:
+            for magnitude in (1e-3, 1e-8):
+                broken = [wk.perturb(w, field, magnitude=magnitude, seed=5) for _ in range(2)]
+                verdict = solved(broken[0], 0)
+                assert verdict == solved(broken[1], 10**9), (w.name, field, magnitude)
+                verdicts.add(verdict)
+    assert verdicts == {"solved", "NoAntipode"}
+
+
 def test_sweedler_antipode_has_order_four(h4):
     s = h4.antipode
     assert np.linalg.norm(s @ s - np.eye(4)) > 0.5

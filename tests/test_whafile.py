@@ -255,3 +255,42 @@ def test_random_doubles_load_bit_identically():
     doc = {"unit": json.loads(json.dumps(leaves.tolist()))}
     got = whafile._carray(doc, "unit", (5,))
     assert got.tobytes() == (leaves[:, 0] + 1j * leaves[:, 1]).tobytes()
+
+
+def _reference_emit(node, indent: int) -> str:
+    """The per-value emitter ``dumps`` used before it formatted whole arrays: the reference text."""
+    pad = "  " * indent
+    if isinstance(node, dict):
+        items = [f"{pad}  {json.dumps(k)}: {_reference_emit(v, indent + 1).lstrip()}" for k, v in node.items()]
+        return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(node, list):
+        if all(not isinstance(v, (list, dict)) for v in node):
+            return pad + "[" + ", ".join(_reference_emit(v, 0) for v in node) + "]"
+        items = [_reference_emit(v, indent + 1) for v in node]
+        return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(node, bool) or node is None:
+        return pad + json.dumps(node)
+    if isinstance(node, int):
+        return pad + str(node)
+    if isinstance(node, float):
+        if not np.isfinite(node):
+            raise wk.SchemaError(f"non-finite value {node!r} cannot be serialized")
+        return pad + format(node, ".17g")
+    if isinstance(node, str):
+        return pad + json.dumps(node)
+    raise wk.SchemaError(f"cannot serialize value of type {type(node).__name__}")
+
+
+def test_dumps_is_byte_identical_to_the_reference_emitter(examples, rotated):
+    algebras = list(examples.values()) + [rotated(examples["m23"], seed=4), examples["p4"].dual]
+    for w in algebras:
+        text = whafile.dumps(w, provenance="test")
+        assert text == _reference_emit(whafile.to_dict(w, provenance="test"), 0) + "\n", w.name
+
+
+def test_dumps_refuses_a_non_finite_value(z3):
+    s = z3.antipode.copy()
+    s[1, 2] = np.inf
+    broken = wk.WeakHopfAlgebra(z3.algebra, z3.delta, z3.eps, s)
+    with pytest.raises(wk.SchemaError, match="non-finite value"):
+        whafile.dumps(broken)
