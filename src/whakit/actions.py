@@ -5,7 +5,8 @@ alpha[i,j,k] m_k``.  On top of axiom validation this module builds invariant
 subalgebras (two independent routes), the crossed product ``M x| A`` on the
 relative tensor product over ``A^L``, the regularity clauses that make
 ``M^A c M c M x| A`` a basic construction, the itemized basic-construction
-checks, the Galois map, and the smash product ``A # A^``.
+checks, the Galois map ``M (x)_{M^A} M -> (M (x) A^) rho(1)`` into the corner
+of the coaction's unit, and the smash product ``A # A^``.
 """
 
 from __future__ import annotations
@@ -181,20 +182,6 @@ class CrossedProduct:
         return self.carrier.conj().T @ np.kron(m, a)
 
 
-def _relation_span(action: WhaAction, l_mats: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal span of ``m alpha_l(1) (x) x - m (x) l.x`` inside M (x) X.
-
-    ``l_mats[b]`` is the matrix of ``x -> l.x`` on the second leg X for the
-    b-th basis vector l of A^L.  The spanning vectors run over the basis of
-    A^L (outermost), then the bases of M and of X.
-    """
-    m_alg = action.module
-    lb = action.wha.derived(tol).counital_subalgebras.left.basis
-    al1 = np.einsum("pb,pjr,j->br", lb, action.alpha, m_alg.unit, optimize=True)  # alpha_l(1_M)
-    rel = kron_sum(np.einsum("irk,br->bki", m_alg.c, al1), l_mats)  # m -> m alpha_l(1_M)
-    return orth(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1), tol)
-
-
 def _multiplicativity_residual(out: FinDimAlgebra, emb: np.ndarray, c_src: np.ndarray) -> float:
     """Largest ``|emb(e_i) emb(e_j) - emb(e_i e_j)|`` over all pairs of basis vectors."""
     got = np.einsum("ai,bj,abg->ijg", emb, emb, out.c, optimize=True)
@@ -231,8 +218,11 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     w, m_alg, alpha = action.wha, action.module, action.alpha
     dm, da = m_alg.dim, w.dim
     d_full = dm * da
+    # relation span of m alpha_l(1_M) (x) a - m (x) l a, over the bases of A^L, M and A
     lb = w.derived(tol).counital_subalgebras.left.basis
-    v_rel = _relation_span(action, np.einsum("qb,qac->bca", lb, w.algebra.c), tol)  # a -> l a
+    al1 = np.einsum("pb,pjr,j->br", lb, alpha, m_alg.unit, optimize=True)  # alpha_l(1_M)
+    rel = kron_sum(np.einsum("irk,br->bki", m_alg.c, al1), np.einsum("qb,qac->bca", lb, w.algebra.c))
+    v_rel = orth(rel.transpose(1, 0, 2).reshape(d_full, -1), tol)
     carrier = kernel(v_rel.conj().T, tol)
     d = carrier.shape[1]
     cbar = carrier.conj().reshape(dm, da, d)
@@ -486,15 +476,23 @@ def verify_basic_construction(
 
 
 def galois_map(action: WhaAction, tol: Tolerance | None = None):
-    """Canonical map M (x)_N M -> M (x)_(A^L) A^, (m (x) m') -> (m (x) 1^) rho(m').
+    """Canonical map M (x)_N M -> (M (x) A^) rho(1), (m (x) m') -> (m (x) 1^) rho(m').
 
-    The coaction is the dual-basis transposition ``rho(m) = sum_i alpha_{e_i}(m)
-    (x) e^_i``, so the map sends ``m (x) m'`` to ``sum_i m alpha_{e_i}(m') (x)
-    e^_i``; both sides are relative-tensor quotients.  On the dual leg, ``l``
-    acts by right multiplication with ``l > 1^`` (the canonical copy of A^L
-    inside A^), i.e. ``<l . phi, x> = <phi, x_(1)> eps(x_(2) l)``; this is the
-    balancing for which the map restricts to an isomorphism on regular
-    actions.  Returns ``(matrix, is_isomorphism)``.
+    The coaction is the dual-basis transposition ``rho(m) = sum_t alpha_{e_t}(m)
+    (x) e^_t``, so the map sends ``m (x) m'`` to ``sum_t m alpha_{e_t}(m') (x)
+    e^_t``.  The domain is the relative tensor quotient over the invariants
+    N; the target is the corner of M (x) A^ cut out by right multiplication
+    with ``rho(1) = sum_t alpha_{e_t}(1_M) (x) e^_t``, which holds the image
+    because ``rho(m') = rho(m') rho(1)``.  The map is bijective when its rank,
+    dim M (x)_N M and the rank of ``rho(1)`` agree.  Bijective is not regular:
+    the dual regular action of S_3 is Galois but fails the relative-commutant
+    clause of :func:`is_regular`.
+
+    Checks, both against ``tol.bound(|g|_F) * 100`` for the map ``g`` on the
+    unquotiented M (x) M: the image of the domain's relations
+    (IllDefinedProduct) and the image's component outside the corner
+    (CrossCheckMismatch).  Returns ``(matrix, bijective)``, the matrix in
+    orthonormal bases of the domain and of the corner.
     """
     tol = get_tol(tol)
     w, m_alg, alpha = action.wha, action.module, action.alpha
@@ -507,19 +505,22 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     v_dom = orth(rel.transpose(1, 0, 2).reshape(dm * dm, -1), tol)
     w_dom = kernel(v_dom.conj().T, tol)
 
-    # target M (x)_(A^L) A^: quotient by m alpha_l(1) (x) phi - m (x) l.phi,
-    # where <l.phi, x> = <phi, x_(1)> eps(x_(2) l)
-    lb = w.derived(tol).counital_subalgebras.left.basis
-    el = np.einsum("qst,sb,t->bq", w.algebra.c, lb, w.eps, optimize=True)
-    v_tgt = _relation_span(action, np.einsum("aqk,bq->bka", w.delta3, el), tol)  # phi -> l.phi
-    w_tgt = kernel(v_tgt.conj().T, tol)
+    # target: the range of (m (x) phi) -> (m (x) phi) rho(1) on M (x) A^, whose
+    # product is the transpose of Delta
+    unit_act = np.einsum("tjr,j->tr", alpha, m_alg.unit)  # alpha_{e_t}(1_M)
+    rho1 = np.einsum("tr,irk,stu->kuis", unit_act, m_alg.c, w.delta3, optimize=True)
+    corner = orth(rho1.reshape(dm * da, dm * da), tol)
 
     g_full = np.einsum("tjr,irk->ktij", alpha, m_alg.c, optimize=True).reshape(dm * da, dm * dm)
-    g_tgt = w_tgt.conj().T @ g_full
-    resid = float(np.linalg.norm(g_tgt @ v_dom))
-    if resid > tol.bound(max(1.0, float(np.linalg.norm(g_full)))) * 100:
-        raise IllDefinedProduct(f"Galois map does not descend to the quotients ({resid:.3e})")
-    mat = g_tgt @ w_dom
+    bound = tol.bound(max(1.0, float(np.linalg.norm(g_full)))) * 100
+    resid = float(np.linalg.norm(g_full @ v_dom))
+    if resid > bound:
+        raise IllDefinedProduct(f"Galois map does not descend to M (x)_N M ({resid:.3e})")
+    image = g_full @ w_dom
+    mat = corner.conj().T @ image
+    outside = float(np.linalg.norm(image - corner @ mat))
+    if outside > bound:
+        raise CrossCheckMismatch(f"Galois map leaves the corner (M (x) A^) rho(1) ({outside:.3e})")
     bijective = mat.shape[0] == mat.shape[1] == matrix_rank(mat, tol)
     return mat, bijective
 

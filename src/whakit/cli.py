@@ -430,6 +430,11 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_crossprod(args) -> int:
+    """Build a crossed product and report its structure, regularity and Galois map.
+
+    ``expected_dim`` is dim M (x)_N M over the invariants N, the domain of the
+    Galois map; it equals ``crossed_dim`` when the action is Galois.
+    """
     tol = Tolerance(args.tol, args.tol)
     if args.kind == "translation":
         try:
@@ -461,14 +466,13 @@ def cmd_crossprod(args) -> int:
         sizes = None
     reg = is_regular(action, cp, tol)
     gal_mat, gal_bij = galois_map(action, tol)
-    al_dim = action.wha.derived(tol).counital_subalgebras.left.dim
     doc = {
         "report_version": REPORT_VERSION,
         "kind": args.kind,
         "module_dim": action.module.dim,
         "algebra_dim": action.wha.dim,
         "crossed_dim": cp.dim,
-        "expected_dim": action.module.dim * action.wha.dim // al_dim,
+        "expected_dim": gal_mat.shape[1],
         "semisimple": sizes is not None,
         "block_sizes": sizes,
         "action_checks": checks,
@@ -483,7 +487,7 @@ def cmd_crossprod(args) -> int:
     else:
         lines = [
             f"{args.kind}: module dim {doc['module_dim']}, algebra dim {doc['algebra_dim']}",
-            f"crossed product dim {doc['crossed_dim']} (expected {doc['expected_dim']})",
+            f"crossed product dim {doc['crossed_dim']} (M ⊗_N M: {doc['expected_dim']})",
             f"blocks: {sizes if sizes is not None else 'not semisimple'}",
             f"regular: {doc['regular']}"
             + (f"  failing: {', '.join(doc['failing_clauses'])}" if doc["failing_clauses"] else ""),

@@ -558,14 +558,13 @@ def validate_wha(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRepor
     return rep
 
 
-def dual_wha(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> WeakHopfAlgebra:
+def dual_wha(w: WeakHopfAlgebra) -> WeakHopfAlgebra:
     """The dual weak Hopf algebra on the dual basis.
 
     Multiplication is the transpose of comultiplication and vice versa; the
     unit is the counit covector; the antipode is the transpose; the involution
     (when the primal carries one) is ``<phi*, a> = conj <phi, S(a)*>``.
     """
-    tol = get_tol(tol)
     n = w.dim
     c_dual = w.delta3.copy()
     delta_dual = w.algebra.c.reshape(n * n, n).copy()

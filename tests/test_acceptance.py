@@ -459,6 +459,7 @@ def test_criterion_09_actions_crossed_products_galois(examples, acceptance):
             rep = wk.validate_action(act)
             c.check(rep.ok, f"{name}: action axioms fail: {[f.name for f in rep.failures]}")
 
+            # on groupoids and group algebras A is free over A^L
             w = act.wha
             expected = act.module.dim * w.dim // w.counital_subalgebras.left.dim
             cp = wk.crossed_product(act)
@@ -468,8 +469,20 @@ def test_criterion_09_actions_crossed_products_galois(examples, acceptance):
                 f"{name}: crossed product dim {cp.algebra.dim}, expected {expected}",
             )
 
-            _, bij = wk.galois_map(act)
-            c.check(bij, f"{name}: Galois map is not bijective")
+        # dual regular actions (whose coaction is Delta itself) and arrow
+        # actions are Galois, groupoid or not; the crossed product then has
+        # the dimension of the Galois map's domain
+        galois_keys = ("z3", "s3", "p2", "p3", "fp2", "m23")
+        for key in galois_keys:
+            for kind, make in (("dual regular", wk.dual_regular_action), ("arrows", wk.arrow_action)):
+                act = make(examples[key])
+                mat, bij = wk.galois_map(act)
+                c.check(bij, f"{kind} of {key}: Galois map {mat.shape} is not bijective")
+                dim = wk.crossed_product(act).algebra.dim
+                c.check(
+                    mat.shape == (dim, dim),
+                    f"{kind} of {key}: crossed dim {dim}, but dim M (x)_N M = {mat.shape[1]}",
+                )
 
         worst = 0.0
         for name in regular_family:
@@ -506,7 +519,8 @@ def test_criterion_09_actions_crossed_products_galois(examples, acceptance):
         reg = wk.is_regular(triv)
         c.check(not reg.regular and reg.failing_clauses(), "trivial action: regularity not refused")
         c.detail = (
-            f"6 actions: crossed dims = dim M · dim A / dim A^L, Galois bijective; "
+            f"6 actions: crossed dims = dim M · dim A / dim A^L; "
+            f"{2 * len(galois_keys)} actions: Galois bijective, crossed dim = dim M ⊗_N M; "
             f"basic construction ≤ {worst:.1e} on the regular family; trivial action refused"
         )
 

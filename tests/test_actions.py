@@ -204,6 +204,53 @@ def test_translation_type_actions_are_not_regular(actions, name):
     assert bij
 
 
+@pytest.mark.parametrize(
+    "key, make", [("fp2", wk.dual_regular_action), ("p2", wk.arrow_action)], ids=["dualreg fp2", "arrow p2"]
+)
+def test_galois_map_is_bijective_onto_the_corner(examples, key, make):
+    act = make(examples[key])
+    mat, bij = wk.galois_map(act)
+    assert mat.shape == (8, 8)
+    assert bij
+
+
+def test_galois_is_not_regularity(examples):
+    # the dual regular action of S_3 is Galois but not regular: the relative
+    # commutant of M in M x| A is larger than A^R = C
+    act = wk.dual_regular_action(examples["s3"])
+    reg = wk.is_regular(act)
+    assert not reg.regular
+    assert reg.failing_clauses() == ["(ii) relative commutant M' in M x| A differs from A^R"]
+    mat, bij = wk.galois_map(act)
+    assert mat.shape == (36, 36)
+    assert bij
+
+
+def test_galois_map_of_the_ising_dual_regular_action(ising):
+    # its crossed product is left out: the product tensor alone needs ~8.5 GB
+    mat, bij = wk.galois_map(wk.dual_regular_action(ising))
+    assert mat.shape == (396, 396)
+    assert bij
+
+
+def test_galois_map_rejects_an_image_outside_the_corner(examples):
+    # alpha'_a = alpha_a + eps(a) theta with theta(m) = 1e-3 E(m x0), E = alpha_h
+    # and E(x0) = 0: theta is left N-linear and vanishes on N, so the
+    # invariants, the descent and rho(1) are unchanged, but the images
+    # m theta(m') (x) 1^ lie outside (M (x) A^) rho(1)
+    act = wk.dual_regular_action(examples["p2"])
+    m_alg = act.module
+    e = act.amat(wk.haar_integral(act.wha))
+    x = np.random.default_rng(1).normal(size=m_alg.dim)
+    x0 = x - e @ x
+    theta = 1e-3 * e @ np.einsum("irk,r->ki", m_alg.c, x0)
+    alpha = act.alpha + np.einsum("t,kj->tjk", act.wha.eps, theta)
+    with pytest.raises(wk.CrossCheckMismatch, match="leaves the corner") as err:
+        wk.galois_map(wk.WhaAction(act.wha, m_alg, alpha, name="broken"))
+    resid = float(re.search(r"\(([0-9.]+e[+-][0-9]+)\)", str(err.value)).group(1))
+    assert resid == pytest.approx(1.25e-3, rel=0.01)
+
+
 def test_basic_construction_items_fail_exactly_where_expected(actions):
     rep = wk.verify_basic_construction(actions["arrow z3"])
     assert not rep.ok

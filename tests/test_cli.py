@@ -228,6 +228,22 @@ def test_crossprod_smash(z3_file, capsys):
     assert doc["block_sizes"] == [3]
 
 
+def test_crossprod_smash_reports_the_galois_domain(m23_file, capsys):
+    # dim M x| A = dim M (x)_N M = 89, not dim M * dim A / dim A^L = 84
+    assert main(["crossprod", "smash", m23_file]) == EX_OK
+    out = capsys.readouterr().out
+    assert "crossed product dim 89 (M ⊗_N M: 89)" in out
+    assert "galois map 89x89: bijective" in out
+
+
+def test_crossprod_trivial_is_not_galois(z3_file, capsys):
+    assert main(["crossprod", "trivial", z3_file, "--format", "json"]) == EX_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["crossed_dim"], doc["expected_dim"]) == (3, 1)
+    assert doc["galois_shape"] == [3, 1]
+    assert doc["galois_bijective"] is False
+
+
 def test_output_flag_writes_file_instead_of_stdout(z3_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["validate", z3_file, "--format", "json", "-o", str(out)]) == EX_OK
