@@ -26,7 +26,7 @@ from .errors import (
     NotConditionalExpectation,
     NotSemisimple,
 )
-from .linalg import Subspace, kernel, kron_sum, matrix_rank, orth
+from .linalg import Subspace, kernel, kron_sum, matrix_rank, orth, span_and_complement
 from .report import AxiomReport
 from .wha import WeakHopfAlgebra
 
@@ -222,8 +222,7 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     lb = w.derived(tol).counital_subalgebras.left.basis
     al1 = np.einsum("pb,pjr,j->br", lb, alpha, m_alg.unit, optimize=True)  # alpha_l(1_M)
     rel = kron_sum(np.einsum("irk,br->bki", m_alg.c, al1), np.einsum("qb,qac->bca", lb, w.algebra.c))
-    v_rel = orth(rel.transpose(1, 0, 2).reshape(d_full, -1), tol)
-    carrier = kernel(v_rel.conj().T, tol)
+    v_rel, carrier = span_and_complement(rel.transpose(1, 0, 2).reshape(d_full, -1), tol)
     d = carrier.shape[1]
     cbar = carrier.conj().reshape(dm, da, d)
 
@@ -502,8 +501,7 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     # domain M (x)_N M: quotient by m n (x) m' - m (x) n m'
     nb = n_sub.basis
     rel = kron_sum(np.einsum("jb,ijk->bki", nb, m_alg.c), np.einsum("ib,ijk->bkj", nb, m_alg.c))
-    v_dom = orth(rel.transpose(1, 0, 2).reshape(dm * dm, -1), tol)
-    w_dom = kernel(v_dom.conj().T, tol)
+    v_dom, w_dom = span_and_complement(rel.transpose(1, 0, 2).reshape(dm * dm, -1), tol)
 
     # target: the range of (m (x) phi) -> (m (x) phi) rho(1) on M (x) A^, whose
     # product is the transpose of Delta

@@ -16,6 +16,7 @@ from .errors import DimensionMismatch, NotNonnegative, RankDeficient
 __all__ = [
     "orth",
     "kernel",
+    "span_and_complement",
     "lstsq",
     "matrix_rank",
     "kron_sum",
@@ -56,6 +57,11 @@ def normalize_phase(v, tol: Tolerance | None = None):
     return v * (abs(pivot) / pivot)
 
 
+def _phase_normalized(q, tol: Tolerance):
+    """The columns of ``q``, each passed through :func:`normalize_phase`."""
+    return np.column_stack([normalize_phase(q[:, j], tol) for j in range(q.shape[1])]) if q.shape[1] else q
+
+
 def orth(a, tol: Tolerance | None = None):
     """Orthonormal basis (columns) of the column space of ``a``."""
     tol = get_tol(tol)
@@ -64,8 +70,7 @@ def orth(a, tol: Tolerance | None = None):
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r = _svd_cut(s, tol, s[0] if s.size else 0.0)
-    q = u[:, :r]
-    return np.column_stack([normalize_phase(q[:, j], tol) for j in range(r)]) if r else q
+    return _phase_normalized(u[:, :r], tol)
 
 
 def kernel(a, tol: Tolerance | None = None):
@@ -80,8 +85,26 @@ def kernel(a, tol: Tolerance | None = None):
     # already carries all of V, and avoids the m x m factor U
     u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     r = _svd_cut(s, tol, s[0])
-    q = vh[r:, :].conj().T
-    return np.column_stack([normalize_phase(q[:, j], tol) for j in range(q.shape[1])]) if q.shape[1] else q
+    return _phase_normalized(vh[r:, :].conj().T, tol)
+
+
+def span_and_complement(a, tol: Tolerance | None = None):
+    """Orthonormal bases ``(span, complement)`` of the column space of ``a`` and
+    of its orthogonal complement, both from one SVD.
+
+    ``span`` is what :func:`orth` returns (same cut, same phases); the columns
+    of ``complement`` span ``kernel(span^H)``.
+    """
+    tol = get_tol(tol)
+    a = _as_matrix(a)
+    m = a.shape[0]
+    if min(a.shape) == 0 or not np.any(a):
+        return np.zeros((m, 0), dtype=complex), np.eye(m, dtype=complex)
+    # the economy U of a wide (or square) matrix is already square; a tall one
+    # needs the full U for the complement
+    u, s, _ = np.linalg.svd(a, full_matrices=m > a.shape[1])
+    r = _svd_cut(s, tol, s[0])
+    return _phase_normalized(u[:, :r], tol), _phase_normalized(u[:, r:], tol)
 
 
 def matrix_rank(a, tol: Tolerance | None = None) -> int:

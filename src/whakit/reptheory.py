@@ -3,11 +3,14 @@
 Representations are stored as arrays of matrices over the algebra basis.  The
 monoidal product compresses ``(D1 (x) D2) o Delta`` to the range of the
 idempotent ``(D1 (x) D2)(Delta(1))``; the counit's GNS representation is the
-monoidal unit; conjugates arise from the antipode.  Sectors (irreducible
-blocks) carry intrinsic dimensions d_q obtained two independent ways — the
-grouplike trace formula and zigzag-normalized standard solutions of the
-conjugate equations — and assemble into vacuum-indexed dimension matrices
-whose Perron eigenvalue is the Markov index.
+monoidal unit; conjugates arise from the antipode.  Because Delta is
+coassociative, iterated products are subspaces of the flat tensor product
+H1 (x) H2 (x) H3 that do not depend on the bracketing, so the zigzag
+composites of the conjugate equations are formed there, with no associator.
+Sectors (irreducible blocks) carry intrinsic dimensions d_q obtained two
+independent ways — the grouplike trace formula and zigzag-normalized standard
+solutions of the conjugate equations — and assemble into vacuum-indexed
+dimension matrices whose Perron eigenvalue is the Markov index.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ class Representation:
     matrices: np.ndarray  # (n, d, d)
     name: str = ""
     isometry: np.ndarray | None = None  # for monoidal products: carrier -> H1 (x) H2
-    factors: tuple["Representation", "Representation"] | None = None
     gns: GnsRep | None = None
 
     @property
@@ -147,7 +149,11 @@ def monoidal_product(
     """Truncated tensor product: compress (D1 (x) D2) o Delta to ran (D1 (x) D2)(Delta(1)).
 
     The compression is multiplicative and unital because ``Delta(1)`` absorbs
-    ``Delta(a)`` on both sides; the carrier may be zero-dimensional.
+    ``Delta(a)`` on both sides; the carrier may be zero-dimensional.  The
+    returned ``isometry`` embeds the carrier in H1 (x) H2.  Pushed through
+    these isometries, both bracketings of a triple product have the same range
+    in H1 (x) H2 (x) H3, the image of ``(Delta (x) id)Delta(1) = (id (x)
+    Delta)Delta(1)``: the product is strictly associative as a subspace.
     """
     tol = get_tol(tol)
     n = w.dim
@@ -157,9 +163,7 @@ def monoidal_product(
     p = np.einsum("j,jab->ab", w.unit, t)
     v = orth(p, tol)
     mats = np.einsum("am,jab,bk->jmk", np.conj(v), t, v, optimize=True)
-    return Representation(
-        w, mats, name=f"{d1.name}(x){d2.name}", isometry=v, factors=(d1, d2)
-    )
+    return Representation(w, mats, name=f"{d1.name}(x){d2.name}", isometry=v)
 
 
 def _antilinear_star_antipode(w: WeakHopfAlgebra):
@@ -171,18 +175,14 @@ def _antilinear_star_antipode(w: WeakHopfAlgebra):
 
 def conjugate_rep(w: WeakHopfAlgebra, d: Representation, tol: Tolerance | None = None) -> Representation:
     """Conjugate representation ``a -> conj(D(S(a)*))`` on the conjugate carrier."""
-    tol = get_tol(tol)
-    k = _antilinear_star_antipode(w)
-    mats = np.stack([np.conj(d.apply(k[:, j])) for j in range(w.dim)])
-    out = Representation(w, mats, name=f"conj({d.name})")
-    out.validate(tol).raise_if_failed()
-    return out
+    return _star_conjugate_rep(w, d, w.unit, w.unit, tol)
 
 
 def _star_conjugate_rep(
     w: WeakHopfAlgebra, d: Representation, g_half, g_half_inv, tol: Tolerance | None = None
 ) -> Representation:
-    """Conjugate twisted by g^(1/2) so a *-representation stays a *-representation."""
+    """Conjugate ``a -> conj(D(g^(1/2) S(a)* g^(-1/2)))``, twisted by g^(1/2) so a
+    *-representation stays a *-representation; g^(1/2) = 1 gives :func:`conjugate_rep`."""
     tol = get_tol(tol)
     k = _antilinear_star_antipode(w)
     mats = np.stack(
@@ -293,52 +293,51 @@ def block_multiplicities(w: WeakHopfAlgebra, rep: Representation, tol: Tolerance
 # standard solutions of the conjugate equations
 
 
-def _unit_intertwiner(w, d_eps, d, side, tol):
-    """Unitary in Hom(d, eps (x) d) (side='left') or Hom(d, d (x) eps).
+def _unitor(w, d_eps, d, side):
+    """Canonical unitor of ``d`` in the flat space, normalized to an isometry.
 
-    Its phase is that of the canonical unitor ``v -> (D_eps (x) D)(Delta(1)) (Omega (x) v)``
-    (or ``v (x) Omega``), Omega the GNS vector of the unit, so that the zigzag
-    scalars do not depend on the basis.
+    ``side='left'``: ``v -> (D_eps (x) D)(Delta(1)) (Omega (x) v)`` into
+    H_eps (x) H; ``side='right'``: ``v -> (D (x) D_eps)(Delta(1)) (v (x) Omega)``
+    into H (x) H_eps; Omega is the GNS vector of the unit.  It must be an
+    isometry whose range projection is that image of Delta(1), and it must
+    intertwine D with the product representation ``(D_eps (x) D) o Delta`` (or
+    ``(D (x) D_eps) o Delta``); either failure raises CrossCheckMismatch.
     """
-    prod = (
-        monoidal_product(w, d_eps, d, tol) if side == "left" else monoidal_product(w, d, d_eps, tol)
-    )
-    homs = intertwiner_space(w, d, prod, tol)
-    if len(homs) != 1:
+    first, second = (d_eps, d) if side == "left" else (d, d_eps)
+    f, s, k = first.dim, second.dim, d.dim
+    omega, eye = d_eps.gns.vector(w.unit)[:, None], np.eye(k)
+    proj = np.einsum("qac,qbd->abcd", np.tensordot(w.delta1, first.matrices, axes=(0, 0)), second.matrices)
+    proj = proj.reshape(f * s, f * s)
+    u = proj @ (np.kron(omega, eye) if side == "left" else np.kron(eye, omega))
+    norm2 = float(np.vdot(u, u).real) / k
+    if norm2 <= 0.0:
+        raise CrossCheckMismatch(f"{side} unitor of {d.name} vanishes")
+    u = u / np.sqrt(norm2)
+    isometry = float(np.linalg.norm(u.conj().T @ u - eye))
+    support = float(np.linalg.norm(u @ u.conj().T - proj))
+    if max(isometry, support) > 1e-7:
         raise CrossCheckMismatch(
-            f"unit constraint Hom({d.name}, {prod.name}) has dimension {len(homs)}, expected 1"
+            f"{side} unitor of {d.name} is not an isometry onto the range of Delta(1) "
+            f"(residuals {isometry:.3e}, {support:.3e})"
         )
-    u = homs[0]
-    c = np.trace(u.conj().T @ u) / d.dim
-    u = u / np.sqrt(c.real)
-    if prod.dim != d.dim or float(np.linalg.norm(u @ u.conj().T - np.eye(prod.dim))) > 1e-7:
-        raise CrossCheckMismatch(f"unit intertwiner for {d.name} is not unitary")
-    omega, eye = d_eps.gns.vector(w.unit)[:, None], np.eye(d.dim)
-    canonical = prod.isometry.conj().T @ (np.kron(omega, eye) if side == "left" else np.kron(eye, omega))
-    overlap = complex(np.vdot(u, canonical))
-    if abs(overlap) <= 1e-7 * float(np.linalg.norm(canonical)) * np.sqrt(d.dim):
-        raise CrossCheckMismatch(f"unit intertwiner for {d.name} is orthogonal to the canonical unitor")
-    return u * (overlap / abs(overlap)), prod
+    # (first (x) second)(Delta(e_j)) u against u D(e_j), Delta contracted last
+    fu = np.tensordot(first.matrices, u.reshape(f, s, k), axes=(2, 0))  # [p, a, d, l]
+    sfu = np.tensordot(fu, second.matrices, axes=(2, 2))  # [p, a, l, q, b]
+    moved = np.tensordot(w.delta3, sfu, axes=([0, 1], [0, 3]))  # [j, a, l, b]
+    moved = moved.transpose(0, 1, 3, 2).reshape(w.dim, f * s, k)
+    resid = float(np.linalg.norm(moved - u @ d.matrices))
+    if resid > 1e-7 * max(1.0, float(np.linalg.norm(d.matrices))):
+        raise CrossCheckMismatch(f"{side} unitor of {d.name} fails to intertwine (residual {resid:.3e})")
+    return u
 
 
-def _associator(w, ra, rc, ab, bc, tol):
-    """Unitary from H_((ab)c) to H_(a(bc)), plus the two iterated product reps,
-    given the pair products ``ab`` = a (x) b and ``bc`` = b (x) c."""
-    left = monoidal_product(w, ab, rc, tol)
-    right = monoidal_product(w, ra, bc, tol)
-    u_l = np.kron(ab.isometry, np.eye(rc.dim)) @ left.isometry
-    u_r = np.kron(np.eye(ra.dim), bc.isometry) @ right.isometry
-    a = u_r.conj().T @ u_l
-    if left.dim != right.dim:
-        raise CrossCheckMismatch("iterated monoidal products have different carrier dimensions")
-    if float(np.linalg.norm(a @ a.conj().T - np.eye(right.dim))) > 1e-7:
-        raise CrossCheckMismatch("associator is not unitary")
-    worst = max(
-        float(np.linalg.norm(a @ left.matrices[j] - right.matrices[j] @ a)) for j in range(w.dim)
-    )
-    if worst > 1e-7 * max(1.0, float(np.linalg.norm(left.matrices))):
-        raise CrossCheckMismatch(f"associator fails to intertwine (residual {worst:.3e})")
-    return a, left, right
+def _zigzag(w, d_eps, d, x, y, what):
+    """Scalar of ``E_l^H (y^H (x) 1)(1 (x) x) E_r`` on ``d``, for flat maps
+    x: H_eps -> H' (x) H and y: H_eps -> H (x) H' and the unitors E of ``d``."""
+    e_l = _unitor(w, d_eps, d, "left")
+    e_r = _unitor(w, d_eps, d, "right")
+    eye = np.eye(d.dim)
+    return _scalar_of(e_l.conj().T @ np.kron(y.conj().T, eye) @ np.kron(eye, x) @ e_r, what)
 
 
 def _scalar_of(m, what):
@@ -411,6 +410,18 @@ def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Toleran
     gauge: it is fixed so that lambda1 is real positive, and with canonical
     unitors the gauge-invariant lambda1 lambda2 must be real positive, so both
     zigzag composites are 1.
+
+    The zigzags are formed in the flat spaces.  With Rf = V1 R and Rbf = V2 Rbar
+    pushed through the carrier isometries V of conj(q) (x) q and q (x) conj(q),
+
+        lambda1 = E_l^H (Rbf^H (x) 1)(1 (x) Rf) E_r   on H_q,
+        lambda2 = E_l^H (Rf^H (x) 1)(1 (x) Rbf) E_r   on H_conj(q),
+
+    E_l, E_r the canonical unitors ``v -> (D_eps (x) D)(Delta(1))(Omega (x) v)``
+    and ``v -> (D (x) D_eps)(Delta(1))(v (x) Omega)`` (:func:`_unitor`, which
+    checks each).  No associator is needed: both bracketings of q conj(q) q
+    are the same subspace of H_q (x) H_conj(q) (x) H_q because Delta is
+    coassociative, which :func:`~whakit.wha.validate_wba` has checked.
     """
     tol = get_tol(tol)
     derived = w.derived(tol)
@@ -424,25 +435,14 @@ def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Toleran
 
     m2 = monoidal_product(w, d_q, qbar, tol)
     m1 = monoidal_product(w, qbar, d_q, tol)
-    assoc, left, right = _associator(w, d_q, d_q, m2, m1, tol)
-    # left = (q qbar) q, right = q (qbar q)
     mu, r = _pick_supported_hom(w, d_eps, m1, vac, tol, "R")
     nu, rbar = _pick_supported_hom(w, d_eps, m2, vac, tol, "Rbar")
     c1 = _proportionality_constant(r, vac.rep_projections[mu], "R")
     c2 = _proportionality_constant(rbar, vac.rep_projections[nu], "Rbar")
 
-    u_r, qe = _unit_intertwiner(w, d_eps, d_q, "right", tol)
-    u_l, eq = _unit_intertwiner(w, d_eps, d_q, "left", tol)
-    x1 = right.isometry.conj().T @ np.kron(np.eye(d_q.dim), r) @ qe.isometry
-    x2 = eq.isometry.conj().T @ np.kron(rbar.conj().T, np.eye(d_q.dim)) @ left.isometry
-    lam1 = _scalar_of(u_l.conj().T @ x2 @ assoc.conj().T @ x1 @ u_r, "zigzag on q")
-
-    assoc2, left2, right2 = _associator(w, qbar, qbar, m1, m2, tol)
-    ub_r, qbe = _unit_intertwiner(w, d_eps, qbar, "right", tol)
-    ub_l, eqb = _unit_intertwiner(w, d_eps, qbar, "left", tol)
-    y1 = right2.isometry.conj().T @ np.kron(np.eye(qbar.dim), rbar) @ qbe.isometry
-    y2 = eqb.isometry.conj().T @ np.kron(r.conj().T, np.eye(qbar.dim)) @ left2.isometry
-    lam2 = _scalar_of(ub_l.conj().T @ y2 @ assoc2.conj().T @ y1 @ ub_r, "zigzag on conj q")
+    rf, rbf = m1.isometry @ r, m2.isometry @ rbar  # into H_conj(q) (x) H_q and H_q (x) H_conj(q)
+    lam1 = _zigzag(w, d_eps, d_q, rf, rbf, "zigzag on q")
+    lam2 = _zigzag(w, d_eps, qbar, rbf, rf, "zigzag on conj q")
 
     if abs(abs(lam1) - abs(lam2)) > 1e-6 * max(abs(lam1), abs(lam2)):
         raise CrossCheckMismatch(

@@ -275,7 +275,8 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
         "reptheory.standard_solutions": 4,  # two sectors on each side
         "algebra.block_decomposition": 2,  # the corner and its subalgebra; the antipode solve built A's and A^'s
         "algebra.gns_rep": 4,  # the Haar states of A and A^, and D_eps of each
-        "reptheory.monoidal_product": 40,  # ten per standard solution
+        "reptheory.monoidal_product": 8,  # two per standard solution
+        "reptheory.intertwiner_space": 10,  # two per standard solution, End(D_eps) of A and A^
     }
     w = wk.m2_m3()
     calls = dict.fromkeys(expected, 0)

@@ -13,6 +13,7 @@ from whakit.linalg import (
     matrix_rank,
     orth,
     perron_frobenius,
+    span_and_complement,
 )
 
 RNG = np.random.default_rng(0x57484131)
@@ -38,6 +39,24 @@ def test_kernel_wide_and_tall():
         assert np.allclose(k.conj().T @ k, np.eye(k.shape[1]), atol=1e-12)
         # rank-nullity
         assert k.shape[1] == shape[1] - np.linalg.matrix_rank(a, tol=1e-10)
+
+
+def test_span_and_complement_split_the_ambient_space():
+    for shape in ((4, 9), (9, 4), (5, 5)):
+        a = RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+        a[:, -1] = a[:, 0] - a[:, 1]  # rank one below full on every shape
+        for mat in (a, np.zeros(shape)):
+            span, comp = span_and_complement(mat)
+            m = shape[0]
+            assert span.shape[1] == matrix_rank(mat) == orth(mat).shape[1]
+            assert span.shape[1] + comp.shape[1] == m
+            both = np.hstack([span, comp])
+            assert np.allclose(both.conj().T @ both, np.eye(m), atol=1e-12)
+            assert np.linalg.norm(mat - span @ (span.conj().T @ mat)) < 1e-10
+            if span.shape[1]:
+                assert np.allclose(span, orth(mat), atol=1e-12)
+    span, comp = span_and_complement(np.zeros((3, 4)))
+    assert span.shape == (3, 0) and np.array_equal(comp, np.eye(3))
 
 
 def test_kron_sum_matches_np_kron():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import whakit as wk
+from whakit import reptheory
 from whakit.linalg import kernel
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -188,17 +189,43 @@ def test_quantum_dimension_from_standard_solutions(m23):
     assert sol.zigzag_left == pytest.approx(sol.zigzag_right, abs=1e-9)
 
 
-def test_zigzags_are_one_whatever_the_rounding_or_the_basis(m23, rotated):
+def test_zigzags_are_one_whatever_the_rounding_or_the_basis(m23, ising, rotated):
     """The phase of R is a gauge (lambda1 -> e^{i theta} lambda1, lambda2 -> e^{-i theta}
     lambda2) and the unitors' phases are canonical; rounding noise in the antipode,
-    a complex basis or the dual must not move the zigzags off 1."""
+    a complex basis or the dual must not move the zigzags off 1.  Ising and its
+    dual are non-Kac, with a block of size 4."""
     noise = 1e-15j * np.random.default_rng(0).standard_normal(m23.antipode.shape)
     noisy = wk.WeakHopfAlgebra(m23.algebra, m23.delta, m23.eps, m23.antipode + noise)
-    for w in (noisy, rotated(m23, seed=2), m23.dual):
-        for q in (0, 1):
+    for w in (noisy, rotated(m23, seed=2), m23.dual, ising, rotated(ising.dual, seed=3)):
+        for q in range(len(w.algebra.block_decomposition())):
             sol = wk.standard_solutions(w, q)
             assert sol.zigzag_left == pytest.approx(1.0, abs=1e-9)
             assert sol.zigzag_right == pytest.approx(1.0, abs=1e-9)
+
+
+def test_unitor_must_be_an_isometry_onto_the_range_of_delta_one(m23):
+    """Padding the sector with a zero block keeps it intertwining but makes
+    the canonical left unitor vanish on the padding."""
+    d_eps = wk.vacua(m23).counit_rep
+    tau = wk.irreducible_representations(m23)[1]
+    assert reptheory._unitor(m23, d_eps, tau, "left").shape == (d_eps.dim * tau.dim, tau.dim)
+    padded = tau.direct_sum(wk.Representation(m23, np.zeros((m23.dim, 1, 1))))
+    with pytest.raises(wk.CrossCheckMismatch, match="not an isometry"):
+        reptheory._unitor(m23, d_eps, padded, "left")
+
+
+def test_unitor_must_intertwine(m23):
+    """The right unitor sees D only on A^R, through Delta(1) in A^R (x) A^L; a
+    perturbation of D that vanishes on A^R leaves it an isometry onto the same
+    range but breaks the intertwining."""
+    d_eps = wk.vacua(m23).counit_rep
+    tau = wk.irreducible_representations(m23)[1]
+    ar = m23.derived().counital_subalgebras.right.basis
+    off_ar = np.eye(m23.dim) - ar @ np.linalg.pinv(ar)
+    x = 1e-3 * np.random.default_rng(1).standard_normal((m23.dim, tau.dim, tau.dim))
+    bent = wk.Representation(m23, tau.matrices + np.einsum("ij,iab->jab", off_ar, x))
+    with pytest.raises(wk.CrossCheckMismatch, match="fails to intertwine"):
+        reptheory._unitor(m23, d_eps, bent, "right")
 
 
 def test_dimension_is_additive_and_multiplicative(s3):
