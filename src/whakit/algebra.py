@@ -199,22 +199,24 @@ class FinDimAlgebra:
         rows = (self._lmats - self.c.transpose(1, 2, 0)).reshape(n * n, n)
         return Subspace(kernel(rows, tol), n, tol)
 
-    def commutant_in(self, generators, within: Subspace | None = None, tol: Tolerance | None = None) -> Subspace:
-        """Elements of ``within`` (default: all of A) commuting with the generators."""
+    def commutant_in(self, generators, tol: Tolerance | None = None) -> Subspace:
+        """Elements of A commuting with the generators."""
         tol = get_tol(tol)
         gens = [np.asarray(g, dtype=complex).ravel() for g in generators]
         if not gens:
-            return within if within is not None else Subspace(np.eye(self.dim), self.dim, tol)
+            return Subspace(np.eye(self.dim), self.dim, tol)
         rows = [self.left_mult(g) - self.right_mult(g) for g in gens]
-        comm = Subspace(kernel(np.vstack(rows), tol), self.dim, tol)
-        return comm if within is None else comm.intersection(within)
+        return Subspace(kernel(np.vstack(rows), tol), self.dim, tol)
 
     def block_decomposition(self, tol: Tolerance | None = None) -> "BlockDecomposition":
-        """Wedderburn blocks, computed once per tolerance (the algebra is immutable)."""
+        """Wedderburn blocks, computed once per tolerance (the algebra is immutable).
+
+        Shares its cache with the module function :func:`block_decomposition`,
+        which it calls only when the blocks at ``tol`` are not there yet.
+        """
         tol = get_tol(tol)
-        if tol not in self._blocks:
-            self._blocks[tol] = block_decomposition(self, tol)
-        return self._blocks[tol]
+        blocks = self._blocks.get(tol)
+        return blocks if blocks is not None else block_decomposition(self, tol)
 
     def wedderburn_map(self, tol: Tolerance | None = None) -> "WedderburnMap":
         """The Wedderburn map on the blocks of :meth:`block_decomposition`, computed once per tolerance.
@@ -393,11 +395,15 @@ def _support_key(v, tol: Tolerance):
 def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) -> BlockDecomposition:
     """Wedderburn decomposition of a semisimple algebra into full matrix blocks.
 
-    Raises :class:`NotSemisimple` on degenerate trace form and
+    Computed once per algebra and tolerance: the result is kept in the cache
+    that :meth:`FinDimAlgebra.block_decomposition` reads, so both return the
+    same object.  Raises :class:`NotSemisimple` on degenerate trace form and
     :class:`NonIntegerBlockSize` if some central block is not a full matrix
     algebra over C.
     """
     tol = get_tol(tol)
+    if tol in algebra._blocks:
+        return algebra._blocks[tol]
     if not algebra.is_semisimple(tol):
         raise NotSemisimple(f"{algebra.name}: regular trace form is degenerate")
     center = algebra.center(tol)
@@ -411,7 +417,8 @@ def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) ->
             raise NonIntegerBlockSize(f"central block of dimension {d} is not a square")
         blocks.append(Block(e, size, image))
     blocks.sort(key=lambda b: (b.size, _support_key(b.central_idempotent, tol)))
-    return BlockDecomposition(blocks)
+    algebra._blocks[tol] = BlockDecomposition(blocks)
+    return algebra._blocks[tol]
 
 
 def induced_algebra(
@@ -424,57 +431,59 @@ def induced_algebra(
     """Algebra structure on a multiplicatively closed subspace.
 
     Returns ``(B, Q)`` where Q's orthonormal columns are the chosen basis and
-    ``B`` has the structure constants of the restriction.  Raises
-    :class:`ValidationError` ("subalgebra-closure") when products leave the
-    span.  ``unit_vec`` defaults to the ambient unit (which must then lie in
-    the subspace).
+    ``B`` has the structure constants of the restriction.  Because Q is
+    orthonormal, coordinates are projections: the structure constants, unit
+    and involution of B are ``Q^H (q_a q_b)``, ``Q^H u`` and ``Q^H (q_a*)``.
+    Raises :class:`ValidationError` ("subalgebra-closure") when products
+    leave the span, that is when ``max_a |Q Q^H P_a - P_a|_F`` exceeds the
+    threshold, P_a holding the products ``q_a q_b`` over b.  ``unit_vec``
+    defaults to the ambient unit (which must then lie in the subspace).
     """
     tol = get_tol(tol)
     q = subspace.basis
-    m = q.shape[1]
+    qh = q.conj().T
     unit_vec = algebra.unit if unit_vec is None else np.asarray(unit_vec, dtype=complex).ravel()
-    if subspace.distance(unit_vec) > tol.bound(np.linalg.norm(unit_vec)) * 10:
-        raise ValidationError("subalgebra-unit", subspace.distance(unit_vec), tol.bound(1.0))
-    c = np.zeros((m, m, m), dtype=complex)
-    worst = 0.0
-    for i in range(m):
-        prod = algebra.left_mult(q[:, i]) @ q  # products q_i q_j stacked as columns
-        coeff, _ = lstsq(q, prod, tol)
-        worst = max(worst, float(np.linalg.norm(q @ coeff - prod)))
-        c[i] = coeff.T
-    if worst > tol.bound(float(np.linalg.norm(algebra.c))) * 10:
-        raise ValidationError("subalgebra-closure", worst, tol.bound(1.0))
-    unit_b, _ = lstsq(q, unit_vec, tol)
+    unit_dist, unit_bound = subspace.distance(unit_vec), tol.bound(np.linalg.norm(unit_vec)) * 10
+    if unit_dist > unit_bound:
+        raise ValidationError("subalgebra-unit", unit_dist, unit_bound)
+    # prods[a, b] = q_a q_b, and c[a, b] = Q^H (q_a q_b) its coordinates
+    prods = q.T @ np.tensordot(q, algebra.c, axes=([0], [0]))
+    c = prods @ q.conj()
+    worst = float(np.max(np.linalg.norm(c @ q.T - prods, axis=(1, 2))))
+    closure_bound = tol.bound(float(np.linalg.norm(algebra.c))) * 10
+    if worst > closure_bound:
+        raise ValidationError("subalgebra-closure", worst, closure_bound)
     involution = None
     if algebra.involution is not None:
         starred = algebra.involution @ np.conj(q)
-        if all(subspace.contains_vector(starred[:, j]) for j in range(m)):
-            involution, _ = lstsq(q, starred, tol)
-    b = FinDimAlgebra(c, unit_b, involution=involution, name=name or f"{algebra.name}|sub")
+        if all(subspace.contains_vector(starred[:, j]) for j in range(q.shape[1])):
+            involution = qh @ starred
+    b = FinDimAlgebra(c, qh @ unit_vec, involution=involution, name=name or f"{algebra.name}|sub")
     return b, q
 
 
 def inclusion_matrix(algebra: FinDimAlgebra, sub: Subspace, tol: Tolerance | None = None):
     """Bratteli inclusion matrix Lambda of a unital subalgebra B in A.
 
-    ``Lambda[mu, q]`` is the multiplicity of the B-block ``mu`` inside the
-    restriction of the A-block ``q``, computed as the trace of a minimal
-    idempotent of the ``mu`` block in the irreducible representation ``q``.
+    ``Lambda[mu, q] = tr_q(z_mu) / m_mu`` is the multiplicity of the B-block
+    ``mu`` inside the restriction of the A-block ``q``: z_mu is the central
+    idempotent of ``mu`` and m_mu its size, and tr_q is
+    :meth:`FinDimAlgebra.block_trace`.  A minimal idempotent p of ``mu`` has
+    ``tr_q(p) = Lambda[mu, q]``, and z_mu is a sum of m_mu of them.
     Returns ``(Lambda, blocks_B, blocks_A)``.
     """
     tol = get_tol(tol)
     blocks_a = algebra.block_decomposition(tol)
     b_alg, q = induced_algebra(algebra, sub, tol=tol, name=f"{algebra.name}|B")
     blocks_b = b_alg.block_decomposition(tol)
-    lam = np.zeros((len(blocks_b.blocks), len(blocks_a.blocks)), dtype=int)
-    for mu, bb in enumerate(blocks_b.blocks):
-        p_b = _minimal_idempotent_in_block(b_alg, bb, tol)
-        p = q @ p_b  # back to ambient coordinates
-        for qi, ba in enumerate(blocks_a.blocks):
-            tr = algebra.block_trace(ba, p)
+    lam = np.zeros((len(blocks_b), len(blocks_a)), dtype=int)
+    for mu, bb in enumerate(blocks_b):
+        z = q @ bb.central_idempotent  # back to ambient coordinates
+        for qi, ba in enumerate(blocks_a):
+            tr = algebra.block_trace(ba, z) / bb.size
             lam[mu, qi] = round_to_int(tr, f"inclusion multiplicity ({mu},{qi})")
-    sizes_a = np.array([b.size for b in blocks_a.blocks])
-    sizes_b = np.array([b.size for b in blocks_b.blocks])
+    sizes_a = np.array(blocks_a.sizes)
+    sizes_b = np.array(blocks_b.sizes)
     if not np.array_equal(sizes_b @ lam, sizes_a):
         raise ValidationError("inclusion-dimension-count", float(np.max(np.abs(sizes_b @ lam - sizes_a))), 0.0)
     return lam, blocks_b, blocks_a
@@ -510,68 +519,33 @@ def _minimal_idempotent_in_block(algebra: FinDimAlgebra, block: Block, tol: Tole
 
 @dataclass
 class MarkovTrace:
-    """Markov trace data of one connected inclusion component."""
+    """Markov trace data of a connected inclusion."""
 
     index: float
-    weights: np.ndarray  # trace of a minimal projection per A-block (component order)
-    block_indices: tuple[int, ...]  # positions into the full A block list
+    weights: np.ndarray  # trace of a minimal projection per A-block
 
     def trace(self, algebra: FinDimAlgebra, blocks: BlockDecomposition, a) -> complex:
-        val = 0.0 + 0.0j
-        for w, qi in zip(self.weights, self.block_indices):
-            val += w * algebra.block_trace(blocks.blocks[qi], a)
-        return complex(val)
+        return complex(sum(w * algebra.block_trace(b, a) for w, b in zip(self.weights, blocks)))
 
 
-def markov_trace(algebra: FinDimAlgebra, sub: Subspace, tol: Tolerance | None = None):
-    """Markov trace and index of the inclusion B ⊂ A.
+def markov_trace(algebra: FinDimAlgebra, sub: Subspace, tol: Tolerance | None = None) -> MarkovTrace:
+    """Markov trace and index of a connected inclusion B ⊂ A.
 
-    For a connected inclusion returns a single :class:`MarkovTrace` whose
-    ``index`` is the Perron eigenvalue of Lambda^T Lambda.  For a reducible
-    inclusion graph, returns one :class:`MarkovTrace` per connected component.
+    The ``index`` is the Perron eigenvalue of Lambda^T Lambda and the weights
+    its Perron vector, normalized so that the trace of 1 is 1.  Raises
+    :class:`NotConnected` when Lambda^T Lambda is not irreducible, that is
+    when the Bratteli diagram of the inclusion is not connected.  No row or
+    column of Lambda is zero: a nonzero idempotent has a positive trace in
+    some block, and every A-block receives ``sizes_B @ Lambda > 0``.
     """
     tol = get_tol(tol)
-    lam, blocks_b, blocks_a = inclusion_matrix(algebra, sub, tol)
-    nb, na = lam.shape
-    # connected components of the bipartite graph on (rows + cols)
-    adj = lam > 0
-    comp_of_col = [-1] * na
-    comps: list[tuple[list[int], list[int]]] = []
-    seen_rows: set[int] = set()
-    for start in range(nb):
-        if start in seen_rows:
-            continue
-        rows, cols = {start}, set()
-        frontier = [("r", start)]
-        while frontier:
-            kind, i = frontier.pop()
-            if kind == "r":
-                for j in np.flatnonzero(adj[i]):
-                    if j not in cols:
-                        cols.add(int(j))
-                        frontier.append(("c", int(j)))
-            else:
-                for r in np.flatnonzero(adj[:, i]):
-                    if r not in rows:
-                        rows.add(int(r))
-                        frontier.append(("r", int(r)))
-        seen_rows |= rows
-        comps.append((sorted(rows), sorted(cols)))
-        for j in cols:
-            comp_of_col[j] = len(comps) - 1
-    if any(c == -1 for c in comp_of_col):
-        raise NotConnected("an A-block receives nothing from B (not a unital inclusion?)")
-    results = []
-    sizes_a = np.array([b.size for b in blocks_a.blocks], dtype=float)
-    for rows, cols in comps:
-        lam_c = lam[np.ix_(rows, cols)].astype(float)
-        gram = lam_c.T @ lam_c
-        if not is_irreducible_nonneg(gram, tol):
-            raise NotConnected("component graph unexpectedly reducible")
-        index, s = perron_frobenius(gram, tol)
-        weights = s / float(sizes_a[cols] @ s)  # trace(component unit) = 1
-        results.append(MarkovTrace(index=float(index), weights=weights, block_indices=tuple(cols)))
-    return results[0] if len(results) == 1 else results
+    lam, _, blocks_a = inclusion_matrix(algebra, sub, tol)
+    gram = (lam.T @ lam).astype(float)
+    if not is_irreducible_nonneg(gram, tol):
+        raise NotConnected(f"the inclusion with matrix {lam.tolist()} is not connected")
+    index, s = perron_frobenius(gram, tol)
+    weights = s / float(np.array(blocks_a.sizes, dtype=float) @ s)  # trace(1) = 1
+    return MarkovTrace(index=float(index), weights=weights)
 
 
 @dataclass

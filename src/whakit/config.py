@@ -33,10 +33,6 @@ class Tolerance:
         scale = max((float(s) for s in scales), default=0.0)
         return self.abs_tol + self.rel_tol * scale
 
-    def residual(self, x, y) -> float:
-        """Frobenius-norm distance between two arrays."""
-        return float(np.linalg.norm(np.asarray(x, dtype=complex) - np.asarray(y, dtype=complex)))
-
     def scaled(self, factor: float) -> "Tolerance":
         return Tolerance(self.abs_tol * factor, self.rel_tol * factor)
 

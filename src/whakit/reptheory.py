@@ -41,7 +41,7 @@ from .errors import (
     ZeroIntertwiner,
 )
 from .integrals import CanonicalGrouplikes
-from .linalg import Subspace, kernel, kron_sum, lstsq, matrix_rank, orth, perron_frobenius
+from .linalg import Subspace, kernel, kron_sum, matrix_rank, orth, perron_frobenius
 from .report import AxiomReport
 from .wha import WeakHopfAlgebra
 
@@ -399,7 +399,7 @@ def _proportionality_constant(x, proj, what):
     return c
 
 
-def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Tolerance | None = None) -> StandardSolution:
+def standard_solutions(w: WeakHopfAlgebra, q: int, tol: Tolerance | None = None) -> StandardSolution:
     """Standard solution of the conjugate equations for the irreducible block ``q``.
 
     ``R`` spans Hom(D_eps, conj(q) (x) q) over a single vacuum mu (= q^R) and
@@ -429,7 +429,7 @@ def standard_solutions(w: WeakHopfAlgebra, q: int | Representation, tol: Toleran
     if cg is None:
         raise NotSemisimple(f"{w.name}: standard solutions need the Haar integral")
     vac = derived.vacua
-    d_q = q if isinstance(q, Representation) else derived.irreps[q]
+    d_q = derived.irreps[q]
     d_eps = vac.counit_rep
     qbar = _star_conjugate_rep(w, d_q, cg.g_half, cg.g_half_inv, tol)
 
@@ -566,14 +566,10 @@ def _corner_markov_index(w: WeakHopfAlgebra, vac: VacuumData, tol: Tolerance) ->
     corner, qmat = induced_algebra(w.algebra, corner_space, unit_vec=z, tol=tol, name=f"{w.name}|corner")
     al = w.derived(tol).counital_subalgebras.left
     cols = w.algebra.left_mult(z) @ al.basis
-    coords, resid = lstsq(qmat, cols, tol)
-    if resid > 1e-8 * max(1.0, float(np.linalg.norm(cols))):
+    coords = qmat.conj().T @ cols  # qmat is orthonormal
+    if np.linalg.norm(qmat @ coords - cols) > 1e-8 * max(1.0, float(np.linalg.norm(cols))):
         raise CrossCheckMismatch("z A^L does not sit inside the corner algebra")
-    sub = Subspace(coords, corner.dim, tol)
-    mt = markov_trace(corner, sub, tol)
-    if isinstance(mt, list):
-        raise NotConnected("corner inclusion is not connected")
-    return float(mt.index)
+    return float(markov_trace(corner, Subspace(coords, corner.dim, tol), tol).index)
 
 
 def markov_index(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> float:

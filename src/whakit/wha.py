@@ -722,17 +722,20 @@ def hypercentral_components(w: WeakHopfAlgebra, tol: Tolerance | None = None) ->
     for z in idems:
         image = Subspace(w.algebra.left_mult(z), w.dim, tol)
         alg_z, q = induced_algebra(w.algebra, image, unit_vec=z, tol=tol, name=f"{w.name}|component")
-        m = q.shape[1]
-        sz = w.antipode @ z
-        if np.linalg.norm(sz - z) > 1e-6 * max(1.0, float(np.linalg.norm(z))):
-            raise ValidationError("component-antipode-stability", float(np.linalg.norm(sz - z)), 1e-6)
+        resid = float(np.linalg.norm(w.antipode @ z - z))
+        bound = 1e-6 * max(1.0, float(np.linalg.norm(z)))
+        if resid > bound:
+            raise ValidationError("component-antipode-stability", resid, bound)
         qq = np.kron(q, q)
         delta_z = qq.conj().T @ w.delta @ q
-        recon = qq @ delta_z
-        if np.linalg.norm(recon - w.delta @ q) > 1e-6 * max(1.0, float(np.linalg.norm(w.delta))):
-            raise ValidationError("component-comultiplication-stability", float(np.linalg.norm(recon - w.delta @ q)), 1e-6)
+        resid = float(np.linalg.norm(qq @ delta_z - w.delta @ q))
+        bound = 1e-6 * max(1.0, float(np.linalg.norm(w.delta)))
+        if resid > bound:
+            raise ValidationError("component-comultiplication-stability", resid, bound)
         eps_z = w.eps @ q
-        s_z, resid = lstsq(q, w.antipode @ q, tol)
+        s_q = w.antipode @ q
+        s_z = q.conj().T @ s_q
+        resid = float(np.linalg.norm(q @ s_z - s_q))
         if resid > 1e-6:
             raise ValidationError("component-antipode-closure", resid, 1e-6)
         comp = WeakHopfAlgebra(alg_z, delta_z, eps_z, s_z)

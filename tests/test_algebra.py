@@ -7,8 +7,10 @@ import pytest
 
 import whakit as wk
 from whakit import algebra
+from whakit.config import DEFAULT_TOL
 from whakit.errors import (
     NotConditionalExpectation,
+    NotConnected,
     NotSemisimple,
     ValidationError,
 )
@@ -187,8 +189,22 @@ class TestInclusions(unittest.TestCase):
         span = Subspace(
             np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]]), 4
         )
-        with self.assertRaises(ValidationError):
+        with self.assertRaises(ValidationError) as caught:
             wk.induced_algebra(self.m2, span)
+        err = caught.exception
+        self.assertEqual(err.axiom, "subalgebra-closure")
+        # the threshold the residual was compared with, not tol.bound(1)
+        self.assertEqual(err.threshold, DEFAULT_TOL.bound(np.linalg.norm(self.m2.c)) * 10)
+        self.assertGreater(err.residual, err.threshold)
+
+    def test_induced_algebra_reports_the_unit_threshold(self):
+        e11 = np.array([1.0, 0.0, 0.0, 0.0])
+        with self.assertRaises(ValidationError) as caught:
+            wk.induced_algebra(self.m2, Subspace(e11.reshape(4, 1), 4))
+        err = caught.exception
+        self.assertEqual(err.axiom, "subalgebra-unit")
+        self.assertEqual(err.threshold, DEFAULT_TOL.bound(np.sqrt(2.0)) * 10)
+        self.assertAlmostEqual(err.residual, 1.0, places=12)
 
     def test_inclusion_matrix_diag_in_m2(self):
         lam, blocks_b, blocks_a = wk.inclusion_matrix(self.m2, DIAG_IN_M2)
@@ -204,6 +220,141 @@ class TestInclusions(unittest.TestCase):
         np.testing.assert_allclose(mt.weights, [0.5], atol=1e-12)
         blocks = wk.block_decomposition(self.m2)
         self.assertAlmostEqual(mt.trace(self.m2, blocks, self.m2.unit).real, 1.0)
+
+
+# -- inclusion data: Lambda, induced algebras and Markov traces -------------
+
+
+def direct_sum(*algs):
+    """Block-diagonal direct sum of algebras in the concatenated bases."""
+    dims = [a.dim for a in algs]
+    n = sum(dims)
+    c = np.zeros((n, n, n), dtype=complex)
+    unit = np.zeros(n, dtype=complex)
+    inv = np.zeros((n, n), dtype=complex)
+    start = 0
+    for a, d in zip(algs, dims):
+        s = slice(start, start + d)
+        c[s, s, s], unit[s], inv[s, s] = a.c, a.unit, a.involution
+        start += d
+    return wk.FinDimAlgebra(c, unit, involution=inv, name="+".join(a.name for a in algs))
+
+
+def _scalars_in_m2():
+    """C 1 in M_2: Lambda = [[2]]."""
+    return matrix_units(2), Subspace(matrix_units(2).unit.reshape(4, 1), 4)
+
+
+def _m2_tensor_1_in_m4():
+    """M_2 (x) 1 in M_4 = M_2 (x) M_2, spanned by e_ab (x) 1: Lambda = [[2]]."""
+    cols = np.zeros((16, 4))
+    for a in range(2):
+        for b in range(2):
+            for x in range(2):
+                cols[(2 * a + x) * 4 + 2 * b + x, 2 * a + b] = 1.0
+    return matrix_units(4), Subspace(cols, 16)
+
+
+def _diagonal_m2_in_m2_plus_m2():
+    """{x + x} in M_2 + M_2: Lambda = [[1, 1]]."""
+    return direct_sum(matrix_units(2), matrix_units(2)), Subspace(np.vstack([np.eye(4), np.eye(4)]), 8)
+
+
+def _c2_in_m2_plus_c():
+    """span{1_M2, 1_C} in M_2 + C: Lambda = diag(2, 1), a disconnected inclusion."""
+    big = direct_sum(matrix_units(2), wk.FinDimAlgebra(np.ones((1, 1, 1)), [1.0], involution=np.eye(1), name="C"))
+    return big, Subspace(np.array([[1.0, 0, 0, 1.0, 0], [0, 0, 0, 0, 1.0]]).T, 5)
+
+
+def _reference_inclusion_matrix(alg, sub, blocks_b):
+    """Lambda from the traces of one minimal idempotent per B-block, in the order of ``blocks_b``."""
+    b_alg, q = wk.induced_algebra(alg, sub)
+    lam = np.zeros((len(blocks_b), len(alg.block_decomposition())), dtype=int)
+    for mu, bb in enumerate(blocks_b):
+        p = q @ algebra._minimal_idempotent_in_block(b_alg, bb, DEFAULT_TOL)
+        for qi, ba in enumerate(alg.block_decomposition()):
+            lam[mu, qi] = wk.config.round_to_int(alg.block_trace(ba, p))
+    return lam
+
+
+def _lstsq_induced(alg, q, unit_vec):
+    """Structure constants, unit and involution of the span of ``q`` by least squares."""
+    m = q.shape[1]
+    c = np.stack([np.linalg.lstsq(q, alg.left_mult(q[:, i]) @ q, rcond=None)[0].T for i in range(m)])
+    unit = np.linalg.lstsq(q, unit_vec, rcond=None)[0]
+    inv = np.linalg.lstsq(q, alg.involution @ np.conj(q), rcond=None)[0]
+    return c, unit, inv
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (_scalars_in_m2, [[2]]),
+        (_m2_tensor_1_in_m4, [[2]]),
+        (_diagonal_m2_in_m2_plus_m2, [[1, 1]]),
+    ],
+)
+def test_inclusion_matrix_with_block_sizes_and_multiplicities_above_one(build, want):
+    alg, sub = build()
+    lam, blocks_b, _ = wk.inclusion_matrix(alg, sub)
+    assert lam.tolist() == want
+    assert np.array_equal(lam, _reference_inclusion_matrix(alg, sub, blocks_b))
+
+
+@pytest.fixture(scope="module")
+def inclusion_ladder(examples, rotated, ising):
+    """The fixture ladder with fp3, complex-rotated copies of each, and Ising."""
+    ladder = {key: examples[key] for key in ("z3", "s3", "p2", "p3", "p4", "fp2", "m23")}
+    ladder["fp3"] = wk.function_wha(wk.pair_groupoid(3))
+    ladder.update({f"{key}~rot": rotated(w, 5) for key, w in list(ladder.items())})
+    ladder["ising"] = ising
+    return ladder
+
+
+def test_inclusion_matrix_from_central_idempotents_matches_minimal_idempotents(inclusion_ladder):
+    for key, w in inclusion_ladder.items():
+        sub = w.counital_subalgebras
+        for side in (sub.left, sub.right):
+            lam, blocks_b, blocks_a = wk.inclusion_matrix(w.algebra, side)
+            assert np.array_equal(lam, _reference_inclusion_matrix(w.algebra, side, blocks_b)), key
+            assert np.array_equal(np.array(blocks_b.sizes) @ lam, blocks_a.sizes), key
+
+
+def test_induced_algebra_matches_least_squares_on_rotated_bases(inclusion_ladder):
+    for key, w in inclusion_ladder.items():
+        sub = w.counital_subalgebras
+        for side in (sub.left, sub.right):
+            b, q = wk.induced_algebra(w.algebra, side)
+            c, unit, inv = _lstsq_induced(w.algebra, q, w.algebra.unit)
+            scale = max(1.0, float(np.linalg.norm(c)))
+            assert np.linalg.norm(b.c - c) <= 1e-12 * scale, key
+            assert np.linalg.norm(b.unit - unit) <= 1e-12 * scale, key
+            assert np.linalg.norm(b.involution - inv) <= 1e-12 * scale, key
+
+
+def test_markov_trace_sums_over_every_block():
+    alg, sub = _diagonal_m2_in_m2_plus_m2()
+    mt = wk.markov_trace(alg, sub)
+    assert mt.index == pytest.approx(2.0, abs=1e-12)
+    np.testing.assert_allclose(mt.weights, [0.25, 0.25], atol=1e-12)
+    assert mt.trace(alg, alg.block_decomposition(), alg.unit) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_markov_trace_rejects_a_disconnected_inclusion():
+    alg, sub = _c2_in_m2_plus_c()
+    lam, _, _ = wk.inclusion_matrix(alg, sub)
+    assert sorted(map(sorted, lam.tolist())) == [[0, 1], [0, 2]]
+    with pytest.raises(NotConnected):
+        wk.markov_trace(alg, sub)
+
+
+@pytest.mark.parametrize("function_first", [True, False])
+def test_both_block_decomposition_doors_share_one_cache(function_first):
+    a = matrix_units(2)
+    if function_first:
+        assert wk.block_decomposition(a) is a.block_decomposition()
+    else:
+        assert a.block_decomposition() is wk.block_decomposition(a)
 
 
 class TestWatatani(unittest.TestCase):

@@ -463,6 +463,20 @@ def test_hypercentral_components_split_disjoint_unions():
         assert c.counital_subalgebras.hypercenter.dim == 1
 
 
+def test_component_antipode_stability_reports_its_threshold():
+    # an antipode moving the p2 component's unit z (|z| = sqrt 2) by 1e-3 z
+    w = wk.groupoid_wha(wk.disjoint_union(wk.pair_groupoid(2), wk.cyclic_group(3)))
+    bump = np.zeros((w.dim, w.dim))
+    bump[:4, :4] = 1e-3 * np.eye(4)  # the four arrows of p2 come first
+    broken = wk.WeakHopfAlgebra(w.algebra, w.delta, w.eps, w.antipode + bump)
+    with pytest.raises(wk.ValidationError) as caught:
+        wk.hypercentral_components(broken)
+    err = caught.value
+    assert err.axiom == "component-antipode-stability"
+    assert err.residual == pytest.approx(1e-3 * np.sqrt(2.0))
+    assert err.threshold == pytest.approx(1e-6 * np.sqrt(2.0))
+
+
 def test_indecomposable_fixture_does_not_split(p2):
     comps = wk.hypercentral_components(p2)
     assert len(comps) == 1
