@@ -387,9 +387,19 @@ def _minimal_central_idempotents(algebra: FinDimAlgebra, center: Subspace, tol: 
 
 
 def _support_key(v, tol: Tolerance):
+    """Sort key of a central idempotent: its support, then its coordinates
+    rounded to 6 digits, real parts before imaginary parts.
+
+    Supports tie whenever every idempotent has full support, as in any rotated
+    basis.  A minimal central idempotent is unique, so its rounded coordinates
+    do not depend on the roundoff of the eigensolver or SVD that found it, and
+    the order they give is the same on every run.
+    """
     v = np.asarray(v)
     cut = 1e-8 * max(1.0, float(np.max(np.abs(v))))
-    return tuple(int(i) for i in np.flatnonzero(np.abs(v) > cut))
+    rounded = np.round(v, 6)
+    support = tuple(int(i) for i in np.flatnonzero(np.abs(v) > cut))
+    return support, tuple(rounded.real.tolist()), tuple(rounded.imag.tolist())
 
 
 def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) -> BlockDecomposition:

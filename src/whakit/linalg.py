@@ -4,6 +4,14 @@ Everything here is a thin, deterministic wrapper around numpy's SVD/eig:
 rank decisions go through a :class:`~whakit.config.Tolerance`, and every
 basis or eigenvector that leaves this module is normalized the same way
 on every run (first significant entry real positive).
+
+The SVD helpers compute only the factor they return.  A matrix far from
+square is first reduced to the square triangular factor of its QR
+decomposition (Chan's R-SVD): ``a = Q R`` for tall ``a`` keeps the right
+singular vectors, ``a = R^H Q^H`` for wide ``a`` keeps the left ones, and
+``Q``, having orthonormal columns, changes no singular value.  Householder
+QR is backward stable, so the rank cut sees ``a``'s singular values to
+roundoff; no Gram matrix is formed, which would square them.
 """
 
 from __future__ import annotations
@@ -57,35 +65,61 @@ def normalize_phase(v, tol: Tolerance | None = None):
     return v * (abs(pivot) / pivot)
 
 
-def _phase_normalized(q, tol: Tolerance):
-    """The columns of ``q``, each passed through :func:`normalize_phase`."""
-    return np.column_stack([normalize_phase(q[:, j], tol) for j in range(q.shape[1])]) if q.shape[1] else q
+def _phase_normalized(q):
+    """The columns of ``q``, each scaled as :func:`normalize_phase` scales a vector.
+
+    The first entry above 0.1 max|column| is made real positive; zero columns
+    are left alone.
+    """
+    mag = np.abs(q)
+    top = mag.max(axis=0, initial=0.0)
+    first = np.argmax(mag > 0.1 * top, axis=0)
+    pivot = q[first, np.arange(q.shape[1])]
+    nonzero = top > 0
+    phase = np.ones(q.shape[1], dtype=complex)
+    phase[nonzero] = np.abs(pivot[nonzero]) / pivot[nonzero]
+    return q * phase
 
 
 def orth(a, tol: Tolerance | None = None):
-    """Orthonormal basis (columns) of the column space of ``a``."""
+    """Orthonormal basis (columns) of the column space of ``a``.
+
+    Reads the left singular vectors only.  A tall or square ``a`` takes the
+    economy SVD.  A wide (m, k) ``a`` is first replaced by the (m, m) factor
+    ``R^H`` of ``a^H = Q R``, which has the same left singular vectors and
+    singular values, so the (m, k) factor V^H is never formed.
+    """
     tol = get_tol(tol)
     a = _as_matrix(a)
     if min(a.shape) == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=complex)
+    if a.shape[0] < a.shape[1]:
+        a = np.linalg.qr(a.conj().T, mode="r").conj().T
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = _svd_cut(s, tol, s[0] if s.size else 0.0)
-    return _phase_normalized(u[:, :r], tol)
+    r = _svd_cut(s, tol, s[0])
+    return _phase_normalized(u[:, :r])
 
 
 def kernel(a, tol: Tolerance | None = None):
-    """Orthonormal basis (columns) of the null space of ``a``."""
+    """Orthonormal basis (columns) of the null space of ``a``.
+
+    Reads the right singular vectors only.  A wide or square ``a`` takes the
+    full SVD, since the kernel needs all of V.  A tall (m, n) ``a`` is first
+    replaced by the (n, n) factor R of ``a = Q R``, which has the same right
+    singular vectors and singular values, so the (m, n) factor U is never
+    formed.
+    """
     tol = get_tol(tol)
     a = _as_matrix(a)
     if a.shape[1] == 0:
         return np.zeros((a.shape[1], 0), dtype=complex)
     if a.shape[0] == 0 or not np.any(a):
         return np.eye(a.shape[1], dtype=complex)
-    # the full V is only needed when a is wide; for tall a the economy SVD
-    # already carries all of V, and avoids the m x m factor U
-    u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a)
     r = _svd_cut(s, tol, s[0])
-    return _phase_normalized(vh[r:, :].conj().T, tol)
+    return _phase_normalized(vh[r:, :].conj().T)
 
 
 def span_and_complement(a, tol: Tolerance | None = None):
@@ -93,18 +127,21 @@ def span_and_complement(a, tol: Tolerance | None = None):
     of its orthogonal complement, both from one SVD.
 
     ``span`` is what :func:`orth` returns (same cut, same phases); the columns
-    of ``complement`` span ``kernel(span^H)``.
+    of ``complement`` span ``kernel(span^H)``.  Reads the full U only.  A
+    tall or square ``a`` takes the full SVD.  A wide (m, k) ``a`` is first
+    replaced by the (m, m) factor ``R^H`` of ``a^H = Q R``, as in
+    :func:`orth`, so the (m, k) factor V^H is never formed.
     """
     tol = get_tol(tol)
     a = _as_matrix(a)
     m = a.shape[0]
     if min(a.shape) == 0 or not np.any(a):
         return np.zeros((m, 0), dtype=complex), np.eye(m, dtype=complex)
-    # the economy U of a wide (or square) matrix is already square; a tall one
-    # needs the full U for the complement
-    u, s, _ = np.linalg.svd(a, full_matrices=m > a.shape[1])
+    if m < a.shape[1]:
+        a = np.linalg.qr(a.conj().T, mode="r").conj().T
+    u, s, _ = np.linalg.svd(a)
     r = _svd_cut(s, tol, s[0])
-    return _phase_normalized(u[:, :r], tol), _phase_normalized(u[:, r:], tol)
+    return _phase_normalized(u[:, :r]), _phase_normalized(u[:, r:])
 
 
 def matrix_rank(a, tol: Tolerance | None = None) -> int:

@@ -158,11 +158,12 @@ def monoidal_product(
     tol = get_tol(tol)
     n = w.dim
     da, db = d1.dim, d2.dim
-    t = np.einsum("pqj,pac,qbd->jabcd", w.delta3, d1.matrices, d2.matrices, optimize=True)
-    t = t.reshape(n, da * db, da * db)
-    p = np.einsum("j,jab->ab", w.unit, t)
+    # (D1 (x) D2)(Delta(e_j)) from two pairwise contractions, indexed (j, a, c, b, d)
+    t = np.tensordot(np.tensordot(w.delta3, d1.matrices, axes=(0, 0)), d2.matrices, axes=(0, 0))
+    t = t.transpose(0, 1, 3, 2, 4).reshape(n, da * db, da * db)
+    p = np.tensordot(w.unit, t, axes=1)
     v = orth(p, tol)
-    mats = np.einsum("am,jab,bk->jmk", np.conj(v), t, v, optimize=True)
+    mats = v.conj().T @ t @ v
     return Representation(w, mats, name=f"{d1.name}(x){d2.name}", isometry=v)
 
 
@@ -184,10 +185,10 @@ def _star_conjugate_rep(
     """Conjugate ``a -> conj(D(g^(1/2) S(a)* g^(-1/2)))``, twisted by g^(1/2) so a
     *-representation stays a *-representation; g^(1/2) = 1 gives :func:`conjugate_rep`."""
     tol = get_tol(tol)
-    k = _antilinear_star_antipode(w)
-    mats = np.stack(
-        [np.conj(d.apply(w.mul(g_half, w.mul(k[:, j], g_half_inv)))) for j in range(w.dim)]
-    )
+    alg = w.algebra
+    # column j is g^(1/2) S(e_j)* g^(-1/2)
+    twisted = alg.left_mult(g_half) @ alg.right_mult(g_half_inv) @ _antilinear_star_antipode(w)
+    mats = np.conj(np.tensordot(twisted, d.matrices, axes=(0, 0)))
     out = Representation(w, mats, name=f"conj({d.name})")
     out.validate(tol).raise_if_failed()
     return out

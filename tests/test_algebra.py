@@ -332,6 +332,34 @@ def test_induced_algebra_matches_least_squares_on_rotated_bases(inclusion_ladder
             assert np.linalg.norm(b.involution - inv) <= 1e-12 * scale, key
 
 
+def test_equal_size_blocks_keep_their_order_under_roundoff(rotated):
+    """On rotated fp3 every central idempotent of A^L has full support, so the
+    three B-blocks tie on size and support; a 1e-15 change in B's structure
+    constants (projection against least squares) must not permute them."""
+    w = rotated(wk.function_wha(wk.pair_groupoid(3)), 17)
+    alg, side = w.algebra, w.counital_subalgebras.left
+    b_proj, q = wk.induced_algebra(alg, side)
+    b_lstsq = wk.FinDimAlgebra(*_lstsq_induced(alg, q, alg.unit)[:2])
+    blocks_a = alg.block_decomposition()
+
+    def blocks_and_rows(b_alg):
+        blocks = b_alg.block_decomposition()
+        rows = [
+            [wk.config.round_to_int(alg.block_trace(ba, q @ bb.central_idempotent) / bb.size) for ba in blocks_a]
+            for bb in blocks
+        ]
+        return [q @ bb.central_idempotent for bb in blocks], rows
+
+    idems_proj, rows_proj = blocks_and_rows(b_proj)
+    idems_lstsq, rows_lstsq = blocks_and_rows(b_lstsq)
+    assert len({tuple(row) for row in rows_proj}) == 3  # distinct rows, so a permutation shows
+    for z_proj, z_lstsq in zip(idems_proj, idems_lstsq):
+        assert np.linalg.norm(z_proj - z_lstsq) < 1e-8
+    assert rows_proj == rows_lstsq
+    lam, blocks_b, _ = wk.inclusion_matrix(alg, side)
+    assert lam.tolist() == rows_proj
+
+
 def test_markov_trace_sums_over_every_block():
     alg, sub = _diagonal_m2_in_m2_plus_m2()
     mt = wk.markov_trace(alg, sub)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from whakit.config import Tolerance
+from whakit.config import DEFAULT_TOL, Tolerance
 from whakit.errors import DimensionMismatch, NotNonnegative
 from whakit.linalg import (
     Subspace,
+    _phase_normalized,
     hermitian_sqrt,
     is_irreducible_nonneg,
     kernel,
     kron_sum,
     lstsq,
     matrix_rank,
+    normalize_phase,
     orth,
     perron_frobenius,
     span_and_complement,
@@ -57,6 +59,77 @@ def test_span_and_complement_split_the_ambient_space():
                 assert np.allclose(span, orth(mat), atol=1e-12)
     span, comp = span_and_complement(np.zeros((3, 4)))
     assert span.shape == (3, 0) and np.array_equal(comp, np.eye(3))
+
+
+def _svd_test_matrix(m, k, rank, real, seed):
+    """A random (m, k) matrix of the given rank, real or complex."""
+    r = np.random.default_rng(seed)
+    draw = (lambda *s: r.normal(size=s)) if real else (lambda *s: r.normal(size=s) + 1j * r.normal(size=s))
+    return draw(m, rank) @ draw(rank, k)
+
+
+SVD_CASES = {
+    f"{m}x{k}-rank{rank}-{'real' if real else 'complex'}": (m, k, rank, real)
+    for m, k in ((9, 4), (4, 9), (6, 6), (7, 1), (400, 20), (20, 400))
+    for rank in sorted({min(m, k), max(1, min(m, k) - 2)})
+    for real in (True, False)
+}
+
+
+def _full_svd_reference(a):
+    """(span, complement, kernel) of ``a`` from one full SVD and the helpers' cut."""
+    u, s, vh = np.linalg.svd(a)
+    r = int(np.sum(s > DEFAULT_TOL.bound(s[0])))
+    return u[:, :r], u[:, r:], vh[r:].conj().T
+
+
+def _assert_same_subspace_and_phases(got, want):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) <= 1e-12
+    for col in got.T:  # first entry above 0.1 max|col| is real positive, to roundoff
+        pivot = col[np.flatnonzero(np.abs(col) > 0.1 * np.max(np.abs(col)))[0]]
+        assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * pivot.real
+
+
+@pytest.mark.parametrize("case", sorted(SVD_CASES))
+def test_one_sided_svds_match_the_full_svd(case):
+    m, k, rank, real = SVD_CASES[case]
+    a = _svd_test_matrix(m, k, rank, real, seed=m * k + rank)
+    span_ref, comp_ref, ker_ref = _full_svd_reference(a)
+    assert span_ref.shape[1] == rank
+    span, comp = span_and_complement(a)
+    _assert_same_subspace_and_phases(orth(a), span_ref)
+    _assert_same_subspace_and_phases(span, span_ref)
+    _assert_same_subspace_and_phases(comp, comp_ref)
+    _assert_same_subspace_and_phases(kernel(a), ker_ref)
+
+
+@pytest.mark.parametrize(
+    "helper, shape", [(kernel, (400, 20)), (orth, (20, 400)), (span_and_complement, (20, 400))]
+)
+def test_far_from_square_inputs_reach_the_svd_as_their_square_factor(monkeypatch, helper, shape):
+    """A tall kernel never forms the (m, n) U and a wide span never the (m, k) V^H."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    helper(_svd_test_matrix(*shape, rank=20, real=False, seed=3))
+    assert shapes == [(20, 20)]
+
+
+def test_phase_normalized_matches_normalize_phase_column_by_column():
+    r = np.random.default_rng(5)
+    for m, k in ((1, 1), (5, 3), (8, 12), (30, 7)):
+        q = r.normal(size=(m, k)) + 1j * r.normal(size=(m, k))
+        q[:, r.integers(k)] = 0.0  # a zero column is left alone
+        q[r.integers(m), :] *= 1e-12  # a row of tiny entries is never a pivot
+        want = np.column_stack([normalize_phase(q[:, j]) for j in range(k)])
+        assert np.max(np.abs(_phase_normalized(q) - want)) <= 1e-15
+    assert _phase_normalized(np.zeros((3, 0), dtype=complex)).shape == (3, 0)
 
 
 def test_kron_sum_matches_np_kron():

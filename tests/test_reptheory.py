@@ -203,6 +203,34 @@ def test_zigzags_are_one_whatever_the_rounding_or_the_basis(m23, ising, rotated)
             assert sol.zigzag_right == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("key", ["m23", "ising"])
+def test_twisted_conjugate_matches_the_per_element_formula(examples, ising, key):
+    """conj(D(g^(1/2) S(e_j)* g^(-1/2))) one basis element at a time, against the
+    one-matrix form; g is far from 1 on both (|g - 1| = 0.73 on m23)."""
+    w = ising if key == "ising" else examples[key]
+    cg = w.derived().grouplike
+    assert np.linalg.norm(cg.g - w.unit) > 0.5
+    k = w.algebra.involution @ np.conj(w.antipode)  # S(a)* = K conj(a)
+    for d in wk.irreducible_representations(w):
+        want = np.stack(
+            [np.conj(d.apply(w.mul(cg.g_half, w.mul(k[:, j], cg.g_half_inv)))) for j in range(w.dim)]
+        )
+        got = reptheory._star_conjugate_rep(w, d, cg.g_half, cg.g_half_inv).matrices
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
+
+
+def test_monoidal_product_matches_the_einsum_contraction(m23):
+    """The pairwise contractions give (D1 (x) D2)(Delta(e_j)) compressed to the carrier."""
+    d1, d2 = wk.irreducible_representations(m23)
+    prod = wk.monoidal_product(m23, d1, d2)
+    t = np.einsum("pqj,pac,qbd->jabcd", m23.delta3, d1.matrices, d2.matrices)
+    t = t.reshape(m23.dim, d1.dim * d2.dim, d1.dim * d2.dim)
+    v = prod.isometry
+    want = np.einsum("am,jab,bk->jmk", np.conj(v), t, v)
+    assert np.linalg.norm(prod.matrices - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(v @ v.conj().T - np.einsum("j,jab->ab", m23.unit, t)) <= 1e-12
+
+
 def test_unitor_must_be_an_isometry_onto_the_range_of_delta_one(m23):
     """Padding the sector with a zero block keeps it intertwining but makes
     the canonical left unitor vanish on the padding."""
