@@ -7,6 +7,17 @@ relative tensor product over ``A^L``, the regularity clauses that make
 ``M^A c M c M x| A`` a basic construction, the itemized basic-construction
 checks, the Galois map ``M (x)_{M^A} M -> (M (x) A^) rho(1)`` into the corner
 of the coaction's unit, and the smash product ``A # A^``.
+
+The crossed product's structure constants come from one of two routes.  When
+the action is Galois, ``m x| a -> L(m) alpha_a`` is a faithful representation
+of M x| A on M (Caenepeel-De Groot; for the smash product the Heisenberg
+representation A # A^ = End_{A^L}(A) of Nikshych-Vainerman), and the product
+is read off d operators on M.  That route decides only when the action and
+M pass the representation's preconditions (alpha multiplicative, covariance,
+M associative, the relation span in the kernel, full rank on the quotient,
+closure); otherwise, as for the trivial action, the dense route contracts the
+product into a (dim M * dim A, dim M * dim A, d) tensor and checks its
+descent.  :func:`crossed_product` lists both.
 """
 
 from __future__ import annotations
@@ -16,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FinDimAlgebra, induced_algebra, inclusion_matrix, watatani_index
+from .algebra import (
+    FinDimAlgebra,
+    _associator_certificate,
+    _dense_associator_norm,
+    _validated,
+    induced_algebra,
+    inclusion_matrix,
+    watatani_index,
+)
 from .config import Tolerance, get_tol
 from .errors import (
     CrossCheckMismatch,
@@ -192,27 +211,37 @@ def _multiplicativity_residual(out: FinDimAlgebra, emb: np.ndarray, c_src: np.nd
 def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedProduct:
     """Build M x| A with the product ``(m x| a)(n x| b) = m alpha_{a_(1)}(n) x| a_(2) b``.
 
-    The carrier is the orthogonal complement of the A^L-relation span.  On
-    M (x) A the product is the tensor ``big[(i,a),(j,b),(k,c)] = sum_pqr
-    Delta[p,q,a] alpha[p,j,r] c_M[i,r,k] c_A[q,b,c]``; it is contracted from
-    these factors with its output leg already projected onto the carrier, so
-    memory is O(d_full^2 * d) for d_full = dim M * dim A and the quotient
-    dimension d, not the d_full^3 of ``big`` itself.
+    The carrier is the orthogonal complement of the A^L-relation span, and the
+    structure constants are those of the product on M (x) A, ``big[(i,a),
+    (j,b),(k,c)] = sum_pqr Delta[p,q,a] alpha[p,j,r] c_M[i,r,k] c_A[q,b,c]``,
+    restricted to the carrier.  ``scale`` is the Frobenius norm of ``big``,
+    read off Gram matrices of its factors without forming it, and the
+    thresholds below are ``tol.bound(scale) * 100``.  Two routes compute them.
 
-    Checks; the descent and multiplicativity residuals are compared with
-    ``tol.bound(scale) * 100``, where ``scale`` is the Frobenius norm of ``big``:
+    * Concrete (Galois actions): ``pi(m (x) a) = L(m) alpha_a`` maps M (x) A
+      into End(M), and for a Galois action it is faithful on the quotient
+      (Caenepeel-De Groot).  With ``Pi_g`` the image of carrier vector g, a
+      dim M x dim M matrix, ``c[g, h] = Pi^+ vec(Pi_g Pi_h)``, one row g at a
+      time, and the (d_full, d_full, d) tensor of the dense route is never
+      formed.  The route decides only when alpha is multiplicative,
+      ``alpha_a L(n) = sum Delta[p,q,a] L(alpha_p(n)) alpha_q``, M is
+      associative, pi kills the relation span, ``matrix_rank(Pi) == d`` and
+      the closure residual ``Pi c[g, h] - Pi_g Pi_h`` passes.  Then pi is a
+      homomorphism with kernel exactly the relation span, so the product
+      descends and equals the abstract one.  Associativity is certified
+      through phi = Pi, as :meth:`FinDimAlgebra.validate` certifies it
+      through its Wedderburn map, at every dimension.
+    * Dense (fallback, e.g. the trivial action, or any input failing one of
+      those residuals): the product is contracted from the factors of
+      ``big`` into the (d_full, d_full, d) tensor ``carrier^H big`` with
+      d_full = dim M * dim A, checked for left and right descent (a relation
+      vector in either input slot has no component off the relation span,
+      IllDefinedProduct) and validated by :meth:`FinDimAlgebra.validate`.
 
-    * left and right descent: a relation vector in either input slot of the
-      product has no component off the relation span (IllDefinedProduct);
-    * star descent: the star maps the relation span into itself
-      (IllDefinedProduct);
-    * the quotient is a unital (star-)algebra (:meth:`FinDimAlgebra.validate`);
-      from dimension ``CERTIFY_ASSOCIATIVITY_FROM_DIM`` on, its associativity
-      is certified through its Wedderburn blocks in O(d^4), and those blocks
-      stay cached on the result for ``smash_product`` and the ``crossprod``
-      command to reuse;
-    * ``m -> m x| 1`` and ``a -> 1 x| a`` are multiplicative, and
-      ``m -> m x| 1`` is injective.
+    Both routes then check star descent (the star maps the relation span into
+    itself, IllDefinedProduct), the unit and star rows of
+    :meth:`FinDimAlgebra.validate`, and that ``m -> m x| 1`` and ``a -> 1 x|
+    a`` are multiplicative and ``m -> m x| 1`` is injective.
     """
     tol = get_tol(tol)
     w, m_alg, alpha = action.wha, action.module, action.alpha
@@ -226,13 +255,8 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     d = carrier.shape[1]
     cbar = carrier.conj().reshape(dm, da, d)
 
-    # bp[(i,a),(j,b),g] = sum_pqk Delta[p,q,a] K[p,i,j,k] U[q,b,k,g] = carrier^H big[(i,a),(j,b),:]
+    # K[p,i,j,k]: the coefficient of e_k in e_i alpha_p(e_j)
     k_fac = np.einsum("pjr,irk->pijk", alpha, m_alg.c, optimize=True)
-    u_fac = np.einsum("qbc,kcg->qkbg", w.algebra.c, cbar, optimize=True)
-    t = np.einsum("pqa,pijk->iajqk", w.delta3, k_fac, optimize=True).reshape(d_full * dm, da * dm)
-    bp = (t @ u_fac.reshape(da * dm, da * d)).reshape(d_full, d_full, d)
-    del t, u_fac
-
     # |big|_F^2 = sum_a <Delta[:,:,a], (G_K (x) G_A) Delta[:,:,a]> with the Gram
     # matrices of the alpha- and c_A-factors
     k_rows = k_fac.reshape(da, -1)
@@ -246,25 +270,13 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
         optimize=True,
     ).real
     scale = max(1.0, float(np.sqrt(max(norm2, 0.0))))
+    bound = tol.bound(scale) * 100
 
-    # the carrier is orthonormal, so |carrier^H y| = |y off the relation span|:
-    # a relation vector in either input slot of bp gives its descent residual
-    worst = 0.0
-    if v_rel.shape[1]:
-        vt = v_rel.T
-        left = np.zeros(vt.shape[0])
-        right = np.zeros(vt.shape[0])
-        for x in range(d_full):
-            left += np.sum(np.abs(vt @ bp[:, x, :]) ** 2, axis=1)
-            right += np.sum(np.abs(vt @ bp[x]) ** 2, axis=1)
-        worst = float(np.sqrt(max(left.max(), right.max())))
-    if worst > tol.bound(scale) * 100:
-        raise IllDefinedProduct(
-            f"product does not descend to M (x)_(A^L) A (residual {worst:.3e})"
-        )
-    half = (carrier.T @ bp.reshape(d_full, d_full * d)).reshape(d, d_full, d)
-    del bp
-    cq = np.matmul(carrier.T, half)
+    concrete = _represented_product(action, k_fac, carrier, v_rel, bound, tol)
+    if concrete is None:
+        cq = _dense_product(action, k_fac, carrier, v_rel, bound)
+    else:
+        cq, assoc_bound = concrete
     unit_q = carrier.conj().T @ np.kron(m_alg.unit, w.unit)
 
     inv_q = None
@@ -281,35 +293,114 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
             optimize=True,
         ).reshape(d_full, d_full)
         star_resid = float(np.linalg.norm(carrier.conj().T @ (st @ np.conj(v_rel))))
-        if star_resid > tol.bound(scale) * 100:
+        if star_resid > bound:
             raise IllDefinedProduct(f"star does not descend to the quotient ({star_resid:.3e})")
         inv_q = carrier.conj().T @ st @ np.conj(carrier)
 
     name = f"{m_alg.name}x|{w.name}"
     out = FinDimAlgebra(cq, unit_q, involution=inv_q, name=name)
-    rep = out.validate(tol)
+    rep = out.validate(tol) if concrete is None else _validated(out, assoc_bound, tol)
 
     embed_m = np.einsum("icg,c->gi", cbar, w.unit)  # carrier^H (e_i (x) 1_A)
     embed_a = np.einsum("kag,k->ga", cbar, m_alg.unit)  # carrier^H (1_M (x) e_a)
-    rep.add(
-        "embedding-M-multiplicative",
-        _multiplicativity_residual(out, embed_m, m_alg.c),
-        tol.bound(scale) * 100,
-    )
+    rep.add("embedding-M-multiplicative", _multiplicativity_residual(out, embed_m, m_alg.c), bound)
     rep.add(
         "embedding-M-injective",
         float(dm - matrix_rank(embed_m, tol)),
         0.5,
     )
-    rep.add(
-        "embedding-A-multiplicative",
-        _multiplicativity_residual(out, embed_a, w.algebra.c),
-        tol.bound(scale) * 100,
-    )
+    rep.add("embedding-A-multiplicative", _multiplicativity_residual(out, embed_a, w.algebra.c), bound)
     rep.raise_if_failed()
     return CrossedProduct(
         action=action, algebra=out, carrier=carrier, embed_m=embed_m, embed_a=embed_a, report=rep
     )
+
+
+def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float, tol: Tolerance):
+    """Structure constants of M x| A on the carrier from the representation ``m x| a -> L(m) alpha_a``.
+
+    Returns ``(c, associator_bound)``, or None as soon as one of the
+    preconditions listed in :func:`crossed_product` fails against ``bound``
+    (the rank against ``tol``); the dense route then decides.
+    """
+    w, m_alg, alpha = action.wha, action.module, action.alpha
+    dm, da = m_alg.dim, w.dim
+    d = carrier.shape[1]
+    ops = alpha.transpose(0, 2, 1)  # alpha_{e_a}
+    lmats = m_alg.c.transpose(0, 2, 1)  # L(e_n)
+    # alpha_a alpha_b = alpha_{ab}
+    if np.linalg.norm(np.matmul(ops[:, None], ops[None]) - np.tensordot(w.algebra.c, ops, axes=1)) > bound:
+        return None
+    # covariance: alpha_a L(e_n) = sum_pq Delta[p,q,a] L(alpha_p(e_n)) alpha_q
+    l_alpha = (alpha.reshape(da * dm, dm) @ lmats.reshape(dm, dm * dm)).reshape(da, dm, dm, dm)
+    d_ops = np.tensordot(w.delta3, ops, axes=([1], [0]))  # sum_q Delta[p,q,a] alpha_q, (p, a, ., .)
+    cov = np.einsum("pnkm,paml->ankl", l_alpha, d_ops, optimize=True)
+    cov -= np.matmul(ops[:, None], lmats[None])
+    if np.linalg.norm(cov) > bound:
+        return None
+    del l_alpha, d_ops, cov
+    # L(e_i) L(e_j) = L(e_i e_j)
+    if _dense_associator_norm(m_alg.c) > bound:
+        return None
+    # pi_full[(k,l), (i,a)] = (L(e_i) alpha_a)[k, l] = K[a,i,l,k], which kills the relation span
+    pi_full = k_fac.transpose(3, 2, 1, 0).reshape(dm * dm, dm * da)
+    if v_rel.shape[1] and np.linalg.norm(pi_full @ v_rel) > bound:
+        return None
+    pi = pi_full @ carrier  # column g is vec(Pi_g)
+    if matrix_rank(pi, tol) != d:
+        return None
+    u, s, vh = np.linalg.svd(pi, full_matrices=False)
+    # c[g, h] = Pi^+ vec(Pi_g Pi_h) = Vh^H S^-1 U^H vec(Pi_g Pi_h), one row g at a time
+    ops_pi = np.ascontiguousarray(pi.T.reshape(d, dm, dm))
+    u_bar = u.conj()
+    solve = vh.conj() / s[:, None]
+    c = np.empty((d, d, d), dtype=complex)
+    r2 = 0.0
+    for g in range(d):
+        prods = np.matmul(ops_pi[g], ops_pi).reshape(d, dm * dm)  # vec(Pi_g Pi_h) over h
+        coords = prods @ u_bar
+        c[g] = coords @ solve
+        r2 += float(np.linalg.norm(coords @ u.T - prods)) ** 2
+    closure = float(np.sqrt(r2))
+    if closure > bound:
+        return None
+    return c, _associator_certificate(c, float(np.linalg.norm(s)), closure, float(s[-1]))
+
+
+def _dense_product(action: WhaAction, k_fac, carrier, v_rel, bound: float) -> np.ndarray:
+    """Structure constants of M x| A on the carrier from the (d_full, d_full, d) tensor ``carrier^H big``.
+
+    Raises IllDefinedProduct when a relation vector in either input slot of
+    the product has a component off the relation span above ``bound``.
+    """
+    w, m_alg = action.wha, action.module
+    dm, da = m_alg.dim, w.dim
+    d_full, d = carrier.shape
+    cbar = carrier.conj().reshape(dm, da, d)
+    # bp[(i,a),(j,b),g] = sum_pqk Delta[p,q,a] K[p,i,j,k] U[q,b,k,g] = carrier^H big[(i,a),(j,b),:]
+    u_fac = np.einsum("qbc,kcg->qkbg", w.algebra.c, cbar, optimize=True)
+    t = np.einsum("pqa,pijk->iajqk", w.delta3, k_fac, optimize=True).reshape(d_full * dm, da * dm)
+    bp = (t @ u_fac.reshape(da * dm, da * d)).reshape(d_full, d_full, d)
+    del t, u_fac
+
+    # the carrier is orthonormal, so |carrier^H y| = |y off the relation span|:
+    # a relation vector in either input slot of bp gives its descent residual
+    worst = 0.0
+    if v_rel.shape[1]:
+        vt = v_rel.T
+        left = np.zeros(vt.shape[0])
+        right = np.zeros(vt.shape[0])
+        for x in range(d_full):
+            left += np.sum(np.abs(vt @ bp[:, x, :]) ** 2, axis=1)
+            right += np.sum(np.abs(vt @ bp[x]) ** 2, axis=1)
+        worst = float(np.sqrt(max(left.max(), right.max())))
+    if worst > bound:
+        raise IllDefinedProduct(
+            f"product does not descend to M (x)_(A^L) A (residual {worst:.3e})"
+        )
+    half = (carrier.T @ bp.reshape(d_full, d_full * d)).reshape(d, d_full, d)
+    del bp
+    return np.matmul(carrier.T, half)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +513,7 @@ def verify_basic_construction(
         raise NotSemisimple(f"{w.name} has no Haar integral")
     n_sub = invariants(action, tol)
     sub = w.derived(tol).counital_subalgebras
-    thr = 1e-8
+    thr = 5 * tol.bound(1.0)  # 1e-8 at DEFAULT_TOL
 
     e = crossed.element(m_alg.unit, h)
     rep.add("jones-idempotent", np.linalg.norm(big.mul(e, e) - e), thr)

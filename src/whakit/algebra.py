@@ -149,28 +149,8 @@ class FinDimAlgebra:
           failing row's residual, are those of the dense route.
         """
         tol = get_tol(tol)
-        rep = AxiomReport(self.name)
-        c = self.c
-        scale = float(np.linalg.norm(c)) or 1.0
-        threshold = tol.bound(scale**2)
-        assoc = _associator_bound(self, tol) if self.dim >= CERTIFY_ASSOCIATIVITY_FROM_DIM else None
-        if assoc is None or not assoc <= threshold:
-            assoc = _dense_associator_norm(c)
-        rep.add("associativity", assoc, threshold)
-        lu = np.einsum("i,ijk->jk", self.unit, c)
-        ru = np.einsum("j,ijk->ik", self.unit, c)
-        eye = np.eye(self.dim)
-        rep.add("left-unit", np.linalg.norm(lu - eye), tol.bound(scale))
-        rep.add("right-unit", np.linalg.norm(ru - eye), tol.bound(scale))
-        if self.involution is not None:
-            s = self.involution
-            rep.add("star-involutive", np.linalg.norm(s @ np.conj(s) - eye), tol.bound(scale))
-            # (e_i e_j)* = e_j* e_i*
-            lhs = np.einsum("ijk,mk->ijm", np.conj(c), s, optimize=True)
-            rhs = np.einsum("pj,qi,pqm->ijm", s, s, c, optimize=True)
-            rep.add("star-antimultiplicative", np.linalg.norm(lhs - rhs), tol.bound(scale**2))
-            rep.add("unit-star", np.linalg.norm(self.star(self.unit) - self.unit), tol.bound(1.0))
-        return rep
+        bound = _associator_bound(self, tol) if self.dim >= CERTIFY_ASSOCIATIVITY_FROM_DIM else None
+        return _validated(self, bound, tol)
 
     # -- trace and semisimplicity ------------------------------------------
 
@@ -254,7 +234,12 @@ _NO_DECOMPOSITION = (NotSemisimple, NonIntegerBlockSize, CrossCheckMismatch, np.
 #: n = 27: 7.4 vs. 6.5 ms; n = 36: 22 vs. 8.4 ms; n = 64: 0.44 s vs. 0.09 s;
 #: n = 89: 2.0 s vs. 0.19 s.  Below 32 the gain is at most about a millisecond
 #: and a decomposition that nothing else may reuse is a cost, so every input
-#: of dimension <= 27 keeps the dense route.
+#: of dimension <= 27 keeps the dense route.  The crossed product of a Galois
+#: action does not go through this cut: ``actions.crossed_product`` certifies
+#: its associativity at every dimension through its representation on M,
+#: whose closure residual is computed anyway, and forms no Wedderburn map.
+#: The cut serves the dense crossed-product route and every other caller of
+#: :meth:`FinDimAlgebra.validate`.
 CERTIFY_ASSOCIATIVITY_FROM_DIM = 32
 
 
@@ -270,6 +255,47 @@ def _dense_associator_norm(c) -> float:
         right = (flat_r @ c[i]).reshape(n, n, n)  # e_i (e_j e_k) over j, k
         acc += float(np.linalg.norm(left - right)) ** 2
     return float(np.sqrt(acc))
+
+
+def _validated(algebra: FinDimAlgebra, associator_bound: float | None, tol: Tolerance) -> AxiomReport:
+    """The rows of :meth:`FinDimAlgebra.validate`, given a certified bound on the associator.
+
+    ``associator_bound`` is an upper bound on :func:`_dense_associator_norm`
+    or None.  The associativity row reports it when it meets the threshold;
+    otherwise the dense norm is computed and reported.
+    """
+    rep = AxiomReport(algebra.name)
+    c = algebra.c
+    scale = float(np.linalg.norm(c)) or 1.0
+    threshold = tol.bound(scale**2)
+    assoc = associator_bound
+    if assoc is None or not assoc <= threshold:
+        assoc = _dense_associator_norm(c)
+    rep.add("associativity", assoc, threshold)
+    lu = np.einsum("i,ijk->jk", algebra.unit, c)
+    ru = np.einsum("j,ijk->ik", algebra.unit, c)
+    eye = np.eye(algebra.dim)
+    rep.add("left-unit", np.linalg.norm(lu - eye), tol.bound(scale))
+    rep.add("right-unit", np.linalg.norm(ru - eye), tol.bound(scale))
+    if algebra.involution is not None:
+        s = algebra.involution
+        rep.add("star-involutive", np.linalg.norm(s @ np.conj(s) - eye), tol.bound(scale))
+        # (e_i e_j)* = e_j* e_i*
+        lhs = np.einsum("ijk,mk->ijm", np.conj(c), s, optimize=True)
+        rhs = np.einsum("pj,qi,pqm->ijm", s, s, c, optimize=True)
+        rep.add("star-antimultiplicative", np.linalg.norm(lhs - rhs), tol.bound(scale**2))
+        rep.add("unit-star", np.linalg.norm(algebra.star(algebra.unit) - algebra.unit), tol.bound(1.0))
+    return rep
+
+
+def _associator_certificate(c, phi_norm: float, r_norm: float, sigma_min: float) -> float:
+    """``2 (|Phi|_F + |c|_F) |R|_F / sigma_min(Phi)``, the bound of :meth:`FinDimAlgebra.validate`.
+
+    phi is any linear map of the algebra into matrices, Phi its matrix (one
+    column per basis vector) and R its multiplicativity defect ``phi(e_i e_j)
+    - phi(e_i) phi(e_j)`` over all basis pairs.
+    """
+    return 2.0 * (phi_norm + float(np.linalg.norm(c))) * r_norm / sigma_min
 
 
 def _associator_bound(algebra: FinDimAlgebra, tol: Tolerance) -> float | None:
@@ -294,8 +320,8 @@ def _associator_bound(algebra: FinDimAlgebra, tol: Tolerance) -> float | None:
     svals = wedderburn.svd[1]
     if svals.size < n or svals[n - 1] == 0.0:
         return None
-    scale = float(np.linalg.norm(wedderburn.matrix)) + float(np.linalg.norm(algebra.c))
-    return 2.0 * scale * float(np.sqrt(r2)) / float(svals[n - 1])
+    phi_norm = float(np.linalg.norm(wedderburn.matrix))
+    return _associator_certificate(algebra.c, phi_norm, float(np.sqrt(r2)), float(svals[n - 1]))
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,129 @@ def test_crossed_product_memory_stays_below_the_dense_tensor():
     assert peak < 256 * 2**20
 
 
+def test_crossed_product_memory_stays_below_the_deleted_product_tensor():
+    # the dense route's (d_full, d_full, d) tensor is (256, 256, 64) complex
+    # entries = 64 MiB on p4; the concrete route never forms it
+    act = wk.dual_regular_action(wk.pair_groupoid_wha(4))
+    tracemalloc.start()
+    try:
+        cp = wk.crossed_product(act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cp.dim == 64
+    assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the two routes of crossed_product: concrete on M for Galois actions, dense otherwise
+
+
+def _spy_on_the_dense_route(monkeypatch):
+    """Replace the dense route by a wrapper that records what each call returned or raised."""
+    calls = []
+    dense = wk.actions._dense_product
+
+    def spy(*args, **kwargs):
+        try:
+            out = dense(*args, **kwargs)
+        except Exception as exc:
+            calls.append(exc)
+            raise
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(wk.actions, "_dense_product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("complex_basis", [False, True], ids=["canonical", "complex"])
+@pytest.mark.parametrize("make", [wk.dual_regular_action, wk.arrow_action], ids=["dualreg", "arrow"])
+@pytest.mark.parametrize("key", ["z3", "s3", "p2", "p3", "fp2", "fp3", "m23", "p4"])
+def test_galois_crossed_products_take_the_concrete_route(
+    examples, rotated, monkeypatch, key, make, complex_basis
+):
+    w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
+    if complex_basis:
+        w = rotated(w, seed=11)
+    act = make(w)
+    calls = _spy_on_the_dense_route(monkeypatch)
+    cp = wk.crossed_product(act)
+    assert calls == []
+    # the same crossed product with the concrete route refused: the dense route decides
+    monkeypatch.setattr(wk.actions, "_represented_product", lambda *args: None)
+    ref = wk.crossed_product(act)
+    assert len(calls) == 1
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    for field in ("carrier", "embed_m", "embed_a"):
+        assert rel(getattr(cp, field), getattr(ref, field)) < 1e-12, field
+    assert rel(cp.algebra.c, ref.algebra.c) < 1e-12
+    assert rel(cp.algebra.unit, ref.algebra.unit) < 1e-12
+    assert rel(cp.algebra.involution, ref.algebra.involution) < 1e-12
+    assert cp.report.ok
+    assert [(r.name, pytest.approx(r.threshold, rel=1e-12)) for r in cp.report.checks] == [
+        (r.name, r.threshold) for r in ref.report.checks
+    ]
+
+
+def test_the_trivial_action_takes_the_dense_route(examples, scalars, monkeypatch):
+    # z3 acting trivially on C is not Galois: pi(C (x) A) = C has rank 1 < 3
+    calls = _spy_on_the_dense_route(monkeypatch)
+    cp = wk.crossed_product(wk.trivial_action(examples["z3"], scalars))
+    assert len(calls) == 1
+    assert cp.dim == 3
+    assert np.array_equal(cp.algebra.c, calls[0])
+
+
+def test_a_broken_action_is_decided_by_the_dense_route(examples, monkeypatch):
+    # the input of test_ill_defined_product_is_rejected_where_the_relation_span_is_nonzero:
+    # alpha is no longer multiplicative, so the concrete route refuses it
+    act = wk.dual_regular_action(examples["p2"])
+    alpha = act.alpha.copy()
+    alpha[1, 0, 2] += 1e-2
+    calls = _spy_on_the_dense_route(monkeypatch)
+    with pytest.raises(wk.IllDefinedProduct, match="does not descend") as err:
+        wk.crossed_product(wk.WhaAction(act.wha, act.module, alpha, name="broken"))
+    assert len(calls) == 1
+    assert calls[0] is err.value
+
+
+def test_a_non_multiplicative_alpha_with_a_closed_image_is_refused(examples, monkeypatch):
+    # alpha' = alpha o theta for a linear bijection theta of C[Z_3] that is
+    # not multiplicative: pi' = pi o (id (x) theta) has the same closed,
+    # faithful image, so only the multiplicativity and covariance rows
+    # refuse it.  The dense route forms the abstract product, which is not
+    # associative.
+    act = wk.arrow_action(examples["z3"])
+    alpha = act.alpha.copy()
+    alpha[2] += 0.1 * alpha[1]
+    module = wk.FinDimAlgebra(act.module.c, act.module.unit, name="C(Z3)")
+    calls = _spy_on_the_dense_route(monkeypatch)
+    with pytest.raises(wk.ValidationError, match="associativity"):
+        wk.crossed_product(wk.WhaAction(act.wha, module, alpha, name="broken"))
+    assert len(calls) == 1
+
+
+def test_basic_construction_thresholds_follow_the_tolerance(actions):
+    act = actions["dualreg p2"]
+    tight = wk.DEFAULT_TOL.scaled(1e-3)
+    default = {r.name: r.threshold for r in wk.verify_basic_construction(act).checks}
+    rep = wk.verify_basic_construction(act, tol=tight)
+    assert rep.ok, [f.name for f in rep.failures]
+    got = {r.name: r.threshold for r in rep.checks}
+    assert got.keys() == default.keys()
+    for name, thr in default.items():
+        if name == "M2-generated-by-M-and-e":
+            # a dimension count, not a residual: its threshold is half a dimension
+            assert thr == got[name] == 0.5
+        else:
+            assert thr == 1e-8
+            assert got[name] == pytest.approx(thr / 1000, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", REGULAR)
 def test_regular_actions(actions, name):
     act = actions[name]
