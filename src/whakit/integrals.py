@@ -47,13 +47,12 @@ def integral_spaces(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> tuple[S
     tol = get_tol(tol)
     n = w.dim
     pi_l, pi_r = w.counital_maps
-    rows_l, rows_r = [], []
-    for j in range(n):
-        e = w.algebra.basis_vector(j)
-        rows_l.append(w.algebra.left_mult(e) - w.algebra.left_mult(pi_l[:, j]))
-        rows_r.append(w.algebra.right_mult(e) - w.algebra.right_mult(pi_r[:, j]))
-    left = Subspace(kernel(np.vstack(rows_l), tol), n, tol)
-    right = Subspace(kernel(np.vstack(rows_r), tol), n, tol)
+    eye = np.eye(n)
+    # row block j is L(e_j - pi^L(e_j)), resp. R(e_j - pi^R(e_j))
+    rows_l = w.algebra._left_stack(eye - pi_l).reshape(n * n, n)
+    rows_r = w.algebra._right_stack(eye - pi_r).reshape(n * n, n)
+    left = Subspace(kernel(rows_l, tol), n, tol)
+    right = Subspace(kernel(rows_r, tol), n, tol)
     return left, right
 
 
@@ -136,11 +135,9 @@ def haar_criterion(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:
     if w.algebra.is_semisimple(tol):
         n = w.dim
         s2 = w.antipode @ w.antipode
-        rows = [
-            w.algebra.right_mult(w.algebra.basis_vector(j)) - w.algebra.left_mult(s2[:, j])
-            for j in range(n)
-        ]
-        space = kernel(np.vstack(rows), tol)
+        # row block j is R(e_j) - L(S^2(e_j)): g e_j = S^2(e_j) g
+        rows = w.algebra._right_stack(np.eye(n)) - w.algebra._left_stack(s2)
+        space = kernel(rows.reshape(n * n, n), tol)
         if space.shape[1]:
             blocks = w.algebra.block_decomposition(tol)
             for attempt in range(8):
@@ -249,11 +246,8 @@ def canonical_grouplike(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Can
     g = w.mul(g_l, w.algebra.inverse(g_r, tol))
     g_inv = w.algebra.inverse(g, tol)
     s2 = w.antipode @ w.antipode
-    n = w.dim
-    worst = 0.0
-    for j in range(n):
-        lhs = w.mul(w.mul(g, w.algebra.basis_vector(j)), g_inv)
-        worst = max(worst, float(np.linalg.norm(lhs - s2[:, j])))
+    conj = w.algebra.right_mult(g_inv) @ w.algebra.left_mult(g)  # column j is g e_j g^-1
+    worst = float(np.max(np.linalg.norm(conj - s2, axis=0)))
     rep.add("implements-antipode-squared", worst, 1e-6 * max(1.0, float(np.linalg.norm(s2))))
     op_g = gns.rep(g)
     rep.add("grouplike-self-adjoint", np.linalg.norm(op_g - op_g.conj().T), 1e-7 * max(1.0, float(np.linalg.norm(op_g))))
@@ -267,10 +261,7 @@ def canonical_grouplike(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Can
     t_el = w.mul(g_l, g_r)
     t_inv = w.algebra.inverse(t_el, tol)
     f1 = np.einsum("ijk,k->ij", w.algebra.c, hd)
-    rhs = np.empty_like(f1)
-    for i in range(n):
-        v = w.mul(w.mul(t_el, w.algebra.basis_vector(i)), t_inv)
-        rhs[i] = f1 @ v
+    rhs = (f1 @ w.algebra.right_mult(t_inv) @ w.algebra.left_mult(t_el)).T  # row i is f1 (t e_i t^-1)
     rep.add("modular-identity", np.linalg.norm(f1 - rhs), 1e-6 * max(1.0, float(np.linalg.norm(f1))))
     kac = is_weak_kac(w, tol)
     g_trivial = float(np.linalg.norm(g - w.unit)) <= 1e-7 * max(1.0, float(np.linalg.norm(g)))

@@ -214,9 +214,7 @@ def irreducible_representations(w: WeakHopfAlgebra, tol: Tolerance | None = None
         k = ideal.conj().T @ gram @ ideal
         vals, vecs = np.linalg.eigh((k + k.conj().T) / 2)
         basis = ideal @ (vecs / np.sqrt(vals))
-        mats = np.stack(
-            [basis.conj().T @ gram @ w.algebra.left_mult(w.algebra.basis_vector(j)) @ basis for j in range(w.dim)]
-        )
+        mats = (basis.conj().T @ gram) @ w.algebra._lmats @ basis  # over the L(e_j)
         out.append(Representation(w, mats, name=f"irrep[{b.size}]"))
     return out
 

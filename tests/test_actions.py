@@ -441,6 +441,31 @@ def test_smash_of_a_group_algebra_is_a_full_matrix_algebra(examples):
     assert sp.algebra.center().dim == 1
 
 
+@pytest.mark.parametrize("key", ["p2", "m23"])
+def test_smash_product_forms_one_trace_form_of_the_smash_product(examples, monkeypatch, key):
+    forms = []
+    original = wk.FinDimAlgebra.trace_form
+
+    def spy(self):
+        forms.append(self)
+        return original(self)
+
+    monkeypatch.setattr(wk.FinDimAlgebra, "trace_form", spy)
+    sp = wk.smash_product(examples[key])
+    assert sum(a is sp.algebra for a in forms) == 1
+
+
+def test_a_smash_product_that_is_not_semisimple_is_a_cross_check_mismatch(examples, monkeypatch):
+    original = wk.FinDimAlgebra.is_semisimple
+
+    def degenerate_on_the_smash(self, tol=None):
+        return False if "x|" in self.name else original(self, tol)
+
+    monkeypatch.setattr(wk.FinDimAlgebra, "is_semisimple", degenerate_on_the_smash)
+    with pytest.raises(wk.CrossCheckMismatch, match="^smash product is not semisimple$"):
+        wk.smash_product(examples["p2"])
+
+
 # ---------------------------------------------------------------------------
 # the block-permutation check of the basic construction
 

@@ -106,6 +106,12 @@ class TestKernels(unittest.TestCase):
             lm = alg.c.transpose(0, 2, 1)
             self.assertClose(alg.trace_form(), np.einsum("iab,jba->ij", lm, lm))
 
+    def test_left_and_right_mult(self):
+        for alg in (self.random, self.rotated):
+            a = self.rng.normal(size=alg.dim) + 1j * self.rng.normal(size=alg.dim)
+            self.assertClose(alg.left_mult(a), np.einsum("i,ijk->kj", a, alg.c))
+            self.assertClose(alg.right_mult(a), np.einsum("j,ijk->ki", a, alg.c))
+
     def test_center(self):
         alg = self.rotated
         rows = [alg.left_mult(alg.basis_vector(i)) - alg.right_mult(alg.basis_vector(i)) for i in range(alg.dim)]
@@ -555,6 +561,131 @@ def test_dense_loop_runs_below_the_cut_only(m23, monkeypatch):
     assert calls == []
     assert _fresh(m23.algebra).validate().ok
     assert calls == [13]
+
+
+# -- center: the certified commutant of a generic pair against the dense kernel
+
+
+def _dense_center(a):
+    """Kernel of the (n^2, n) system whose row block i is L(e_i) - R(e_i), by einsum."""
+    n = a.dim
+    rows = np.einsum("ijk->ikj", a.c) - np.einsum("jik->ikj", a.c)
+    return Subspace(kernel(rows.reshape(n * n, n)), n)
+
+
+def _kernel_shapes(monkeypatch):
+    """Record the shape of every matrix whose kernel the algebra module takes."""
+    shapes = []
+    original = algebra.kernel
+
+    def spy(a, tol=None):
+        shapes.append(np.shape(a))
+        return original(a, tol)
+
+    monkeypatch.setattr(algebra, "kernel", spy)
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def center_ladder(examples, rotated, ising):
+    """Algebras of dimension >= CENTER_FROM_PAIR_DIM, keyed by source."""
+    out = {}
+    for key in ("s3", "m23", "p4"):
+        out[f"{key} smash"] = wk.smash_product(examples[key]).algebra
+        out[f"{key}~ smash"] = wk.smash_product(rotated(examples[key], 17)).algebra
+    out["z8 translation"] = wk.crossed_product(wk.arrow_action(wk.cyclic_wha(8))).algebra
+    out["Ising"] = ising.algebra
+    for key in ("s3 smash", "p4 smash"):
+        # non-associative: the trace form stays nondegenerate but nothing is central
+        base = out[key]
+        e = np.random.default_rng(0).standard_normal(base.c.shape)
+        out[f"{key} + 1e-3"] = wk.FinDimAlgebra(base.c + 1e-3 * e / np.linalg.norm(e), base.unit)
+    return out
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["s3 smash", "s3~ smash", "m23 smash", "m23~ smash", "p4 smash", "p4~ smash", "z8 translation",
+     "Ising", "s3 smash + 1e-3", "p4 smash + 1e-3"],
+)
+def test_center_from_the_pair_matches_the_dense_kernel(center_ladder, monkeypatch, key):
+    a = _fresh(center_ladder[key])
+    n = a.dim
+    assert n >= algebra.CENTER_FROM_PAIR_DIM
+    shapes = _kernel_shapes(monkeypatch)
+    got = a.center()
+    assert shapes == [(2 * n, n)]  # the certificate passed: the dense kernel was not taken
+    want = _dense_center(a)
+    assert got.dim == want.dim
+    assert np.linalg.norm(got.projector() - want.projector()) <= 1e-12
+
+
+def test_a_pair_that_does_not_generate_leaves_the_center_to_the_dense_kernel(center_ladder, monkeypatch):
+    a = _fresh(center_ladder["s3 smash"])  # M_6, n = 36
+    n = a.dim
+    monkeypatch.setattr(algebra, "_generic_pair", lambda n: np.column_stack([a.unit, 2.0 * a.unit]))
+    shapes = _kernel_shapes(monkeypatch)
+    got = a.center()
+    assert shapes == [(2 * n, n), (n * n, n)]  # the pair's commutant is all of A, the certificate fails
+    want = _dense_center(a)
+    assert got.dim == want.dim == 1
+    assert np.linalg.norm(got.projector() - want.projector()) <= 1e-12
+
+
+@pytest.mark.parametrize("key", ["p3", "m23"])
+def test_center_below_the_cut_takes_the_dense_kernel(examples, monkeypatch, key):
+    a = _fresh(wk.smash_product(examples[key]).algebra) if key == "p3" else _fresh(examples[key].algebra)
+    n = a.dim  # 27 and 13
+    assert n < algebra.CENTER_FROM_PAIR_DIM
+    shapes = _kernel_shapes(monkeypatch)
+    got = a.center()
+    assert shapes == [(n * n, n)]
+    assert np.linalg.norm(got.projector() - _dense_center(a).projector()) <= 1e-12
+
+
+@pytest.mark.parametrize("key", ["m23", "p4"])
+def test_commutant_matches_the_per_generator_rows(examples, key):
+    """is_regular's relative commutant M' in A # A^, against one einsum pair per generator."""
+    cp = wk.smash_product(examples[key])
+    a = cp.algebra
+    gens = [cp.embed_m[:, i] for i in range(cp.embed_m.shape[1])]
+    rows = [np.einsum("i,ijk->kj", g, a.c) - np.einsum("j,ijk->ki", g, a.c) for g in gens]
+    want = Subspace(kernel(np.vstack(rows)), a.dim)
+    got = a.commutant_in(gens)
+    assert got.dim == want.dim
+    assert np.linalg.norm(got.projector() - want.projector()) <= 1e-12
+
+
+# -- the star row of validate() against its einsum form
+
+
+def _einsum_star_row(a):
+    s = a.involution
+    lhs = np.einsum("ijk,mk->ijm", np.conj(a.c), s)
+    rhs = np.einsum("pj,qi,pqm->ijm", s, s, a.c, optimize=True)
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def _star_row(rep):
+    [row] = [check for check in rep.checks if check.name == "star-antimultiplicative"]
+    return row
+
+
+@pytest.mark.parametrize("key", ["s3", "p3", "z8", "m23"])
+def test_star_row_matches_the_einsum_form(crossed, key):
+    a = crossed[key]
+    row = _star_row(a.validate())
+    want = _einsum_star_row(a)
+    assert row.passed
+    assert abs(row.residual - want) <= 1e-12 * max(1.0, float(np.linalg.norm(a.c)) ** 2)
+
+    # a perturbed involution fails the row with the einsum form's residual
+    e = np.random.default_rng(3).standard_normal(a.involution.shape)
+    bad = wk.FinDimAlgebra(a.c, a.unit, involution=a.involution + 1e-4 * e / np.linalg.norm(e))
+    row = _star_row(bad.validate())
+    want = _einsum_star_row(bad)
+    assert not row.passed
+    assert abs(row.residual - want) <= 1e-12 * want
 
 
 if __name__ == "__main__":
