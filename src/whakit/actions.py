@@ -6,24 +6,25 @@ subalgebras (two independent routes), the crossed product ``M x| A`` on the
 relative tensor product over ``A^L``, the regularity clauses that make
 ``M^A c M c M x| A`` a basic construction, the itemized basic-construction
 checks, the Galois map ``M (x)_{M^A} M -> (M (x) A^) rho(1)`` into the corner
-of the coaction's unit, and the smash product ``A # A^``.
+of the coaction's unit, and the smash product ``A # A^``.  An action keeps its
+axiom report per tolerance; construction, crossed product and CLI share it.
 
 The crossed product's structure constants come from one of two routes.  When
 the action is Galois, ``m x| a -> L(m) alpha_a`` is a faithful representation
 of M x| A on M (Caenepeel-De Groot; for the smash product the Heisenberg
 representation A # A^ = End_{A^L}(A) of Nikshych-Vainerman), and the product
 is read off d operators on M.  That route decides only when the action and
-M pass the representation's preconditions (alpha multiplicative, covariance,
-M associative, the relation span in the kernel, full rank on the quotient,
-closure); otherwise, as for the trivial action, the dense route contracts the
-product into a (dim M * dim A, dim M * dim A, d) tensor and checks its
-descent.  :func:`crossed_product` lists both.
+M pass the representation's preconditions (alpha multiplicative and covariant
+by that report, M associative, the relation span in the kernel, full rank on
+the quotient, closure); otherwise, as for the trivial action, the dense route
+contracts the product into a (dim M * dim A, dim M * dim A, d) tensor and
+checks its descent.  :func:`crossed_product` lists both.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .algebra import (
     FinDimAlgebra,
     _associator_certificate,
     _dense_associator_norm,
+    _representation_defect,
     _validated,
     induced_algebra,
     inclusion_matrix,
@@ -75,6 +77,7 @@ class WhaAction:
     module: FinDimAlgebra
     alpha: np.ndarray  # (dim A, dim M, dim M)
     name: str = "action"
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=complex)
@@ -96,15 +99,16 @@ class WhaAction:
 
 
 def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomReport:
-    """Residuals of the four action axioms."""
+    """Residuals of the action axioms, computed once per tolerance and kept in the
+    action (build a new action instead of changing ``alpha``)."""
     tol = get_tol(tol)
+    if tol in action._reports:
+        return action._reports[tol]
     w, m_alg, alpha = action.wha, action.module, action.alpha
     rep = AxiomReport(f"{action.name}: {w.name} on {m_alg.name}")
     scale = max(1.0, float(np.linalg.norm(alpha)))
     ops = alpha.transpose(0, 2, 1)  # operator matrix of alpha_{e_i}
-    lhs = np.einsum("iab,jbc->ijac", ops, ops, optimize=True)
-    rhs = np.einsum("ijk,kac->ijac", w.algebra.c, ops, optimize=True)
-    rep.add("action-algebra-map", np.linalg.norm(lhs - rhs), tol.bound(scale**2) * 10)
+    rep.add("action-algebra-map", _representation_defect(w.algebra.c, ops), tol.bound(scale**2) * 10)
     rep.add(
         "action-unital",
         np.linalg.norm(action.amat(w.unit) - np.eye(m_alg.dim)),
@@ -125,6 +129,7 @@ def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomRep
         lhs4 = np.einsum("kr,tjr->tjk", inv_m, np.conj(alpha), optimize=True)
         rhs4 = np.einsum("it,irk,rj->tjk", k, alpha, inv_m, optimize=True)
         rep.add("action-star", np.linalg.norm(lhs4 - rhs4), tol.bound(scale) * 10)
+    action._reports[tol] = rep
     return rep
 
 
@@ -321,24 +326,16 @@ def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float,
 
     Returns ``(c, associator_bound)``, or None as soon as one of the
     preconditions listed in :func:`crossed_product` fails against ``bound``
-    (the rank against ``tol``); the dense route then decides.
+    (the rank against ``tol``); the dense route then decides.  Multiplicativity
+    and covariance are the kept :func:`validate_action` rows.
     """
-    w, m_alg, alpha = action.wha, action.module, action.alpha
-    dm, da = m_alg.dim, w.dim
+    m_alg = action.module
+    dm, da = m_alg.dim, action.wha.dim
     d = carrier.shape[1]
-    ops = alpha.transpose(0, 2, 1)  # alpha_{e_a}
-    lmats = m_alg.c.transpose(0, 2, 1)  # L(e_n)
-    # alpha_a alpha_b = alpha_{ab}
-    if np.linalg.norm(np.matmul(ops[:, None], ops[None]) - np.tensordot(w.algebra.c, ops, axes=1)) > bound:
+    # alpha_a alpha_b = alpha_{ab}; covariance alpha_a L(e_n) = sum_pq Delta[p,q,a] L(alpha_p(e_n)) alpha_q
+    axioms = {check.name: check.residual for check in validate_action(action, tol).checks}
+    if axioms["action-algebra-map"] > bound or axioms["action-module-algebra"] > bound:
         return None
-    # covariance: alpha_a L(e_n) = sum_pq Delta[p,q,a] L(alpha_p(e_n)) alpha_q
-    l_alpha = (alpha.reshape(da * dm, dm) @ lmats.reshape(dm, dm * dm)).reshape(da, dm, dm, dm)
-    d_ops = np.tensordot(w.delta3, ops, axes=([1], [0]))  # sum_q Delta[p,q,a] alpha_q, (p, a, ., .)
-    cov = np.einsum("pnkm,paml->ankl", l_alpha, d_ops, optimize=True)
-    cov -= np.matmul(ops[:, None], lmats[None])
-    if np.linalg.norm(cov) > bound:
-        return None
-    del l_alpha, d_ops, cov
     # L(e_i) L(e_j) = L(e_i e_j)
     if _dense_associator_norm(m_alg.c) > bound:
         return None

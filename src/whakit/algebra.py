@@ -38,7 +38,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .linalg import Subspace, is_irreducible_nonneg, kernel, lstsq, orth, perron_frobenius
+from .linalg import Subspace, is_irreducible_nonneg, kernel, lstsq, matrix_rank, orth, perron_frobenius
 from .report import AxiomReport
 
 __all__ = [
@@ -188,9 +188,11 @@ class FinDimAlgebra:
         return self._lmats.reshape(n, n * n) @ self.c.reshape(n, n * n).T
 
     def is_semisimple(self, tol: Tolerance | None = None) -> bool:
+        """Whether ``matrix_rank(T / |T|_F) == n`` for the trace form T (scale-free; T = 0 is not)."""
         tol = get_tol(tol)
-        svals = np.linalg.svd(self.trace_form(), compute_uv=False)
-        return bool(svals.size and svals[-1] > tol.abs_tol)
+        t = self.trace_form()
+        norm = float(np.linalg.norm(t))
+        return bool(norm > 0.0 and matrix_rank(t / norm, tol) == self.dim)
 
     # -- structure ----------------------------------------------------------
 
@@ -350,26 +352,44 @@ def _validated(algebra: FinDimAlgebra, associator_bound: float | None, tol: Tole
     if algebra.involution is not None:
         s = algebra.involution
         rep.add("star-involutive", np.linalg.norm(s @ np.conj(s) - eye), tol.bound(scale))
-        rep.add("star-antimultiplicative", _star_antimultiplicative_norm(c, s), tol.bound(scale**2))
+        rep.add("star-antimultiplicative", _antimultiplicative_norm(c, s, antilinear=True), tol.bound(scale**2))
         rep.add("unit-star", np.linalg.norm(algebra.star(algebra.unit) - algebra.unit), tol.bound(1.0))
     return rep
 
 
-def _star_antimultiplicative_norm(c, s) -> float:
-    """Frobenius norm of ``(e_i e_j)* - e_j* e_i*`` over all basis pairs, ``s`` the involution matrix.
+def _antimultiplicative_norm(c, s, antilinear: bool) -> float:
+    """Frobenius norm of ``f(e_i e_j) - f(e_j) f(e_i)`` over all basis pairs, f given by ``s``.
 
-    As [i, (j, m)] GEMMs, 16 values of i at a time, so the only (n, n, n)
-    array formed is ``t[q, j, m] = sum_p s[p, j] c[p, q, m]``, the coordinates
-    of ``e_j* e_q``; then ``(e_j* e_i*)_m = sum_q s[q, i] t[q, j, m]``.
+    f is ``a -> s a`` (the antipode) or, if ``antilinear``, ``a -> s conj(a)`` (the star).
+    As [i, (j, m)] GEMMs, 16 values of i at a time, so the only (n, n, n) array
+    formed is ``t[q, j, m] = sum_p s[p, j] c[p, q, m]``, the coordinates of
+    ``f(e_j) e_q``; then ``(f(e_j) f(e_i))_m = sum_q s[q, i] t[q, j, m]``.
     """
     n = c.shape[0]
     t = np.matmul(s.T, c.transpose(1, 0, 2)).reshape(n, n * n)
     acc = 0.0
     for lo in range(0, n, 16):
         sl = slice(lo, lo + 16)
-        lhs = np.conj(c[sl]) @ s.T  # (e_i e_j)* over i in sl, j
+        lhs = (np.conj(c[sl]) if antilinear else c[sl]) @ s.T  # f(e_i e_j) over i in sl, j
         rhs = (s[:, sl].T @ t).reshape(lhs.shape)
         acc += float(np.linalg.norm(lhs - rhs)) ** 2
+    return float(np.sqrt(acc))
+
+
+def _representation_defect(c, mats) -> float:
+    """Frobenius norm of ``sum_k c[i,j,k] mats[k] - mats[i] mats[j]`` over all basis pairs.
+
+    The multiplicativity defect of ``e_k -> mats[k]``, 16 values of i at a time,
+    so no (n, n, k, k) array is formed.
+    """
+    n = c.shape[0]
+    flat = mats.reshape(n, -1)
+    acc = 0.0
+    for lo in range(0, n, 16):
+        sl = slice(lo, lo + 16)
+        want = c[sl] @ flat  # the image of e_i e_j over i in sl, j
+        got = np.matmul(mats[sl, None], mats[None]).reshape(want.shape)
+        acc += float(np.linalg.norm(want - got)) ** 2
     return float(np.sqrt(acc))
 
 
@@ -386,7 +406,7 @@ def _associator_certificate(c, phi_norm: float, r_norm: float, sigma_min: float)
 def _associator_bound(algebra: FinDimAlgebra, tol: Tolerance) -> float | None:
     """Upper bound on :func:`_dense_associator_norm` through the Wedderburn map.
 
-    Costs one (n^2, n) x (n, n_q^2) GEMM per block of the cached
+    Costs one :func:`_representation_defect` per block of the cached
     :meth:`FinDimAlgebra.wedderburn_map`.  Returns None when the algebra does
     not decompose at ``tol`` or phi is not injective.
     """
@@ -395,13 +415,7 @@ def _associator_bound(algebra: FinDimAlgebra, tol: Tolerance) -> float | None:
     except _NO_DECOMPOSITION:
         return None
     n = algebra.dim
-    c_rows = algebra.c.reshape(n * n, n)
-    r2 = 0.0
-    for phi in wedderburn.phis:
-        m = phi.shape[1]
-        pairs = np.tensordot(phi, phi, axes=([2], [1])).transpose(0, 2, 1, 3)  # phi(e_i) phi(e_j)
-        r = c_rows @ phi.reshape(n, m * m) - pairs.reshape(n * n, m * m)
-        r2 += float(np.linalg.norm(r)) ** 2
+    r2 = sum(_representation_defect(algebra.c, phi) ** 2 for phi in wedderburn.phis)
     svals = wedderburn.svd[1]
     if svals.size < n or svals[n - 1] == 0.0:
         return None

@@ -23,6 +23,7 @@ from .algebra import (
     BlockDecomposition,
     GnsRep,
     _minimal_central_idempotents,
+    _representation_defect,
     _support_key,
     gns_rep,
     induced_algebra,
@@ -86,11 +87,9 @@ class Representation:
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
         tol = get_tol(tol)
         rep = AxiomReport(self.name or "representation")
-        c = self.wha.algebra.c
         scale = max(1.0, float(np.linalg.norm(self.matrices)))
-        lhs = np.einsum("iab,jbc->ijac", self.matrices, self.matrices, optimize=True)
-        rhs = np.einsum("ijk,kac->ijac", c, self.matrices, optimize=True)
-        rep.add("representation-multiplicative", np.linalg.norm(lhs - rhs), tol.bound(scale**2) * 10)
+        defect = _representation_defect(self.wha.algebra.c, self.matrices)
+        rep.add("representation-multiplicative", defect, tol.bound(scale**2) * 10)
         rep.add(
             "representation-unital",
             np.linalg.norm(self.apply(self.wha.unit) - np.eye(self.dim)),
@@ -599,17 +598,18 @@ def markov_index(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> float:
 
 def dimension_factorization(w: WeakHopfAlgebra, tol: Tolerance | None = None):
     """Nonnegative 𝐝^L (vacua_A x vacua_dual) with 𝐝_A = 𝐝^L 𝐝^R, 𝐝_dual = 𝐝^R 𝐝^L,
-    𝐝^R = (𝐝^L)^T.  Closed form when either side has a single vacuum; otherwise a
-    projected least-squares search over the nonnegative cone."""
+    𝐝^R = (𝐝^L)^T.
+
+    For a connected algebra 𝐝_A is rank one, 𝐝_A^2 = δ 𝐝_A, so the factor is
+    ``𝐝^L = sqrt(δ) u s^T`` with u and s the unit Perron vectors of 𝐝_A and
+    𝐝_dual.  Raises :class:`FactorizationResidualTooLarge` when that does not
+    factor both matrices, as for a decomposable algebra.
+    """
     tol = get_tol(tol)
     da, db = w.derived(tol).sectors.d_matrix, w.dual.derived(tol).sectors.d_matrix
-    v, vd = da.shape[0], db.shape[0]
-    if vd == 1:
-        x = np.sqrt(np.diag(da)).reshape(v, 1)
-    elif v == 1:
-        x = np.sqrt(np.diag(db)).reshape(1, vd)
-    else:
-        x = _factorize_nonneg(da, db, tol)
+    delta, u = perron_frobenius(da, tol)
+    _, s = perron_frobenius(db, tol)
+    x = np.sqrt(delta) * np.outer(u / np.linalg.norm(u), s / np.linalg.norm(s))
     resid = max(
         float(np.linalg.norm(x @ x.T - da)),
         float(np.linalg.norm(x.T @ x - db)),
@@ -619,20 +619,3 @@ def dimension_factorization(w: WeakHopfAlgebra, tol: Tolerance | None = None):
             f"no nonnegative factorization within tolerance (residual {resid:.3e})"
         )
     return x, x.T
-
-
-def _factorize_nonneg(da, db, tol, iters: int = 20000):
-    """Projected gradient descent for X >= 0 with X X^T = da, X^T X = db."""
-    v, vd = da.shape[0], db.shape[0]
-    lam_a, u = perron_frobenius(da, tol)
-    lam_b, s = perron_frobenius(db, tol)
-    u = u / np.linalg.norm(u)
-    s = s / np.linalg.norm(s)
-    x = np.sqrt(max(lam_a, 1e-12)) * np.outer(u, s)
-    rate = 1e-2 / max(1.0, float(np.max(da)))
-    for _ in range(iters):
-        r1 = x @ x.T - da
-        r2 = x.T @ x - db
-        grad = 2 * (r1 + r1.T) @ x + 2 * x @ (r2 + r2.T)
-        x = np.clip(x - rate * grad, 0.0, None)
-    return x

@@ -150,6 +150,13 @@ class TestBlockStructure(unittest.TestCase):
         with self.assertRaises(NotSemisimple):
             wk.block_decomposition(a)
 
+    def test_semisimplicity_is_scale_free(self):
+        # the trace form scales as s^2 in the basis s e_i; a zero form is degenerate
+        for s in (1e-6, 1.0, 1e6):
+            self.assertTrue(wk.FinDimAlgebra(matrix_units(2).c * s, matrix_units(2).unit / s).is_semisimple())
+            self.assertFalse(wk.FinDimAlgebra(dual_numbers().c * s, dual_numbers().unit / s).is_semisimple())
+        self.assertFalse(wk.FinDimAlgebra(np.zeros((1, 1, 1)), np.ones(1)).is_semisimple())
+
     def test_empty_center_is_not_semisimple(self):
         # the perturbed product keeps a nondegenerate trace form but no
         # nonzero element commutes with everything at the default tolerance

@@ -305,7 +305,8 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
 
 def test_gate_validates_the_algebra_once(monkeypatch):
     """Building A and one analyze run on it, and one validating load, check the
-    algebra axioms of A once: ``from_wba`` keeps the report for the gate."""
+    algebra axioms of A and of Â once each (Â's are A's coalgebra axioms):
+    ``from_wba`` keeps the report for the gate."""
     calls = []
     original = wk.FinDimAlgebra.validate
 
@@ -316,7 +317,7 @@ def test_gate_validates_the_algebra_once(monkeypatch):
     monkeypatch.setattr(wk.FinDimAlgebra, "validate", counting)
     w = wk.m2_m3()
     assert analyze_wha(w)["ok"]
-    assert calls == [w.name]
+    assert calls == [w.name, f"{w.name}^"]
     calls.clear()
     whafile.loads(whafile.dumps(w))
-    assert calls == [w.name]
+    assert calls == [w.name, f"{w.name}^"]

@@ -276,6 +276,32 @@ def test_dimension_factorization(examples):
     np.testing.assert_allclose(x @ x.T, table.d_matrix, atol=1e-9)
 
 
+def _tensor(a: wk.WeakHopfAlgebra, b: wk.WeakHopfAlgebra) -> wk.WeakHopfAlgebra:
+    """A ⊗ B on the basis e_i ⊗ f_a, index i * dim B + a, with the componentwise structure."""
+    n = a.dim * b.dim
+    c = np.einsum("ijk,abc->iajbkc", a.algebra.c, b.algebra.c).reshape(n, n, n)
+    delta = np.einsum("pqi,xya->pxqyia", a.delta3, b.delta3).reshape(n * n, n)
+    inv = np.kron(a.algebra.involution, b.algebra.involution)
+    alg = wk.FinDimAlgebra(c, np.kron(a.unit, b.unit), involution=inv, name=f"{a.name}(x){b.name}")
+    return wk.WeakHopfAlgebra(alg, delta, np.kron(a.eps, b.eps), np.kron(a.antipode, b.antipode))
+
+
+def test_dimension_factorization_with_several_vacua_on_both_sides(examples):
+    """p2 ⊗ fp2 has two vacua on A and two on the dual, so neither side is a single vacuum."""
+    w = _tensor(examples["p2"], examples["fp2"])
+    assert wk.validate_wha(w).ok
+    x, xt = wk.dimension_factorization(w)
+    np.testing.assert_allclose(x, [[1.0, 1.0], [1.0, 1.0]], atol=1e-9)
+    np.testing.assert_allclose(xt, x.T)
+
+
+def test_dimension_factorization_refuses_a_decomposable_algebra():
+    """On p2 ⊔ Z_3 the dimension matrix is not rank one, so no factor √δ u s^T fits."""
+    w = wk.groupoid_wha(wk.disjoint_union(wk.pair_groupoid(2), wk.cyclic_group(3)))
+    with pytest.raises(wk.FactorizationResidualTooLarge):
+        wk.dimension_factorization(w)
+
+
 MARKOV = {
     "z2": 2.0, "z3": 3.0, "z4": 4.0, "z5": 5.0, "s3": 6.0,
     "p2": 2.0, "p3": 3.0, "p4": 4.0, "fp2": 2.0, "m23": 2 + 3 * PHI,
