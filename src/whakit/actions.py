@@ -23,7 +23,6 @@ checks its descent.  :func:`crossed_product` lists both.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +31,10 @@ from .algebra import (
     FinDimAlgebra,
     _associator_certificate,
     _dense_associator_norm,
+    _inclusion_matrix,
     _representation_defect,
     _validated,
     induced_algebra,
-    inclusion_matrix,
     watatani_index,
 )
 from .config import Tolerance, get_tol
@@ -649,8 +648,10 @@ def smash_product(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> CrossedPr
     """The smash product A # A^ = crossed product of the dual regular action.
 
     Structural consequences are verified: the result is semisimple, its block
-    count equals the block count of A^L, and its inclusion data over A is the
-    transpose of the inclusion matrix of A^L c A (basic construction).
+    count equals that of A^L (induced once), and for semisimple A the columns of
+    Lambda(A c A # A^) are the rows of Lambda(A^L c A) as multisets (the basic
+    construction).  Lambda(A c A # A^) is read off A's own blocks through
+    ``embed_m``, which :func:`crossed_product` checked multiplicative and injective.
     """
     tol = get_tol(tol)
     action = dual_regular_action(w, tol)
@@ -662,54 +663,16 @@ def smash_product(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> CrossedPr
         raise CrossCheckMismatch("smash product is not semisimple") from exc
 
     al = w.derived(tol).counital_subalgebras.left
-    al_alg, _ = induced_algebra(w.algebra, al, tol=tol, name=f"{w.name}^L")
-    n_left = len(al_alg.block_decomposition(tol).blocks)
-    if n_big != n_left:
-        raise CrossCheckMismatch(
-            f"smash product has {n_big} blocks but A^L has {n_left}"
-        )
+    al_alg, al_coords = induced_algebra(w.algebra, al, tol=tol, name=f"{w.name}^L")
+    blocks_l = al_alg.block_decomposition(tol)
+    if n_big != len(blocks_l):
+        raise CrossCheckMismatch(f"smash product has {n_big} blocks but A^L has {len(blocks_l)}")
     if w.algebra.is_semisimple(tol):
-        # basic construction: Lambda(A c A#A^) is the transpose of
-        # Lambda(A^L c A), up to reordering of the isomorphic copies' blocks
-        lam_base, blocks_l, blocks_a = inclusion_matrix(w.algebra, al, tol)
-        a_sub = Subspace(out.embed_m, big.dim, tol)
-        lam_top, blocks_copy, blocks_big = inclusion_matrix(big, a_sub, tol)
-        ok = _same_up_to_permutations(
-            lam_top,
-            lam_base.T,
-            [b.size for b in blocks_copy.blocks],
-            [b.size for b in blocks_a.blocks],
-        )
-        if not ok:
+        lam_base = _inclusion_matrix(w.algebra, blocks_l, al_coords, tol)
+        lam_top = _inclusion_matrix(big, w.algebra.block_decomposition(tol), out.embed_m, tol)
+        if sorted(map(tuple, lam_top.T.tolist())) != sorted(map(tuple, lam_base.tolist())):
             raise CrossCheckMismatch(
-                f"inclusion data of A c A#A^\n{lam_top}\nis not a reordering of the"
-                f" transpose of Lambda(A^L c A)\n{lam_base.T}"
+                f"the columns of Lambda(A c A#A^)\n{lam_top}\nare not the rows of"
+                f" Lambda(A^L c A)\n{lam_base}"
             )
     return out
-
-
-def _same_up_to_permutations(a, b, row_sizes_a, row_sizes_b) -> bool:
-    """Whether integer matrices agree after size-preserving row and column permutations.
-
-    With the columns of ``a`` in a fixed order, a size-preserving row
-    permutation exists iff the multisets of (size, row) agree; with the rows
-    in a fixed order, a column permutation exists iff the multisets of columns
-    agree.  So only the orders of the shorter axis are tried, at most
-    min(k, m)! of them.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    k, m = a.shape
-    if m <= k:
-        target = sorted(zip(row_sizes_b, map(tuple, b.tolist())))
-        return any(
-            sorted(zip(row_sizes_a, map(tuple, a[:, list(q)].tolist()))) == target
-            for q in itertools.permutations(range(m))
-        )
-    target = sorted(map(tuple, b.T.tolist()))
-    return any(
-        [row_sizes_a[i] for i in pr] == list(row_sizes_b) and sorted(map(tuple, a[list(pr)].T.tolist())) == target
-        for pr in itertools.permutations(range(k))
-    )

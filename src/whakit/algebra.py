@@ -8,8 +8,8 @@ Wedderburn block decomposition, inclusion matrices of unital subalgebras,
 Markov traces, and Watatani index of a conditional expectation.
 
 Commutants are kernels of stacked commutator rows ``L(g) - R(g)``, formed for
-all generators at once by one GEMM against the left multiplication matrices
-and one batched GEMM against the structure constants.  The center has two
+all generators at once by one GEMM against the (n, n^2) view of the structure
+constants and one batched GEMM against them.  The center has two
 routes: below :data:`CENTER_FROM_PAIR_DIM` the kernel of the (n^2, n) system
 over all basis vectors; from there on the commutant of two seeded random
 elements, which is returned only when certified central against that system's
@@ -70,6 +70,10 @@ class FinDimAlgebra:
     involution : (n, n) array, optional
         Matrix of the antilinear star map: ``a* = involution @ conj(a)``.
     basis_labels : list of str, optional
+
+    ``c`` is the one (n, n, n) array an algebra holds; left multiplications,
+    traces and checks read it through views.  ``_records`` keeps, per tolerance,
+    "semisimple", "center", "blocks" and "wedderburn", each computed once.
     """
 
     def __init__(self, structure_constants, unit, involution=None, basis_labels=None, name="algebra"):
@@ -92,10 +96,7 @@ class FinDimAlgebra:
         self.involution = involution
         self.basis_labels = list(basis_labels) if basis_labels is not None else [f"e{i}" for i in range(n)]
         self.name = name
-        # left multiplication matrices of all basis vectors, L[i][k,j] = c[i,j,k]
-        self._lmats = c.transpose(0, 2, 1).copy()
-        self._blocks: dict[Tolerance, BlockDecomposition] = {}
-        self._wedderburn: dict[Tolerance, WedderburnMap] = {}
+        self._records: dict[Tolerance, dict] = {}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -113,7 +114,7 @@ class FinDimAlgebra:
     def left_mult(self, a):
         """Matrix of x -> a x."""
         n = self.dim
-        return (np.asarray(a, dtype=complex).ravel() @ self._lmats.reshape(n, n * n)).reshape(n, n)
+        return (np.asarray(a, dtype=complex).ravel() @ self.c.reshape(n, n * n)).reshape(n, n).T
 
     def right_mult(self, a):
         """Matrix of x -> x a."""
@@ -122,7 +123,7 @@ class FinDimAlgebra:
     def _left_stack(self, g):
         """The (m, n, n) stack of L(g_k) over the m columns g_k of ``g``, one GEMM."""
         n = self.dim
-        return (g.T @ self._lmats.reshape(n, n * n)).reshape(-1, n, n)
+        return (g.T @ self.c.reshape(n, n * n)).reshape(-1, n, n).transpose(0, 2, 1)
 
     def _right_stack(self, g):
         """The (m, n, n) stack of R(g_k) over the m columns g_k of ``g``, one batched GEMM."""
@@ -179,25 +180,35 @@ class FinDimAlgebra:
 
     def regular_trace(self, a) -> complex:
         """Trace of left multiplication by ``a`` on the algebra itself."""
-        return complex(np.einsum("i,ikk->", np.asarray(a, dtype=complex).ravel(), self._lmats))
+        return complex(np.einsum("i,ikk->", np.asarray(a, dtype=complex).ravel(), self.c))
 
     def trace_form(self):
-        """Gram matrix T[i,j] = Tr(L(e_i) L(e_j)) of the regular trace form."""
-        n = self.dim
-        # L(e_j)[b, a] = c[j, a, b], so T = lmats_flat @ c_flat^T
-        return self._lmats.reshape(n, n * n) @ self.c.reshape(n, n * n).T
+        """Gram matrix T[i,j] = Tr(L(e_i) L(e_j)) = sum_ab c[i,a,b] c[j,b,a] of the regular trace form.
+
+        Summed as (n, 16 n) @ (16 n, n) GEMMs over 16 values of a at a time, a
+        view of c times a copy of 16 n^2 entries: no (n, n, n) array is formed.
+        """
+        n, c = self.dim, self.c
+        t = np.zeros((n, n), dtype=complex)
+        for lo in range(0, n, 16):
+            sl = slice(lo, lo + 16)
+            t += c[:, sl].reshape(n, -1) @ c[:, :, sl].transpose(0, 2, 1).reshape(n, -1).T
+        return t
 
     def is_semisimple(self, tol: Tolerance | None = None) -> bool:
-        """Whether ``matrix_rank(T / |T|_F) == n`` for the trace form T (scale-free; T = 0 is not)."""
+        """Whether ``matrix_rank(T / |T|_F) == n`` for the trace form T (scale-free; T = 0 is not), once per tolerance."""
         tol = get_tol(tol)
-        t = self.trace_form()
-        norm = float(np.linalg.norm(t))
-        return bool(norm > 0.0 and matrix_rank(t / norm, tol) == self.dim)
+        record = self._records.setdefault(tol, {})
+        if "semisimple" not in record:
+            t = self.trace_form()
+            norm = float(np.linalg.norm(t))
+            record["semisimple"] = bool(norm > 0.0 and matrix_rank(t / norm, tol) == self.dim)
+        return record["semisimple"]
 
     # -- structure ----------------------------------------------------------
 
     def center(self, tol: Tolerance | None = None) -> Subspace:
-        """Elements commuting with the whole algebra.
+        """Elements commuting with the whole algebra, computed once per tolerance.
 
         The center is the kernel of the (n^2, n) system S whose row block i is
         ``L(e_i) - R(e_i)``.  Two routes compute it, chosen by the dimension n:
@@ -217,26 +228,31 @@ class FinDimAlgebra:
           semisimple, the kernel of S decides.
         """
         tol = get_tol(tol)
-        n = self.dim
+        record = self._records.setdefault(tol, {})
+        if "center" in record:
+            return record["center"]
+        n, c = self.dim, self.c
         if n >= CENTER_FROM_PAIR_DIM:
             z = kernel(self._commutator_stack(_generic_pair(n)), tol)
             # column i of L(z_l) - R(z_l) is [z_l, e_i], so this stack holds the entries of -S Z
             resid = float(np.linalg.norm(self._commutator_stack(z)))
             # |S|_F = |c - c^T12|_F, one slice e_i e_j - e_j e_i over j at a time (no n^3 temporary)
-            s_norm = float(np.sqrt(sum(np.linalg.norm(self.c[i] - self.c[:, i]) ** 2 for i in range(n))))
+            s_norm = float(np.sqrt(sum(np.linalg.norm(c[i] - c[:, i]) ** 2 for i in range(n))))
             if resid <= tol.bound(s_norm):
-                return Subspace(z, n, tol)
-        # row block i is L(e_i) - R(e_i), and R(e_i)[k, j] = c[j, i, k]
-        rows = (self._lmats - self.c.transpose(1, 2, 0)).reshape(n * n, n)
-        return Subspace(kernel(rows, tol), n, tol)
+                record["center"] = Subspace(z, n, tol)
+                return record["center"]
+        # row block i is L(e_i) - R(e_i), with L(e_i)[k, j] = c[i, j, k] and R(e_i)[k, j] = c[j, i, k]
+        rows = (c.transpose(0, 2, 1) - c.transpose(1, 2, 0)).reshape(n * n, n)
+        record["center"] = Subspace(kernel(rows, tol), n, tol)
+        return record["center"]
 
     def commutant_in(self, generators, tol: Tolerance | None = None) -> Subspace:
         """Elements of A commuting with the generators.
 
         The kernel of the (m n, n) stack of ``L(g_k) - R(g_k)`` over the m
         generators, formed by :meth:`_commutator_stack` from one GEMM against
-        the left multiplication matrices and one batched GEMM against the
-        structure constants, O(m n^3).
+        the (n, n^2) view of the structure constants and one batched GEMM
+        against them, O(m n^3).
         """
         tol = get_tol(tol)
         gens = [np.asarray(g, dtype=complex).ravel() for g in generators]
@@ -251,7 +267,7 @@ class FinDimAlgebra:
         which it calls only when the blocks at ``tol`` are not there yet.
         """
         tol = get_tol(tol)
-        blocks = self._blocks.get(tol)
+        blocks = self._records.get(tol, {}).get("blocks")
         return blocks if blocks is not None else block_decomposition(self, tol)
 
     def wedderburn_map(self, tol: Tolerance | None = None) -> "WedderburnMap":
@@ -262,7 +278,8 @@ class FinDimAlgebra:
         dimension of its block or the blocks do not add up to the algebra.
         """
         tol = get_tol(tol)
-        if tol not in self._wedderburn:
+        record = self._records.setdefault(tol, {})
+        if "wedderburn" not in record:
             blocks = self.block_decomposition(tol)
             ideals = [orth(self.right_mult(_minimal_idempotent_in_block(self, b, tol)), tol) for b in blocks]
             for v, b in zip(ideals, blocks):
@@ -270,9 +287,11 @@ class FinDimAlgebra:
                     raise CrossCheckMismatch(f"ideal carrier {v.shape[1]} != block size {b.size}")
             if sum(b.size**2 for b in blocks) != self.dim:
                 raise CrossCheckMismatch(f"blocks {blocks.sizes} do not fill an algebra of dimension {self.dim}")
-            phis = [np.matmul(v.conj().T, self._lmats @ v) for v in ideals]
-            self._wedderburn[tol] = WedderburnMap(blocks, ideals, phis)
-        return self._wedderburn[tol]
+            # phi_q(e_i)[r, s] = sum_jk conj(v[k, r]) c[i, j, k] v[j, s], through c's (n^2, n) view
+            flat = self.c.reshape(-1, self.dim)
+            phis = [(v.T @ (flat @ v.conj()).reshape(self.dim, self.dim, -1)).transpose(0, 2, 1) for v in ideals]
+            record["wedderburn"] = WedderburnMap(blocks, ideals, phis)
+        return record["wedderburn"]
 
     def block_trace(self, block: "Block", x) -> complex:
         """Trace of ``x`` in the irreducible representation of ``block``: tr(z_q x) / n_q."""
@@ -361,18 +380,19 @@ def _antimultiplicative_norm(c, s, antilinear: bool) -> float:
     """Frobenius norm of ``f(e_i e_j) - f(e_j) f(e_i)`` over all basis pairs, f given by ``s``.
 
     f is ``a -> s a`` (the antipode) or, if ``antilinear``, ``a -> s conj(a)`` (the star).
-    As [i, (j, m)] GEMMs, 16 values of i at a time, so the only (n, n, n) array
-    formed is ``t[q, j, m] = sum_p s[p, j] c[p, q, m]``, the coordinates of
-    ``f(e_j) e_q``; then ``(f(e_j) f(e_i))_m = sum_q s[q, i] t[q, j, m]``.
+    16 values of j at a time, ``t[j, q, m] = sum_p s[p, j] c[p, q, m]`` (the
+    coordinates of ``f(e_j) e_q``) is one GEMM against ``c.reshape(n, n^2)``, and
+    ``(f(e_j) f(e_i))_m = sum_q s[q, i] t[j, q, m]``; no (n, n, n) array is formed.
     """
     n = c.shape[0]
-    t = np.matmul(s.T, c.transpose(1, 0, 2)).reshape(n, n * n)
+    flat = c.reshape(n, n * n)
     acc = 0.0
     for lo in range(0, n, 16):
         sl = slice(lo, lo + 16)
-        lhs = (np.conj(c[sl]) if antilinear else c[sl]) @ s.T  # f(e_i e_j) over i in sl, j
-        rhs = (s[:, sl].T @ t).reshape(lhs.shape)
-        acc += float(np.linalg.norm(lhs - rhs)) ** 2
+        t = (s[:, sl].T @ flat).reshape(-1, n, n)
+        rhs = s.T @ t.transpose(1, 0, 2).reshape(n, -1)  # f(e_j) f(e_i) over i, then j in sl
+        lhs = (np.conj(c[:, sl]) if antilinear else c[:, sl]).reshape(-1, n) @ s.T  # f(e_i e_j), the same order
+        acc += float(np.linalg.norm(lhs.reshape(n, -1) - rhs)) ** 2
     return float(np.sqrt(acc))
 
 
@@ -537,8 +557,9 @@ def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) ->
     algebra over C.
     """
     tol = get_tol(tol)
-    if tol in algebra._blocks:
-        return algebra._blocks[tol]
+    record = algebra._records.setdefault(tol, {})
+    if "blocks" in record:
+        return record["blocks"]
     if not algebra.is_semisimple(tol):
         raise NotSemisimple(f"{algebra.name}: regular trace form is degenerate")
     center = algebra.center(tol)
@@ -552,8 +573,8 @@ def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) ->
             raise NonIntegerBlockSize(f"central block of dimension {d} is not a square")
         blocks.append(Block(e, size, image))
     blocks.sort(key=lambda b: (b.size, _support_key(b.central_idempotent, tol)))
-    algebra._blocks[tol] = BlockDecomposition(blocks)
-    return algebra._blocks[tol]
+    record["blocks"] = BlockDecomposition(blocks)
+    return record["blocks"]
 
 
 def induced_algebra(
@@ -604,16 +625,24 @@ def inclusion_matrix(algebra: FinDimAlgebra, sub: Subspace, tol: Tolerance | Non
     ``mu`` inside the restriction of the A-block ``q``: z_mu is the central
     idempotent of ``mu`` and m_mu its size, and tr_q is
     :meth:`FinDimAlgebra.block_trace`.  A minimal idempotent p of ``mu`` has
-    ``tr_q(p) = Lambda[mu, q]``, and z_mu is a sum of m_mu of them.
-    Returns ``(Lambda, blocks_B, blocks_A)``.
+    ``tr_q(p) = Lambda[mu, q]``, and z_mu is a sum of m_mu of them.  B is
+    :func:`induced_algebra` on ``sub``.  Returns ``(Lambda, blocks_B, blocks_A)``.
     """
     tol = get_tol(tol)
     blocks_a = algebra.block_decomposition(tol)
     b_alg, q = induced_algebra(algebra, sub, tol=tol, name=f"{algebra.name}|B")
     blocks_b = b_alg.block_decomposition(tol)
+    return _inclusion_matrix(algebra, blocks_b, q, tol), blocks_b, blocks_a
+
+
+def _inclusion_matrix(algebra: FinDimAlgebra, blocks_b: BlockDecomposition, embed, tol: Tolerance) -> np.ndarray:
+    """Lambda of :func:`inclusion_matrix` from B's blocks, for ``embed`` (dim A, dim B)
+    the matrix of a unital injective homomorphism B -> A, which the caller vouches for.
+    Raises ValidationError "inclusion-dimension-count" unless ``sizes_B @ Lambda == sizes_A``."""
+    blocks_a = algebra.block_decomposition(tol)
     lam = np.zeros((len(blocks_b), len(blocks_a)), dtype=int)
     for mu, bb in enumerate(blocks_b):
-        z = q @ bb.central_idempotent  # back to ambient coordinates
+        z = embed @ bb.central_idempotent  # in A's coordinates
         for qi, ba in enumerate(blocks_a):
             tr = algebra.block_trace(ba, z) / bb.size
             lam[mu, qi] = round_to_int(tr, f"inclusion multiplicity ({mu},{qi})")
@@ -621,7 +650,7 @@ def inclusion_matrix(algebra: FinDimAlgebra, sub: Subspace, tol: Tolerance | Non
     sizes_b = np.array(blocks_b.sizes)
     if not np.array_equal(sizes_b @ lam, sizes_a):
         raise ValidationError("inclusion-dimension-count", float(np.max(np.abs(sizes_b @ lam - sizes_a))), 0.0)
-    return lam, blocks_b, blocks_a
+    return lam
 
 
 def _minimal_idempotent_in_block(algebra: FinDimAlgebra, block: Block, tol: Tolerance):

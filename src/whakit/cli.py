@@ -433,7 +433,9 @@ def cmd_crossprod(args) -> int:
     """Build a crossed product and report its structure, regularity and Galois map.
 
     ``expected_dim`` is dim M (x)_N M over the invariants N, the domain of the
-    Galois map; it equals ``crossed_dim`` when the action is Galois.
+    Galois map; it equals ``crossed_dim`` when the action is Galois.  Without a
+    Haar integral there are no invariants N: ``galois_absent`` names that typed
+    absence, and ``expected_dim``, ``galois_shape`` and ``galois_bijective`` are null.
     """
     tol = Tolerance(args.tol, args.tol)
     if args.kind == "translation":
@@ -465,34 +467,40 @@ def cmd_crossprod(args) -> int:
     except NotSemisimple:
         sizes = None
     reg = is_regular(action, cp, tol)
-    gal_mat, gal_bij = galois_map(action, tol)
+    try:
+        gal_mat, gal_bij = galois_map(action, tol)
+        shape, bijective, absent = list(gal_mat.shape), bool(gal_bij), None
+    except NotSemisimple as exc:
+        shape, bijective, absent = None, None, {"absent": type(exc).__name__, "reason": str(exc)}
     doc = {
         "report_version": REPORT_VERSION,
         "kind": args.kind,
         "module_dim": action.module.dim,
         "algebra_dim": action.wha.dim,
         "crossed_dim": cp.dim,
-        "expected_dim": gal_mat.shape[1],
+        "expected_dim": None if shape is None else shape[1],
         "semisimple": sizes is not None,
         "block_sizes": sizes,
         "action_checks": checks,
         "action_ok": action_ok,
         "regular": bool(reg.regular),
         "failing_clauses": reg.failing_clauses(),
-        "galois_shape": list(gal_mat.shape),
-        "galois_bijective": bool(gal_bij),
+        "galois_shape": shape,
+        "galois_bijective": bijective,
     }
+    if absent is not None:
+        doc["galois_absent"] = absent
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2))
     else:
         lines = [
             f"{args.kind}: module dim {doc['module_dim']}, algebra dim {doc['algebra_dim']}",
-            f"crossed product dim {doc['crossed_dim']} (M ⊗_N M: {doc['expected_dim']})",
+            f"crossed product dim {doc['crossed_dim']} (M ⊗_N M: {'absent' if absent else doc['expected_dim']})",
             f"blocks: {sizes if sizes is not None else 'not semisimple'}",
             f"regular: {doc['regular']}"
             + (f"  failing: {', '.join(doc['failing_clauses'])}" if doc["failing_clauses"] else ""),
-            f"galois map {gal_mat.shape[0]}x{gal_mat.shape[1]}: "
-            + ("bijective" if gal_bij else "not bijective"),
+            f"galois map absent ({absent['absent']}): {absent['reason']}" if absent else
+            f"galois map {shape[0]}x{shape[1]}: " + ("bijective" if bijective else "not bijective"),
         ]
         lines += _render_checks(checks)
         _emit(args, "\n".join(lines))

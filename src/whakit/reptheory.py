@@ -108,7 +108,7 @@ class Representation:
 
 def regular_representation(w: WeakHopfAlgebra) -> Representation:
     """Left multiplication on the algebra itself."""
-    return Representation(w, w.algebra._lmats.copy(), name="regular")
+    return Representation(w, w.algebra.c.transpose(0, 2, 1).copy(), name="regular")
 
 
 def gns_counit_rep(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Representation:
@@ -213,7 +213,7 @@ def irreducible_representations(w: WeakHopfAlgebra, tol: Tolerance | None = None
         k = ideal.conj().T @ gram @ ideal
         vals, vecs = np.linalg.eigh((k + k.conj().T) / 2)
         basis = ideal @ (vecs / np.sqrt(vals))
-        mats = (basis.conj().T @ gram) @ w.algebra._lmats @ basis  # over the L(e_j)
+        mats = (basis.conj().T @ gram) @ w.algebra.c.transpose(0, 2, 1) @ basis  # over the L(e_j) = c[j].T
         out.append(Representation(w, mats, name=f"irrep[{b.size}]"))
     return out
 

@@ -163,9 +163,8 @@ class WeakHopfAlgebra(WeakBialgebra):
         d = dual_wha(self)
         d.__dict__["dual"] = self
         d.__dict__["dual_algebra"] = self.algebra
-        if "dual_algebra" in self.__dict__:  # keep the decompositions of the Â built for the antipode
-            d.algebra._blocks = self.dual_algebra._blocks
-            d.algebra._wedderburn = self.dual_algebra._wedderburn
+        if "dual_algebra" in self.__dict__:  # keep what the Â built for the antipode derived
+            d.algebra._records = self.dual_algebra._records
         self.__dict__["dual_algebra"] = d.algebra
         return d
 

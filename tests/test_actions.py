@@ -1,14 +1,13 @@
 """Module algebra actions, crossed products, regularity, Galois, smash."""
 
-import itertools
 import re
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import whakit as wk
+from whakit.linalg import Subspace
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +188,25 @@ def test_crossed_product_memory_stays_below_the_deleted_product_tensor():
         tracemalloc.stop()
     assert cp.dim == 64
     assert peak < 64 * 2**20
+
+
+def test_a_crossed_product_stores_its_structure_constants_once(actions, m23):
+    for act in list(actions.values()) + [wk.dual_regular_action(m23)]:
+        cp = wk.crossed_product(act)
+        assert [k for k, v in vars(cp.algebra).items() if isinstance(v, np.ndarray) and v.ndim == 3] == ["c"]
+
+
+def test_crossed_product_peak_is_within_two_and_a_half_structure_constants(m23):
+    act = wk.dual_regular_action(m23)
+    wk.crossed_product(act)  # the action report and m23's derived structures are kept
+    tracemalloc.start()
+    try:
+        cp = wk.crossed_product(act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cp.dim == 89
+    assert peak <= 2.5 * cp.algebra.c.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -466,44 +484,37 @@ def test_a_smash_product_that_is_not_semisimple_is_a_cross_check_mismatch(exampl
         wk.smash_product(examples["p2"])
 
 
-# ---------------------------------------------------------------------------
-# the block-permutation check of the basic construction
+def test_a_miscounted_inclusion_in_the_smash_product_is_a_cross_check_mismatch(examples, monkeypatch):
+    original = wk.actions._inclusion_matrix
+
+    def off_by_one_in_the_smash(algebra, blocks_b, embed, tol):
+        lam = original(algebra, blocks_b, embed, tol)
+        if "x|" in algebra.name:
+            lam[0, 0] += 1
+        return lam
+
+    monkeypatch.setattr(wk.actions, "_inclusion_matrix", off_by_one_in_the_smash)
+    with pytest.raises(wk.CrossCheckMismatch, match="are not the rows of"):
+        wk.smash_product(examples["p2"])
 
 
-def _same_by_brute_force(a, b, sizes_a, sizes_b):
-    k, m = len(a), len(a[0])
-    for pr in itertools.permutations(range(k)):
-        if [sizes_a[i] for i in pr] != list(sizes_b):
-            continue
-        for q in itertools.permutations(range(m)):
-            if all(a[pr[i]][q[j]] == b[i][j] for i in range(k) for j in range(m)):
-                return True
-    return False
+@pytest.mark.parametrize("key", ["p3", "fp2", "m23"])
+def test_smash_product_reads_its_inclusion_off_blocks_in_hand(examples, rotated, monkeypatch, key):
+    """A^L is induced once, and Lambda(A c A # A^) from A's blocks through
+    embed_m is Lambda of the induced copy of A, up to the order of its rows."""
+    induced = []
+    original = wk.actions.induced_algebra
 
+    def counting(*args, **kwargs):
+        induced.append(args[1].dim)
+        return original(*args, **kwargs)
 
-def test_same_up_to_permutations_agrees_with_brute_force():
-    rng = np.random.default_rng(20)
-    outcomes = set()
-    for _ in range(120):
-        k, m = rng.integers(1, 6, size=2)
-        a = rng.integers(0, 3, size=(k, m))
-        sizes_a = rng.integers(1, 3, size=k).tolist()
-        rows, cols = rng.permutation(k), rng.permutation(m)
-        b = a[rows][:, cols].copy()
-        sizes_b = [sizes_a[i] for i in rows]
-        if rng.random() < 0.5:  # a one-entry miss
-            b[rng.integers(k), rng.integers(m)] += 1
-        want = _same_by_brute_force(a.tolist(), b.tolist(), sizes_a, sizes_b)
-        assert wk.actions._same_up_to_permutations(a, b, sizes_a, sizes_b) == want
-        outcomes.add(want)
-    assert outcomes == {True, False}
-
-
-def test_same_up_to_permutations_on_a_tall_non_match_is_fast():
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 2, size=(12, 3))
-    b = a[rng.permutation(12)].copy()
-    b[0, 0] += 1
-    start = time.perf_counter()
-    assert not wk.actions._same_up_to_permutations(a, b, [1] * 12, [1] * 12)
-    assert time.perf_counter() - start < 0.5  # 3! column orders, not 12! row orders
+    monkeypatch.setattr(wk.actions, "induced_algebra", counting)
+    for w in (examples[key], rotated(examples[key], 31)):
+        induced.clear()
+        sp = wk.smash_product(w)
+        assert induced == [w.counital_subalgebras.left.dim]
+        blocks_a = w.algebra.block_decomposition()
+        got = wk.actions._inclusion_matrix(sp.algebra, blocks_a, sp.embed_m, wk.DEFAULT_TOL)
+        want, blocks_copy, _ = wk.inclusion_matrix(sp.algebra, Subspace(sp.embed_m, sp.dim))
+        assert sorted(zip(blocks_a.sizes, got.tolist())) == sorted(zip(blocks_copy.sizes, want.tolist()))

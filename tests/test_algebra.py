@@ -1,5 +1,6 @@
 """Plain associative-algebra layer: validation, blocks, inclusions, traces, GNS."""
 
+import tracemalloc
 import unittest
 
 import numpy as np
@@ -693,6 +694,81 @@ def test_star_row_matches_the_einsum_form(crossed, key):
     want = _einsum_star_row(bad)
     assert not row.passed
     assert abs(row.residual - want) <= 1e-12 * want
+
+
+# -- one layout of c: each algebra stores its structure constants once
+
+
+def _gemm_trace_form(c):
+    """The trace form as one GEMM against a transposed copy L[i][k, j] = c[i, j, k] of c."""
+    n = c.shape[0]
+    return c.transpose(0, 2, 1).reshape(n, n * n) @ c.reshape(n, n * n).T
+
+
+def _full_t_antimultiplicative_norm(c, s, antilinear):
+    """The anti-multiplicativity norm through all of t[q, j, m] = sum_p s[p, j] c[p, q, m] at once."""
+    n = c.shape[0]
+    t = np.matmul(s.T, c.transpose(1, 0, 2)).reshape(n, n * n)
+    lhs = (np.conj(c) if antilinear else c) @ s.T  # f(e_i e_j)
+    rhs = (s.T @ t).reshape(lhs.shape)  # f(e_j) f(e_i)
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def _kernel_cases(examples, rotated):
+    """(label, c, s, antilinear): antipodes and stars of canonical and rotated fixtures, and random c."""
+    for key, w in examples.items():
+        for label, v in ((key, w), (f"{key}~", rotated(w, 23))):
+            for side, x in (("", v), ("^", v.dual)):
+                yield f"{label}{side} S", x.algebra.c, x.antipode, False
+                if x.algebra.involution is not None:
+                    yield f"{label}{side} *", x.algebra.c, x.algebra.involution, True
+    gen = np.random.default_rng(19)
+    for n in (13, 27, 64, 89):
+        c = gen.standard_normal((n, n, n)) + 1j * gen.standard_normal((n, n, n))
+        s = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        yield f"random {n}", c, s, False
+        yield f"random {n} *", c, s, True
+
+
+def test_sliced_kernels_match_their_transposed_copy_forms(examples, rotated):
+    for label, c, s, antilinear in _kernel_cases(examples, rotated):
+        want = _gemm_trace_form(c)
+        got = wk.FinDimAlgebra(c, np.eye(c.shape[0])[0]).trace_form()
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), label
+        want = _full_t_antimultiplicative_norm(c, s, antilinear)
+        got = algebra._antimultiplicative_norm(c, s, antilinear)
+        # residuals of valid fixtures are roundoff, so compare on the scale of the two terms
+        scale = max(want, float(np.linalg.norm(c) * np.linalg.norm(s) * max(1.0, np.linalg.norm(s))))
+        assert abs(got - want) <= 1e-13 * scale, label
+
+
+def _three_dimensional_attributes(a):
+    return [key for key, val in vars(a).items() if isinstance(val, np.ndarray) and val.ndim == 3]
+
+
+def test_an_algebra_holds_one_three_dimensional_array(examples):
+    for w in examples.values():
+        for a in (w.algebra, w.dual_algebra, w.dual.algebra):
+            assert _three_dimensional_attributes(a) == ["c"], a.name
+
+
+def test_cold_checks_allocate_at_most_a_quarter_of_c_beyond_c(crossed):
+    """Validation, semisimplicity, blocks and the Wedderburn map of a fresh
+    89-dimensional algebra (m23's smash product) form no (n, n, n) array."""
+    base = crossed["m23"]
+    c, unit, inv = base.c.copy(), base.unit.copy(), base.involution.copy()
+    tracemalloc.start()
+    try:
+        a = wk.FinDimAlgebra(c, unit, involution=inv, name=base.name)
+        rep = a.validate()
+        semisimple = a.is_semisimple()
+        sizes = a.block_decomposition().sizes
+        a.wedderburn_map()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and semisimple and sizes == (5, 8)
+    assert peak <= 1.25 * c.nbytes
 
 
 if __name__ == "__main__":

@@ -242,6 +242,24 @@ def test_crossprod_trivial_is_not_galois(z3_file, capsys):
     assert (doc["crossed_dim"], doc["expected_dim"]) == (3, 1)
     assert doc["galois_shape"] == [3, 1]
     assert doc["galois_bijective"] is False
+    assert "galois_absent" not in doc
+
+
+@pytest.mark.parametrize("kind", ["smash", "dual-regular", "trivial"])
+def test_crossprod_without_a_haar_integral_reports_the_galois_map_absent(h4, kind, tmp_path, capsys):
+    # h4 and its dual have no Haar integral, so there are no invariants to take M (x)_N M over
+    path = tmp_path / "h4.wha.json"
+    whafile.save(h4, path)
+    assert main(["crossprod", kind, str(path), "--format", "json"]) == EX_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["action_ok"] is True
+    assert doc["galois_absent"]["absent"] == "NotSemisimple"
+    assert "no Haar integral" in doc["galois_absent"]["reason"]
+    assert doc["expected_dim"] is doc["galois_shape"] is doc["galois_bijective"] is None
+    if kind != "trivial":
+        assert (doc["crossed_dim"], doc["block_sizes"]) == (16, [4])
+    assert main(["crossprod", kind, str(path)]) == EX_OK
+    assert "galois map absent (NotSemisimple): " in capsys.readouterr().out
 
 
 def test_output_flag_writes_file_instead_of_stdout(z3_file, tmp_path, capsys):
@@ -301,6 +319,30 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
     assert doc["ok"] and not doc["failed"]
     assert calls == expected
     assert w.dual.dual is w
+
+
+def test_analyze_forms_each_trace_form_and_center_once_per_algebra(monkeypatch):
+    """Building an algebra and one analyze run on it ask several stages whether
+    an algebra is semisimple and for its center; each algebra object forms its
+    trace form once and returns one center object, however often it is asked."""
+    forms, centers = {}, {}
+    trace_form, center = wk.FinDimAlgebra.trace_form, wk.FinDimAlgebra.center
+
+    def counting_form(self):
+        forms[id(self)] = forms.get(id(self), 0) + 1
+        return trace_form(self)
+
+    def collecting_center(self, tol=None):
+        got = center(self, tol)
+        centers.setdefault(id(self), []).append(got)
+        return got
+
+    monkeypatch.setattr(wk.FinDimAlgebra, "trace_form", counting_form)
+    monkeypatch.setattr(wk.FinDimAlgebra, "center", collecting_center)
+    assert analyze_wha(wk.m2_m3())["ok"]
+    assert forms and set(forms.values()) == {1}
+    assert centers and all(all(z is zs[0] for z in zs) for zs in centers.values())
+    assert max(len(zs) for zs in centers.values()) > 1  # the cache was hit
 
 
 def test_gate_validates_the_algebra_once(monkeypatch):
