@@ -32,7 +32,6 @@ from .algebra import (
     _associator_certificate,
     _dense_associator_norm,
     _inclusion_matrix,
-    _representation_defect,
     _validated,
     induced_algebra,
     watatani_index,
@@ -107,7 +106,7 @@ def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomRep
     rep = AxiomReport(f"{action.name}: {w.name} on {m_alg.name}")
     scale = max(1.0, float(np.linalg.norm(alpha)))
     ops = alpha.transpose(0, 2, 1)  # operator matrix of alpha_{e_i}
-    rep.add("action-algebra-map", _representation_defect(w.algebra.c, ops), tol.bound(scale**2) * 10)
+    rep.add("action-algebra-map", w.algebra.homomorphism_defect(ops), tol.bound(scale**2) * 10)
     rep.add(
         "action-unital",
         np.linalg.norm(action.amat(w.unit) - np.eye(m_alg.dim)),
@@ -205,13 +204,6 @@ class CrossedProduct:
         return self.carrier.conj().T @ np.kron(m, a)
 
 
-def _multiplicativity_residual(out: FinDimAlgebra, emb: np.ndarray, c_src: np.ndarray) -> float:
-    """Largest ``|emb(e_i) emb(e_j) - emb(e_i e_j)|`` over all pairs of basis vectors."""
-    got = np.einsum("ai,bj,abg->ijg", emb, emb, out.c, optimize=True)
-    want = np.einsum("gk,ijk->ijg", emb, c_src, optimize=True)
-    return float(np.max(np.linalg.norm(got - want, axis=2)))
-
-
 def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedProduct:
     """Build M x| A with the product ``(m x| a)(n x| b) = m alpha_{a_(1)}(n) x| a_(2) b``.
 
@@ -277,10 +269,7 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     bound = tol.bound(scale) * 100
 
     concrete = _represented_product(action, k_fac, carrier, v_rel, bound, tol)
-    if concrete is None:
-        cq = _dense_product(action, k_fac, carrier, v_rel, bound)
-    else:
-        cq, assoc_bound = concrete
+    cq = _dense_product(action, k_fac, carrier, v_rel, bound) if concrete is None else concrete[0]
     unit_q = carrier.conj().T @ np.kron(m_alg.unit, w.unit)
 
     inv_q = None
@@ -303,17 +292,16 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
 
     name = f"{m_alg.name}x|{w.name}"
     out = FinDimAlgebra(cq, unit_q, involution=inv_q, name=name)
-    rep = out.validate(tol) if concrete is None else _validated(out, assoc_bound, tol)
+    if concrete is None:
+        rep = out.validate(tol)
+    else:  # associativity certified through Pi
+        rep = _validated(out, _associator_certificate(out.norm, *concrete[1:]), tol)
 
     embed_m = np.einsum("icg,c->gi", cbar, w.unit)  # carrier^H (e_i (x) 1_A)
     embed_a = np.einsum("kag,k->ga", cbar, m_alg.unit)  # carrier^H (1_M (x) e_a)
-    rep.add("embedding-M-multiplicative", _multiplicativity_residual(out, embed_m, m_alg.c), bound)
-    rep.add(
-        "embedding-M-injective",
-        float(dm - matrix_rank(embed_m, tol)),
-        0.5,
-    )
-    rep.add("embedding-A-multiplicative", _multiplicativity_residual(out, embed_a, w.algebra.c), bound)
+    rep.add("embedding-M-multiplicative", m_alg.homomorphism_defect(embed_m, into=out), bound)
+    rep.add("embedding-M-injective", float(dm - matrix_rank(embed_m, tol)), 0.5)
+    rep.add("embedding-A-multiplicative", w.algebra.homomorphism_defect(embed_a, into=out), bound)
     rep.raise_if_failed()
     return CrossedProduct(
         action=action, algebra=out, carrier=carrier, embed_m=embed_m, embed_a=embed_a, report=rep
@@ -323,7 +311,8 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
 def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float, tol: Tolerance):
     """Structure constants of M x| A on the carrier from the representation ``m x| a -> L(m) alpha_a``.
 
-    Returns ``(c, associator_bound)``, or None as soon as one of the
+    Returns ``(c, |Pi|_F, closure residual, sigma_min(Pi))``, c with the
+    inputs of its associator certificate, or None as soon as one of the
     preconditions listed in :func:`crossed_product` fails against ``bound``
     (the rank against ``tol``); the dense route then decides.  Multiplicativity
     and covariance are the kept :func:`validate_action` rows.
@@ -360,7 +349,7 @@ def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float,
     closure = float(np.sqrt(r2))
     if closure > bound:
         return None
-    return c, _associator_certificate(c, float(np.linalg.norm(s)), closure, float(s[-1]))
+    return c, float(np.linalg.norm(s)), closure, float(s[-1])
 
 
 def _dense_product(action: WhaAction, k_fac, carrier, v_rel, bound: float) -> np.ndarray:
@@ -447,8 +436,7 @@ def is_regular(
     details["m_r_injective"] = injective
 
     big = crossed.algebra
-    gens = [crossed.embed_m[:, i] for i in range(m_alg.dim)]
-    comm = big.commutant_in(gens, tol=tol)
+    comm = big.commutant_in(crossed.embed_m.T, tol=tol)
     ar = w.derived(tol).counital_subalgebras.right
     ar_image = Subspace(crossed.embed_a @ ar.basis, big.dim, tol)
     details["relative_commutant_dim"] = comm.dim
@@ -466,20 +454,15 @@ def is_regular(
             details["watatani_failure"] = str(exc)
     else:
         details["watatani_failure"] = "no Haar integral"
-    return RegularityResult(
-        m_r_isomorphic=injective,
-        relative_commutant=clause_ii,
-        finite_index=clause_iii,
-        details=details,
-    )
+    return RegularityResult(injective, clause_ii, clause_iii, details)
 
 
 def _generated_subalgebra(alg: FinDimAlgebra, seeds, tol: Tolerance) -> Subspace:
     """Span closure of ``seeds`` (plus the unit) under the product."""
     basis = orth(np.column_stack([alg.unit, *seeds]), tol)
     while True:
-        prods = np.einsum("ia,jb,ijk->kab", basis, basis, alg.c, optimize=True)
-        new = orth(np.hstack([basis, prods.reshape(alg.dim, -1)]), tol)
+        prods = alg._left_stack(basis) @ basis  # column b of prods[a] is basis_a basis_b
+        new = orth(np.hstack([basis, prods.transpose(1, 0, 2).reshape(alg.dim, -1)]), tol)
         if new.shape[1] == basis.shape[1]:
             return Subspace(new, alg.dim, tol)
         basis = new
@@ -528,7 +511,7 @@ def verify_basic_construction(
         x = crossed.embed_m @ n_sub.basis[:, i]
         worst = max(worst, float(np.linalg.norm(big.mul(e, x) - big.mul(x, e))))
     rep.add("jones-commutes-with-invariants", worst, thr)
-    gen = _generated_subalgebra(big, [crossed.embed_m[:, i] for i in range(m_alg.dim)] + [e], tol)
+    gen = _generated_subalgebra(big, [*crossed.embed_m.T, e], tol)
     rep.add("M2-generated-by-M-and-e", float(big.dim - gen.dim), 0.5)
 
     # relative commutants against the canonical copies
@@ -536,8 +519,7 @@ def verify_basic_construction(
     n_comm_m = m_alg.commutant_in([n_sub.basis[:, i] for i in range(n_sub.dim)], tol=tol)
     rep.add("item2: N' in M = A^L", _subspace_distance(n_comm_m, m_r), thr)
 
-    gens_m = [crossed.embed_m[:, i] for i in range(m_alg.dim)]
-    m_comm = big.commutant_in(gens_m, tol=tol)
+    m_comm = big.commutant_in(crossed.embed_m.T, tol=tol)
     ar_image = Subspace(crossed.embed_a @ sub.right.basis, big.dim, tol)
     rep.add("item3: M' in M2 = A^R", _subspace_distance(m_comm, ar_image), thr)
 

@@ -7,6 +7,10 @@ provides the structural toolbox used everywhere else: center and commutants,
 Wedderburn block decomposition, inclusion matrices of unital subalgebras,
 Markov traces, and Watatani index of a conditional expectation.
 
+Six primitives of :class:`FinDimAlgebra` read the structure constants (its
+docstring lists them), and everything else, here and in :mod:`whakit.actions`,
+reads an algebra through them.
+
 Commutants are kernels of stacked commutator rows ``L(g) - R(g)``, formed for
 all generators at once by one GEMM against the (n, n^2) view of the structure
 constants and one batched GEMM against them.  The center has two
@@ -71,9 +75,13 @@ class FinDimAlgebra:
         Matrix of the antilinear star map: ``a* = involution @ conj(a)``.
     basis_labels : list of str, optional
 
-    ``c`` is the one (n, n, n) array an algebra holds; left multiplications,
-    traces and checks read it through views.  ``_records`` keeps, per tolerance,
-    "semisimple", "center", "blocks" and "wedderburn", each computed once.
+    ``c`` is the one (n, n, n) array an algebra holds.  The primitives
+    :meth:`_left_stack`, :meth:`_right_stack`, :meth:`regular_trace`,
+    :meth:`trace_form`, :attr:`norm` and :meth:`homomorphism_defect` read it,
+    and are what a second storage overrides; only the dense associativity and
+    star rows of :meth:`validate` and :func:`watatani_index` read ``c`` besides.
+    ``_records`` keeps, per tolerance, "semisimple", "center", "blocks" and
+    "wedderburn", each computed once.
     """
 
     def __init__(self, structure_constants, unit, involution=None, basis_labels=None, name="algebra"):
@@ -106,19 +114,15 @@ class FinDimAlgebra:
         return v
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=complex).ravel()
-        b = np.asarray(b, dtype=complex).ravel()
-        n = self.dim
-        return b @ (a @ self.c.reshape(n, n * n)).reshape(n, n)
+        return self.left_mult(a) @ np.asarray(b, dtype=complex).ravel()
 
     def left_mult(self, a):
         """Matrix of x -> a x."""
-        n = self.dim
-        return (np.asarray(a, dtype=complex).ravel() @ self.c.reshape(n, n * n)).reshape(n, n).T
+        return self._left_stack(np.asarray(a, dtype=complex).reshape(-1, 1))[0]
 
     def right_mult(self, a):
         """Matrix of x -> x a."""
-        return (np.asarray(a, dtype=complex).ravel() @ self.c).T
+        return self._right_stack(np.asarray(a, dtype=complex).reshape(-1, 1))[0]
 
     def _left_stack(self, g):
         """The (m, n, n) stack of L(g_k) over the m columns g_k of ``g``, one GEMM."""
@@ -128,6 +132,32 @@ class FinDimAlgebra:
     def _right_stack(self, g):
         """The (m, n, n) stack of R(g_k) over the m columns g_k of ``g``, one batched GEMM."""
         return (g.T @ self.c).transpose(1, 2, 0)
+
+    @cached_property
+    def norm(self) -> float:
+        """The Frobenius norm of the structure constants, the scale of the product."""
+        return float(np.linalg.norm(self.c))
+
+    def homomorphism_defect(self, images, into: "FinDimAlgebra | None" = None) -> float:
+        """Frobenius norm of ``f(e_i e_j) - f(e_i) f(e_j)`` over all basis pairs.
+
+        f is ``e_k -> images[k]`` for an (n, k, k) stack of matrices or, with
+        ``into``, the (into.dim, n) matrix ``images`` of a linear map into that
+        algebra, whose products are ``into._left_stack``.  16 values of i at a
+        time, so no (n, n, k, k) array is formed.
+        """
+        n = self.dim
+        flat = images.reshape(n, -1) if into is None else images.T
+        acc = 0.0
+        for lo in range(0, n, 16):
+            sl = slice(lo, lo + 16)
+            want = self.c[sl] @ flat  # f(e_i e_j) over i in sl, j
+            if into is None:
+                got = np.matmul(images[sl, None], images[None]).reshape(want.shape)
+            else:
+                got = (into._left_stack(images[:, sl]) @ images).transpose(0, 2, 1)
+            acc += float(np.linalg.norm(want - got)) ** 2
+        return float(np.sqrt(acc))
 
     def _commutator_stack(self, g):
         """The (m * n, n) rows of L(g_k) - R(g_k) over the m columns g_k of ``g``."""
@@ -222,28 +252,30 @@ class FinDimAlgebra:
           rows of the stack are combinations of the rows of S.  Z is returned
           only when it is certified central: ``|S Z|_F``, the norm of the
           commutator stack of Z's columns, O(n^3 dim Z), must not exceed
-          ``tol.bound(|S|_F)``, and |S|_F = ``|c - c^T12|_F`` bounds the
-          sigma_max against which the kernel of S is cut.  Otherwise, as when
-          the pair does not generate the algebra or the algebra is not
-          semisimple, the kernel of S decides.
+          ``tol.bound(|S|_F)``, and |S|_F bounds the sigma_max against which
+          the kernel of S is cut.  The pair's own rows certify first, as
+          ``|S|_F >= |L(g) - R(g)|_F / |g|`` (Cauchy-Schwarz); |S|_F itself is
+          summed over 16 row blocks of S only when that does not suffice.
+          Otherwise, as when the pair does not generate the algebra or the
+          algebra is not semisimple, the kernel of S decides.
         """
         tol = get_tol(tol)
         record = self._records.setdefault(tol, {})
         if "center" in record:
             return record["center"]
-        n, c = self.dim, self.c
+        n, eye = self.dim, np.eye(self.dim)
         if n >= CENTER_FROM_PAIR_DIM:
-            z = kernel(self._commutator_stack(_generic_pair(n)), tol)
+            pair = _generic_pair(n)
+            rows = self._commutator_stack(pair)
+            z = kernel(rows, tol)
             # column i of L(z_l) - R(z_l) is [z_l, e_i], so this stack holds the entries of -S Z
             resid = float(np.linalg.norm(self._commutator_stack(z)))
-            # |S|_F = |c - c^T12|_F, one slice e_i e_j - e_j e_i over j at a time (no n^3 temporary)
-            s_norm = float(np.sqrt(sum(np.linalg.norm(c[i] - c[:, i]) ** 2 for i in range(n))))
-            if resid <= tol.bound(s_norm):
+            low = max(np.linalg.norm(r) / np.linalg.norm(g) for r, g in zip(rows.reshape(2, n, n), pair.T))
+            slices = (self._commutator_stack(eye[:, lo : lo + 16]) for lo in range(0, n, 16))
+            if resid <= tol.bound(low) or resid <= tol.bound(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in slices))):
                 record["center"] = Subspace(z, n, tol)
                 return record["center"]
-        # row block i is L(e_i) - R(e_i), with L(e_i)[k, j] = c[i, j, k] and R(e_i)[k, j] = c[j, i, k]
-        rows = (c.transpose(0, 2, 1) - c.transpose(1, 2, 0)).reshape(n * n, n)
-        record["center"] = Subspace(kernel(rows, tol), n, tol)
+        record["center"] = Subspace(kernel(self._commutator_stack(eye), tol), n, tol)
         return record["center"]
 
     def commutant_in(self, generators, tol: Tolerance | None = None) -> Subspace:
@@ -287,9 +319,8 @@ class FinDimAlgebra:
                     raise CrossCheckMismatch(f"ideal carrier {v.shape[1]} != block size {b.size}")
             if sum(b.size**2 for b in blocks) != self.dim:
                 raise CrossCheckMismatch(f"blocks {blocks.sizes} do not fill an algebra of dimension {self.dim}")
-            # phi_q(e_i)[r, s] = sum_jk conj(v[k, r]) c[i, j, k] v[j, s], through c's (n^2, n) view
-            flat = self.c.reshape(-1, self.dim)
-            phis = [(v.T @ (flat @ v.conj()).reshape(self.dim, self.dim, -1)).transpose(0, 2, 1) for v in ideals]
+            # phi_q(e_i)[r, s] = (V_q^H R(v_s))[r, i], v_s the columns of V_q
+            phis = [(v.conj().T @ self._right_stack(v)).transpose(2, 1, 0) for v in ideals]
             record["wedderburn"] = WedderburnMap(blocks, ideals, phis)
         return record["wedderburn"]
 
@@ -335,16 +366,18 @@ def _generic_pair(n: int) -> np.ndarray:
 
 
 def _dense_associator_norm(c) -> float:
-    """Frobenius norm of ``(e_i e_j) e_k - e_i (e_j e_k)`` over all basis triples, O(n^5)."""
+    """Frobenius norm of ``(e_i e_j) e_k - e_i (e_j e_k)`` over all basis triples, O(n^5).
+
+    One i and 16 values of j at a time, so no (n, n, n) array is formed."""
     n = c.shape[0]
     flat_l = c.reshape(n, n * n)
-    flat_r = c.reshape(n * n, n)
     acc = 0.0
-    # one i-slice at a time keeps the intermediate at n^3 instead of n^4
     for i in range(n):
-        left = (c[i] @ flat_l).reshape(n, n, n)  # (e_i e_j) e_k over j, k
-        right = (flat_r @ c[i]).reshape(n, n, n)  # e_i (e_j e_k) over j, k
-        acc += float(np.linalg.norm(left - right)) ** 2
+        for lo in range(0, n, 16):
+            sl = slice(lo, lo + 16)
+            left = c[i, sl] @ flat_l  # (e_i e_j) e_k over j in sl, k
+            right = (c[sl].reshape(-1, n) @ c[i]).reshape(left.shape)  # e_i (e_j e_k), the same order
+            acc += float(np.linalg.norm(left - right)) ** 2
     return float(np.sqrt(acc))
 
 
@@ -356,22 +389,19 @@ def _validated(algebra: FinDimAlgebra, associator_bound: float | None, tol: Tole
     otherwise the dense norm is computed and reported.
     """
     rep = AxiomReport(algebra.name)
-    c = algebra.c
-    scale = float(np.linalg.norm(c)) or 1.0
+    scale = algebra.norm or 1.0
     threshold = tol.bound(scale**2)
     assoc = associator_bound
     if assoc is None or not assoc <= threshold:
-        assoc = _dense_associator_norm(c)
+        assoc = _dense_associator_norm(algebra.c)
     rep.add("associativity", assoc, threshold)
-    lu = np.einsum("i,ijk->jk", algebra.unit, c)
-    ru = np.einsum("j,ijk->ik", algebra.unit, c)
     eye = np.eye(algebra.dim)
-    rep.add("left-unit", np.linalg.norm(lu - eye), tol.bound(scale))
-    rep.add("right-unit", np.linalg.norm(ru - eye), tol.bound(scale))
+    rep.add("left-unit", np.linalg.norm(algebra.left_mult(algebra.unit) - eye), tol.bound(scale))
+    rep.add("right-unit", np.linalg.norm(algebra.right_mult(algebra.unit) - eye), tol.bound(scale))
     if algebra.involution is not None:
         s = algebra.involution
         rep.add("star-involutive", np.linalg.norm(s @ np.conj(s) - eye), tol.bound(scale))
-        rep.add("star-antimultiplicative", _antimultiplicative_norm(c, s, antilinear=True), tol.bound(scale**2))
+        rep.add("star-antimultiplicative", _antimultiplicative_norm(algebra.c, s, antilinear=True), tol.bound(scale**2))
         rep.add("unit-star", np.linalg.norm(algebra.star(algebra.unit) - algebra.unit), tol.bound(1.0))
     return rep
 
@@ -396,37 +426,20 @@ def _antimultiplicative_norm(c, s, antilinear: bool) -> float:
     return float(np.sqrt(acc))
 
 
-def _representation_defect(c, mats) -> float:
-    """Frobenius norm of ``sum_k c[i,j,k] mats[k] - mats[i] mats[j]`` over all basis pairs.
-
-    The multiplicativity defect of ``e_k -> mats[k]``, 16 values of i at a time,
-    so no (n, n, k, k) array is formed.
-    """
-    n = c.shape[0]
-    flat = mats.reshape(n, -1)
-    acc = 0.0
-    for lo in range(0, n, 16):
-        sl = slice(lo, lo + 16)
-        want = c[sl] @ flat  # the image of e_i e_j over i in sl, j
-        got = np.matmul(mats[sl, None], mats[None]).reshape(want.shape)
-        acc += float(np.linalg.norm(want - got)) ** 2
-    return float(np.sqrt(acc))
-
-
-def _associator_certificate(c, phi_norm: float, r_norm: float, sigma_min: float) -> float:
+def _associator_certificate(c_norm: float, phi_norm: float, r_norm: float, sigma_min: float) -> float:
     """``2 (|Phi|_F + |c|_F) |R|_F / sigma_min(Phi)``, the bound of :meth:`FinDimAlgebra.validate`.
 
     phi is any linear map of the algebra into matrices, Phi its matrix (one
     column per basis vector) and R its multiplicativity defect ``phi(e_i e_j)
     - phi(e_i) phi(e_j)`` over all basis pairs.
     """
-    return 2.0 * (phi_norm + float(np.linalg.norm(c))) * r_norm / sigma_min
+    return 2.0 * (phi_norm + c_norm) * r_norm / sigma_min
 
 
 def _associator_bound(algebra: FinDimAlgebra, tol: Tolerance) -> float | None:
     """Upper bound on :func:`_dense_associator_norm` through the Wedderburn map.
 
-    Costs one :func:`_representation_defect` per block of the cached
+    Costs one :meth:`FinDimAlgebra.homomorphism_defect` per block of the cached
     :meth:`FinDimAlgebra.wedderburn_map`.  Returns None when the algebra does
     not decompose at ``tol`` or phi is not injective.
     """
@@ -435,12 +448,12 @@ def _associator_bound(algebra: FinDimAlgebra, tol: Tolerance) -> float | None:
     except _NO_DECOMPOSITION:
         return None
     n = algebra.dim
-    r2 = sum(_representation_defect(algebra.c, phi) ** 2 for phi in wedderburn.phis)
+    r2 = sum(algebra.homomorphism_defect(phi) ** 2 for phi in wedderburn.phis)
     svals = wedderburn.svd[1]
     if svals.size < n or svals[n - 1] == 0.0:
         return None
     phi_norm = float(np.linalg.norm(wedderburn.matrix))
-    return _associator_certificate(algebra.c, phi_norm, float(np.sqrt(r2)), float(svals[n - 1]))
+    return _associator_certificate(algebra.norm, phi_norm, float(np.sqrt(r2)), float(svals[n - 1]))
 
 
 @dataclass(frozen=True)
@@ -603,10 +616,10 @@ def induced_algebra(
     if unit_dist > unit_bound:
         raise ValidationError("subalgebra-unit", unit_dist, unit_bound)
     # prods[a, b] = q_a q_b, and c[a, b] = Q^H (q_a q_b) its coordinates
-    prods = q.T @ np.tensordot(q, algebra.c, axes=([0], [0]))
+    prods = (algebra._left_stack(q) @ q).transpose(0, 2, 1)
     c = prods @ q.conj()
     worst = float(np.max(np.linalg.norm(c @ q.T - prods, axis=(1, 2))))
-    closure_bound = tol.bound(float(np.linalg.norm(algebra.c))) * 10
+    closure_bound = tol.bound(algebra.norm) * 10
     if worst > closure_bound:
         raise ValidationError("subalgebra-closure", worst, closure_bound)
     involution = None
@@ -760,7 +773,7 @@ def gns_rep(algebra: FinDimAlgebra, functional, tol: Tolerance | None = None) ->
         raise NoInvolution(f"{algebra.name} carries no involution")
     phi = np.asarray(functional, dtype=complex).ravel()
     stars = algebra.involution  # column i holds the coordinates of e_i*
-    gram = np.einsum("pi,pjk,k->ij", stars, algebra.c, phi, optimize=True)  # phi(e_i* e_j)
+    gram = phi @ algebra._left_stack(stars)  # phi(e_i* e_j)
     herm = float(np.linalg.norm(gram - gram.conj().T))
     scale = max(1.0, float(np.linalg.norm(gram)))
     if herm > 1e-9 * scale:

@@ -23,7 +23,6 @@ from .algebra import (
     BlockDecomposition,
     GnsRep,
     _minimal_central_idempotents,
-    _representation_defect,
     _support_key,
     gns_rep,
     induced_algebra,
@@ -88,7 +87,7 @@ class Representation:
         tol = get_tol(tol)
         rep = AxiomReport(self.name or "representation")
         scale = max(1.0, float(np.linalg.norm(self.matrices)))
-        defect = _representation_defect(self.wha.algebra.c, self.matrices)
+        defect = self.wha.algebra.homomorphism_defect(self.matrices)
         rep.add("representation-multiplicative", defect, tol.bound(scale**2) * 10)
         rep.add(
             "representation-unital",

@@ -2,7 +2,7 @@
 
 The library computes A's coalgebra rows as the algebra rows of Â, the weak
 unit and weak counit rows with one helper, every multiplicativity defect with
-``algebra._representation_defect`` and both anti-multiplicativity rows with
+``FinDimAlgebra.homomorphism_defect`` and both anti-multiplicativity rows with
 ``algebra._antimultiplicative_norm``.  The references below are the direct
 einsum forms of the same laws.  Every report must keep its row names, order,
 thresholds and verdicts, with residuals within 1e-13 absolute or 1e-10
@@ -264,13 +264,14 @@ def test_ising_validate_wba_peak_memory(ising):
 
 def test_the_smash_product_computes_its_action_report_once(examples, monkeypatch):
     calls = []
-    original = wk.actions._representation_defect
+    original = wk.FinDimAlgebra.homomorphism_defect
 
-    def counting(c, mats):
-        calls.append(mats.shape)
-        return original(c, mats)
+    def counting(self, images, into=None):
+        if into is None:  # the matrix form, as the action-algebra-map row calls it
+            calls.append(images.shape)
+        return original(self, images, into)
 
-    monkeypatch.setattr(wk.actions, "_representation_defect", counting)
+    monkeypatch.setattr(wk.FinDimAlgebra, "homomorphism_defect", counting)
     w = examples["m23"]
     out = wk.smash_product(w)
     report = wk.validate_action(out.action)
