@@ -19,6 +19,18 @@ by that report, M associative, the relation span in the kernel, full rank on
 the quotient, closure); otherwise, as for the trivial action, the dense route
 contracts the product into a (dim M * dim A, dim M * dim A, d) tensor and
 checks its descent.  :func:`crossed_product` lists both.
+
+Both relative tensor products, M (x)_{A^L} A of the crossed product and
+M (x)_N M of the Galois map, are quotients by a relation span, and both are
+read off a separability idempotent of the algebra they are taken over:
+``e = (S (x) id) Delta(1)`` in A^L (x) A^L (Boehm-Nill-Szlachanyi), and for
+N = M^A the Casimir ``sum_ij (T^-1)_ij n_i (x) n_j`` of its regular trace form
+T.  ``E = sum e' (x) e''`` acting on both legs is an idempotent whose kernel is
+the relation span, so one SVD of E gives the relation span and the carrier,
+and ``tr E`` is the dimension of the quotient; no stack of relations is
+formed.  That route decides only when its residuals pass
+(:func:`_separable_quotient`); otherwise, as for a broken action, the SVD of
+the relation span itself decides.
 """
 
 from __future__ import annotations
@@ -45,7 +57,16 @@ from .errors import (
     NotConditionalExpectation,
     NotSemisimple,
 )
-from .linalg import Subspace, kernel, kron_sum, matrix_rank, orth, span_and_complement
+from .linalg import (
+    Subspace,
+    coimage_and_kernel,
+    kernel,
+    kron_sum,
+    matrix_rank,
+    orth,
+    pivoted_basis,
+    span_and_complement,
+)
 from .report import AxiomReport
 from .wha import WeakHopfAlgebra
 
@@ -207,12 +228,26 @@ class CrossedProduct:
 def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedProduct:
     """Build M x| A with the product ``(m x| a)(n x| b) = m alpha_{a_(1)}(n) x| a_(2) b``.
 
-    The carrier is the orthogonal complement of the A^L-relation span, and the
+    The carrier is the orthogonal complement of the A^L-relation span, the span
+    of ``m u(l) (x) a - m (x) l a`` for ``u(l) = alpha_l(1_M)``, and the
     structure constants are those of the product on M (x) A, ``big[(i,a),
     (j,b),(k,c)] = sum_pqr Delta[p,q,a] alpha[p,j,r] c_M[i,r,k] c_A[q,b,c]``,
     restricted to the carrier.  ``scale`` is the Frobenius norm of ``big``,
-    read off Gram matrices of its factors without forming it, and the
-    thresholds below are ``tol.bound(scale) * 100``.  Two routes compute them.
+    read off Gram matrices of its factors without forming it, and ``bound =
+    tol.bound(scale) * 100``.
+
+    The quotient comes from the separability idempotent ``e = (S (x)
+    id) Delta(1) = sum_ij e_ij l_i (x) l_j`` of A^L, over an orthonormal basis
+    l_i of A^L: ``E = sum_ij e_ij R(u(l_i)) (x) L(l_j)`` on M (x) A has the
+    relation span as its kernel and the carrier as its coimage, from one SVD
+    of the (d_full, d_full) matrix E, and ``d = tr E``.  It decides when e lies
+    in A^L (x) A^L, u is multiplicative on A^L and the residuals of
+    :func:`_separable_quotient` pass, all against ``bound``; otherwise the SVD
+    of the stacked relations decides.  Either way the carrier's basis is
+    :func:`~whakit.linalg.pivoted_basis` of the complement, which depends on
+    the quotient alone, not on how an SVD rotates singular vectors of equal
+    singular value; for a groupoid's smash product its columns are standard
+    basis vectors of M (x) A.  Two routes then compute the product.
 
     * Concrete (Galois actions): ``pi(m (x) a) = L(m) alpha_a`` maps M (x) A
       into End(M), and for a Galois action it is faithful on the quotient
@@ -237,19 +272,14 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     Both routes then check star descent (the star maps the relation span into
     itself, IllDefinedProduct), the unit and star rows of
     :meth:`FinDimAlgebra.validate`, and that ``m -> m x| 1`` and ``a -> 1 x|
-    a`` are multiplicative and ``m -> m x| 1`` is injective.
+    a`` are multiplicative (against the scale of their own terms,
+    :func:`_add_embedding_row`) and ``m -> m x| 1`` is injective.  Descent,
+    closure and star rows are compared with ``bound``.
     """
     tol = get_tol(tol)
     w, m_alg, alpha = action.wha, action.module, action.alpha
     dm, da = m_alg.dim, w.dim
     d_full = dm * da
-    # relation span of m alpha_l(1_M) (x) a - m (x) l a, over the bases of A^L, M and A
-    lb = w.derived(tol).counital_subalgebras.left.basis
-    al1 = np.einsum("pb,pjr,j->br", lb, alpha, m_alg.unit, optimize=True)  # alpha_l(1_M)
-    rel = kron_sum(np.einsum("irk,br->bki", m_alg.c, al1), np.einsum("qb,qac->bca", lb, w.algebra.c))
-    v_rel, carrier = span_and_complement(rel.transpose(1, 0, 2).reshape(d_full, -1), tol)
-    d = carrier.shape[1]
-    cbar = carrier.conj().reshape(dm, da, d)
 
     # K[p,i,j,k]: the coefficient of e_k in e_i alpha_p(e_j)
     k_fac = np.einsum("pjr,irk->pijk", alpha, m_alg.c, optimize=True)
@@ -268,8 +298,25 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     scale = max(1.0, float(np.sqrt(max(norm2, 0.0))))
     bound = tol.bound(scale) * 100
 
+    # M is a right A^L-module through u(l) = alpha_l(1_M) and A a left one, over the basis lb of A^L
+    lb = w.derived(tol).counital_subalgebras.left.basis
+    unit_act = np.einsum("pjr,j->rp", alpha, m_alg.unit)  # a -> alpha_a(1_M)
+    u_l = unit_act @ lb
+    rho, lam = m_alg._right_stack(u_l), w.algebra._left_stack(lb)
+    # e = (S (x) id) Delta(1) = sum_ij coef[i, j] l_i (x) l_j, a separability idempotent of A^L
+    e_full = w.antipode @ w.delta1
+    coef = lb.conj().T @ e_full @ np.conj(lb)
+    legs = float(np.linalg.norm(e_full - lb @ coef @ lb.T))
+    u_defect = float(np.linalg.norm(unit_act @ (lam @ lb) - m_alg._left_stack(u_l) @ u_l))  # u(l_i l_j) - u(l_i) u(l_j)
+    quotient = _separable_quotient(rho, lam, coef, bound, tol) if max(legs, u_defect) <= bound else None
+    if quotient is None:  # the relation span of m u(l) (x) a - m (x) l a itself
+        quotient = span_and_complement(kron_sum(rho, lam).transpose(1, 0, 2).reshape(d_full, -1), tol)
+    v_rel, carrier = quotient
+    carrier = pivoted_basis(carrier)
+
     concrete = _represented_product(action, k_fac, carrier, v_rel, bound, tol)
     cq = _dense_product(action, k_fac, carrier, v_rel, bound) if concrete is None else concrete[0]
+    del k_fac  # validation below peaks on top of c
     unit_q = carrier.conj().T @ np.kron(m_alg.unit, w.unit)
 
     inv_q = None
@@ -297,15 +344,72 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     else:  # associativity certified through Pi
         rep = _validated(out, _associator_certificate(out.norm, *concrete[1:]), tol)
 
+    cbar = carrier.conj().reshape(dm, da, -1)
     embed_m = np.einsum("icg,c->gi", cbar, w.unit)  # carrier^H (e_i (x) 1_A)
     embed_a = np.einsum("kag,k->ga", cbar, m_alg.unit)  # carrier^H (1_M (x) e_a)
-    rep.add("embedding-M-multiplicative", m_alg.homomorphism_defect(embed_m, into=out), bound)
+    _add_embedding_row(rep, "embedding-M-multiplicative", m_alg, embed_m, out, tol)
     rep.add("embedding-M-injective", float(dm - matrix_rank(embed_m, tol)), 0.5)
-    rep.add("embedding-A-multiplicative", w.algebra.homomorphism_defect(embed_a, into=out), bound)
+    _add_embedding_row(rep, "embedding-A-multiplicative", w.algebra, embed_a, out, tol)
     rep.raise_if_failed()
     return CrossedProduct(
         action=action, algebra=out, carrier=carrier, embed_m=embed_m, embed_a=embed_a, report=rep
     )
+
+
+def _add_embedding_row(rep: AxiomReport, name: str, src: FinDimAlgebra, emb, out: FinDimAlgebra, tol: Tolerance):
+    """The row ``|f(e_i e_j) - f(e_i) f(e_j)|_F`` of the embedding f = ``emb`` of ``src`` into ``out``.
+
+    Its threshold is ``tol.bound(|c_src|_F |emb|_F + |c_out|_F |emb|_F^2)``,
+    the scale of the two terms of the defect.
+    """
+    e_norm = float(np.linalg.norm(emb))
+    threshold = tol.bound(src.norm * e_norm + out.norm * e_norm**2)
+    rep.add(name, src.homomorphism_defect(emb, into=out), threshold)
+
+
+def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
+    """``(relation span, carrier)`` of X (x)_B Y from a separability idempotent of B, or None.
+
+    B acts on X from the right by the (k, dim X, dim X) stack ``rho`` and on Y
+    from the left by the (k, dim Y, dim Y) stack ``lam``, both over a basis
+    b_1..b_k of B; the relation span is spanned by ``rho_b x (x) y - x (x)
+    lam_b y``, and ``e = sum_ij e[i, j] b_i (x) b_j``.  On X (x) Y let
+    ``E = sum_ij e[i, j] rho_i (x) lam_j``.  Two residuals make E the
+    idempotent whose kernel is the relation span:
+
+    * unit, ``sum_ij e[i, j] lam_i lam_j = 1`` on Y: then ``x (x) y - E(x (x)
+      y) = sum_ij e[i, j] (x (x) lam_i lam_j y - rho_i x (x) lam_j y)`` is a
+      sum of relations;
+    * kills, ``E (rho_k (x) 1) = E (1 (x) lam_k)`` for every k: E vanishes on
+      the relation span.
+
+    So one SVD of E gives the relation span (its kernel) and the carrier (its
+    coimage, the orthogonal complement), and ``tr E`` is the dimension of the
+    quotient.  Returns None when a residual exceeds ``bound`` or ``tr E``
+    differs from the rank cut by more than ``bound``; the caller then takes
+    the SVD of the relation span itself.  No (k, dim X dim Y, dim X dim Y)
+    stack of relations is formed.
+    """
+    k, dx, dy = rho.shape[0], rho.shape[1], lam.shape[1]
+    right = np.tensordot(e, lam, axes=([1], [0]))  # right[i] = sum_j e[i, j] lam_j
+    unit = float(np.linalg.norm(lam.transpose(1, 0, 2).reshape(dy, -1) @ right.reshape(-1, dy) - np.eye(dy)))
+    if unit > bound:
+        return None
+    x = np.tensordot(e, rho, axes=([0], [0]))  # x[j] = sum_i e[i, j] rho_i, so E = sum_j x_j (x) lam_j
+    x_flat, lam_flat = x.reshape(k, -1), lam.reshape(k, -1)
+    r2 = 0.0
+    for rho_k, lam_k in zip(rho, lam):
+        # E (rho_k (x) 1) - E (1 (x) lam_k) = sum_j x_j rho_k (x) lam_j - x_j (x) lam_j lam_k, entries permuted
+        lhs = np.concatenate([(x @ rho_k).reshape(k, -1), x_flat])
+        rhs = np.concatenate([lam_flat, -(lam @ lam_k).reshape(k, -1)])
+        r2 += float(np.linalg.norm(lhs.T @ rhs)) ** 2
+    if np.sqrt(r2) > bound:
+        return None
+    big_e = (x_flat.T @ lam_flat).reshape(dx, dx, dy, dy).transpose(0, 2, 1, 3).reshape(dx * dy, dx * dy)
+    carrier, v_rel = coimage_and_kernel(big_e, tol)
+    if abs(np.trace(big_e) - carrier.shape[1]) > bound:
+        return None
+    return v_rel, carrier
 
 
 def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float, tol: Tolerance):
@@ -556,6 +660,13 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     the dual regular action of S_3 is Galois but fails the relative-commutant
     clause of :func:`is_regular`.
 
+    The domain's quotient comes from the separability idempotent of N, the
+    Casimir ``e = sum_ij (T^-1)_ij n_i (x) n_j`` of the regular trace form T of
+    N over an orthonormal basis n_i: ``E = sum_ij e_ij R(n_i) (x) L(n_j)`` on
+    M (x) M, as in :func:`crossed_product`.  It decides when T is invertible
+    and the residuals of :func:`_separable_quotient` pass; otherwise the SVD
+    of the stacked relations decides.
+
     Checks, both against ``tol.bound(|g|_F) * 100`` for the map ``g`` on the
     unquotiented M (x) M: the image of the domain's relations
     (IllDefinedProduct) and the image's component outside the corner
@@ -567,19 +678,27 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     dm, da = m_alg.dim, w.dim
     n_sub = invariants(action, tol)
 
-    # domain M (x)_N M: quotient by m n (x) m' - m (x) n m'
-    nb = n_sub.basis
-    rel = kron_sum(np.einsum("jb,ijk->bki", nb, m_alg.c), np.einsum("ib,ijk->bkj", nb, m_alg.c))
-    v_dom, w_dom = span_and_complement(rel.transpose(1, 0, 2).reshape(dm * dm, -1), tol)
-
     # target: the range of (m (x) phi) -> (m (x) phi) rho(1) on M (x) A^, whose
     # product is the transpose of Delta
     unit_act = np.einsum("tjr,j->tr", alpha, m_alg.unit)  # alpha_{e_t}(1_M)
     rho1 = np.einsum("tr,irk,stu->kuis", unit_act, m_alg.c, w.delta3, optimize=True)
     corner = orth(rho1.reshape(dm * da, dm * da), tol)
+    del rho1  # the domain's quotient below peaks on top of what is kept
 
     g_full = np.einsum("tjr,irk->ktij", alpha, m_alg.c, optimize=True).reshape(dm * da, dm * dm)
     bound = tol.bound(max(1.0, float(np.linalg.norm(g_full)))) * 100
+
+    # domain M (x)_N M: quotient by m n (x) m' - m (x) n m', N acting by R(n) and L(n)
+    nb = n_sub.basis
+    r_n, l_n = m_alg._right_stack(nb), m_alg._left_stack(nb)
+    restricted = nb.conj().T @ l_n @ nb  # L(n_i) on N
+    t = np.einsum("iab,jba->ij", restricted, restricted)  # regular trace form of N
+    quotient = None
+    if matrix_rank(t, tol) == nb.shape[1]:  # sum_ij (T^-1)_ij n_i (x) n_j is a separability idempotent of N
+        quotient = _separable_quotient(r_n, l_n, np.linalg.inv(t), bound, tol)
+    if quotient is None:
+        quotient = span_and_complement(kron_sum(r_n, l_n).transpose(1, 0, 2).reshape(dm * dm, -1), tol)
+    v_dom, w_dom = quotient
     resid = float(np.linalg.norm(g_full @ v_dom))
     if resid > bound:
         raise IllDefinedProduct(f"Galois map does not descend to M (x)_N M ({resid:.3e})")

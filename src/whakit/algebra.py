@@ -410,20 +410,37 @@ def _antimultiplicative_norm(c, s, antilinear: bool) -> float:
     """Frobenius norm of ``f(e_i e_j) - f(e_j) f(e_i)`` over all basis pairs, f given by ``s``.
 
     f is ``a -> s a`` (the antipode) or, if ``antilinear``, ``a -> s conj(a)`` (the star).
-    16 values of j at a time, ``t[j, q, m] = sum_p s[p, j] c[p, q, m]`` (the
+    Over a slice of j, ``t[j, q, m] = sum_p s[p, j] c[p, q, m]`` (the
     coordinates of ``f(e_j) e_q``) is one GEMM against ``c.reshape(n, n^2)``, and
     ``(f(e_j) f(e_i))_m = sum_q s[q, i] t[j, q, m]``; no (n, n, n) array is formed.
+    At most three arrays of ``width * n^2`` entries are live at a time, and
+    :func:`_star_row_width` keeps them within 3/8 of c from n = 64 on.
     """
     n = c.shape[0]
     flat = c.reshape(n, n * n)
+    width = _star_row_width(n)
     acc = 0.0
-    for lo in range(0, n, 16):
-        sl = slice(lo, lo + 16)
-        t = (s[:, sl].T @ flat).reshape(-1, n, n)
-        rhs = s.T @ t.transpose(1, 0, 2).reshape(n, -1)  # f(e_j) f(e_i) over i, then j in sl
-        lhs = (np.conj(c[:, sl]) if antilinear else c[:, sl]).reshape(-1, n) @ s.T  # f(e_i e_j), the same order
-        acc += float(np.linalg.norm(lhs.reshape(n, -1) - rhs)) ** 2
+    for lo in range(0, n, width):
+        sl = slice(lo, lo + width)
+        t = (s[:, sl].T @ flat).reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)  # t as [q, (j, m)]
+        diff = s.T @ t  # f(e_j) f(e_i) over i, then j in sl
+        del t
+        diff -= ((np.conj(c[:, sl]) if antilinear else c[:, sl]).reshape(-1, n) @ s.T).reshape(n, -1)  # f(e_i e_j)
+        acc += float(np.linalg.norm(diff)) ** 2
+        del diff
     return float(np.sqrt(acc))
+
+
+def _star_row_width(n: int) -> int:
+    """Rows j per slice of :func:`_antimultiplicative_norm`: 16 below n = 64, from there on at most n / 8.
+
+    Below 64 (c under 4 MiB) one 16-row slice covers n <= 16 and the GEMMs
+    stay wide; from 64 on the three live slices hold at most 3/8 of c.  At
+    n = 89 (m23's smash product) that is 11 rows and a tracemalloc peak of
+    0.37 c, where 16 rows with every slice kept to the next took 0.90 c, in
+    the same time (31 ms either way, minimum of 5, 1 BLAS thread).
+    """
+    return 16 if n < 64 else min(16, n // 8)
 
 
 def _associator_certificate(c_norm: float, phi_norm: float, r_norm: float, sigma_min: float) -> float:

@@ -25,6 +25,8 @@ __all__ = [
     "orth",
     "kernel",
     "span_and_complement",
+    "coimage_and_kernel",
+    "pivoted_basis",
     "lstsq",
     "matrix_rank",
     "kron_sum",
@@ -142,6 +144,54 @@ def span_and_complement(a, tol: Tolerance | None = None):
     u, s, _ = np.linalg.svd(a)
     r = _svd_cut(s, tol, s[0])
     return _phase_normalized(u[:, :r]), _phase_normalized(u[:, r:])
+
+
+def coimage_and_kernel(a, tol: Tolerance | None = None):
+    """Orthonormal bases ``(coimage, kernel)`` of the range of ``a^H`` and of
+    the null space of ``a``, both from one SVD.
+
+    They are the right singular vectors above and below the cut of
+    :func:`kernel`, with its phases; the coimage is the orthogonal complement
+    of the kernel, and its dimension is the rank of ``a``.
+    """
+    tol = get_tol(tol)
+    a = _as_matrix(a)
+    n = a.shape[1]
+    if a.shape[0] == 0 or not np.any(a):
+        return np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)
+    _, s, vh = np.linalg.svd(a)
+    r = _svd_cut(s, tol, s[0])
+    return _phase_normalized(vh[:r].conj().T), _phase_normalized(vh[r:].conj().T)
+
+
+def pivoted_basis(q):
+    """The column-pivoted Gram-Schmidt basis of the span of the orthonormal columns ``q``.
+
+    With P the orthogonal projector onto that span, step t takes the column
+    ``P e_k`` with the largest residual against the columns taken so far (the
+    first within 1e-8 relative of the largest, so that roundoff does not
+    break ties).  The result depends on the span alone, not on which
+    orthonormal basis of it ``q`` is, and where P fixes standard basis
+    vectors it picks them first.  Column k of ``q^H`` holds the coordinates
+    of ``P e_k`` in the basis q, so the search costs O(r^2 n) for r columns of
+    length n and P is never formed.  Column t is scaled so that its entry at
+    the t-th pivot is real positive.
+    """
+    res = q.conj().T.copy()
+    norms = np.einsum("ij,ij->j", res.conj(), res).real
+    pivots: list[int] = []
+    for _ in range(res.shape[0]):
+        top = norms.max()
+        k = int(np.argmax(norms >= top - 1e-8 * top))
+        pivots.append(k)
+        unit = res[:, k] / np.sqrt(norms[k])
+        proj = unit.conj() @ res
+        res -= unit[:, None] * proj
+        norms -= proj.real**2 + proj.imag**2
+    # the columns P e_k over the pivots are q (q^H e_k) = (q Q) R
+    qr_q, qr_r = np.linalg.qr(q.conj().T[:, pivots])
+    diag = np.diagonal(qr_r)
+    return q @ (qr_q * (diag / np.abs(diag)))
 
 
 def matrix_rank(a, tol: Tolerance | None = None) -> int:

@@ -158,9 +158,15 @@ def test_crossed_product_matches_dense_reference(examples, rotated, key, complex
     assert rel(cp.algebra.c, cq) < 1e-12
     assert rel(cp.algebra.unit, unit) < 1e-12
     assert rel(cp.algebra.involution, inv) < 1e-12
-    # the descent and embedding thresholds are tol.bound(|big|_F) * 100
-    thr = {c.name: c.threshold for c in cp.report.checks}["embedding-M-multiplicative"]
-    assert thr == pytest.approx(wk.DEFAULT_TOL.bound(np.linalg.norm(big)) * 100, rel=1e-12)
+    # an embedding row's threshold is tol.bound(|c_src|_F |E|_F + |c_out|_F |E|_F^2), E the embedding matrix
+    thr = {c.name: c.threshold for c in cp.report.checks}
+    for name, src, emb in (
+        ("embedding-M-multiplicative", act.module.c, cp.embed_m),
+        ("embedding-A-multiplicative", act.wha.algebra.c, cp.embed_a),
+    ):
+        e = np.linalg.norm(emb)
+        want = wk.DEFAULT_TOL.bound(np.linalg.norm(src) * e + np.linalg.norm(cq) * e**2)
+        assert thr[name] == pytest.approx(want, rel=1e-12), name
 
 
 def test_crossed_product_memory_stays_below_the_dense_tensor():
@@ -197,6 +203,7 @@ def test_a_crossed_product_stores_its_structure_constants_once(actions, m23):
 
 
 def test_crossed_product_peak_is_within_two_and_a_half_structure_constants(m23):
+    # c, the star row's slices (at most 3/8 of c) and the carrier, embeddings and factors: 1.5 c
     act = wk.dual_regular_action(m23)
     wk.crossed_product(act)  # the action report and m23's derived structures are kept
     tracemalloc.start()
@@ -206,7 +213,7 @@ def test_crossed_product_peak_is_within_two_and_a_half_structure_constants(m23):
     finally:
         tracemalloc.stop()
     assert cp.dim == 89
-    assert peak <= 2.5 * cp.algebra.c.nbytes
+    assert peak <= 1.6 * cp.algebra.c.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +306,138 @@ def test_a_non_multiplicative_alpha_with_a_closed_image_is_refused(examples, mon
     with pytest.raises(wk.ValidationError, match="associativity"):
         wk.crossed_product(wk.WhaAction(act.wha, module, alpha, name="broken"))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the quotient M (x)_{A^L} A from the separability idempotent e = (S (x) id) Delta(1)
+
+
+@pytest.mark.parametrize("key", ["z2", "z3", "z4", "z5", "s3", "p2", "p3", "p4", "fp2", "h4", "m23"])
+def test_the_separability_idempotent_is_the_casimir_of_the_trace_form(examples, rotated, key):
+    """(S (x) id) Delta(1) lies in A^L (x) A^L, and its coordinates there are T^-1 for
+    the regular trace form T of the induced A^L, for A and for the acting algebra A^."""
+    for w in (examples[key], rotated(examples[key], 7)):
+        for v in (w, w.dual):
+            al_alg, q = wk.induced_algebra(v.algebra, v.counital_subalgebras.left)
+            e_full = v.antipode @ v.delta1
+            coef = q.conj().T @ e_full @ np.conj(q)
+            assert np.linalg.norm(e_full - q @ coef @ q.T) <= 1e-12 * np.linalg.norm(e_full), v.name
+            want = np.linalg.inv(al_alg.trace_form())
+            assert np.linalg.norm(coef - want) <= 1e-12 * np.linalg.norm(want), v.name
+
+
+def _spy_on_the_relation_span(monkeypatch):
+    """Record every call of the relation-span SVD in ``actions``."""
+    calls = []
+    original = wk.actions.span_and_complement
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wk.actions, "span_and_complement", spy)
+    return calls
+
+
+def _relation_complement(rho, lam):
+    """The orthogonal complement of the span of ``rho_b x (x) y - x (x) lam_b y``, by the SVD of the span."""
+    rel = wk.linalg.kron_sum(rho, lam)
+    return wk.linalg.span_and_complement(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1))[1]
+
+
+@pytest.mark.parametrize("make", [wk.dual_regular_action, wk.arrow_action], ids=["dualreg", "arrow"])
+@pytest.mark.parametrize("key", ["z3", "s3", "p2", "p3", "fp2", "fp3", "m23", "p4"])
+def test_the_quotients_come_from_the_separability_idempotent(examples, monkeypatch, key, make):
+    """tr E is the rank of the relation-span route, the carriers span one subspace, and
+    neither the crossed product nor the Galois map takes the SVD of a relation span."""
+    act = make(wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key])
+    w, m_alg = act.wha, act.module
+    a_alg = w.algebra
+    lb = w.counital_subalgebras.left.basis
+    u = np.einsum("pjr,j->pr", act.alpha, m_alg.unit)  # alpha_{e_p}(1_M)
+    # E(m (x) a) = sum_pq e[p, q] m u_p (x) e_q a, with e = (S (x) id) Delta(1)
+    e = w.antipode @ w.delta1
+    big_e = np.einsum("pq,pr,irk,qbc->kcib", e, u, m_alg.c, a_alg.c, optimize=True)
+    big_e = big_e.reshape(m_alg.dim * w.dim, -1)
+    ref = _relation_complement(m_alg._right_stack(u.T @ lb), a_alg._left_stack(lb))
+    calls = _spy_on_the_relation_span(monkeypatch)
+    cp = wk.crossed_product(act)
+    assert abs(np.trace(big_e) - ref.shape[1]) <= 1e-9
+    assert cp.dim == ref.shape[1]
+    assert np.linalg.norm(cp.carrier @ cp.carrier.conj().T - ref @ ref.conj().T) <= 1e-12
+    mat, _ = wk.galois_map(act)
+    nb = wk.invariants(act).basis
+    assert mat.shape[1] == _relation_complement(m_alg._right_stack(nb), m_alg._left_stack(nb)).shape[1]
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", [wk.dual_regular_action, wk.arrow_action], ids=["dualreg", "arrow"])
+@pytest.mark.parametrize("key", ["p2", "p3", "fp2", "m23"])
+def test_the_carrier_is_elementary_tensors_on_either_route(examples, monkeypatch, key, make):
+    """In canonical bases the carrier's columns are standard basis vectors e_i (x) e_a,
+    whether the idempotent or the relation span computed the quotient."""
+    act = make(examples[key])
+    cp = wk.crossed_product(act)
+    assert np.array_equal(np.sum(np.abs(cp.carrier) > 1e-12, axis=0), np.ones(cp.dim))
+    assert np.allclose(cp.carrier.sum(axis=0), 1.0, rtol=0, atol=1e-13)
+    monkeypatch.setattr(wk.actions, "_separable_quotient", lambda *args: None)
+    assert np.linalg.norm(wk.crossed_product(act).carrier - cp.carrier) <= 1e-12
+
+
+def test_a_broken_action_takes_the_relation_span(examples, monkeypatch):
+    # the input of test_ill_defined_product_is_rejected_where_the_relation_span_is_nonzero:
+    # u(l) = alpha_l(1_M) is not multiplicative on A^L, so the idempotent does not decide
+    act = wk.dual_regular_action(examples["p2"])
+    alpha = act.alpha.copy()
+    alpha[1, 0, 2] += 1e-2
+    calls = _spy_on_the_relation_span(monkeypatch)
+    with pytest.raises(wk.IllDefinedProduct, match="does not descend"):
+        wk.crossed_product(wk.WhaAction(act.wha, act.module, alpha, name="broken"))
+    assert len(calls) == 1
+
+
+def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples):
+    act = wk.dual_regular_action(examples["p2"])
+    w, m_alg = act.wha, act.module
+    lb = w.counital_subalgebras.left.basis
+    u_l = np.einsum("pjr,j->rp", act.alpha, m_alg.unit) @ lb
+    rho, lam = m_alg._right_stack(u_l), w.algebra._left_stack(lb)
+    coef = lb.conj().T @ (w.antipode @ w.delta1) @ np.conj(lb)
+    tol = wk.DEFAULT_TOL
+    v_rel, carrier = wk.actions._separable_quotient(rho, lam, coef, 1e-9, tol)
+    assert carrier.shape == (16, 8) and v_rel.shape == (16, 8)
+    # sum_ij e_ij lam_i lam_j = 1/2
+    assert wk.actions._separable_quotient(rho, lam, coef / 2, 1e-9, tol) is None
+    # a right action that is not u: E no longer vanishes on the relations
+    bent = rho.copy()
+    bent[0, 0, 1] += 1e-3
+    assert wk.actions._separable_quotient(bent, lam, coef, 1e-9, tol) is None
+
+
+def test_the_p4_crossed_product_peaks_below_twelve_mib():
+    # the (4, 256, 256) relation stack, its reshaped copy and their QR peaked at 17.4 MiB
+    act = wk.dual_regular_action(wk.pair_groupoid_wha(4))
+    tracemalloc.start()
+    try:
+        cp = wk.crossed_product(act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cp.dim == 64
+    assert peak <= 12 * 2**20, peak / 2**20
+
+
+def test_the_p4_galois_map_peaks_below_eight_mib():
+    # the domain's (4, 256, 256) relation stack, its reshaped copy and their QR peaked at 17.2 MiB
+    act = wk.dual_regular_action(wk.pair_groupoid_wha(4))
+    tracemalloc.start()
+    try:
+        mat, bijective = wk.galois_map(act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (64, 64) and bijective
+    assert peak <= 8 * 2**20, peak / 2**20
 
 
 def test_basic_construction_thresholds_follow_the_tolerance(actions):

@@ -168,6 +168,24 @@ def test_a_perturbed_embedding_fails_the_multiplicativity_row(smash, key):
     assert cp.action.module.homomorphism_defect(emb, into=cp.algebra) > row.threshold
 
 
+@pytest.mark.parametrize("complex_basis", [False, True], ids=["canonical", "complex"])
+@pytest.mark.parametrize("key", ["p3", "m23", "p4"])
+def test_every_perturbed_embedding_column_fails_its_row(smash, examples, rotated, key, complex_basis):
+    """Scaling any one column of embed_m or embed_a by 1 + 1e-6 fails its row, whose
+    threshold is tol.bound(|c_src|_F |E|_F + |c_out|_F |E|_F^2)."""
+    cp = wk.smash_product(rotated(examples[key], 13)) if complex_basis else smash[key]
+    rows = {c.name: c for c in cp.report.checks}
+    for name, src, emb in (
+        ("embedding-M-multiplicative", cp.action.module, cp.embed_m),
+        ("embedding-A-multiplicative", cp.action.wha.algebra, cp.embed_a),
+    ):
+        assert rows[name].passed, name
+        for col in range(emb.shape[1]):
+            bent = emb.copy()
+            bent[:, col] *= 1 + 1e-6
+            assert src.homomorphism_defect(bent, into=cp.algebra) > rows[name].threshold, (name, col)
+
+
 # -- the dense associator norm ---------------------------------------------
 
 

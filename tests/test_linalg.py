@@ -6,6 +6,7 @@ from whakit.errors import DimensionMismatch, NotNonnegative
 from whakit.linalg import (
     Subspace,
     _phase_normalized,
+    coimage_and_kernel,
     hermitian_sqrt,
     is_irreducible_nonneg,
     kernel,
@@ -15,6 +16,7 @@ from whakit.linalg import (
     normalize_phase,
     orth,
     perron_frobenius,
+    pivoted_basis,
     span_and_complement,
 )
 
@@ -102,6 +104,31 @@ def test_one_sided_svds_match_the_full_svd(case):
     _assert_same_subspace_and_phases(span, span_ref)
     _assert_same_subspace_and_phases(comp, comp_ref)
     _assert_same_subspace_and_phases(kernel(a), ker_ref)
+
+
+@pytest.mark.parametrize("case", sorted(k for k in SVD_CASES if "400" not in k))
+def test_coimage_and_kernel_split_the_domain(case):
+    m, k, rank, real = SVD_CASES[case]
+    a = _svd_test_matrix(m, k, rank, real, seed=m * k + rank)
+    coimage, ker = coimage_and_kernel(a)
+    _assert_same_subspace_and_phases(ker, _full_svd_reference(a)[2])
+    assert coimage.shape == (k, rank)
+    both = np.hstack([coimage, ker])
+    assert np.allclose(both.conj().T @ both, np.eye(k), atol=1e-12)
+
+
+def test_the_pivoted_basis_depends_only_on_the_span():
+    """Any orthonormal basis of a span gives the same pivoted basis; a span of
+    standard basis vectors gets those vectors."""
+    coimage, ker = coimage_and_kernel(np.diag([1.0, 0.0, 1.0, 1.0, 0.0]))
+    assert ker.shape == (5, 2)
+    assert np.allclose(pivoted_basis(coimage), np.eye(5)[:, [0, 2, 3]], atol=1e-15)
+    q, _ = coimage_and_kernel(_svd_test_matrix(7, 7, 4, real=False, seed=9))
+    u, _ = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
+    want, got = pivoted_basis(q), pivoted_basis(q @ u)
+    assert np.linalg.norm(got - want) <= 1e-12
+    assert np.allclose(got.conj().T @ got, np.eye(4), atol=1e-12)
+    assert np.linalg.norm(got @ got.conj().T - q @ q.conj().T) <= 1e-12
 
 
 @pytest.mark.parametrize(
