@@ -3,7 +3,9 @@
 Everything here is a thin, deterministic wrapper around numpy's SVD/eig:
 rank decisions go through a :class:`~whakit.config.Tolerance`, and every
 basis or eigenvector that leaves this module is normalized the same way
-on every run (first significant entry real positive).
+on every run (first significant entry real positive).  Where a basis should
+not depend on how an SVD rotates singular vectors of equal singular value,
+:func:`pivoted_basis` replaces it by one that depends on its span alone.
 
 The SVD helpers compute only the factor they return.  A matrix far from
 square is first reduced to the square triangular factor of its QR
