@@ -31,6 +31,10 @@ and ``tr E`` is the dimension of the quotient; no stack of relations is
 formed.  That route decides only when its residuals pass
 (:func:`_separable_quotient`); otherwise, as for a broken action, the SVD of
 the relation span itself decides.
+
+The canonical actions copy nothing: :func:`arrow_action` of A on A^ has
+``alpha = c_A.transpose(1, 2, 0)``, and :func:`dual_regular_action` is the
+arrow action of A^, whose structure constants are A's comultiplication.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from .algebra import (
     FinDimAlgebra,
     _associator_certificate,
+    _covariance_defect,
     _dense_associator_norm,
     _inclusion_matrix,
     _validated,
@@ -51,6 +56,7 @@ from .algebra import (
 from .config import Tolerance, get_tol
 from .errors import (
     CrossCheckMismatch,
+    DimensionMismatch,
     IllDefinedProduct,
     InvariantMismatch,
     NoQuasiBasis,
@@ -102,8 +108,6 @@ class WhaAction:
         self.alpha = np.asarray(self.alpha, dtype=complex)
         expected = (self.wha.dim, self.module.dim, self.module.dim)
         if self.alpha.shape != expected:
-            from .errors import DimensionMismatch
-
             raise DimensionMismatch(f"alpha must have shape {expected}, got {self.alpha.shape}")
 
     def amat(self, a) -> np.ndarray:
@@ -119,7 +123,9 @@ class WhaAction:
 
 def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomReport:
     """Residuals of the action axioms, computed once per tolerance and kept in the
-    action (build a new action instead of changing ``alpha``)."""
+    action (build a new action instead of changing ``alpha``).  ``action-module-algebra``
+    is :func:`~whakit.algebra._covariance_defect`, the sliced kernel that also
+    checks the multiplicativity of Delta in :func:`~whakit.wha.validate_wba`."""
     tol = get_tol(tol)
     if tol in action._reports:
         return action._reports[tol]
@@ -128,25 +134,14 @@ def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomRep
     scale = max(1.0, float(np.linalg.norm(alpha)))
     ops = alpha.transpose(0, 2, 1)  # operator matrix of alpha_{e_i}
     rep.add("action-algebra-map", w.algebra.homomorphism_defect(ops), tol.bound(scale**2) * 10)
-    rep.add(
-        "action-unital",
-        np.linalg.norm(action.amat(w.unit) - np.eye(m_alg.dim)),
-        tol.bound(scale) * 10,
-    )
-    cm = m_alg.c
-    lhs2 = np.einsum("jJr,trk->tjJk", cm, alpha, optimize=True)
-    rhs2 = np.einsum("pqt,pja,qJb,abk->tjJk", w.delta3, alpha, alpha, cm, optimize=True)
-    rep.add("action-module-algebra", np.linalg.norm(lhs2 - rhs2), tol.bound(scale**2) * 10)
-    pi_l, _ = w.counital_maps
-    unit_m = m_alg.unit
-    lhs3 = np.einsum("tjk,j->kt", alpha, unit_m)
-    rhs3 = np.einsum("it,ijk,j->kt", pi_l, alpha, unit_m, optimize=True)
-    rep.add("action-unit-invariance", np.linalg.norm(lhs3 - rhs3), tol.bound(scale) * 10)
+    rep.add("action-unital", np.linalg.norm(action.amat(w.unit) - np.eye(m_alg.dim)), tol.bound(scale) * 10)
+    rep.add("action-module-algebra", _covariance_defect(m_alg.c, alpha, w.delta3), tol.bound(scale**2) * 10)
+    on_unit = np.einsum("tjk,j->kt", alpha, m_alg.unit)  # alpha_a(1_M) = alpha_{pi^L(a)}(1_M)
+    rep.add("action-unit-invariance", np.linalg.norm(on_unit - on_unit @ w.counital_maps[0]), tol.bound(scale) * 10)
     if m_alg.involution is not None and w.algebra.involution is not None:
-        k = w.algebra.involution @ np.conj(w.antipode)  # columns S(e_t)*
         inv_m = m_alg.involution
         lhs4 = np.einsum("kr,tjr->tjk", inv_m, np.conj(alpha), optimize=True)
-        rhs4 = np.einsum("it,irk,rj->tjk", k, alpha, inv_m, optimize=True)
+        rhs4 = np.einsum("it,irk,rj->tjk", w.star_antipode, alpha, inv_m, optimize=True)
         rep.add("action-star", np.linalg.norm(lhs4 - rhs4), tol.bound(scale) * 10)
     action._reports[tol] = rep
     return rep
@@ -602,19 +597,12 @@ def verify_basic_construction(
     rep.add("jones-idempotent", np.linalg.norm(big.mul(e, e) - e), thr)
     if big.involution is not None:
         rep.add("jones-selfadjoint", np.linalg.norm(big.star(e) - e), thr)
-    exp = action.amat(h)
-    worst = 0.0
-    for i in range(m_alg.dim):
-        x = crossed.embed_m[:, i]
-        lhs = big.mul(big.mul(e, x), e)
-        rhs = big.mul(crossed.embed_m @ (exp @ m_alg.basis_vector(i)), e)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    rep.add("jones-implements-expectation", worst, thr)
-    worst = 0.0
-    for i in range(n_sub.dim):
-        x = crossed.embed_m @ n_sub.basis[:, i]
-        worst = max(worst, float(np.linalg.norm(big.mul(e, x) - big.mul(x, e))))
-    rep.add("jones-commutes-with-invariants", worst, thr)
+    l_e, r_e = big.left_mult(e), big.right_mult(e)
+    # e x e = E(x) e over the basis of M, and e x = x e over the basis of N
+    implements = r_e @ (l_e @ crossed.embed_m - crossed.embed_m @ action.amat(h))
+    rep.add("jones-implements-expectation", float(np.max(np.linalg.norm(implements, axis=0))), thr)
+    commutes = (l_e - r_e) @ crossed.embed_m @ n_sub.basis
+    rep.add("jones-commutes-with-invariants", float(np.max(np.linalg.norm(commutes, axis=0))), thr)
     gen = _generated_subalgebra(big, [*crossed.embed_m.T, e], tol)
     rep.add("M2-generated-by-M-and-e", float(big.dim - gen.dim), 0.5)
 
@@ -716,13 +704,12 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
 
 
 def dual_regular_action(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> WhaAction:
-    """The arrow action of A^ on A, ``alpha_phi(x) = phi > x = x_(1) <phi, x_(2)>``."""
-    tol = get_tol(tol)
-    wd = w.dual
-    alpha = w.delta3.transpose(1, 2, 0).copy()  # alpha[phi, x, out]
-    action = WhaAction(wd, w.algebra, alpha, name="dual regular action")
-    action.validate(tol).raise_if_failed()
-    return action
+    """The arrow action of A^ on A, ``alpha_phi(x) = phi > x = x_(1) <phi, x_(2)>``.
+
+    It is :func:`arrow_action` of ``w.dual``, whose structure constants are
+    A's comultiplication: alpha is a view of ``w.delta``, not a copy.
+    """
+    return _arrow(w.dual, "dual regular action", tol)
 
 
 def arrow_action(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> WhaAction:
@@ -730,10 +717,13 @@ def arrow_action(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> WhaAction:
 
     For a group algebra this is the translation action on the function algebra.
     """
+    return _arrow(w, "arrow action", tol)
+
+
+def _arrow(w: WeakHopfAlgebra, name: str, tol: Tolerance | None) -> WhaAction:
+    """The validated arrow action of ``w`` on ``w.dual.algebra``; alpha is the view ``c.transpose(1, 2, 0)``."""
     tol = get_tol(tol)
-    wd = w.dual
-    alpha = np.ascontiguousarray(np.einsum("bia->iab", w.algebra.c))
-    action = WhaAction(w, wd.algebra, alpha, name="arrow action")
+    action = WhaAction(w, w.dual.algebra, w.algebra.c.transpose(1, 2, 0), name=name)
     action.validate(tol).raise_if_failed()
     return action
 

@@ -381,6 +381,33 @@ def _dense_associator_norm(c) -> float:
     return float(np.sqrt(acc))
 
 
+def _covariance_defect(c_m, alpha, delta) -> float:
+    """Frobenius norm of ``alpha_t(m_j m_k) - sum_pq Delta[p, q, t] alpha_p(m_j) alpha_q(m_k)`` over t, j, k.
+
+    ``alpha`` (dim A, n, n) is a linear map of an algebra A with coproduct
+    tensor ``delta`` (``Delta(e_t) = sum_pq delta[p, q, t] e_p (x) e_q``) into
+    End(M), M with structure constants ``c_m`` (n, n, n).  With t and j in
+    slices of 16, the right side is one GEMM of ``sum_q Delta[p, q, t]
+    alpha_q(m_k)`` against ``alpha_p(m_j) m_b``, (16 n, dim A n) and (dim A n,
+    16 n), so no (dim A, n, n, n) array is formed.  Â's arrow action on A,
+    ``alpha = Delta_A.transpose(1, 2, 0)`` with ``delta = c_m = c_A``, makes it
+    the defect of ``Delta(xy) = Delta(x) Delta(y)``.
+    """
+    da, n = alpha.shape[:2]
+    acc = 0.0
+    for lo in range(0, da, 16):
+        ts = slice(lo, lo + 16)
+        # m1[(t, k), (p, b)] = sum_q Delta[p, q, t] alpha_q(m_k)_b
+        m1 = np.einsum("pqt,qkb->tkpb", delta[:, :, ts], alpha, optimize=True).reshape(-1, da * n)
+        for jo in range(0, n, 16):
+            js = slice(jo, jo + 16)
+            # e[(p, b), (j, x)] = (alpha_p(m_j) m_b)_x and want[(t, k), (j, x)] = alpha_t(m_j m_k)_x
+            e = np.einsum("pja,abx->pbjx", alpha[:, js], c_m, optimize=True).reshape(da * n, -1)
+            want = np.einsum("jkr,trx->tkjx", c_m[js], alpha[ts], optimize=True).reshape(m1.shape[0], -1)
+            acc += float(np.linalg.norm(want - m1 @ e)) ** 2
+    return float(np.sqrt(acc))
+
+
 def _validated(algebra: FinDimAlgebra, associator_bound: float | None, tol: Tolerance) -> AxiomReport:
     """The rows of :meth:`FinDimAlgebra.validate`, given a certified bound on the associator.
 

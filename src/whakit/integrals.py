@@ -106,8 +106,8 @@ def haar_integral(w: WeakHopfAlgebra, tol: Tolerance | None = None):
 
 
 def haar_functional(w: WeakHopfAlgebra, tol: Tolerance | None = None):
-    """The Haar integral of the dual, as a covector on A; None if absent."""
-    return haar_integral(w.dual, tol)
+    """The Haar integral of the dual, as a covector on A; None if absent (cached per tolerance)."""
+    return w.derived(tol).haar_functional
 
 
 def maschke_check(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:
@@ -171,9 +171,7 @@ def haar_expectations(w: WeakHopfAlgebra, tol: Tolerance | None = None):
     hd = w.derived(tol).haar_functional
     if hd is None:
         return None
-    d3 = w.delta3
-    e_l = np.einsum("pqj,q->pj", d3, hd)
-    e_r = np.einsum("pqj,p->qj", d3, hd)
+    e_l, e_r = w.dual_algebra.right_mult(hd).T, w.dual_algebra.left_mult(hd).T
     sub = w.derived(tol).counital_subalgebras
     rep = AxiomReport(f"{w.name} Haar expectations")
     for name, mat, target in (("E^L", e_l, sub.left), ("E^R", e_r, sub.right)):

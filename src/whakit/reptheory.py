@@ -32,7 +32,6 @@ from .config import Tolerance, get_tol, round_to_int
 from .errors import (
     CrossCheckMismatch,
     FactorizationResidualTooLarge,
-    NoInvolution,
     NonScalarIndex,
     NotConnected,
     NotProportionalToMinimal,
@@ -165,13 +164,6 @@ def monoidal_product(
     return Representation(w, mats, name=f"{d1.name}(x){d2.name}", isometry=v)
 
 
-def _antilinear_star_antipode(w: WeakHopfAlgebra):
-    """Matrix K with S(a)* = K conj(a)."""
-    if w.algebra.involution is None:
-        raise NoInvolution(f"{w.name} carries no involution")
-    return w.algebra.involution @ np.conj(w.antipode)
-
-
 def conjugate_rep(w: WeakHopfAlgebra, d: Representation, tol: Tolerance | None = None) -> Representation:
     """Conjugate representation ``a -> conj(D(S(a)*))`` on the conjugate carrier."""
     return _star_conjugate_rep(w, d, w.unit, w.unit, tol)
@@ -185,7 +177,7 @@ def _star_conjugate_rep(
     tol = get_tol(tol)
     alg = w.algebra
     # column j is g^(1/2) S(e_j)* g^(-1/2)
-    twisted = alg.left_mult(g_half) @ alg.right_mult(g_half_inv) @ _antilinear_star_antipode(w)
+    twisted = alg.left_mult(g_half) @ alg.right_mult(g_half_inv) @ w.star_antipode
     mats = np.conj(np.tensordot(twisted, d.matrices, axes=(0, 0)))
     out = Representation(w, mats, name=f"conj({d.name})")
     out.validate(tol).raise_if_failed()

@@ -20,7 +20,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _NO_DECOMPOSITION, FinDimAlgebra, _antimultiplicative_norm, induced_algebra
+from .algebra import (
+    _NO_DECOMPOSITION,
+    FinDimAlgebra,
+    _antimultiplicative_norm,
+    _covariance_defect,
+    _minimal_central_idempotents,
+    induced_algebra,
+)
 from .config import DEFAULT_TOL, Tolerance, get_tol
 from .errors import (
     CrossCheckMismatch,
@@ -118,11 +125,8 @@ class WeakBialgebra:
 
         ``pi^L(a) = eps(1_(1) a) 1_(2)`` and ``pi^R(a) = 1_(1) eps(a 1_(2))``.
         """
-        c, eps, w = self.algebra.c, self.eps, self.delta1
-        feps = np.einsum("ijm,m->ij", c, eps)  # eps(e_i e_j)
-        pi_l = np.einsum("pk,pj->kj", w, feps)
-        pi_r = np.einsum("kq,jq->kj", w, feps)
-        return pi_l, pi_r
+        feps = self.algebra.c @ self.eps  # eps(e_i e_j)
+        return self.delta1.T @ feps, self.delta1 @ feps.T
 
     def derived(self, tol: Tolerance | None = None) -> "Derived":
         """The structures derived from this algebra at ``tol`` (one cache per tolerance)."""
@@ -152,6 +156,13 @@ class WeakHopfAlgebra(WeakBialgebra):
 
     def s(self, a):
         return self.antipode @ np.asarray(a, dtype=complex).ravel()
+
+    @cached_property
+    def star_antipode(self):
+        """The matrix K with ``S(a)* = K conj(a)``: column j holds S(e_j)*."""
+        if self.algebra.involution is None:
+            raise NoInvolution(f"{self.name} carries no involution")
+        return self.algebra.involution @ np.conj(self.antipode)
 
     @cached_property
     def dual(self) -> "WeakHopfAlgebra":
@@ -252,22 +263,17 @@ def _counital_subalgebras(w: WeakBialgebra, tol: Tolerance) -> CounitalSubalgebr
     left = Subspace(pi_l, n, tol)
     right = Subspace(pi_r, n, tol)
     c, w1 = w.algebra.c, w.delta1
-    # cross-check A^L against {a : Delta(a) = (a x 1) Delta(1) = Delta(1) (a x 1)}
-    d_flat = w.delta
-    m1 = np.einsum("jpa,pb->abj", c, w1).reshape(n * n, n)
-    m2 = np.einsum("pja,pb->abj", c, w1).reshape(n * n, n)
-    alt_left = Subspace(kernel(np.vstack([d_flat - m1, d_flat - m2]), tol), n, tol)
-    if not alt_left.equals(left, tol.scaled(1e3)):
-        raise CrossCheckMismatch(
-            f"A^L via pi^L (dim {left.dim}) disagrees with its comultiplication description (dim {alt_left.dim})"
-        )
-    m3 = np.einsum("aq,jqb->abj", w1, c).reshape(n * n, n)
-    m4 = np.einsum("aq,qjb->abj", w1, c).reshape(n * n, n)
-    alt_right = Subspace(kernel(np.vstack([d_flat - m3, d_flat - m4]), tol), n, tol)
-    if not alt_right.equals(right, tol.scaled(1e3)):
-        raise CrossCheckMismatch(
-            f"A^R via pi^R (dim {right.dim}) disagrees with its comultiplication description (dim {alt_right.dim})"
-        )
+    # cross-check A^L against {a : Delta(a) = (a x 1) Delta(1) = Delta(1) (a x 1)}, and A^R with 1 x a
+    sides = (
+        ("A^L", "pi^L", left, np.einsum("jpa,pb->abj", c, w1), np.einsum("pja,pb->abj", c, w1)),
+        ("A^R", "pi^R", right, np.einsum("aq,jqb->abj", w1, c), np.einsum("aq,qjb->abj", w1, c)),
+    )
+    for name, pi, space, m1, m2 in sides:
+        alt = Subspace(kernel(np.vstack([w.delta - m1.reshape(n * n, n), w.delta - m2.reshape(n * n, n)]), tol), n, tol)
+        if not alt.equals(space, tol.scaled(1e3)):
+            raise CrossCheckMismatch(
+                f"{name} via {pi} (dim {space.dim}) disagrees with its comultiplication description (dim {alt.dim})"
+            )
     center = w.algebra.center(tol)
     zl = left.intersection(center)
     zr = right.intersection(center)
@@ -282,7 +288,10 @@ def validate_wba(w: WeakBialgebra, tol: Tolerance | None = None) -> AxiomReport:
     associativity and unit residuals of ``w.dual_algebra.validate``, so from
     ``CERTIFY_ASSOCIATIVITY_FROM_DIM`` on coassociativity may report the
     certificate of Â's Wedderburn map (the one :func:`solve_antipode` reads).
-    The weak counit rows are the weak unit rows of the dual bialgebra.
+    The weak counit rows are the weak unit rows of the dual bialgebra, and
+    ``comultiplication-multiplicative`` is the covariance row of Â's arrow
+    action on A, computed by :func:`~whakit.algebra._covariance_defect` in
+    slices, as :func:`~whakit.actions.validate_action` computes it.
     """
     tol = get_tol(tol)
     rep = w.algebra.validate(tol)
@@ -295,9 +304,8 @@ def validate_wba(w: WeakBialgebra, tol: Tolerance | None = None) -> AxiomReport:
     rep.add("counit-left", dual["left-unit"], tol.bound(scale**2))
     rep.add("counit-right", dual["right-unit"], tol.bound(scale**2))
 
-    lhs = np.einsum("ijm,abm->abij", c, d3, optimize=True)
-    rhs = np.einsum("pqi,PQj,pPa,qQb->abij", d3, d3, c, c, optimize=True)
-    rep.add("comultiplication-multiplicative", np.linalg.norm(lhs - rhs), tol.bound(scale**3))
+    multiplicative = _covariance_defect(c, d3.transpose(1, 2, 0), c)  # covariance of Â's arrow action on A
+    rep.add("comultiplication-multiplicative", multiplicative, tol.bound(scale**3))
 
     unit, unit_opposite = _unit_compatibility(c, d3, w.unit)
     rep.add("unit-comultiplication-compatibility", unit, tol.bound(scale**2))
@@ -563,53 +571,47 @@ def validate_wha(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRepor
 
 
 def dual_wha(w: WeakHopfAlgebra) -> WeakHopfAlgebra:
-    """The dual weak Hopf algebra on the dual basis.
+    """The dual weak Hopf algebra on the dual basis, built from views of A's arrays.
 
-    Multiplication is the transpose of comultiplication and vice versa; the
-    unit is the counit covector; the antipode is the transpose; the involution
-    (when the primal carries one) is ``<phi*, a> = conj <phi, S(a)*>``.
+    Â's structure constants are A's comultiplication tensor and its
+    comultiplication is A's structure constants, both shared with A, not
+    copied; the unit is the counit covector and the counit the unit; the
+    antipode is the transpose; the involution (when the primal carries one)
+    is ``<phi*, a> = conj <phi, S(a)*>``, from :attr:`WeakHopfAlgebra.star_antipode`.
     """
     n = w.dim
-    c_dual = w.delta3.copy()
-    delta_dual = w.algebra.c.reshape(n * n, n).copy()
-    inv_dual = None
-    if w.algebra.involution is not None:
-        k = w.algebra.involution @ np.conj(w.antipode)
-        inv_dual = np.conj(k).T
+    inv_dual = None if w.algebra.involution is None else np.conj(w.star_antipode).T
     labels = [f"{lbl}^" for lbl in w.algebra.basis_labels]
-    alg = FinDimAlgebra(c_dual, unit=w.eps.copy(), involution=inv_dual, basis_labels=labels, name=f"{w.name}^")
-    return WeakHopfAlgebra(alg, delta_dual, eps=w.unit.copy(), antipode=w.antipode.T.copy())
+    alg = FinDimAlgebra(w.delta3, unit=w.eps, involution=inv_dual, basis_labels=labels, name=f"{w.name}^")
+    return WeakHopfAlgebra(alg, w.algebra.c.reshape(n * n, n), eps=w.unit, antipode=w.antipode.T)
 
 
 @dataclass
 class SweedlerArrows:
-    """The four canonical arrow actions between A and its dual."""
+    """The four canonical arrow actions between A and its dual.
+
+    Each is a transposed multiplication: R and L of A act on Â, and R̂ and L̂
+    of Â (:attr:`WeakBialgebra.dual_algebra`, whose product is A's
+    comultiplication) act on A.
+    """
 
     wha: WeakHopfAlgebra
 
     def act(self, a, phi):
-        """a ⇀ phi = phi_(1) <phi_(2), a>  (left action of A on the dual)."""
-        a = np.asarray(a, dtype=complex).ravel()
-        phi = np.asarray(phi, dtype=complex).ravel()
-        return np.einsum("a,k,iak->i", a, phi, self.wha.algebra.c)
+        """a ⇀ phi = phi_(1) <phi_(2), a> = R(a)^T phi  (left action of A on the dual)."""
+        return self.wha.algebra.right_mult(a).T @ np.asarray(phi, dtype=complex).ravel()
 
     def ract(self, phi, a):
-        """phi ↼ a = <phi_(1), a> phi_(2)  (right action of A on the dual)."""
-        a = np.asarray(a, dtype=complex).ravel()
-        phi = np.asarray(phi, dtype=complex).ravel()
-        return np.einsum("a,k,ajk->j", a, phi, self.wha.algebra.c)
+        """phi ↼ a = <phi_(1), a> phi_(2) = L(a)^T phi  (right action of A on the dual)."""
+        return self.wha.algebra.left_mult(a).T @ np.asarray(phi, dtype=complex).ravel()
 
     def dact(self, phi, x):
-        """phi ⇀ x = x_(1) <phi, x_(2)>  (left action of the dual on A)."""
-        x = np.asarray(x, dtype=complex).ravel()
-        phi = np.asarray(phi, dtype=complex).ravel()
-        return np.einsum("pqj,j,q->p", self.wha.delta3, x, phi)
+        """phi ⇀ x = x_(1) <phi, x_(2)> = R̂(phi)^T x  (left action of the dual on A)."""
+        return self.wha.dual_algebra.right_mult(phi).T @ np.asarray(x, dtype=complex).ravel()
 
     def rdact(self, x, phi):
-        """x ↼ phi = <phi, x_(1)> x_(2)  (right action of the dual on A)."""
-        x = np.asarray(x, dtype=complex).ravel()
-        phi = np.asarray(phi, dtype=complex).ravel()
-        return np.einsum("pqj,j,p->q", self.wha.delta3, x, phi)
+        """x ↼ phi = <phi, x_(1)> x_(2) = L̂(phi)^T x  (right action of the dual on A)."""
+        return self.wha.dual_algebra.left_mult(phi).T @ np.asarray(x, dtype=complex).ravel()
 
 
 def sweedler_arrows(w: WeakHopfAlgebra) -> SweedlerArrows:
@@ -630,9 +632,9 @@ def validate_star(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> AxiomRepo
 
 def _add_antipode_star_check(rep: AxiomReport, w: WeakHopfAlgebra, tol: Tolerance) -> None:
     """The row S(S(a)*)* = a, as the composite of two antilinear maps."""
-    inv, s = w.algebra.involution, w.antipode
-    comp = inv @ np.conj(s @ inv @ np.conj(s))
-    rep.add("antipode-star-compatible", np.linalg.norm(comp - np.eye(w.dim)), tol.bound(float(np.linalg.norm(s)) ** 2))
+    k = w.star_antipode  # S(a)* = K conj(a), so S(S(a)*)* = K conj(K) a
+    comp = k @ np.conj(k)
+    rep.add("antipode-star-compatible", np.linalg.norm(comp - np.eye(w.dim)), tol.bound(float(np.linalg.norm(w.antipode)) ** 2))
 
 
 def is_weak_kac(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:
@@ -681,28 +683,17 @@ def separability_structure(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> 
     rep = AxiomReport(f"{w.name} separability")
     rep.add("rank-factorization", np.linalg.norm(lefts @ rights.T - w1), tol.bound(np.linalg.norm(w1)))
     s_lefts = w.antipode @ lefts  # S(u_i) in A^L
-    # separability idempotent: m(delta(x)) = x on A^L
-    basis_l = sub.left.basis
-    worst_sep = 0.0
-    for j in range(basis_l.shape[1]):
-        x = basis_l[:, j]
-        acc = np.zeros(n, dtype=complex)
-        for i in range(rank):
-            acc += w.mul(w.mul(x, s_lefts[:, i]), rights[:, i])
-        worst_sep = max(worst_sep, float(np.linalg.norm(acc - x)))
+    basis_l, alg = sub.left.basis, w.algebra
+    xs = alg._left_stack(basis_l) @ s_lefts  # xs[j, :, i] = x_j S(u_i) over the basis x_j of A^L
+    # separability idempotent: m(delta(x)) = sum_i x S(u_i) w_i = x on A^L
+    sep = np.einsum("iba,jai->bj", alg._right_stack(rights), xs)
+    worst_sep = float(np.max(np.linalg.norm(sep - basis_l, axis=0)))
     rep.add("separability-idempotent", worst_sep, tol.bound(float(np.linalg.norm(w1)) ** 2) * 100)
     # Frobenius compatibility: sum_i x S(u_i) (x) w_i y = sum_i (xy) S(u_i) (x) w_i on A^L
-    worst_frob = 0.0
-    for j in range(basis_l.shape[1]):
-        for k in range(basis_l.shape[1]):
-            x, y = basis_l[:, j], basis_l[:, k]
-            lhs = np.zeros((n, n), dtype=complex)
-            rhs = np.zeros((n, n), dtype=complex)
-            xy = w.mul(x, y)
-            for i in range(rank):
-                lhs += np.outer(w.mul(x, s_lefts[:, i]), w.mul(rights[:, i], y))
-                rhs += np.outer(w.mul(xy, s_lefts[:, i]), rights[:, i])
-            worst_frob = max(worst_frob, float(np.linalg.norm(lhs - rhs)))
+    wy = alg._left_stack(rights) @ basis_l  # wy[i, :, k] = w_i y_k
+    xys = np.matmul(alg._right_stack(s_lefts)[:, None], alg._left_stack(basis_l) @ basis_l)  # (x_j y_k) S(u_i)
+    frob = np.einsum("jai,ibk->jkab", xs, wy) - np.einsum("ijak,bi->jkab", xys, rights)
+    worst_frob = float(np.max(np.linalg.norm(frob, axis=(2, 3))))
     rep.add("frobenius-compatibility", worst_frob, tol.bound(float(np.linalg.norm(w1)) ** 2) * 100)
     rep.raise_if_failed()
     return SeparabilityStructure(left_legs=lefts, right_legs=rights, report=rep)
@@ -715,8 +706,6 @@ def hypercentral_components(w: WeakHopfAlgebra, tol: Tolerance | None = None) ->
     on ``z A`` with unit ``z``; the restriction is validated before return.
     """
     tol = get_tol(tol)
-    from .algebra import _minimal_central_idempotents
-
     sub = w.derived(tol).counital_subalgebras
     hyper = sub.hypercenter
     if hyper.dim == 1:

@@ -16,6 +16,7 @@ surface through the usual validators as :class:`~whakit.errors.ValidationError`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from importlib.resources import files
@@ -36,16 +37,18 @@ SCHEMA_VERSION = 1
 # The fields made of [re, im] pairs: _carray checks them, jsonschema the rest.
 _NUMERIC = ("structure_constants", "unit", "comultiplication", "counit", "antipode", "involution")
 
-_schema_cache: dict | None = None
 
-
+@functools.cache
 def schema() -> dict:
     """The JSON schema for serialized algebras, as shipped with the package."""
-    global _schema_cache
-    if _schema_cache is None:
-        text = files("whakit").joinpath("data/wha-schema.json").read_text(encoding="utf-8")
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    return json.loads(files("whakit").joinpath("data/wha-schema.json").read_text(encoding="utf-8"))
+
+
+@functools.cache
+def _validator() -> jsonschema.Draft7Validator:
+    """The draft-7 validator of :func:`schema`, built once; the schema itself is not re-checked
+    against the metaschema on each load, as ``jsonschema.validate`` would."""
+    return jsonschema.Draft7Validator(schema())
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +187,10 @@ def from_dict(doc: dict, validate: bool = True, tol: Tolerance | None = None) ->
     antipode with the solved one.
     """
     tol = get_tol(tol)
-    try:
-        jsonschema.validate(_skeleton(doc), schema())
-    except jsonschema.exceptions.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"{path}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(_skeleton(doc)))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise SchemaError(f"{path}: {error.message}")
     n = int(doc["dim"])
     c = _carray(doc, "structure_constants", (n, n, n))
     unit = _carray(doc, "unit", (n,))

@@ -231,6 +231,39 @@ def test_loader_rejects_whatever_the_schema_rejects(z3, s3, p2):
     assert verdicts == {("accepted", True), ("rejected", False), ("rejected", True)}
 
 
+def test_packaged_schema_passes_the_draft7_metaschema():
+    jsonschema.Draft7Validator.check_schema(whafile.schema())
+
+
+def test_loading_does_not_recheck_the_metaschema(z3, monkeypatch):
+    calls = []
+    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(lambda cls, s: calls.append(s)))
+    text = whafile.dumps(z3)
+    for _ in range(3):
+        whafile.loads(text, validate=False)
+    assert calls == []
+
+
+def test_schema_errors_name_what_jsonschema_validate_names(z3, p2):
+    # the cached validator reports the best match, as jsonschema.validate raises it
+    seen = 0
+    for w, seed in ((z3, 3), (p2, 4)):
+        base = json.loads(whafile.dumps(w))
+        rnd = random.Random(seed)
+        for _ in range(60):
+            doc = copy.deepcopy(base)
+            _mutate(doc, rnd)
+            try:
+                jsonschema.validate(whafile._skeleton(doc), whafile.schema())
+            except jsonschema.exceptions.ValidationError as exc:
+                path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+                with pytest.raises(wk.SchemaError) as err:
+                    whafile.from_dict(doc, validate=False)
+                assert str(err.value) == f"{path}: {exc.message}"
+                seen += 1
+    assert seen > 20
+
+
 @pytest.mark.parametrize("key", ["m23", "p4"])
 def test_loaded_arrays_are_bit_identical_to_a_float_conversion(examples, key):
     doc = json.loads(whafile.dumps(examples[key]))
