@@ -22,6 +22,7 @@ from .algebra import (
     FinDimAlgebra,
     GnsRep,
     MarkovTrace,
+    RepresentedAlgebra,
     WatataniIndex,
     block_decomposition,
     gns_rep,

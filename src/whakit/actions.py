@@ -9,16 +9,19 @@ checks, the Galois map ``M (x)_{M^A} M -> (M (x) A^) rho(1)`` into the corner
 of the coaction's unit, and the smash product ``A # A^``.  An action keeps its
 axiom report per tolerance; construction, crossed product and CLI share it.
 
-The crossed product's structure constants come from one of two routes.  When
-the action is Galois, ``m x| a -> L(m) alpha_a`` is a faithful representation
-of M x| A on M (Caenepeel-De Groot; for the smash product the Heisenberg
-representation A # A^ = End_{A^L}(A) of Nikshych-Vainerman), and the product
-is read off d operators on M.  That route decides only when the action and
-M pass the representation's preconditions (alpha multiplicative and covariant
-by that report, M associative, the relation span in the kernel, full rank on
-the quotient, closure); otherwise, as for the trivial action, the dense route
-contracts the product into a (dim M * dim A, dim M * dim A, d) tensor and
-checks its descent.  :func:`crossed_product` lists both.
+The crossed product comes from one of two routes.  When the action is
+Galois, ``m x| a -> L(m) alpha_a`` is a faithful representation of M x| A on
+M (Caenepeel-De Groot; for the smash product the Heisenberg representation
+A # A^ = End_{A^L}(A) of Nikshych-Vainerman), and the product is held as its
+d operators on M, a :class:`~whakit.algebra.RepresentedAlgebra` that never
+forms the (d, d, d) structure constants.  That route decides only when the
+action and M pass the representation's preconditions (alpha multiplicative
+and covariant by that report, M associative, the relation span in the
+kernel, full rank on the quotient, closure); otherwise, as for the trivial
+action, the dense route contracts the product into a (dim M * dim A, dim M *
+dim A, d) tensor, checks its descent and returns a
+:class:`~whakit.algebra.FinDimAlgebra` on its structure constants.
+:func:`crossed_product` lists both.
 
 Both relative tensor products, M (x)_{A^L} A of the crossed product and
 M (x)_N M of the Galois map, are quotients by a relation span, and both are
@@ -45,11 +48,10 @@ import numpy as np
 
 from .algebra import (
     FinDimAlgebra,
-    _associator_certificate,
+    RepresentedAlgebra,
     _covariance_defect,
     _dense_associator_norm,
     _inclusion_matrix,
-    _validated,
     induced_algebra,
     watatani_index,
 )
@@ -57,6 +59,7 @@ from .config import Tolerance, get_tol
 from .errors import (
     CrossCheckMismatch,
     DimensionMismatch,
+    EmptyQuotient,
     IllDefinedProduct,
     InvariantMismatch,
     NoQuasiBasis,
@@ -244,19 +247,24 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     singular value; for a groupoid's smash product its columns are standard
     basis vectors of M (x) A.  Two routes then compute the product.
 
-    * Concrete (Galois actions): ``pi(m (x) a) = L(m) alpha_a`` maps M (x) A
-      into End(M), and for a Galois action it is faithful on the quotient
-      (Caenepeel-De Groot).  With ``Pi_g`` the image of carrier vector g, a
-      dim M x dim M matrix, ``c[g, h] = Pi^+ vec(Pi_g Pi_h)``, one row g at a
-      time, and the (d_full, d_full, d) tensor of the dense route is never
-      formed.  The route decides only when alpha is multiplicative,
+    * Represented (Galois actions): ``pi(m (x) a) = L(m) alpha_a`` maps M
+      (x) A into End(M), and for a Galois action it is faithful on the
+      quotient (Caenepeel-De Groot).  With ``Pi_g`` the image of carrier
+      vector g, a dim M x dim M matrix, the result is the
+      :class:`~whakit.algebra.RepresentedAlgebra` on the Pi_g and Pi^+, whose
+      structure constants ``c[g, h] = Pi^+ vec(Pi_g Pi_h)`` are formed one
+      row g at a time for the closure residual and ``|c|_F`` and never kept;
+      neither the (d, d, d) tensor nor the dense route's (d_full, d_full, d)
+      one is formed.  The route decides only when alpha is multiplicative,
       ``alpha_a L(n) = sum Delta[p,q,a] L(alpha_p(n)) alpha_q``, M is
       associative, pi kills the relation span, ``matrix_rank(Pi) == d`` and
       the closure residual ``Pi c[g, h] - Pi_g Pi_h`` passes.  Then pi is a
       homomorphism with kernel exactly the relation span, so the product
       descends and equals the abstract one.  Associativity is certified
       through phi = Pi, as :meth:`FinDimAlgebra.validate` certifies it
-      through its Wedderburn map, at every dimension.
+      through its Wedderburn map, and the star row through an invertible G
+      with ``G Pi(x*) = Pi(x)^H G``, at every dimension
+      (:meth:`~whakit.algebra.RepresentedAlgebra.validate`).
     * Dense (fallback, e.g. the trivial action, or any input failing one of
       those residuals): the product is contracted from the factors of
       ``big`` into the (d_full, d_full, d) tensor ``carrier^H big`` with
@@ -264,9 +272,11 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
       vector in either input slot has no component off the relation span,
       IllDefinedProduct) and validated by :meth:`FinDimAlgebra.validate`.
 
-    Both routes then check star descent (the star maps the relation span into
-    itself, IllDefinedProduct), the unit and star rows of
-    :meth:`FinDimAlgebra.validate`, and that ``m -> m x| 1`` and ``a -> 1 x|
+    A 0-dimensional quotient, as for the trivial action through a counit
+    that is not multiplicative, raises :class:`~whakit.errors.EmptyQuotient`
+    before either route runs.  Both routes then check star descent (the
+    star maps the relation span into itself, IllDefinedProduct), the unit
+    and star rows of ``validate``, and that ``m -> m x| 1`` and ``a -> 1 x|
     a`` are multiplicative (against the scale of their own terms,
     :func:`_add_embedding_row`) and ``m -> m x| 1`` is injective.  Descent,
     closure and star rows are compared with ``bound``.
@@ -307,11 +317,13 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     if quotient is None:  # the relation span of m u(l) (x) a - m (x) l a itself
         quotient = span_and_complement(kron_sum(rho, lam).transpose(1, 0, 2).reshape(d_full, -1), tol)
     v_rel, carrier = quotient
+    if carrier.shape[1] == 0:  # e.g. a trivial action through a counit that is not multiplicative
+        raise EmptyQuotient(f"M (x)_(A^L) A is 0-dimensional: the relations span all of M (x) A (dim {d_full})")
     carrier = pivoted_basis(carrier)
 
     concrete = _represented_product(action, k_fac, carrier, v_rel, bound, tol)
-    cq = _dense_product(action, k_fac, carrier, v_rel, bound) if concrete is None else concrete[0]
-    del k_fac  # validation below peaks on top of c
+    cq = _dense_product(action, k_fac, carrier, v_rel, bound) if concrete is None else None
+    del k_fac  # validation below peaks on top of the product
     unit_q = carrier.conj().T @ np.kron(m_alg.unit, w.unit)
 
     inv_q = None
@@ -333,11 +345,14 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
         inv_q = carrier.conj().T @ st @ np.conj(carrier)
 
     name = f"{m_alg.name}x|{w.name}"
-    out = FinDimAlgebra(cq, unit_q, involution=inv_q, name=name)
     if concrete is None:
-        rep = out.validate(tol)
-    else:  # associativity certified through Pi
-        rep = _validated(out, _associator_certificate(out.norm, *concrete[1:]), tol)
+        out = FinDimAlgebra(cq, unit_q, involution=inv_q, name=name)
+    else:
+        ops, pinv, norm, closure, sigma_min = concrete
+        out = RepresentedAlgebra(
+            ops, pinv, unit_q, involution=inv_q, name=name, norm=norm, closure=closure, sigma_min=sigma_min
+        )
+    rep = out.validate(tol)
 
     cbar = carrier.conj().reshape(dm, da, -1)
     embed_m = np.einsum("icg,c->gi", cbar, w.unit)  # carrier^H (e_i (x) 1_A)
@@ -380,10 +395,10 @@ def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
 
     So one SVD of E gives the relation span (its kernel) and the carrier (its
     coimage, the orthogonal complement), and ``tr E`` is the dimension of the
-    quotient.  Returns None when a residual exceeds ``bound`` or ``tr E``
-    differs from the rank cut by more than ``bound``; the caller then takes
-    the SVD of the relation span itself.  No (k, dim X dim Y, dim X dim Y)
-    stack of relations is formed.
+    quotient.  Returns None when a residual exceeds ``bound``, ``tr E``
+    differs from the rank cut by more than ``bound`` or LAPACK's SVD of E does
+    not converge; the caller then takes the SVD of the relation span itself.
+    No (k, dim X dim Y, dim X dim Y) stack of relations is formed.
     """
     k, dx, dy = rho.shape[0], rho.shape[1], lam.shape[1]
     right = np.tensordot(e, lam, axes=([1], [0]))  # right[i] = sum_j e[i, j] lam_j
@@ -401,20 +416,27 @@ def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
     if np.sqrt(r2) > bound:
         return None
     big_e = (x_flat.T @ lam_flat).reshape(dx, dx, dy, dy).transpose(0, 2, 1, 3).reshape(dx * dy, dx * dy)
-    carrier, v_rel = coimage_and_kernel(big_e, tol)
+    try:
+        carrier, v_rel = coimage_and_kernel(big_e, tol)
+    except np.linalg.LinAlgError:  # LAPACK's SVD did not converge: this route does not certify
+        return None
     if abs(np.trace(big_e) - carrier.shape[1]) > bound:
         return None
     return v_rel, carrier
 
 
 def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float, tol: Tolerance):
-    """Structure constants of M x| A on the carrier from the representation ``m x| a -> L(m) alpha_a``.
+    """M x| A on the carrier as operators on M, through the representation ``m x| a -> L(m) alpha_a``.
 
-    Returns ``(c, |Pi|_F, closure residual, sigma_min(Pi))``, c with the
-    inputs of its associator certificate, or None as soon as one of the
-    preconditions listed in :func:`crossed_product` fails against ``bound``
-    (the rank against ``tol``); the dense route then decides.  Multiplicativity
-    and covariance are the kept :func:`validate_action` rows.
+    Returns ``(ops, pinv, |c|_F, closure residual, sigma_min(Pi))``, the
+    arguments of :class:`~whakit.algebra.RepresentedAlgebra`: the d operators
+    Pi_g as a (d, dim M, dim M) array and the pseudo-inverse Pi^+ as a (d, dim
+    M^2) array.  The closure loop forms every row ``c[g] = Pi^+ vec(Pi_g
+    Pi_h)`` over h once, for the closure residual and ``|c|_F``, and keeps
+    none of them.  Returns None as soon as one of the preconditions listed in
+    :func:`crossed_product` fails against ``bound`` (the rank against
+    ``tol``); the dense route then decides.  Multiplicativity and covariance
+    are the kept :func:`validate_action` rows.
     """
     m_alg = action.module
     dm, da = m_alg.dim, action.wha.dim
@@ -434,21 +456,20 @@ def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float,
     if matrix_rank(pi, tol) != d:
         return None
     u, s, vh = np.linalg.svd(pi, full_matrices=False)
-    # c[g, h] = Pi^+ vec(Pi_g Pi_h) = Vh^H S^-1 U^H vec(Pi_g Pi_h), one row g at a time
-    ops_pi = np.ascontiguousarray(pi.T.reshape(d, dm, dm))
+    # c[g, h] = Pi^+ vec(Pi_g Pi_h) = Vh^H S^-1 U^H vec(Pi_g Pi_h); Vh is unitary, so |c[g]|_F = |U^H P_g S^-1|_F
+    ops = np.ascontiguousarray(pi.T.reshape(d, dm, dm))
     u_bar = u.conj()
-    solve = vh.conj() / s[:, None]
-    c = np.empty((d, d, d), dtype=complex)
-    r2 = 0.0
+    r2 = c2 = 0.0
     for g in range(d):
-        prods = np.matmul(ops_pi[g], ops_pi).reshape(d, dm * dm)  # vec(Pi_g Pi_h) over h
+        prods = np.matmul(ops[g], ops).reshape(d, dm * dm)  # vec(Pi_g Pi_h) over h
         coords = prods @ u_bar
-        c[g] = coords @ solve
+        c2 += float(np.linalg.norm(coords / s)) ** 2
         r2 += float(np.linalg.norm(coords @ u.T - prods)) ** 2
     closure = float(np.sqrt(r2))
     if closure > bound:
         return None
-    return c, float(np.linalg.norm(s)), closure, float(s[-1])
+    pinv = (vh.conj().T / s) @ u_bar.T
+    return ops, pinv, float(np.sqrt(c2)), closure, float(s[-1])
 
 
 def _dense_product(action: WhaAction, k_fac, carrier, v_rel, bound: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from .actions import (
 )
 from .algebra import FinDimAlgebra, watatani_index
 from .config import Tolerance, get_tol
-from .errors import NotSemisimple, SchemaError, ValidationError, WhakitError
+from .errors import EmptyQuotient, NotSemisimple, SchemaError, ValidationError, WhakitError
 from .fixtures import (
     cyclic_group,
     cyclic_wha,
@@ -436,8 +436,13 @@ def cmd_crossprod(args) -> int:
     Galois map; it equals ``crossed_dim`` when the action is Galois.  Without a
     Haar integral there are no invariants N: ``galois_absent`` names that typed
     absence, and ``expected_dim``, ``galois_shape`` and ``galois_bijective`` are null.
+    When M (x)_(A^L) A is 0-dimensional, as for the trivial action through a
+    counit that is not multiplicative, ``crossed_absent`` names that typed
+    absence, every field derived from the crossed product is null, the action's
+    failing rows are reported, and the exit code is 2.
     """
     tol = Tolerance(args.tol, args.tol)
+    crossed_absent = None
     if args.kind == "translation":
         try:
             n = int(args.arg)
@@ -458,53 +463,63 @@ def cmd_crossprod(args) -> int:
                 np.ones((1, 1, 1)), np.array([1.0]), involution=np.eye(1), name="C"
             )
             action = trivial_action(w, one, tol)
-        cp = crossed_product(action, tol)
+        try:
+            cp = crossed_product(action, tol)
+        except EmptyQuotient as exc:
+            cp, crossed_absent = None, {"absent": type(exc).__name__, "reason": str(exc)}
 
     checks = _check_rows(validate_action(action, tol))
     action_ok = all(r["passed"] for r in checks)
-    try:
-        sizes = sorted(b.size for b in cp.algebra.block_decomposition(tol))
-    except NotSemisimple:
-        sizes = None
-    reg = is_regular(action, cp, tol)
-    try:
-        gal_mat, gal_bij = galois_map(action, tol)
-        shape, bijective, absent = list(gal_mat.shape), bool(gal_bij), None
-    except NotSemisimple as exc:
-        shape, bijective, absent = None, None, {"absent": type(exc).__name__, "reason": str(exc)}
+    sizes = reg = shape = bijective = absent = None
+    if cp is not None:
+        try:
+            sizes = sorted(b.size for b in cp.algebra.block_decomposition(tol))
+        except NotSemisimple:
+            pass
+        reg = is_regular(action, cp, tol)
+        try:
+            gal_mat, gal_bij = galois_map(action, tol)
+            shape, bijective = list(gal_mat.shape), bool(gal_bij)
+        except NotSemisimple as exc:
+            absent = {"absent": type(exc).__name__, "reason": str(exc)}
     doc = {
         "report_version": REPORT_VERSION,
         "kind": args.kind,
         "module_dim": action.module.dim,
         "algebra_dim": action.wha.dim,
-        "crossed_dim": cp.dim,
+        "crossed_dim": None if cp is None else cp.dim,
         "expected_dim": None if shape is None else shape[1],
-        "semisimple": sizes is not None,
+        "semisimple": None if cp is None else sizes is not None,
         "block_sizes": sizes,
         "action_checks": checks,
         "action_ok": action_ok,
-        "regular": bool(reg.regular),
-        "failing_clauses": reg.failing_clauses(),
+        "regular": None if reg is None else bool(reg.regular),
+        "failing_clauses": [] if reg is None else reg.failing_clauses(),
         "galois_shape": shape,
         "galois_bijective": bijective,
     }
     if absent is not None:
         doc["galois_absent"] = absent
+    if crossed_absent is not None:
+        doc["crossed_absent"] = crossed_absent
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2))
     else:
-        lines = [
-            f"{args.kind}: module dim {doc['module_dim']}, algebra dim {doc['algebra_dim']}",
-            f"crossed product dim {doc['crossed_dim']} (M ⊗_N M: {'absent' if absent else doc['expected_dim']})",
-            f"blocks: {sizes if sizes is not None else 'not semisimple'}",
-            f"regular: {doc['regular']}"
-            + (f"  failing: {', '.join(doc['failing_clauses'])}" if doc["failing_clauses"] else ""),
-            f"galois map absent ({absent['absent']}): {absent['reason']}" if absent else
-            f"galois map {shape[0]}x{shape[1]}: " + ("bijective" if bijective else "not bijective"),
-        ]
+        lines = [f"{args.kind}: module dim {doc['module_dim']}, algebra dim {doc['algebra_dim']}"]
+        if crossed_absent is not None:
+            lines.append(f"crossed product absent ({crossed_absent['absent']}): {crossed_absent['reason']}")
+        else:
+            lines += [
+                f"crossed product dim {doc['crossed_dim']} (M ⊗_N M: {'absent' if absent else doc['expected_dim']})",
+                f"blocks: {sizes if sizes is not None else 'not semisimple'}",
+                f"regular: {doc['regular']}"
+                + (f"  failing: {', '.join(doc['failing_clauses'])}" if doc["failing_clauses"] else ""),
+                f"galois map absent ({absent['absent']}): {absent['reason']}" if absent else
+                f"galois map {shape[0]}x{shape[1]}: " + ("bijective" if bijective else "not bijective"),
+            ]
         lines += _render_checks(checks)
         _emit(args, "\n".join(lines))
-    return EX_OK if action_ok else EX_AXIOM
+    return EX_OK if action_ok and cp is not None else EX_AXIOM
 
 
 # ---------------------------------------------------------------------------

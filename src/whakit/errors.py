@@ -134,6 +134,10 @@ class IllDefinedProduct(WhakitError):
     """A quotient product does not descend to the quotient space."""
 
 
+class EmptyQuotient(WhakitError):
+    """A relative tensor product is 0-dimensional: its relations span the whole space."""
+
+
 class RankDeficient(WhakitError):
     """A map required to be injective/bijective is rank deficient."""
 

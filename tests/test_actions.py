@@ -1,5 +1,6 @@
 """Module algebra actions, crossed products, regularity, Galois, smash."""
 
+import json
 import re
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import whakit as wk
+from whakit.cli import EX_OK, main
 from whakit.linalg import Subspace
 
 
@@ -196,10 +198,15 @@ def test_crossed_product_memory_stays_below_the_deleted_product_tensor():
     assert peak < 64 * 2**20
 
 
-def test_a_crossed_product_stores_its_structure_constants_once(actions, m23):
+def test_a_represented_crossed_product_stores_ops_and_pinv_and_no_cubic_array(actions, m23):
     for act in list(actions.values()) + [wk.dual_regular_action(m23)]:
         cp = wk.crossed_product(act)
-        assert [k for k, v in vars(cp.algebra).items() if isinstance(v, np.ndarray) and v.ndim == 3] == ["c"]
+        d, k = cp.dim, act.module.dim
+        assert isinstance(cp.algebra, wk.RepresentedAlgebra)
+        arrays = {key: v.shape for key, v in vars(cp.algebra).items() if isinstance(v, np.ndarray)}
+        assert arrays["ops"] == (d, k, k) and arrays["pinv"] == (d, k * k)
+        assert [key for key, shape in arrays.items() if len(shape) == 3] == ["ops"]
+        assert (d, d, d) not in arrays.values()
 
 
 def test_crossed_product_peak_is_within_two_and_a_half_structure_constants(m23):
@@ -268,6 +275,116 @@ def test_galois_crossed_products_take_the_concrete_route(
     assert [(r.name, pytest.approx(r.threshold, rel=1e-12)) for r in cp.report.checks] == [
         (r.name, r.threshold) for r in ref.report.checks
     ]
+    # the represented form against the dense route: blocks, the inclusion of M, and the rows
+    # that both compute from coordinates (the associativity and star rows report certificates)
+    assert isinstance(cp.algebra, wk.RepresentedAlgebra) and type(ref.algebra) is wk.FinDimAlgebra
+    assert cp.algebra.block_decomposition().sizes == ref.algebra.block_decomposition().sizes
+    assert _inclusion_of_m(cp) == _inclusion_of_m(ref)
+    rows = {r.name: r for r in cp.report.checks}
+    for r in ref.report.checks:
+        if r.name not in ("associativity", "star-antimultiplicative"):
+            assert abs(rows[r.name].residual - r.residual) <= 1e-3 * r.threshold, r.name
+
+
+def _inclusion_of_m(cp):
+    """Lambda(M c M x| A) through ``embed_m``, its columns sorted, so that the order of M x| A's blocks does not matter."""
+    m_blocks = cp.action.module.block_decomposition()
+    lam = wk.actions._inclusion_matrix(cp.algebra, m_blocks, cp.embed_m, wk.DEFAULT_TOL)
+    return sorted(map(tuple, lam.T.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# the represented form: the operators Pi_g on M, never the (d, d, d) tensor
+
+
+@pytest.fixture(scope="module")
+def represented(examples, rotated):
+    """Crossed products of the dual regular action of m23 and p4, canonical and complex-rotated."""
+    return {
+        (key, seed): wk.crossed_product(wk.dual_regular_action(examples[key] if seed is None else rotated(examples[key], seed)))
+        for key in ("m23", "p4")
+        for seed in (None, 3)
+    }
+
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["canonical", "complex"])
+@pytest.mark.parametrize("key", ["m23", "p4"])
+def test_the_represented_traces_match_their_einsum_forms(represented, key, seed):
+    big = represented[key, seed].algebra
+    assert isinstance(big, wk.RepresentedAlgebra)
+    c = big.c
+    lm = c.transpose(0, 2, 1)  # L(e_i)
+    want = np.einsum("iab,jba->ij", lm, lm)
+    assert np.linalg.norm(big.trace_form() - want) <= 1e-12 * np.linalg.norm(want)
+    r = np.random.default_rng(0)
+    for x in (big.unit, r.normal(size=big.dim) + 1j * r.normal(size=big.dim)):
+        want = complex(np.einsum("i,ikk->", x, c))
+        assert abs(big.regular_trace(x) - want) <= 1e-12 * float(np.linalg.norm(x) * np.linalg.norm(c))
+
+
+@pytest.mark.parametrize("key", ["m23", "p4"])
+def test_the_basic_construction_on_the_represented_form_is_the_dense_one(represented, monkeypatch, key):
+    """Every row of verify_basic_construction gives the dense route's verdict and residual.
+    All pass on p4; m23's dual regular action is not regular (clause (ii)), so there the Jones
+    rows pass and the items comparing commutants and centers with A^L, A^R, Z^L, Z^R fail on both."""
+    cp = represented[key, None]
+    got = wk.verify_basic_construction(cp.action, cp)
+    monkeypatch.setattr(wk.actions, "_represented_product", lambda *args: None)
+    want = wk.verify_basic_construction(cp.action, wk.crossed_product(cp.action))
+    assert [(r.name, r.passed) for r in got.checks] == [(r.name, r.passed) for r in want.checks]
+    for r, w in zip(got.checks, want.checks):
+        assert abs(r.residual - w.residual) <= 1e-12, r.name
+    assert got.ok == (key == "p4")
+    assert all(r.passed for r in got.checks if r.name.startswith(("jones", "M2")))
+
+
+@pytest.mark.parametrize("key", ["m23", "p4"])
+def test_the_star_certificate_refuses_a_bent_involution(represented, key):
+    """Scaling any one column of the involution by 1 + 1e-6 makes the certificate miss the star
+    row's threshold, and the coordinate row that then decides fails (checked on three columns)."""
+    big = represented[key, None].algebra
+    row = {r.name: r for r in big.validate().checks}["star-antimultiplicative"]
+    assert row.passed and big._star_bound() == row.residual
+    for col in range(big.dim):
+        inv = big.involution.copy()
+        inv[:, col] *= 1 + 1e-6
+        bent = wk.RepresentedAlgebra(
+            big.ops, big.pinv, big.unit, involution=inv, norm=big.norm, closure=big.closure, sigma_min=big.sigma_min
+        )
+        assert bent._star_bound() > row.threshold, col
+        if col in (0, big.dim // 2, big.dim - 1):
+            bent_row = {r.name: r for r in bent.validate().checks}["star-antimultiplicative"]
+            assert not bent_row.passed, col
+            assert bent_row.residual == bent._star_defect()
+
+
+@pytest.mark.parametrize("key", ["m23", "p4"])
+def test_the_coordinate_star_row_matches_the_dense_one(represented, key):
+    big = represented[key, 3].algebra
+    dense = wk.FinDimAlgebra(big.c, big.unit, involution=big.involution)
+    assert abs(big._star_defect() - dense._star_defect()) <= 1e-12 * big.norm**2
+
+
+def test_no_library_path_reads_the_structure_constants_of_a_represented_algebra(examples, monkeypatch, tmp_path, capsys):
+    def refuse(self):
+        raise AssertionError("a library path read RepresentedAlgebra.c")
+
+    monkeypatch.setattr(wk.RepresentedAlgebra, "c", property(refuse))
+    for key, blocks in (("m23", (5, 8)), ("p4", (4, 4, 4, 4))):
+        w = examples[key]
+        sp = wk.smash_product(w)
+        assert isinstance(sp.algebra, wk.RepresentedAlgebra)
+        assert wk.validate_action(sp.action).ok
+        assert wk.block_decomposition(sp.algebra).sizes == blocks
+        assert wk.is_regular(sp.action, sp).regular == (key == "p4")
+        mat, bijective = wk.galois_map(sp.action)
+        assert mat.shape == (sp.dim, sp.dim) and bijective
+        path = tmp_path / f"{key}.wha.json"
+        wk.save(w, path)
+        assert main(["crossprod", "smash", str(path), "--format", "json"]) == EX_OK
+        assert json.loads(capsys.readouterr().out)["block_sizes"] == list(blocks)
+    assert main(["crossprod", "translation", "8", "--format", "json"]) == EX_OK
+    assert json.loads(capsys.readouterr().out)["block_sizes"] == [8]
 
 
 def test_the_trivial_action_takes_the_dense_route(examples, scalars, monkeypatch):
@@ -396,6 +513,31 @@ def test_a_broken_action_takes_the_relation_span(examples, monkeypatch):
     assert len(calls) == 1
 
 
+def test_an_svd_that_does_not_converge_falls_back_to_the_relation_span(examples, monkeypatch):
+    # LAPACK's SVD of E did not converge on some rotated m23 inputs; the relation span then decides
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(wk.actions, "coimage_and_kernel", no_convergence)
+    calls = _spy_on_the_relation_span(monkeypatch)
+    sp = wk.smash_product(examples["m23"])
+    assert sp.dim == 89
+    assert wk.block_decomposition(sp.algebra).sizes == (5, 8)
+    mat, bijective = wk.galois_map(sp.action)
+    assert mat.shape == (89, 89) and bijective
+    assert len(calls) == 2  # the crossed product's quotient and the Galois map's domain
+
+
+def test_an_svd_that_does_not_converge_on_either_route_propagates(examples, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(wk.actions, "coimage_and_kernel", no_convergence)
+    monkeypatch.setattr(wk.actions, "span_and_complement", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        wk.smash_product(examples["m23"])
+
+
 def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples):
     act = wk.dual_regular_action(examples["p2"])
     w, m_alg = act.wha, act.module
@@ -414,8 +556,10 @@ def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples):
     assert wk.actions._separable_quotient(bent, lam, coef, 1e-9, tol) is None
 
 
-def test_the_p4_crossed_product_peaks_below_twelve_mib():
-    # the (4, 256, 256) relation stack, its reshaped copy and their QR peaked at 17.4 MiB
+def test_the_p4_crossed_product_peaks_below_eight_mib():
+    # the (4, 256, 256) relation stack, its reshaped copy and their QR peaked at 17.4 MiB, and
+    # the product with its (64, 64, 64) structure constants stored at 10.0 MiB; the SVD of E now
+    # sets the peak (7.4 MiB)
     act = wk.dual_regular_action(wk.pair_groupoid_wha(4))
     tracemalloc.start()
     try:
@@ -424,7 +568,20 @@ def test_the_p4_crossed_product_peaks_below_twelve_mib():
     finally:
         tracemalloc.stop()
     assert cp.dim == 64
-    assert peak <= 12 * 2**20, peak / 2**20
+    assert peak <= 8 * 2**20, peak / 2**20
+
+
+def test_the_m23_smash_product_peaks_below_eight_mib():
+    # the (89, 89, 89) structure constants alone were 10.8 MiB of a 16.5 MiB peak
+    w = wk.m2_m3()
+    tracemalloc.start()
+    try:
+        sp = wk.smash_product(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.dim == 89
+    assert peak <= 8 * 2**20, peak / 2**20
 
 
 def test_the_p4_galois_map_peaks_below_eight_mib():
@@ -557,6 +714,15 @@ def test_trivial_action(examples, scalars):
     assert any("(ii)" in c for c in reg.failing_clauses())
 
 
+@pytest.mark.parametrize("key", ["p3", "fp3", "m23", "p4"])
+def test_a_trivial_action_through_a_counit_that_is_not_multiplicative_has_an_empty_quotient(examples, scalars, key):
+    w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
+    act = wk.trivial_action(w, scalars)
+    assert not wk.validate_action(act).ok
+    with pytest.raises(wk.EmptyQuotient, match="0-dimensional"):
+        wk.crossed_product(act)
+
+
 def test_m_r_subalgebra(actions):
     for name in ("arrow z3", "dualreg p2"):
         act = actions[name]
@@ -601,14 +767,15 @@ def test_smash_of_a_group_algebra_is_a_full_matrix_algebra(examples):
 @pytest.mark.parametrize("key", ["p2", "m23"])
 def test_smash_product_forms_one_trace_form_of_the_smash_product(examples, monkeypatch, key):
     forms = []
-    original = wk.FinDimAlgebra.trace_form
+    for cls in (wk.FinDimAlgebra, wk.RepresentedAlgebra):
 
-    def spy(self):
-        forms.append(self)
-        return original(self)
+        def spy(self, original=cls.trace_form):
+            forms.append(self)
+            return original(self)
 
-    monkeypatch.setattr(wk.FinDimAlgebra, "trace_form", spy)
+        monkeypatch.setattr(cls, "trace_form", spy)
     sp = wk.smash_product(examples[key])
+    assert isinstance(sp.algebra, wk.RepresentedAlgebra)
     assert sum(a is sp.algebra for a in forms) == 1
 
 

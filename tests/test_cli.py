@@ -242,7 +242,26 @@ def test_crossprod_trivial_is_not_galois(z3_file, capsys):
     assert (doc["crossed_dim"], doc["expected_dim"]) == (3, 1)
     assert doc["galois_shape"] == [3, 1]
     assert doc["galois_bijective"] is False
-    assert "galois_absent" not in doc
+    assert doc["block_sizes"] == [1, 1, 1]
+    assert "galois_absent" not in doc and "crossed_absent" not in doc
+
+
+def test_crossprod_trivial_with_an_empty_quotient_reports_it_absent(tmp_path, capsys):
+    # p3's counit is not multiplicative, so its trivial action fails two axiom rows and
+    # M (x)_(A^L) A is 0-dimensional
+    path = tmp_path / "p3.wha.json"
+    whafile.save(wk.pair_groupoid_wha(3), path)
+    assert main(["crossprod", "trivial", str(path), "--format", "json"]) == EX_AXIOM
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["action_ok"] is False
+    assert [c["name"] for c in doc["action_checks"] if not c["passed"]] == ["action-algebra-map", "action-unital"]
+    assert doc["crossed_absent"]["absent"] == "EmptyQuotient"
+    assert "0-dimensional" in doc["crossed_absent"]["reason"]
+    assert doc["crossed_dim"] is doc["block_sizes"] is doc["regular"] is doc["galois_shape"] is None
+    assert main(["crossprod", "trivial", str(path)]) == EX_AXIOM
+    out = capsys.readouterr().out
+    assert "crossed product absent (EmptyQuotient): " in out
+    assert "FAIL  action-algebra-map" in out
 
 
 @pytest.mark.parametrize("kind", ["smash", "dual-regular", "trivial"])
