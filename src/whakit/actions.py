@@ -9,31 +9,18 @@ checks, the Galois map ``M (x)_{M^A} M -> (M (x) A^) rho(1)`` into the corner
 of the coaction's unit, and the smash product ``A # A^``.  An action keeps its
 axiom report per tolerance; construction, crossed product and CLI share it.
 
-The crossed product comes from one of two routes.  When the action is
-Galois, ``m x| a -> L(m) alpha_a`` is a faithful representation of M x| A on
-M (Caenepeel-De Groot; for the smash product the Heisenberg representation
-A # A^ = End_{A^L}(A) of Nikshych-Vainerman), and the product is held as its
-d operators on M, a :class:`~whakit.algebra.RepresentedAlgebra` that never
-forms the (d, d, d) structure constants.  That route decides only when the
-action and M pass the representation's preconditions (alpha multiplicative
-and covariant by that report, M associative, the relation span in the
-kernel, full rank on the quotient, closure); otherwise, as for the trivial
-action, the dense route contracts the product into a (dim M * dim A, dim M *
-dim A, d) tensor, checks its descent and returns a
-:class:`~whakit.algebra.FinDimAlgebra` on its structure constants.
-:func:`crossed_product` lists both.
+The crossed product comes from one of two routes (:func:`crossed_product`).
+When the action is Galois, ``m x| a -> L(m) alpha_a`` is a faithful
+representation of M x| A on M (Caenepeel-De Groot; for the smash product the
+Heisenberg representation A # A^ = End_{A^L}(A) of Nikshych-Vainerman), and
+the product is held as its d operators on M, a
+:class:`~whakit.algebra.RepresentedAlgebra`; otherwise, as for the trivial
+action, a dense route contracts its structure constants.
 
 Both relative tensor products, M (x)_{A^L} A of the crossed product and
-M (x)_N M of the Galois map, are quotients by a relation span, and both are
-read off a separability idempotent of the algebra they are taken over:
-``e = (S (x) id) Delta(1)`` in A^L (x) A^L (Boehm-Nill-Szlachanyi), and for
-N = M^A the Casimir ``sum_ij (T^-1)_ij n_i (x) n_j`` of its regular trace form
-T.  ``E = sum e' (x) e''`` acting on both legs is an idempotent whose kernel is
-the relation span, so one SVD of E gives the relation span and the carrier,
-and ``tr E`` is the dimension of the quotient; no stack of relations is
-formed.  That route decides only when its residuals pass
-(:func:`_separable_quotient`); otherwise, as for a broken action, the SVD of
-the relation span itself decides.
+M (x)_N M of the Galois map, are quotients by a relation span, read off a
+separability idempotent of the algebra they are taken over when it decides
+and off the SVD of the relation span otherwise (:func:`_relative_quotient`).
 
 The canonical actions copy nothing: :func:`arrow_action` of A on A^ has
 ``alpha = c_A.transpose(1, 2, 0)``, and :func:`dual_regular_action` is the
@@ -43,6 +30,7 @@ arrow action of A^, whose structure constants are A's comultiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +56,7 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    _svd_cut,
     coimage_and_kernel,
     kernel,
     kron_sum,
@@ -113,6 +102,11 @@ class WhaAction:
         if self.alpha.shape != expected:
             raise DimensionMismatch(f"alpha must have shape {expected}, got {self.alpha.shape}")
 
+    @cached_property
+    def unit_map(self) -> np.ndarray:
+        """The (dim M, dim A) matrix of ``a -> alpha_a(1_M)``, computed once (alpha is not changed)."""
+        return np.einsum("ijk,j->ki", self.alpha, self.module.unit)
+
     def amat(self, a) -> np.ndarray:
         """Operator matrix of alpha_a on coordinate vectors."""
         return np.einsum("i,ijk->kj", np.asarray(a, dtype=complex).ravel(), self.alpha)
@@ -139,7 +133,7 @@ def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomRep
     rep.add("action-algebra-map", w.algebra.homomorphism_defect(ops), tol.bound(scale**2) * 10)
     rep.add("action-unital", np.linalg.norm(action.amat(w.unit) - np.eye(m_alg.dim)), tol.bound(scale) * 10)
     rep.add("action-module-algebra", _covariance_defect(m_alg.c, alpha, w.delta3), tol.bound(scale**2) * 10)
-    on_unit = np.einsum("tjk,j->kt", alpha, m_alg.unit)  # alpha_a(1_M) = alpha_{pi^L(a)}(1_M)
+    on_unit = action.unit_map  # alpha_a(1_M) = alpha_{pi^L(a)}(1_M)
     rep.add("action-unit-invariance", np.linalg.norm(on_unit - on_unit @ w.counital_maps[0]), tol.bound(scale) * 10)
     if m_alg.involution is not None and w.algebra.involution is not None:
         inv_m = m_alg.involution
@@ -175,15 +169,12 @@ def invariants(action: WhaAction, tol: Tolerance | None = None) -> Subspace:
         )
     if not fixed.contains_vector(m_alg.unit, tol):
         raise InvariantMismatch("invariants do not contain the unit of M")
-    for i in range(fixed.dim):
-        for j in range(fixed.dim):
-            prod = m_alg.mul(fixed.basis[:, i], fixed.basis[:, j])
-            if not fixed.contains_vector(prod, tol):
-                raise InvariantMismatch("invariants are not closed under the product")
-    if m_alg.involution is not None:
-        for i in range(fixed.dim):
-            if not fixed.contains_vector(m_alg.star(fixed.basis[:, i]), tol):
-                raise InvariantMismatch("invariants are not closed under the involution")
+    q = fixed.basis
+    prods = m_alg._left_stack(q) @ q  # column j of prods[i] is q_i q_j, all from one GEMM
+    if not fixed.contains_columns(prods.transpose(1, 0, 2).reshape(dm, -1), tol):
+        raise InvariantMismatch("invariants are not closed under the product")
+    if m_alg.involution is not None and not fixed.contains_columns(m_alg.involution @ np.conj(q), tol):
+        raise InvariantMismatch("invariants are not closed under the involution")
     return fixed
 
 
@@ -191,7 +182,7 @@ def m_r_subalgebra(action: WhaAction, tol: Tolerance | None = None) -> tuple[Sub
     """``M^R = span{alpha_l(1_M) : l in A^L}`` and injectivity of ``l -> alpha_l(1_M)``."""
     tol = get_tol(tol)
     al = action.wha.derived(tol).counital_subalgebras.left
-    cols = np.einsum("ijk,j->ki", action.alpha, action.module.unit) @ al.basis  # alpha_l(1_M)
+    cols = action.unit_map @ al.basis  # alpha_l(1_M)
     span = Subspace(cols, action.module.dim, tol)
     injective = matrix_rank(cols, tol) == al.dim
     return span, injective
@@ -251,19 +242,16 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
       (x) A into End(M), and for a Galois action it is faithful on the
       quotient (Caenepeel-De Groot).  With ``Pi_g`` the image of carrier
       vector g, a dim M x dim M matrix, the result is the
-      :class:`~whakit.algebra.RepresentedAlgebra` on the Pi_g and Pi^+, whose
-      structure constants ``c[g, h] = Pi^+ vec(Pi_g Pi_h)`` are formed one
-      row g at a time for the closure residual and ``|c|_F`` and never kept;
+      :class:`~whakit.algebra.RepresentedAlgebra` built from the Pi_g alone;
       neither the (d, d, d) tensor nor the dense route's (d_full, d_full, d)
       one is formed.  The route decides only when alpha is multiplicative,
       ``alpha_a L(n) = sum Delta[p,q,a] L(alpha_p(n)) alpha_q``, M is
-      associative, pi kills the relation span, ``matrix_rank(Pi) == d`` and
-      the closure residual ``Pi c[g, h] - Pi_g Pi_h`` passes.  Then pi is a
-      homomorphism with kernel exactly the relation span, so the product
-      descends and equals the abstract one.  Associativity is certified
-      through phi = Pi, as :meth:`FinDimAlgebra.validate` certifies it
-      through its Wedderburn map, and the star row through an invertible G
-      with ``G Pi(x*) = Pi(x)^H G``, at every dimension
+      associative, pi kills the relation span, Pi has rank d and the closure
+      residual ``Pi c[g, h] - Pi_g Pi_h`` passes (:func:`_represented_product`).
+      Then pi is a homomorphism with kernel exactly the relation span, so the
+      product descends and equals the abstract one.  The algebra certifies
+      associativity through Pi and the star row through the inner product
+      its regular trace makes on M, at every dimension
       (:meth:`~whakit.algebra.RepresentedAlgebra.validate`).
     * Dense (fallback, e.g. the trivial action, or any input failing one of
       those residuals): the product is contracted from the factors of
@@ -274,10 +262,11 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
 
     A 0-dimensional quotient, as for the trivial action through a counit
     that is not multiplicative, raises :class:`~whakit.errors.EmptyQuotient`
-    before either route runs.  Both routes then check star descent (the
-    star maps the relation span into itself, IllDefinedProduct), the unit
-    and star rows of ``validate``, and that ``m -> m x| 1`` and ``a -> 1 x|
-    a`` are multiplicative (against the scale of their own terms,
+    before either route runs.  Star descent (the star maps the relation span
+    into itself, IllDefinedProduct) is raised after the route, so that the
+    dense route's product-descent error comes first.  Both routes then check
+    the unit and star rows of ``validate``, and that ``m -> m x| 1`` and ``a
+    -> 1 x| a`` are multiplicative (against the scale of their own terms,
     :func:`_add_embedding_row`) and ``m -> m x| 1`` is injective.  Descent,
     closure and star rows are compared with ``bound``.
     """
@@ -305,28 +294,21 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
 
     # M is a right A^L-module through u(l) = alpha_l(1_M) and A a left one, over the basis lb of A^L
     lb = w.derived(tol).counital_subalgebras.left.basis
-    unit_act = np.einsum("pjr,j->rp", alpha, m_alg.unit)  # a -> alpha_a(1_M)
-    u_l = unit_act @ lb
+    u_l = action.unit_map @ lb
     rho, lam = m_alg._right_stack(u_l), w.algebra._left_stack(lb)
     # e = (S (x) id) Delta(1) = sum_ij coef[i, j] l_i (x) l_j, a separability idempotent of A^L
     e_full = w.antipode @ w.delta1
     coef = lb.conj().T @ e_full @ np.conj(lb)
     legs = float(np.linalg.norm(e_full - lb @ coef @ lb.T))
-    u_defect = float(np.linalg.norm(unit_act @ (lam @ lb) - m_alg._left_stack(u_l) @ u_l))  # u(l_i l_j) - u(l_i) u(l_j)
-    quotient = _separable_quotient(rho, lam, coef, bound, tol) if max(legs, u_defect) <= bound else None
-    if quotient is None:  # the relation span of m u(l) (x) a - m (x) l a itself
-        quotient = span_and_complement(kron_sum(rho, lam).transpose(1, 0, 2).reshape(d_full, -1), tol)
-    v_rel, carrier = quotient
+    # u(l_i l_j) - u(l_i) u(l_j)
+    u_defect = float(np.linalg.norm(action.unit_map @ (lam @ lb) - m_alg._left_stack(u_l) @ u_l))
+    v_rel, carrier = _relative_quotient(rho, lam, coef if max(legs, u_defect) <= bound else None, bound, tol)
     if carrier.shape[1] == 0:  # e.g. a trivial action through a counit that is not multiplicative
         raise EmptyQuotient(f"M (x)_(A^L) A is 0-dimensional: the relations span all of M (x) A (dim {d_full})")
     carrier = pivoted_basis(carrier)
 
-    concrete = _represented_product(action, k_fac, carrier, v_rel, bound, tol)
-    cq = _dense_product(action, k_fac, carrier, v_rel, bound) if concrete is None else None
-    del k_fac  # validation below peaks on top of the product
     unit_q = carrier.conj().T @ np.kron(m_alg.unit, w.unit)
-
-    inv_q = None
+    inv_q, star_resid = None, 0.0
     if m_alg.involution is not None and w.algebra.involution is not None:
         # (m x| a)* = alpha_{(a*)_(1)}(m*) x| (a*)_(2), antilinear in (m, a):
         # Delta(a*) carries the conjugated coefficients of Delta(a)
@@ -340,18 +322,17 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
             optimize=True,
         ).reshape(d_full, d_full)
         star_resid = float(np.linalg.norm(carrier.conj().T @ (st @ np.conj(v_rel))))
-        if star_resid > bound:
-            raise IllDefinedProduct(f"star does not descend to the quotient ({star_resid:.3e})")
         inv_q = carrier.conj().T @ st @ np.conj(carrier)
+        del st  # the product route below peaks on top of what is kept
 
     name = f"{m_alg.name}x|{w.name}"
-    if concrete is None:
-        out = FinDimAlgebra(cq, unit_q, involution=inv_q, name=name)
-    else:
-        ops, pinv, norm, closure, sigma_min = concrete
-        out = RepresentedAlgebra(
-            ops, pinv, unit_q, involution=inv_q, name=name, norm=norm, closure=closure, sigma_min=sigma_min
-        )
+    out = _represented_product(action, k_fac, carrier, v_rel, unit_q, inv_q, name, bound, tol)
+    if out is None:
+        out = FinDimAlgebra(_dense_product(action, k_fac, carrier, v_rel, bound), unit_q, involution=inv_q, name=name)
+    del k_fac  # validation below peaks on top of the product
+    # raised after the product route, so that the dense route's product-descent error comes first
+    if star_resid > bound:
+        raise IllDefinedProduct(f"star does not descend to the quotient ({star_resid:.3e})")
     rep = out.validate(tol)
 
     cbar = carrier.conj().reshape(dm, da, -1)
@@ -377,6 +358,20 @@ def _add_embedding_row(rep: AxiomReport, name: str, src: FinDimAlgebra, emb, out
     rep.add(name, src.homomorphism_defect(emb, into=out), threshold)
 
 
+def _relative_quotient(rho, lam, e, bound: float, tol: Tolerance):
+    """``(relation span, carrier)`` of X (x)_B Y, by :func:`_separable_quotient` when it certifies
+    the separability idempotent ``e`` of B: ``(S (x) id) Delta(1)`` in A^L (x) A^L
+    (Boehm-Nill-Szlachanyi) for the crossed product, the Casimir ``sum_ij (T^-1)_ij n_i (x) n_j``
+    of N = M^A's regular trace form T for the Galois map.  Otherwise, as for a broken action,
+    and whenever ``e`` is None, the SVD of the relation span of ``rho_b x (x) y - x (x) lam_b y``
+    itself decides."""
+    quotient = None if e is None else _separable_quotient(rho, lam, e, bound, tol)
+    if quotient is None:
+        rel = kron_sum(rho, lam)
+        quotient = span_and_complement(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1), tol)
+    return quotient
+
+
 def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
     """``(relation span, carrier)`` of X (x)_B Y from a separability idempotent of B, or None.
 
@@ -397,7 +392,7 @@ def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
     coimage, the orthogonal complement), and ``tr E`` is the dimension of the
     quotient.  Returns None when a residual exceeds ``bound``, ``tr E``
     differs from the rank cut by more than ``bound`` or LAPACK's SVD of E does
-    not converge; the caller then takes the SVD of the relation span itself.
+    not converge; :func:`_relative_quotient` then takes the SVD of the relation span itself.
     No (k, dim X dim Y, dim X dim Y) stack of relations is formed.
     """
     k, dx, dy = rho.shape[0], rho.shape[1], lam.shape[1]
@@ -425,18 +420,18 @@ def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
     return v_rel, carrier
 
 
-def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float, tol: Tolerance):
-    """M x| A on the carrier as operators on M, through the representation ``m x| a -> L(m) alpha_a``.
+def _represented_product(
+    action: WhaAction, k_fac, carrier, v_rel, unit, involution, name: str, bound: float, tol: Tolerance
+) -> RepresentedAlgebra | None:
+    """M x| A on the carrier as its operators on M, through the representation ``m x| a -> L(m) alpha_a``.
 
-    Returns ``(ops, pinv, |c|_F, closure residual, sigma_min(Pi))``, the
-    arguments of :class:`~whakit.algebra.RepresentedAlgebra`: the d operators
-    Pi_g as a (d, dim M, dim M) array and the pseudo-inverse Pi^+ as a (d, dim
-    M^2) array.  The closure loop forms every row ``c[g] = Pi^+ vec(Pi_g
-    Pi_h)`` over h once, for the closure residual and ``|c|_F``, and keeps
-    none of them.  Returns None as soon as one of the preconditions listed in
-    :func:`crossed_product` fails against ``bound`` (the rank against
-    ``tol``); the dense route then decides.  Multiplicativity and covariance
-    are the kept :func:`validate_action` rows.
+    Returns the :class:`~whakit.algebra.RepresentedAlgebra` on the d operators
+    Pi_g, or None as soon as one of the preconditions listed in
+    :func:`crossed_product` fails against ``bound``; the dense route then
+    decides.  Multiplicativity and covariance are the kept
+    :func:`validate_action` rows.  The rank, by the cut of
+    :func:`~whakit.linalg.matrix_rank`, and the closure residual are read off
+    the algebra, which computed them from its one SVD of Pi.
     """
     m_alg = action.module
     dm, da = m_alg.dim, action.wha.dim
@@ -453,23 +448,11 @@ def _represented_product(action: WhaAction, k_fac, carrier, v_rel, bound: float,
     if v_rel.shape[1] and np.linalg.norm(pi_full @ v_rel) > bound:
         return None
     pi = pi_full @ carrier  # column g is vec(Pi_g)
-    if matrix_rank(pi, tol) != d:
+    out = RepresentedAlgebra(pi.T.reshape(d, dm, dm), unit, involution, name=name)
+    s = out.singular_values
+    if _svd_cut(s, tol, s[0]) != d or out.closure > bound:
         return None
-    u, s, vh = np.linalg.svd(pi, full_matrices=False)
-    # c[g, h] = Pi^+ vec(Pi_g Pi_h) = Vh^H S^-1 U^H vec(Pi_g Pi_h); Vh is unitary, so |c[g]|_F = |U^H P_g S^-1|_F
-    ops = np.ascontiguousarray(pi.T.reshape(d, dm, dm))
-    u_bar = u.conj()
-    r2 = c2 = 0.0
-    for g in range(d):
-        prods = np.matmul(ops[g], ops).reshape(d, dm * dm)  # vec(Pi_g Pi_h) over h
-        coords = prods @ u_bar
-        c2 += float(np.linalg.norm(coords / s)) ** 2
-        r2 += float(np.linalg.norm(coords @ u.T - prods)) ** 2
-    closure = float(np.sqrt(r2))
-    if closure > bound:
-        return None
-    pinv = (vh.conj().T / s) @ u_bar.T
-    return ops, pinv, float(np.sqrt(c2)), closure, float(s[-1])
+    return out
 
 
 def _dense_product(action: WhaAction, k_fac, carrier, v_rel, bound: float) -> np.ndarray:
@@ -516,6 +499,13 @@ def _subspace_distance(s1: Subspace, s2: Subspace) -> float:
     return float(np.linalg.norm(s1.projector() - s2.projector()))
 
 
+def _relative_commutant_and_a_r(crossed: CrossedProduct, tol: Tolerance) -> tuple[Subspace, Subspace]:
+    """M' n (M x| A) and the image of A^R in M x| A, the two sides of regularity clause (ii)."""
+    big = crossed.algebra
+    ar = crossed.action.wha.derived(tol).counital_subalgebras.right
+    return big.commutant_in(crossed.embed_m.T, tol=tol), Subspace(crossed.embed_a @ ar.basis, big.dim, tol)
+
+
 @dataclass
 class RegularityResult:
     """The three regularity clauses with diagnostics."""
@@ -555,10 +545,7 @@ def is_regular(
     _, injective = m_r_subalgebra(action, tol)
     details["m_r_injective"] = injective
 
-    big = crossed.algebra
-    comm = big.commutant_in(crossed.embed_m.T, tol=tol)
-    ar = w.derived(tol).counital_subalgebras.right
-    ar_image = Subspace(crossed.embed_a @ ar.basis, big.dim, tol)
+    comm, ar_image = _relative_commutant_and_a_r(crossed, tol)
     details["relative_commutant_dim"] = comm.dim
     details["a_r_dim"] = ar_image.dim
     clause_ii = comm.equals(ar_image, tol)
@@ -629,26 +616,23 @@ def verify_basic_construction(
 
     # relative commutants against the canonical copies
     m_r, _ = m_r_subalgebra(action, tol)
-    n_comm_m = m_alg.commutant_in([n_sub.basis[:, i] for i in range(n_sub.dim)], tol=tol)
+    n_comm_m = m_alg.commutant_in(n_sub.basis.T, tol=tol)
     rep.add("item2: N' in M = A^L", _subspace_distance(n_comm_m, m_r), thr)
 
-    m_comm = big.commutant_in(crossed.embed_m.T, tol=tol)
-    ar_image = Subspace(crossed.embed_a @ sub.right.basis, big.dim, tol)
+    m_comm, ar_image = _relative_commutant_and_a_r(crossed, tol)
     rep.add("item3: M' in M2 = A^R", _subspace_distance(m_comm, ar_image), thr)
 
-    gens_n = [crossed.embed_m @ n_sub.basis[:, i] for i in range(n_sub.dim)]
-    n_comm = big.commutant_in(gens_n, tol=tol)
+    n_comm = big.commutant_in((crossed.embed_m @ n_sub.basis).T, tol=tol)
     a_image = Subspace(crossed.embed_a, big.dim, tol)
     rep.add("item4: N' in M2 = A", _subspace_distance(n_comm, a_image), thr)
 
     n_alg, n_coords = induced_algebra(m_alg, n_sub, tol=tol, name="invariants")
     center_n = Subspace(n_coords @ n_alg.center(tol).basis, m_alg.dim, tol)
-    on_unit = np.einsum("ijk,j->ki", action.alpha, m_alg.unit)  # a -> alpha_a(1_M)
-    zl_image = Subspace(on_unit @ sub.center_left.basis, m_alg.dim, tol)
+    zl_image = Subspace(action.unit_map @ sub.center_left.basis, m_alg.dim, tol)
     rep.add("item5: Center N = Z^L", _subspace_distance(center_n, zl_image), thr)
 
     lr = sub.left.intersection(sub.right)
-    lr_image = Subspace(on_unit @ lr.basis, m_alg.dim, tol)
+    lr_image = Subspace(action.unit_map @ lr.basis, m_alg.dim, tol)
     rep.add("item5: Center M = A^L n A^R", _subspace_distance(m_alg.center(tol), lr_image), thr)
 
     zr_image = Subspace(crossed.embed_a @ sub.center_right.basis, big.dim, tol)
@@ -689,8 +673,7 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
 
     # target: the range of (m (x) phi) -> (m (x) phi) rho(1) on M (x) A^, whose
     # product is the transpose of Delta
-    unit_act = np.einsum("tjr,j->tr", alpha, m_alg.unit)  # alpha_{e_t}(1_M)
-    rho1 = np.einsum("tr,irk,stu->kuis", unit_act, m_alg.c, w.delta3, optimize=True)
+    rho1 = np.einsum("rt,irk,stu->kuis", action.unit_map, m_alg.c, w.delta3, optimize=True)
     corner = orth(rho1.reshape(dm * da, dm * da), tol)
     del rho1  # the domain's quotient below peaks on top of what is kept
 
@@ -702,12 +685,9 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     r_n, l_n = m_alg._right_stack(nb), m_alg._left_stack(nb)
     restricted = nb.conj().T @ l_n @ nb  # L(n_i) on N
     t = np.einsum("iab,jba->ij", restricted, restricted)  # regular trace form of N
-    quotient = None
-    if matrix_rank(t, tol) == nb.shape[1]:  # sum_ij (T^-1)_ij n_i (x) n_j is a separability idempotent of N
-        quotient = _separable_quotient(r_n, l_n, np.linalg.inv(t), bound, tol)
-    if quotient is None:
-        quotient = span_and_complement(kron_sum(r_n, l_n).transpose(1, 0, 2).reshape(dm * dm, -1), tol)
-    v_dom, w_dom = quotient
+    # sum_ij (T^-1)_ij n_i (x) n_j is a separability idempotent of N when T is invertible
+    e = np.linalg.inv(t) if matrix_rank(t, tol) == nb.shape[1] else None
+    v_dom, w_dom = _relative_quotient(r_n, l_n, e, bound, tol)
     resid = float(np.linalg.norm(g_full @ v_dom))
     if resid > bound:
         raise IllDefinedProduct(f"Galois map does not descend to M (x)_N M ({resid:.3e})")

@@ -12,8 +12,8 @@ docstring lists them), and everything else, here and in :mod:`whakit.actions`,
 reads an algebra through them.  An algebra has one of two storages: the
 (n, n, n) array ``c`` of :class:`FinDimAlgebra`, or, in
 :class:`RepresentedAlgebra`, n linearly independent k x k matrices closed
-under products and the pseudo-inverse that reads coordinates off them, which
-is how :func:`whakit.actions.crossed_product` returns the crossed product of
+under products, whose coordinates it reads off through one SVD, which is
+how :func:`whakit.actions.crossed_product` returns the crossed product of
 a Galois action.  The second overrides the six primitives and never forms c.
 
 Commutants are kernels of stacked commutator rows ``L(g) - R(g)``, formed for
@@ -240,12 +240,17 @@ class FinDimAlgebra:
             t += c[:, sl].reshape(n, -1) @ c[:, :, sl].transpose(0, 2, 1).reshape(n, -1).T
         return t
 
+    @cached_property
+    def _trace_gram(self) -> np.ndarray:
+        """:meth:`trace_form`, once: :meth:`is_semisimple` and :meth:`RepresentedAlgebra._star_form` read it."""
+        return self.trace_form()
+
     def is_semisimple(self, tol: Tolerance | None = None) -> bool:
         """Whether ``matrix_rank(T / |T|_F) == n`` for the trace form T (scale-free; T = 0 is not), once per tolerance."""
         tol = get_tol(tol)
         record = self._records.setdefault(tol, {})
         if "semisimple" not in record:
-            t = self.trace_form()
+            t = self._trace_gram
             norm = float(np.linalg.norm(t))
             record["semisimple"] = bool(norm > 0.0 and matrix_rank(t / norm, tol) == self.dim)
         return record["semisimple"]
@@ -388,19 +393,15 @@ class RepresentedAlgebra(FinDimAlgebra):
     ops : (n, k, k) array
         ``ops[i] = Pi_i``, the matrix of basis vector e_i, so that ``e_i e_j``
         is the element whose matrix is ``Pi_i Pi_j``.
-    pinv : (n, k^2) array
-        The pseudo-inverse Pi^+ of the (k^2, n) matrix Pi whose column i is
-        ``vec(Pi_i)`` (row-major): ``coords(X) = Pi^+ vec(X)``, so ``c[i, j] =
-        Pi^+ vec(Pi_i Pi_j)``.
     unit, involution, name
         As for :class:`FinDimAlgebra`.
-    norm : float
-        ``|c|_F``, summed by the caller while it checked the closure.
-    closure : float
-        ``|Pi c[i, j] - Pi_i Pi_j|_F`` over all basis pairs, how far products
-        leave the span of the Pi_i.
-    sigma_min : float
-        The smallest singular value of Pi.
+
+    The constructor takes the one SVD of the (k^2, n) matrix Pi whose column
+    i is ``vec(Pi_i)`` (row-major), for :attr:`singular_values` and the
+    pseudo-inverse :attr:`pinv` (``c[i, j] = Pi^+ vec(Pi_i Pi_j)``), and runs
+    the closure loop, which forms every row ``c[i]`` once and keeps none, for
+    :attr:`norm` (``|c|_F``) and :attr:`closure` (``|Pi c[i, j] - Pi_i
+    Pi_j|_F``, how far products leave the span of the Pi_i).
 
     The structure constants are never stored.  The primitives compute
     coordinates of products ``Pi(g) Pi_j`` in slices of at most
@@ -408,21 +409,30 @@ class RepresentedAlgebra(FinDimAlgebra):
     ``W = sum_h Pi_h Q_h^T``, Q_h row h of Pi^+ as a k x k matrix: ``tr L(x) =
     tr(Pi(x) W)``.  :meth:`validate` certifies associativity through Pi, as
     :func:`_associator_certificate` does for any homomorphism, and the star row
-    through an invertible G with ``G Pi(x*) = Pi(x)^H G`` (:meth:`_star_bound`);
-    each row falls back to its coordinate norm when its bound misses the
-    threshold.  :attr:`c` builds the tensor on each read, for tests and that
-    fallback; nothing else reads it.
+    through the inner product G on C^k that the regular trace makes
+    (:meth:`_star_bound`); each row falls back to its coordinate norm when its
+    bound misses the threshold.  :attr:`c` builds the tensor on each read, for
+    tests and that fallback; nothing else reads it.
     """
 
-    def __init__(self, ops, pinv, unit, involution=None, name="algebra", *, norm, closure, sigma_min):
+    def __init__(self, ops, unit, involution=None, name="algebra"):
         ops = np.ascontiguousarray(ops, dtype=complex)
-        pinv = np.ascontiguousarray(pinv, dtype=complex)
         n, k = ops.shape[0], ops.shape[1]
-        if ops.shape != (n, k, k) or pinv.shape != (n, k * k):
-            raise DimensionMismatch(f"ops must be (n,k,k) and pinv (n,k^2), got {ops.shape} and {pinv.shape}")
-        self.ops, self.pinv = ops, pinv
-        self._norm, self.closure, self.sigma_min = float(norm), float(closure), float(sigma_min)
+        if ops.shape != (n, k, k):
+            raise DimensionMismatch(f"ops must be (n,k,k), got {ops.shape}")
+        self.ops = ops
         self._attach(n, unit, involution, None, name)
+        u, s, vh = np.linalg.svd(ops.reshape(n, k * k).T, full_matrices=False)
+        # c[g, h] = Vh^H S^-1 U^H vec(Pi_g Pi_h); Vh is unitary, so |c[g]|_F = |U^H P_g S^-1|_F
+        u_bar = u.conj()
+        r2 = c2 = 0.0
+        for g in range(n):
+            prods = np.matmul(ops[g], ops).reshape(n, k * k)  # vec(Pi_g Pi_h) over h
+            coords = prods @ u_bar
+            c2 += float(np.linalg.norm(coords / s)) ** 2
+            r2 += float(np.linalg.norm(coords @ u.T - prods)) ** 2
+        self._norm, self.closure = float(np.sqrt(c2)), float(np.sqrt(r2))
+        self.singular_values, self.pinv = s, (vh.conj().T / s) @ u_bar.T
 
     @property
     def c(self) -> np.ndarray:
@@ -497,54 +507,56 @@ class RepresentedAlgebra(FinDimAlgebra):
         """The rows of :meth:`FinDimAlgebra.validate`, associativity certified through Pi, the star through G."""
         tol = get_tol(tol)
         phi_norm = float(np.linalg.norm(self.ops))
-        assoc = _associator_certificate(self.norm, phi_norm, self.closure, self.sigma_min)
+        assoc = _associator_certificate(self.norm, phi_norm, self.closure, self.singular_values[-1])
         star = self._star_bound() if self.involution is not None else None
         return _validated(self, assoc, tol, star)
 
-    def _star_bound(self) -> float | None:
-        """Upper bound on :meth:`_star_defect` through an invertible G with ``G Pi(x*) = Pi(x)^H G``, or None.
+    def _star_form(self) -> np.ndarray | None:
+        """``G = sum_ij (K^-T)_ij Pi_i^H Pi_j``, or None when K is singular.
 
-        G solves that identity for a seeded generic pair x: the kernel of
-        ``vec G -> vec(G A - B G)``, A = Pi(x*) and B = Pi(x)^H, whose normal
-        matrix is a sum of Kronecker products, by two steps of inverse
-        iteration from ``vec I``.  With ``D_i = G Pi(e_i*) - Pi_i^H G``, checked
-        on every basis vector in O(n k^3), and R the closure defect, ``G
-        Pi((e_i e_j)* - e_j* e_i*) = R_ij^H G + D((e_i e_j)) - Pi_j^H D_i - D_j
-        Pi(e_i*) - G R(e_j*, e_i*)``, so summed over basis pairs ::
+        ``K = S^T T`` is the Gram matrix ``tau(e_i* e_j)`` of the regular trace
+        tau, S the matrix of the involution and T the cached trace form, and G
+        is ``sum_a Pi(b_a)^H Pi(b_a)`` over a basis b_a orthonormal for ``<x, y>
+        = tau(x* y)``.  Since tau is a trace, right multiplication by x* is the
+        adjoint of right multiplication by x, so ``G Pi(x*) = Pi(x)^H G``
+        whenever Pi is multiplicative: nothing is solved for.
+        """
+        ops = self.ops
+        n, k = ops.shape[:2]
+        try:
+            weights = np.linalg.inv(self.involution.T @ self._trace_gram).T
+        except np.linalg.LinAlgError:
+            return None
+        left = np.tensordot(weights.T, ops.conj().transpose(0, 2, 1), axes=1)  # sum_i W_ij Pi_i^H over j
+        return left.transpose(1, 0, 2).reshape(k, n * k) @ ops.reshape(n * k, k)
+
+    def _star_bound(self) -> float | None:
+        """Upper bound on :meth:`_star_defect` through G of :meth:`_star_form`, or None.
+
+        With ``D_i = G Pi(e_i*) - Pi_i^H G``, checked on every basis vector in
+        O(n k^3), and R the closure defect, ``G Pi((e_i e_j)* - e_j* e_i*) =
+        R_ij^H G + D((e_i e_j)) - Pi_j^H D_i - D_j Pi(e_i*) - G R(e_j*,
+        e_i*)``, so summed over basis pairs ::
 
             |star row| <= |G^-1| / sigma_min(Pi) * (|G| (1 + |S|^2) |R|_F
                           + (|c|_F + |Pi|_F + |Pi S|_F) |D|_F),
 
-        S the matrix of the involution and 2-norms unmarked.  None when G is
-        singular.
+        S the matrix of the involution and 2-norms unmarked.  None when K or G
+        is singular.
         """
-        s, ops = self.involution, self.ops
-        n, k = ops.shape[:2]
-        star_ops = np.tensordot(s, ops, axes=([0], [0]))  # Pi(e_i*), e_i* being column i of s
-        eye = np.eye(k)
-        normal = np.zeros((k * k, k * k), dtype=complex)
-        for x in _generic_pair(n).T:
-            a = np.tensordot(s @ np.conj(x), ops, axes=1)
-            b = np.tensordot(x, ops, axes=1).conj().T
-            # (I (x) A^T - B (x) I)^H (I (x) A^T - B (x) I), with vec row-major, one term at a time
-            normal += np.kron(eye, np.conj(a) @ a.T)
-            normal -= np.kron(b, np.conj(a))
-            normal -= np.kron(b.conj().T, a.T)
-            normal += np.kron(b.conj().T @ b, eye)
-        normal.flat[:: k * k + 1] += 1e-12 * np.trace(normal).real / (k * k)  # shift off the kernel
-        v = eye.ravel().astype(complex)
-        for _ in range(2):
-            v = np.linalg.solve(normal, v)
-            v /= np.linalg.norm(v)
-        g = v.reshape(k, k)
+        g = self._star_form()
+        if g is None:
+            return None
         sv = np.linalg.svd(g, compute_uv=False)
         if not sv[-1] > 0.0:
             return None
+        s, ops = self.involution, self.ops
+        star_ops = np.tensordot(s, ops, axes=([0], [0]))  # Pi(e_i*), e_i* being column i of s
         d_norm = float(np.linalg.norm(g @ star_ops - ops.conj().transpose(0, 2, 1) @ g))
         s_norm = float(np.linalg.norm(s, 2))
         terms = (1.0 + s_norm**2) * self.closure
         terms += (self.norm + float(np.linalg.norm(ops)) + float(np.linalg.norm(star_ops))) * d_norm / sv[0]
-        return float(sv[0] / sv[-1] / self.sigma_min * terms)
+        return float(sv[0] / sv[-1] / self.singular_values[-1] * terms)
 
     def _star_defect(self) -> float:
         """The star row from coordinates, over slices of j: column i of ``S conj(R(e_j))`` is
@@ -876,7 +888,7 @@ def induced_algebra(
     involution = None
     if algebra.involution is not None:
         starred = algebra.involution @ np.conj(q)
-        if all(subspace.contains_vector(starred[:, j]) for j in range(q.shape[1])):
+        if subspace.contains_columns(starred):
             involution = qh @ starred
     b = FinDimAlgebra(c, qh @ unit_vec, involution=involution, name=name or f"{algebra.name}|sub")
     return b, q

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import Tolerance, get_tol
-from .errors import DimensionMismatch, NotNonnegative, RankDeficient
+from .errors import DimensionMismatch, NotNonnegative, NotPositive, RankDeficient
 
 __all__ = [
     "orth",
@@ -233,8 +233,9 @@ def lstsq(a, b, tol: Tolerance | None = None):
 def hermitian_sqrt(m, tol: Tolerance | None = None):
     """Square root of a positive semidefinite Hermitian matrix via eigh.
 
-    Raises :class:`~whakit.errors.RankDeficient` tolerance-aware negativity is
-    left to callers; eigenvalues in ``[-bound, 0)`` are clamped to zero.
+    Raises :class:`~whakit.errors.RankDeficient` on non-Hermitian input and
+    :class:`~whakit.errors.NotPositive` below ``-tol.bound`` of the largest
+    eigenvalue magnitude; eigenvalues in ``[-bound, 0)`` are clamped to zero.
     """
     tol = get_tol(tol)
     m = _as_matrix(m)
@@ -243,8 +244,6 @@ def hermitian_sqrt(m, tol: Tolerance | None = None):
         raise RankDeficient(f"matrix is not Hermitian (residual {herm_resid:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     scale = max(abs(w[0]), abs(w[-1])) if w.size else 0.0
-    from .errors import NotPositive
-
     if w.size and w[0] < -tol.bound(scale):
         raise NotPositive(f"matrix has negative eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
@@ -285,9 +284,14 @@ class Subspace:
         return float(np.linalg.norm(v - self.project(v)))
 
     def contains_vector(self, v, tol: Tolerance | None = None) -> bool:
+        return self.contains_columns(np.reshape(v, (-1, 1)), tol)
+
+    def contains_columns(self, vs, tol: Tolerance | None = None) -> bool:
+        """Whether each column v of ``vs`` lies within ``tol.bound(|v|)`` of the subspace, from one projection."""
         tol = get_tol(tol) if tol is not None else self.tol
-        v = np.asarray(v, dtype=complex)
-        return self.distance(v) <= tol.bound(np.linalg.norm(v))
+        vs = _as_matrix(vs)
+        outside = np.linalg.norm(vs - self.project(vs), axis=0)
+        return all(o <= tol.bound(s) for o, s in zip(outside, np.linalg.norm(vs, axis=0)))
 
     def contains(self, other: "Subspace", tol: Tolerance | None = None) -> bool:
         tol = get_tol(tol) if tol is not None else self.tol

@@ -34,10 +34,11 @@ def examples() -> dict[str, wk.WeakHopfAlgebra]:
     return build_examples()
 
 
-def _rotated(w: wk.WeakHopfAlgebra, seed: int) -> wk.WeakHopfAlgebra:
-    """``w`` in the basis ``f_a = sum_i p[i, a] e_i`` of a random complex unitary ``p``."""
+def _rotated(w: wk.WeakHopfAlgebra, seed: int, real: bool = False) -> wk.WeakHopfAlgebra:
+    """``w`` in the basis ``f_a = sum_i p[i, a] e_i`` of a random unitary ``p``, real orthogonal with ``real``."""
     r = np.random.default_rng(seed)
-    p, _ = np.linalg.qr(r.normal(size=(w.dim, w.dim)) + 1j * r.normal(size=(w.dim, w.dim)))
+    g = r.normal(size=(w.dim, w.dim))
+    p, _ = np.linalg.qr(g if real else g + 1j * r.normal(size=(w.dim, w.dim)))
     q = p.conj().T
     a = w.algebra
     c = np.einsum("ia,jb,ijk,dk->abd", p, p, a.c, q, optimize=True)
@@ -49,7 +50,7 @@ def _rotated(w: wk.WeakHopfAlgebra, seed: int) -> wk.WeakHopfAlgebra:
 
 @pytest.fixture(scope="session")
 def rotated():
-    """``rotated(w, seed)``: ``w`` in a seeded random complex unitary basis."""
+    """``rotated(w, seed, real=False)``: ``w`` in a seeded random complex unitary (or real orthogonal) basis."""
     return _rotated
 
 

@@ -70,6 +70,35 @@ def test_crossed_product_dimensions_and_blocks(actions, name):
     assert cp.algebra.dim == act.module.dim * act.wha.dim // al
 
 
+def _z2_on_c3(fixed, involution=None):
+    """C[Z_2] on C^3 (pointwise product) by alpha_g = +1 on span{1, fixed} and -1 on span{e_1}.
+
+    alpha_g^2 = 1, so both routes of :func:`invariants` find span{1, fixed}; alpha_g is not
+    multiplicative, so that span need not be a *-subalgebra."""
+    c = np.zeros((3, 3, 3))
+    for i in range(3):
+        c[i, i, i] = 1.0
+    m_alg = wk.FinDimAlgebra(c, np.ones(3), involution=involution, name="C^3")
+    p = np.column_stack([np.ones(3), fixed, [0.0, 1.0, 0.0]])
+    g = p @ np.diag([1.0, 1.0, -1.0]) @ np.linalg.inv(p)
+    # alpha[i, j, k] is the coefficient of m_k in alpha_{e_i}(m_j): the transposed operator
+    return wk.WhaAction(wk.cyclic_wha(2), m_alg, np.stack([np.eye(3), g.T]), name="z2 on C^3")
+
+
+def test_invariants_not_closed_under_the_product_are_a_mismatch():
+    # (e_1 + 2 e_2)^2 = e_1 + 4 e_2 is not in span{1, e_1 + 2 e_2}
+    with pytest.raises(wk.InvariantMismatch, match="^invariants are not closed under the product$"):
+        wk.invariants(_z2_on_c3([0.0, 1.0, 2.0]))
+
+
+def test_invariants_not_closed_under_the_involution_are_a_mismatch():
+    # span{1, e_2} is a subalgebra, but the star swapping e_1 and e_2 takes e_2 out of it
+    swap = np.eye(3)[:, [0, 2, 1]]
+    assert wk.invariants(_z2_on_c3([0.0, 0.0, 1.0])).dim == 2
+    with pytest.raises(wk.InvariantMismatch, match="^invariants are not closed under the involution$"):
+        wk.invariants(_z2_on_c3([0.0, 0.0, 1.0], involution=swap))
+
+
 @pytest.mark.parametrize("name", sorted(CROSSED))
 def test_crossed_product_embeddings(actions, name):
     # m -> m x| 1 and a -> 1 x| a are multiplicative into the crossed product
@@ -348,14 +377,60 @@ def test_the_star_certificate_refuses_a_bent_involution(represented, key):
     for col in range(big.dim):
         inv = big.involution.copy()
         inv[:, col] *= 1 + 1e-6
-        bent = wk.RepresentedAlgebra(
-            big.ops, big.pinv, big.unit, involution=inv, norm=big.norm, closure=big.closure, sigma_min=big.sigma_min
-        )
+        bent = wk.RepresentedAlgebra(big.ops, big.unit, involution=inv)
         assert bent._star_bound() > row.threshold, col
         if col in (0, big.dim // 2, big.dim - 1):
             bent_row = {r.name: r for r in bent.validate().checks}["star-antimultiplicative"]
             assert not bent_row.passed, col
             assert bent_row.residual == bent._star_defect()
+
+
+def _star_identity_residual(big, g):
+    """``|G Pi(e_i*) - Pi_i^H G|_F / |G|_F`` over all basis vectors e_i."""
+    star_ops = np.tensordot(big.involution, big.ops, axes=([0], [0]))
+    return np.linalg.norm(g @ star_ops - big.ops.conj().transpose(0, 2, 1) @ g) / np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("basis", ["canonical", "real", "complex"])
+@pytest.mark.parametrize("make", [wk.dual_regular_action, wk.arrow_action], ids=["dualreg", "arrow"])
+@pytest.mark.parametrize("key", ["p2", "s3", "p3", "fp3", "m23", "p4"])
+def test_the_trace_form_inner_product_makes_pi_a_star_representation(examples, rotated, key, make, basis):
+    """G = sum_ij (K^-T)_ij Pi_i^H Pi_j, K = S^T T, satisfies G Pi(x*) = Pi(x)^H G, and its
+    certificate, not the coordinate fallback, decides the star row."""
+    w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
+    if basis != "canonical":
+        w = rotated(w, seed=5, real=basis == "real")
+    big = wk.crossed_product(make(w)).algebra
+    assert isinstance(big, wk.RepresentedAlgebra)
+    assert _star_identity_residual(big, big._star_form()) <= 1e-12
+    row = {r.name: r for r in big.validate().checks}["star-antimultiplicative"]
+    assert row.passed and big._star_bound() == row.residual
+
+
+@pytest.mark.parametrize("make", [wk.dual_regular_action, wk.arrow_action], ids=["dualreg", "arrow"])
+def test_the_star_form_weights_are_the_transposed_inverse_gram_matrix(examples, rotated, make):
+    """In a complex basis K is Hermitian but not symmetric, and the weights K^-1 in place of
+    K^-T break the identity G Pi(x*) = Pi(x)^H G."""
+    big = wk.crossed_product(make(rotated(examples["m23"], seed=3))).algebra
+    k = big.involution.T @ big.trace_form()
+    ops, n, m = big.ops, big.dim, big.ops.shape[1]
+    wrong = np.tensordot(np.linalg.inv(k).T, ops.conj().transpose(0, 2, 1), axes=1)  # sum_i (K^-1)_ij Pi_i^H
+    g = wrong.transpose(1, 0, 2).reshape(m, n * m) @ ops.reshape(n * m, m)
+    assert _star_identity_residual(big, big._star_form()) <= 1e-12
+    assert _star_identity_residual(big, g) > 0.1
+
+
+def test_the_star_certificate_on_p4_stays_below_two_mib(examples):
+    # the parent's (k^2, k^2) normal matrix and its Kronecker terms peaked at 3.3 MiB (k = 16)
+    big = wk.smash_product(examples["p4"]).algebra
+    tracemalloc.start()
+    try:
+        bound = big._star_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound is not None and bound <= 1e-10
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("key", ["m23", "p4"])

@@ -205,6 +205,20 @@ def test_subspace_operations():
         Subspace(np.eye(3), ambient=4)
 
 
+def test_contains_columns_is_contains_vector_per_column():
+    """Each column against tol.bound(|v|): the distance of v from the span, written out."""
+    r = np.random.default_rng(0)
+    s = Subspace(r.normal(size=(6, 3)) + 1j * r.normal(size=(6, 3)), 6)
+    inside = s.basis @ (r.normal(size=(3, 4)) + 1j * r.normal(size=(3, 4)))
+    for eps in (0.0, 1e-12, 1e-9, 1e-6):
+        off = inside + eps * (np.eye(6)[:, :4] - s.project(np.eye(6)[:, :4]))
+        dist = np.linalg.norm(off - s.basis @ (s.basis.conj().T @ off), axis=0)
+        want = all(x <= DEFAULT_TOL.bound(np.linalg.norm(v)) for x, v in zip(dist, off.T))
+        assert s.contains_columns(off) == want == all(s.contains_vector(v) for v in off.T), eps
+    normal = np.eye(6)[:, 5] - s.project(np.eye(6)[:, 5])
+    assert s.contains_columns(inside) and not s.contains_columns(np.column_stack([inside, normal]))
+
+
 def test_perron_frobenius_known_matrix():
     # golden-ratio graph: largest eigenvalue of [[0,1],[1,1]] is (1+sqrt 5)/2
     lam, vec = perron_frobenius(np.array([[0.0, 1.0], [1.0, 1.0]]))
