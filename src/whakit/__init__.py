@@ -23,6 +23,7 @@ from .algebra import (
     GnsRep,
     MarkovTrace,
     RepresentedAlgebra,
+    WedderburnAlgebra,
     WatataniIndex,
     block_decomposition,
     gns_rep,

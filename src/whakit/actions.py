@@ -9,13 +9,18 @@ checks, the Galois map ``M (x)_{M^A} M -> (M (x) A^) rho(1)`` into the corner
 of the coaction's unit, and the smash product ``A # A^``.  An action keeps its
 axiom report per tolerance; construction, crossed product and CLI share it.
 
-The crossed product comes from one of two routes (:func:`crossed_product`).
+The crossed product comes from one of three routes (:func:`crossed_product`).
 When the action is Galois, ``m x| a -> L(m) alpha_a`` is a faithful
 representation of M x| A on M (Caenepeel-De Groot; for the smash product the
-Heisenberg representation A # A^ = End_{A^L}(A) of Nikshych-Vainerman), and
-the product is held as its d operators on M, a
+Heisenberg representation A # A^ = End_{A^L}(A) of Nikshych-Vainerman) onto
+End_N(M) = R(N)' for the invariants N = M^A, and the product is held in
+Wedderburn form, a :class:`~whakit.algebra.WedderburnAlgebra`, once a
+commutation residual and a dimension count certify that image; without that
+certificate it is held as its d operators on M, a
 :class:`~whakit.algebra.RepresentedAlgebra`; otherwise, as for the trivial
-action, a dense route contracts its structure constants.
+action, a dense route contracts its structure constants.  N, its induced
+algebra and N' n M are computed once per action and tolerance
+(:meth:`WhaAction.derived`).
 
 Both relative tensor products, M (x)_{A^L} A of the crossed product and
 M (x)_N M of the Galois map, are quotients by a relation span, read off a
@@ -35,24 +40,28 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
+    _NO_DECOMPOSITION,
     FinDimAlgebra,
     RepresentedAlgebra,
+    WedderburnAlgebra,
     _covariance_defect,
     _dense_associator_norm,
     _inclusion_matrix,
     induced_algebra,
     watatani_index,
 )
-from .config import Tolerance, get_tol
+from .config import Tolerance, get_tol, round_to_int
 from .errors import (
     CrossCheckMismatch,
     DimensionMismatch,
     EmptyQuotient,
     IllDefinedProduct,
     InvariantMismatch,
+    NonIntegerMultiplicity,
     NoQuasiBasis,
     NotConditionalExpectation,
     NotSemisimple,
+    ValidationError,
 )
 from .linalg import (
     Subspace,
@@ -95,6 +104,7 @@ class WhaAction:
     alpha: np.ndarray  # (dim A, dim M, dim M)
     name: str = "action"
     _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=complex)
@@ -116,6 +126,41 @@ class WhaAction:
 
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
         return validate_action(self, tol)
+
+    def derived(self, tol: Tolerance | None = None) -> "ActionDerived":
+        """The structures read off the invariants at ``tol`` (one cache per tolerance)."""
+        tol = get_tol(tol)
+        if tol not in self._derived:
+            self._derived[tol] = ActionDerived(self, tol)
+        return self._derived[tol]
+
+
+class ActionDerived:
+    """N = M^A and what is read off it, for one action at one tolerance, each computed on first use.
+
+    The entries are :attr:`invariants`, the :attr:`induced` algebra N with its
+    coordinates in M (N's blocks and Wedderburn map are cached on that
+    algebra), and the :attr:`relative_commutant` N' n M.  The Galois map, the
+    Wedderburn form of the crossed product, regularity clause (ii) and the
+    basic-construction items read them, so N is found once.  An entry that
+    raises is not kept.
+    """
+
+    def __init__(self, action: WhaAction, tol: Tolerance):
+        self.action = action
+        self.tol = tol
+
+    @cached_property
+    def invariants(self) -> Subspace:
+        return _invariants(self.action, self.tol)
+
+    @cached_property
+    def induced(self) -> tuple[FinDimAlgebra, np.ndarray]:
+        return induced_algebra(self.action.module, self.invariants, tol=self.tol, name="invariants")
+
+    @cached_property
+    def relative_commutant(self) -> Subspace:
+        return self.action.module.commutant_in(self.invariants.basis.T, tol=self.tol)
 
 
 def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomReport:
@@ -145,14 +190,18 @@ def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomRep
 
 
 def invariants(action: WhaAction, tol: Tolerance | None = None) -> Subspace:
-    """The invariant subalgebra M^A, computed two ways.
+    """The invariant subalgebra M^A, computed two ways, once per action and tolerance.
 
     (a) the stacked linear condition ``alpha_a(n) = alpha_{pi^L(a)}(n)`` for
     all ``a``, and (b) the image of ``alpha_h`` for the Haar integral ``h``;
     the two must agree (InvariantMismatch otherwise).  The result is checked
-    to be a unital *-subalgebra of M.
+    to be a unital *-subalgebra of M.  It is kept in :meth:`WhaAction.derived`.
     """
-    tol = get_tol(tol)
+    return action.derived(tol).invariants
+
+
+def _invariants(action: WhaAction, tol: Tolerance) -> Subspace:
+    """:func:`invariants`, computed."""
     w, m_alg = action.wha, action.module
     pi_l, _ = w.counital_maps
     # row block t is alpha_{e_t - pi^L(e_t)}, all blocks from one GEMM
@@ -170,7 +219,7 @@ def invariants(action: WhaAction, tol: Tolerance | None = None) -> Subspace:
     if not fixed.contains_vector(m_alg.unit, tol):
         raise InvariantMismatch("invariants do not contain the unit of M")
     q = fixed.basis
-    prods = m_alg._left_stack(q) @ q  # column j of prods[i] is q_i q_j, all from one GEMM
+    prods = m_alg._left_products(q, q)  # column j of prods[i] is q_i q_j, all from one GEMM
     if not fixed.contains_columns(prods.transpose(1, 0, 2).reshape(dm, -1), tol):
         raise InvariantMismatch("invariants are not closed under the product")
     if m_alg.involution is not None and not fixed.contains_columns(m_alg.involution @ np.conj(q), tol):
@@ -207,6 +256,13 @@ class CrossedProduct:
     def dim(self) -> int:
         return self.algebra.dim
 
+    @property
+    def route(self) -> str:
+        """Which route of :func:`crossed_product` holds the product: "wedderburn", "represented" or "dense"."""
+        if isinstance(self.algebra, WedderburnAlgebra):
+            return "wedderburn"
+        return "represented" if isinstance(self.algebra, RepresentedAlgebra) else "dense"
+
     def element(self, m, a) -> np.ndarray:
         """Quotient coordinates of ``m x| a``."""
         m = np.asarray(m, dtype=complex).ravel()
@@ -238,21 +294,26 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     singular value; for a groupoid's smash product its columns are standard
     basis vectors of M (x) A.  Two routes then compute the product.
 
-    * Represented (Galois actions): ``pi(m (x) a) = L(m) alpha_a`` maps M
-      (x) A into End(M), and for a Galois action it is faithful on the
-      quotient (Caenepeel-De Groot).  With ``Pi_g`` the image of carrier
-      vector g, a dim M x dim M matrix, the result is the
-      :class:`~whakit.algebra.RepresentedAlgebra` built from the Pi_g alone;
-      neither the (d, d, d) tensor nor the dense route's (d_full, d_full, d)
-      one is formed.  The route decides only when alpha is multiplicative,
-      ``alpha_a L(n) = sum Delta[p,q,a] L(alpha_p(n)) alpha_q``, M is
-      associative, pi kills the relation span, Pi has rank d and the closure
-      residual ``Pi c[g, h] - Pi_g Pi_h`` passes (:func:`_represented_product`).
-      Then pi is a homomorphism with kernel exactly the relation span, so the
-      product descends and equals the abstract one.  The algebra certifies
-      associativity through Pi and the star row through the inner product
-      its regular trace makes on M, at every dimension
-      (:meth:`~whakit.algebra.RepresentedAlgebra.validate`).
+    * Wedderburn and represented (Galois actions): ``pi(m (x) a) = L(m)
+      alpha_a`` maps M (x) A into End(M), and for a Galois action it is
+      faithful on the quotient (Caenepeel-De Groot).  With ``Pi_g`` the image
+      of carrier vector g, a dim M x dim M matrix, neither the (d, d, d)
+      tensor nor the dense route's (d_full, d_full, d) one is formed.  These
+      routes decide only when alpha is multiplicative, ``alpha_a L(n) = sum
+      Delta[p,q,a] L(alpha_p(n)) alpha_q``, M is associative and pi kills the
+      relation span (:func:`_represented_product`); then pi is a homomorphism
+      with kernel the relation span, so the product descends and equals the
+      abstract one.  The image of pi is End_N(M) = R(N)' for the invariants
+      N: when every Pi_g commutes with R(N) and rank Pi = sum_l m_l^2, the
+      multiplicities m_l of N's blocks in M, the result is the
+      :class:`~whakit.algebra.WedderburnAlgebra` on ⊕_l M_{m_l}, whose
+      closure is a bound read off ``Pi - E T`` (:func:`_wedderburn_product`):
+      no product of two Pi_g is formed.  Otherwise, as without a Haar
+      integral, it is the :class:`~whakit.algebra.RepresentedAlgebra` built
+      from the Pi_g, when Pi has rank d and its closure residual ``Pi c[g, h]
+      - Pi_g Pi_h`` passes.  Either certifies associativity through Pi and the
+      star row through the inner product its regular trace makes on M, at
+      every dimension.
     * Dense (fallback, e.g. the trivial action, or any input failing one of
       those residuals): the product is contracted from the factors of
       ``big`` into the (d_full, d_full, d) tensor ``carrier^H big`` with
@@ -422,16 +483,18 @@ def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
 
 def _represented_product(
     action: WhaAction, k_fac, carrier, v_rel, unit, involution, name: str, bound: float, tol: Tolerance
-) -> RepresentedAlgebra | None:
+) -> WedderburnAlgebra | RepresentedAlgebra | None:
     """M x| A on the carrier as its operators on M, through the representation ``m x| a -> L(m) alpha_a``.
 
-    Returns the :class:`~whakit.algebra.RepresentedAlgebra` on the d operators
-    Pi_g, or None as soon as one of the preconditions listed in
-    :func:`crossed_product` fails against ``bound``; the dense route then
-    decides.  Multiplicativity and covariance are the kept
-    :func:`validate_action` rows.  The rank, by the cut of
-    :func:`~whakit.linalg.matrix_rank`, and the closure residual are read off
-    the algebra, which computed them from its one SVD of Pi.
+    Returns the :class:`~whakit.algebra.WedderburnAlgebra` of
+    :func:`_wedderburn_product` when it is certified, else the
+    :class:`~whakit.algebra.RepresentedAlgebra` on the d operators Pi_g, or
+    None as soon as one of the preconditions listed in :func:`crossed_product`
+    fails against ``bound``; the dense route then decides.  Multiplicativity
+    and covariance are the kept :func:`validate_action` rows.  The represented
+    form's rank, by the cut of :func:`~whakit.linalg.matrix_rank`, and closure
+    residual are read off the algebra, which computed them from its one SVD of
+    Pi.
     """
     m_alg = action.module
     dm, da = m_alg.dim, action.wha.dim
@@ -447,10 +510,76 @@ def _represented_product(
     pi_full = k_fac.transpose(3, 2, 1, 0).reshape(dm * dm, dm * da)
     if v_rel.shape[1] and np.linalg.norm(pi_full @ v_rel) > bound:
         return None
-    pi = pi_full @ carrier  # column g is vec(Pi_g)
-    out = RepresentedAlgebra(pi.T.reshape(d, dm, dm), unit, involution, name=name)
+    ops = (pi_full @ carrier).T.reshape(d, dm, dm)  # Pi_g, the image of carrier vector g
+    out = _wedderburn_product(action, ops, unit, involution, name, bound, tol)
+    if out is not None:
+        return out
+    out = RepresentedAlgebra(ops, unit, involution, name=name)
     s = out.singular_values
     if _svd_cut(s, tol, s[0]) != d or out.closure > bound:
+        return None
+    return out
+
+
+def _wedderburn_product(
+    action: WhaAction, ops, unit, involution, name: str, bound: float, tol: Tolerance
+) -> WedderburnAlgebra | None:
+    """M x| A as R(N)' = End_N(M) in Wedderburn form, or None when it is not certified.
+
+    For a Galois action with invariants N = M^A, pi maps M x| A onto R(N)', the
+    commutant of right multiplication by N on M (Kreimer-Takeuchi;
+    Caenepeel-De Groot for weak Hopf actions).  N = ⊕_l M_{n_l}, and M as a
+    right N-module is ⊕_l C^{m_l} (x) C^{n_l}, so R(N)' = ⊕_l M_{m_l} (x) 1.
+    Two checks make span{Pi_g} = R(N)', which is closed under products:
+
+    * the commutation residual ``|Pi_g R(n) - R(n) Pi_g|_F`` over g and a
+      basis of N, against ``tol.bound(2 |Pi|_F |R(N)|_F)``, O(d dim N k^3);
+    * the count ``rank Pi = sum_l m_l^2 = d``, with m_l the rank of the
+      idempotent R(f_11) for a matrix unit f_11 of N's block l, read off N's
+      (cached) Wedderburn map.
+
+    The frame of block l is ``embed[j] = R(f_1j) V`` and ``restrict[j] = V^H
+    R(f_j1)`` for V an orthonormal basis of M f_11, the range of R(f_11),
+    which every Pi_g maps into itself.  The algebra's closure bound must meet
+    ``bound`` too.  None, so that the :class:`RepresentedAlgebra` decides,
+    when the action has no invariants (no Haar integral, as for Sweedler's
+    H4), N does not decompose, or a check misses.
+    """
+    m_alg = action.module
+    d, k = ops.shape[0], ops.shape[1]
+    try:
+        n_alg, n_basis = action.derived(tol).induced
+        wedderburn = n_alg.wedderburn_map(tol)
+        units = n_basis @ np.linalg.inv(wedderburn.matrix)  # matrix units of N in M's coordinates
+    except (InvariantMismatch, ValidationError, *_NO_DECOMPOSITION):
+        return None
+    right_n = m_alg._right_stack(n_basis)
+    commutation = np.sqrt(sum(float(np.linalg.norm(ops @ r - r @ ops)) ** 2 for r in right_n))
+    if commutation > tol.bound(2.0 * float(np.linalg.norm(ops)) * float(np.linalg.norm(right_n))):
+        return None
+    sizes = [phi.shape[1] for phi in wedderburn.phis]
+    frames, lo = [], 0
+    for size in sizes:
+        f = units[:, lo : lo + size * size].reshape(k, size, size)  # f[:, a, b] = f_ab
+        lo += size * size
+        embed, back = m_alg._right_stack(f[:, 0, :]), m_alg._right_stack(f[:, :, 0])  # R(f_1j), R(f_j1)
+        corner = orth(embed[0], tol)
+        try:
+            mult = round_to_int(np.trace(embed[0]), "multiplicity of a block of N in M")
+        except NonIntegerMultiplicity:
+            return None
+        if corner.shape[1] != mult:
+            return None
+        frames.append((embed @ corner, corner.conj().T @ back))
+    mults = [embed.shape[2] for embed, _ in frames]
+    if sum(m * m for m in mults) != d or sum(m * n for m, n in zip(mults, sizes)) != k:
+        return None
+    try:
+        out = WedderburnAlgebra(ops, frames, unit, involution, name=name)
+    except np.linalg.LinAlgError:
+        return None
+    s = out.singular_values
+    if _svd_cut(s, tol, s[0]) != d or not out.closure <= bound:
         return None
     return out
 
@@ -500,10 +629,21 @@ def _subspace_distance(s1: Subspace, s2: Subspace) -> float:
 
 
 def _relative_commutant_and_a_r(crossed: CrossedProduct, tol: Tolerance) -> tuple[Subspace, Subspace]:
-    """M' n (M x| A) and the image of A^R in M x| A, the two sides of regularity clause (ii)."""
-    big = crossed.algebra
-    ar = crossed.action.wha.derived(tol).counital_subalgebras.right
-    return big.commutant_in(crossed.embed_m.T, tol=tol), Subspace(crossed.embed_a @ ar.basis, big.dim, tol)
+    """M' n (M x| A) and the image of A^R in M x| A, the two sides of regularity clause (ii).
+
+    On the Wedderburn form the relative commutant is ``pi^-1(R(N' n M))``:
+    pi(M) = L(M), whose commutant in End(M) is R(M), and R(z) lies in
+    pi(M x| A) = R(N)' exactly when z commutes with N.  That is a commutant
+    inside M; the other forms take the commutant of embed_m's columns.
+    """
+    big, action = crossed.algebra, crossed.action
+    ar = action.wha.derived(tol).counital_subalgebras.right
+    if isinstance(big, WedderburnAlgebra):
+        z = action.derived(tol).relative_commutant.basis
+        comm = Subspace(big.pullback(action.module._right_stack(z)), big.dim, tol)
+    else:
+        comm = big.commutant_in(crossed.embed_m.T, tol=tol)
+    return comm, Subspace(crossed.embed_a @ ar.basis, big.dim, tol)
 
 
 @dataclass
@@ -568,7 +708,7 @@ def _generated_subalgebra(alg: FinDimAlgebra, seeds, tol: Tolerance) -> Subspace
     """Span closure of ``seeds`` (plus the unit) under the product."""
     basis = orth(np.column_stack([alg.unit, *seeds]), tol)
     while True:
-        prods = alg._left_stack(basis) @ basis  # column b of prods[a] is basis_a basis_b
+        prods = alg._left_products(basis, basis)  # column b of prods[a] is basis_a basis_b
         new = orth(np.hstack([basis, prods.transpose(1, 0, 2).reshape(alg.dim, -1)]), tol)
         if new.shape[1] == basis.shape[1]:
             return Subspace(new, alg.dim, tol)
@@ -616,7 +756,7 @@ def verify_basic_construction(
 
     # relative commutants against the canonical copies
     m_r, _ = m_r_subalgebra(action, tol)
-    n_comm_m = m_alg.commutant_in(n_sub.basis.T, tol=tol)
+    n_comm_m = action.derived(tol).relative_commutant
     rep.add("item2: N' in M = A^L", _subspace_distance(n_comm_m, m_r), thr)
 
     m_comm, ar_image = _relative_commutant_and_a_r(crossed, tol)
@@ -626,7 +766,7 @@ def verify_basic_construction(
     a_image = Subspace(crossed.embed_a, big.dim, tol)
     rep.add("item4: N' in M2 = A", _subspace_distance(n_comm, a_image), thr)
 
-    n_alg, n_coords = induced_algebra(m_alg, n_sub, tol=tol, name="invariants")
+    n_alg, n_coords = action.derived(tol).induced
     center_n = Subspace(n_coords @ n_alg.center(tol).basis, m_alg.dim, tol)
     zl_image = Subspace(action.unit_map @ sub.center_left.basis, m_alg.dim, tol)
     rep.add("item5: Center N = Z^L", _subspace_distance(center_n, zl_image), thr)

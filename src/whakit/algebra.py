@@ -9,12 +9,15 @@ Markov traces, and Watatani index of a conditional expectation.
 
 Six primitives of :class:`FinDimAlgebra` read the structure constants (its
 docstring lists them), and everything else, here and in :mod:`whakit.actions`,
-reads an algebra through them.  An algebra has one of two storages: the
-(n, n, n) array ``c`` of :class:`FinDimAlgebra`, or, in
-:class:`RepresentedAlgebra`, n linearly independent k x k matrices closed
-under products, whose coordinates it reads off through one SVD, which is
-how :func:`whakit.actions.crossed_product` returns the crossed product of
-a Galois action.  The second overrides the six primitives and never forms c.
+reads an algebra through them.  An algebra has one of three storages: the
+(n, n, n) array ``c`` of :class:`FinDimAlgebra`; in :class:`WedderburnAlgebra`,
+k x k matrices that span a commutant ⊕_l M_{m_l} (x) 1, held as the block
+sizes m_l and the (n, n) coordinates T of the matrices in its matrix units,
+which is how :func:`whakit.actions.crossed_product` returns the crossed
+product of a Galois action; or, in :class:`RepresentedAlgebra`, n linearly
+independent k x k matrices closed under products, whose coordinates it reads
+off through one SVD, the fallback when the Wedderburn form is not certified.
+The last two override the six primitives and never form c.
 
 Commutants are kernels of stacked commutator rows ``L(g) - R(g)``, formed for
 all generators at once by one GEMM against the (n, n^2) view of the structure
@@ -53,6 +56,7 @@ from .report import AxiomReport
 __all__ = [
     "FinDimAlgebra",
     "RepresentedAlgebra",
+    "WedderburnAlgebra",
     "Block",
     "BlockDecomposition",
     "block_decomposition",
@@ -84,10 +88,11 @@ class FinDimAlgebra:
     ``c`` is the one (n, n, n) array an algebra of this class holds.  The
     primitives :meth:`_left_stack`, :meth:`_right_stack`, :meth:`regular_trace`,
     :meth:`trace_form`, :attr:`norm` and :meth:`homomorphism_defect` read it,
-    and are what the second storage, :class:`RepresentedAlgebra` (matrices
-    Pi_i with ``e_i = Pi_i``), overrides together with the star row
-    :meth:`_star_defect`; only the dense associativity row of
-    :meth:`validate` and :func:`watatani_index` read ``c`` besides.
+    and are what the other storages, :class:`WedderburnAlgebra` and
+    :class:`RepresentedAlgebra` (matrices Pi_i with ``e_i = Pi_i``), override
+    together with the star row :meth:`_star_defect`; only the dense
+    associativity row of :meth:`validate` and :func:`watatani_index` read
+    ``c`` besides.
     ``_records`` keeps, per tolerance, "semisimple", "center", "blocks" and
     "wedderburn", each computed once.
     """
@@ -144,6 +149,13 @@ class FinDimAlgebra:
         """The (m, n, n) stack of R(g_k) over the m columns g_k of ``g``, one batched GEMM."""
         return (g.T @ self.c).transpose(1, 2, 0)
 
+    def _left_products(self, g, h):
+        """The (m, n, j) coordinates of the products ``g_k h_l`` at [k, :, l], for the columns of ``g`` and ``h``.
+
+        ``_left_stack(g) @ h`` here; a storage that multiplies two elements
+        without forming L(g_k) overrides it."""
+        return self._left_stack(g) @ h
+
     @cached_property
     def norm(self) -> float:
         """The Frobenius norm of the structure constants, the scale of the product."""
@@ -154,7 +166,7 @@ class FinDimAlgebra:
 
         f is ``e_k -> images[k]`` for an (n, k, k) stack of matrices or, with
         ``into``, the (into.dim, n) matrix ``images`` of a linear map into that
-        algebra, whose products are ``into._left_stack``.  16 values of i at a
+        algebra, whose products are ``into._left_products``.  16 values of i at a
         time, so no (n, n, k, k) array is formed.
         """
         n = self.dim
@@ -166,7 +178,7 @@ class FinDimAlgebra:
             if into is None:
                 got = np.matmul(images[sl, None], images[None]).reshape(want.shape)
             else:
-                got = (into._left_stack(images[:, sl]) @ images).transpose(0, 2, 1)
+                got = into._left_products(images[:, sl], images).transpose(0, 2, 1)
             acc += float(np.linalg.norm(want - got)) ** 2
         return float(np.sqrt(acc))
 
@@ -322,6 +334,20 @@ class FinDimAlgebra:
         blocks = self._records.get(tol, {}).get("blocks")
         return blocks if blocks is not None else block_decomposition(self, tol)
 
+    def _decompose(self, tol: Tolerance) -> "BlockDecomposition":
+        """The blocks of a semisimple algebra, split from its center by minimal central idempotents."""
+        idems = _minimal_central_idempotents(self, self.center(tol), tol)
+        blocks = []
+        for e in idems:
+            image = Subspace(self.left_mult(e), self.dim, tol)
+            d = image.dim
+            size = int(round(np.sqrt(d)))
+            if abs(size * size - d) > 0 or abs(np.sqrt(d) - size) > INT_ROUNDING_TOL:
+                raise NonIntegerBlockSize(f"central block of dimension {d} is not a square")
+            blocks.append(Block(e, size, image))
+        blocks.sort(key=lambda b: (b.size, _support_key(b.central_idempotent, tol)))
+        return BlockDecomposition(blocks)
+
     def wedderburn_map(self, tol: Tolerance | None = None) -> "WedderburnMap":
         """The Wedderburn map on the blocks of :meth:`block_decomposition`, computed once per tolerance.
 
@@ -361,9 +387,9 @@ _NO_DECOMPOSITION = (NotSemisimple, NonIntegerBlockSize, CrossCheckMismatch, np.
 #: n = 89: 2.0 s vs. 0.19 s.  Below 32 the gain is at most about a millisecond
 #: and a decomposition that nothing else may reuse is a cost, so every input
 #: of dimension <= 27 keeps the dense route.  The crossed product of a Galois
-#: action does not go through this cut: :meth:`RepresentedAlgebra.validate`
-#: certifies its associativity at every dimension through its representation
-#: on M, whose closure residual is computed anyway, and forms no Wedderburn map.
+#: action does not go through this cut: the ``validate`` of its Wedderburn or
+#: represented form certifies its associativity at every dimension through
+#: its representation on M, whose closure (bound or residual) it holds.
 #: The cut serves the dense crossed-product route and every other caller of
 #: :meth:`FinDimAlgebra.validate`.
 CERTIFY_ASSOCIATIVITY_FROM_DIM = 32
@@ -385,123 +411,34 @@ def _generic_pair(n: int) -> np.ndarray:
     return gen.standard_normal((n, 2)) + 1j * gen.standard_normal((n, 2))
 
 
-class RepresentedAlgebra(FinDimAlgebra):
-    """A *-algebra held as n linearly independent k x k matrices closed under products.
+class _OperatorAlgebra(FinDimAlgebra):
+    """What the two storages of an algebra held as k x k matrices share.
 
-    Parameters
-    ----------
-    ops : (n, k, k) array
-        ``ops[i] = Pi_i``, the matrix of basis vector e_i, so that ``e_i e_j``
-        is the element whose matrix is ``Pi_i Pi_j``.
-    unit, involution, name
-        As for :class:`FinDimAlgebra`.
-
-    The constructor takes the one SVD of the (k^2, n) matrix Pi whose column
-    i is ``vec(Pi_i)`` (row-major), for :attr:`singular_values` and the
-    pseudo-inverse :attr:`pinv` (``c[i, j] = Pi^+ vec(Pi_i Pi_j)``), and runs
-    the closure loop, which forms every row ``c[i]`` once and keeps none, for
-    :attr:`norm` (``|c|_F``) and :attr:`closure` (``|Pi c[i, j] - Pi_i
-    Pi_j|_F``, how far products leave the span of the Pi_i).
-
-    The structure constants are never stored.  The primitives compute
-    coordinates of products ``Pi(g) Pi_j`` in slices of at most
-    :data:`PRODUCT_SLICE_BYTES` of products, and the traces come from
-    ``W = sum_h Pi_h Q_h^T``, Q_h row h of Pi^+ as a k x k matrix: ``tr L(x) =
-    tr(Pi(x) W)``.  :meth:`validate` certifies associativity through Pi, as
-    :func:`_associator_certificate` does for any homomorphism, and the star row
-    through the inner product G on C^k that the regular trace makes
-    (:meth:`_star_bound`); each row falls back to its coordinate norm when its
-    bound misses the threshold.  :attr:`c` builds the tensor on each read, for
-    tests and that fallback; nothing else reads it.
+    A subclass sets ``ops`` (n, k, k), ``Pi_i`` the matrix of basis vector
+    e_i, :attr:`singular_values` of the (k^2, n) matrix Pi whose column i is
+    ``vec(Pi_i)``, :attr:`closure`, an upper bound on ``|Pi c[i, j] - Pi_i
+    Pi_j|_F`` (how far the algebra's products are from the products of its
+    matrices), and ``_norm`` = ``|c|_F``.  :meth:`validate` certifies
+    associativity through Pi, as :func:`_associator_certificate` does for any
+    homomorphism, and the star row through the inner product G on C^k that
+    the regular trace makes (:meth:`_star_bound`); each row falls back to its
+    coordinate norm when its bound misses the threshold.  :attr:`c` builds the
+    tensor on each read, for tests and that fallback; nothing else reads it.
     """
 
-    def __init__(self, ops, unit, involution=None, name="algebra"):
-        ops = np.ascontiguousarray(ops, dtype=complex)
-        n, k = ops.shape[0], ops.shape[1]
-        if ops.shape != (n, k, k):
-            raise DimensionMismatch(f"ops must be (n,k,k), got {ops.shape}")
-        self.ops = ops
-        self._attach(n, unit, involution, None, name)
-        u, s, vh = np.linalg.svd(ops.reshape(n, k * k).T, full_matrices=False)
-        # c[g, h] = Vh^H S^-1 U^H vec(Pi_g Pi_h); Vh is unitary, so |c[g]|_F = |U^H P_g S^-1|_F
-        u_bar = u.conj()
-        r2 = c2 = 0.0
-        for g in range(n):
-            prods = np.matmul(ops[g], ops).reshape(n, k * k)  # vec(Pi_g Pi_h) over h
-            coords = prods @ u_bar
-            c2 += float(np.linalg.norm(coords / s)) ** 2
-            r2 += float(np.linalg.norm(coords @ u.T - prods)) ** 2
-        self._norm, self.closure = float(np.sqrt(c2)), float(np.sqrt(r2))
-        self.singular_values, self.pinv = s, (vh.conj().T / s) @ u_bar.T
+    ops: np.ndarray
+    singular_values: np.ndarray
+    closure: float
+    _norm: float
 
     @property
     def c(self) -> np.ndarray:
         """The (n, n, n) structure constants, built on each read and not kept."""
-        return self._products(np.eye(self.dim), left=True)
+        return np.ascontiguousarray(self._left_stack(np.eye(self.dim)).transpose(0, 2, 1))
 
     @property
     def norm(self) -> float:
         return self._norm
-
-    def _slices(self, m: int):
-        """Slices of m products ``Pi(g) Pi_j`` over all j, each holding at most :data:`PRODUCT_SLICE_BYTES`."""
-        n, k = self.ops.shape[:2]
-        step = max(1, PRODUCT_SLICE_BYTES // (16 * n * k * k))
-        return [slice(lo, lo + step) for lo in range(0, m, step)]
-
-    def _product_slice(self, pg, left: bool) -> np.ndarray:
-        """The (len(pg) * n, k^2) rows ``vec(Pi(g) Pi_j)`` (``left``) or ``vec(Pi_j Pi(g))`` over Pi(g) in ``pg``, then j."""
-        prods = np.matmul(pg[:, None], self.ops) if left else np.matmul(self.ops, pg[:, None])
-        return prods.reshape(-1, self.pinv.shape[1])
-
-    def _products(self, g, left: bool) -> np.ndarray:
-        """The (m, n, n) coordinates of ``Pi(g_m) Pi_j`` (``left``) or ``Pi_j Pi(g_m)`` at [m, j]."""
-        n = self.dim
-        pg = np.tensordot(np.asarray(g).T, self.ops, axes=1)  # Pi(g_m), (m, k, k)
-        out = np.empty((pg.shape[0], n, n), dtype=complex)
-        for sl in self._slices(pg.shape[0]):
-            prods = self._product_slice(pg[sl], left)
-            np.matmul(prods, self.pinv.T, out=out[sl].reshape(-1, n))
-            del prods  # one slice of products is live at a time
-        return out
-
-    def _left_stack(self, g):
-        return self._products(g, left=True).transpose(0, 2, 1)  # column j of L(g_m) is g_m e_j
-
-    def _right_stack(self, g):
-        return self._products(g, left=False).transpose(0, 2, 1)  # column j of R(g_m) is e_j g_m
-
-    @cached_property
-    def _trace_weight(self) -> np.ndarray:
-        """``W = sum_h Pi_h Q_h^T``: coordinate h of X is ``tr(Q_h^T X)``, so ``tr L(x) = tr(Pi(x) W)``."""
-        n, k = self.ops.shape[:2]
-        return np.einsum("hab,hcb->ac", self.ops, self.pinv.reshape(n, k, k))
-
-    def regular_trace(self, a) -> complex:
-        pa = np.tensordot(np.asarray(a, dtype=complex).ravel(), self.ops, axes=1)
-        return complex(np.sum(self._trace_weight.T * pa))
-
-    def trace_form(self):
-        """``T[i, j] = tr(L(e_i e_j)) = tr(Pi_i Pi_j W)``, O(n k^3 + n^2 k^2); no sweep over the basis."""
-        n, k = self.ops.shape[:2]
-        right = (self.ops @ self._trace_weight).transpose(0, 2, 1).reshape(n, k * k)  # (Pi_j W)^T
-        return self.ops.reshape(n, k * k) @ right.T
-
-    def homomorphism_defect(self, images, into: FinDimAlgebra | None = None) -> float:
-        """As :meth:`FinDimAlgebra.homomorphism_defect`, with ``f(e_i e_j) = F Pi^+ vec(Pi_i Pi_j)``
-        for F the matrix of f, over the slices of :meth:`_slices`."""
-        n = self.dim
-        flat = images.reshape(n, -1) if into is None else images.T
-        through = self.pinv.T @ flat  # vec(X) -> f(coords(X))
-        acc = 0.0
-        for sl in self._slices(n):
-            want = (self._product_slice(self.ops[sl], left=True) @ through).reshape(-1, n, flat.shape[1])
-            if into is None:  # f(e_i e_j) - f(e_i) f(e_j) over i in sl, j
-                got = np.matmul(images[sl, None], images[None]).reshape(want.shape)
-            else:
-                got = (into._left_stack(images[:, sl]) @ images).transpose(0, 2, 1)
-            acc += float(np.linalg.norm(want - got)) ** 2
-        return float(np.sqrt(acc))
 
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
         """The rows of :meth:`FinDimAlgebra.validate`, associativity certified through Pi, the star through G."""
@@ -569,6 +506,315 @@ class RepresentedAlgebra(FinDimAlgebra):
             diff = s @ np.conj(self._right_stack(np.eye(n)[:, sl])) - self._left_stack(s[:, sl]) @ s
             acc += float(np.linalg.norm(diff)) ** 2
         return float(np.sqrt(acc))
+
+
+class RepresentedAlgebra(_OperatorAlgebra):
+    """A *-algebra held as n linearly independent k x k matrices closed under products.
+
+    Parameters
+    ----------
+    ops : (n, k, k) array
+        ``ops[i] = Pi_i``, the matrix of basis vector e_i, so that ``e_i e_j``
+        is the element whose matrix is ``Pi_i Pi_j``.
+    unit, involution, name
+        As for :class:`FinDimAlgebra`.
+
+    The constructor takes the one SVD of the (k^2, n) matrix Pi whose column
+    i is ``vec(Pi_i)`` (row-major), for :attr:`singular_values` and the
+    pseudo-inverse :attr:`pinv` (``c[i, j] = Pi^+ vec(Pi_i Pi_j)``), and runs
+    the closure loop, which forms every row ``c[i]`` once and keeps none, for
+    :attr:`norm` (``|c|_F``) and :attr:`closure` (the residual ``|Pi c[i, j] -
+    Pi_i Pi_j|_F`` itself), about ``2 n^3 k^2`` multiply-adds.
+
+    The structure constants are never stored.  The primitives compute
+    coordinates of products ``Pi(g) Pi_j`` in slices of at most
+    :data:`PRODUCT_SLICE_BYTES` of products, and the traces come from
+    ``W = sum_h Pi_h Q_h^T``, Q_h row h of Pi^+ as a k x k matrix: ``tr L(x) =
+    tr(Pi(x) W)``.  This is the storage for matrices of unknown structure:
+    :func:`whakit.actions.crossed_product` builds it only when the
+    :class:`WedderburnAlgebra` of a Galois action is not certified, and the
+    tests keep it as the reference of that form.
+    """
+
+    def __init__(self, ops, unit, involution=None, name="algebra"):
+        ops = np.ascontiguousarray(ops, dtype=complex)
+        n, k = ops.shape[0], ops.shape[1]
+        if ops.shape != (n, k, k):
+            raise DimensionMismatch(f"ops must be (n,k,k), got {ops.shape}")
+        self.ops = ops
+        self._attach(n, unit, involution, None, name)
+        u, s, vh = np.linalg.svd(ops.reshape(n, k * k).T, full_matrices=False)
+        # c[g, h] = Vh^H S^-1 U^H vec(Pi_g Pi_h); Vh is unitary, so |c[g]|_F = |U^H P_g S^-1|_F
+        u_bar = u.conj()
+        r2 = c2 = 0.0
+        for g in range(n):
+            prods = np.matmul(ops[g], ops).reshape(n, k * k)  # vec(Pi_g Pi_h) over h
+            coords = prods @ u_bar
+            c2 += float(np.linalg.norm(coords / s)) ** 2
+            r2 += float(np.linalg.norm(coords @ u.T - prods)) ** 2
+        self._norm, self.closure = float(np.sqrt(c2)), float(np.sqrt(r2))
+        self.singular_values, self.pinv = s, (vh.conj().T / s) @ u_bar.T
+
+    def _slices(self, m: int):
+        """Slices of m products ``Pi(g) Pi_j`` over all j, each holding at most :data:`PRODUCT_SLICE_BYTES`."""
+        n, k = self.ops.shape[:2]
+        step = max(1, PRODUCT_SLICE_BYTES // (16 * n * k * k))
+        return [slice(lo, lo + step) for lo in range(0, m, step)]
+
+    def _product_slice(self, pg, left: bool) -> np.ndarray:
+        """The (len(pg) * n, k^2) rows ``vec(Pi(g) Pi_j)`` (``left``) or ``vec(Pi_j Pi(g))`` over Pi(g) in ``pg``, then j."""
+        prods = np.matmul(pg[:, None], self.ops) if left else np.matmul(self.ops, pg[:, None])
+        return prods.reshape(-1, self.pinv.shape[1])
+
+    def _products(self, g, left: bool) -> np.ndarray:
+        """The (m, n, n) coordinates of ``Pi(g_m) Pi_j`` (``left``) or ``Pi_j Pi(g_m)`` at [m, j]."""
+        n = self.dim
+        pg = np.tensordot(np.asarray(g).T, self.ops, axes=1)  # Pi(g_m), (m, k, k)
+        out = np.empty((pg.shape[0], n, n), dtype=complex)
+        for sl in self._slices(pg.shape[0]):
+            prods = self._product_slice(pg[sl], left)
+            np.matmul(prods, self.pinv.T, out=out[sl].reshape(-1, n))
+            del prods  # one slice of products is live at a time
+        return out
+
+    def _left_stack(self, g):
+        return self._products(g, left=True).transpose(0, 2, 1)  # column j of L(g_m) is g_m e_j
+
+    def _right_stack(self, g):
+        return self._products(g, left=False).transpose(0, 2, 1)  # column j of R(g_m) is e_j g_m
+
+    @cached_property
+    def _trace_weight(self) -> np.ndarray:
+        """``W = sum_h Pi_h Q_h^T``: coordinate h of X is ``tr(Q_h^T X)``, so ``tr L(x) = tr(Pi(x) W)``."""
+        n, k = self.ops.shape[:2]
+        return np.einsum("hab,hcb->ac", self.ops, self.pinv.reshape(n, k, k))
+
+    def regular_trace(self, a) -> complex:
+        pa = np.tensordot(np.asarray(a, dtype=complex).ravel(), self.ops, axes=1)
+        return complex(np.sum(self._trace_weight.T * pa))
+
+    def trace_form(self):
+        """``T[i, j] = tr(L(e_i e_j)) = tr(Pi_i Pi_j W)``, O(n k^3 + n^2 k^2); no sweep over the basis."""
+        n, k = self.ops.shape[:2]
+        right = (self.ops @ self._trace_weight).transpose(0, 2, 1).reshape(n, k * k)  # (Pi_j W)^T
+        return self.ops.reshape(n, k * k) @ right.T
+
+    def homomorphism_defect(self, images, into: FinDimAlgebra | None = None) -> float:
+        """As :meth:`FinDimAlgebra.homomorphism_defect`, with ``f(e_i e_j) = F Pi^+ vec(Pi_i Pi_j)``
+        for F the matrix of f, over the slices of :meth:`_slices`."""
+        n = self.dim
+        flat = images.reshape(n, -1) if into is None else images.T
+        through = self.pinv.T @ flat  # vec(X) -> f(coords(X))
+        acc = 0.0
+        for sl in self._slices(n):
+            want = (self._product_slice(self.ops[sl], left=True) @ through).reshape(-1, n, flat.shape[1])
+            if into is None:  # f(e_i e_j) - f(e_i) f(e_j) over i in sl, j
+                got = np.matmul(images[sl, None], images[None]).reshape(want.shape)
+            else:
+                got = into._left_products(images[:, sl], images).transpose(0, 2, 1)
+            acc += float(np.linalg.norm(want - got)) ** 2
+        return float(np.sqrt(acc))
+
+
+class WedderburnAlgebra(_OperatorAlgebra):
+    """A *-algebra held as k x k matrices that span a commutant ⊕_l M_{m_l} ⊗ 1, in Wedderburn form.
+
+    Parameters
+    ----------
+    ops : (n, k, k) array
+        ``ops[i] = Pi_i``, the matrix of basis vector e_i, as for
+        :class:`RepresentedAlgebra`.
+    frames : list of pairs ``(embed, restrict)``, one per block l
+        ``embed`` (n_l, k, m_l) and ``restrict`` (n_l, m_l, k) with
+        ``restrict[j] @ embed[j'] = delta_jj' 1``, whose n_l ranges ``embed[j]``
+        add up to C^k.  The matrix units of the commutant are ``E_lab =
+        sum_j embed[j][:, a] restrict[j][b, :]``, and the range of
+        ``embed[0]`` is invariant under every Pi_i.
+    unit, involution, name
+        As for :class:`FinDimAlgebra`.
+
+    Block l of the Wedderburn map is ``phi_l(e_i) = restrict[0] Pi_i
+    embed[0]``; the (n, n) matrix T, column i stacking the row-major blocks of
+    phi(e_i), is the algebra's one coordinate change, and ``c[i, j] = T^-1
+    vec(phi(e_i) phi(e_j))``.  The constructor needs ``sum_l m_l^2 = n``.  It
+    computes :attr:`singular_values` of Pi (values only), ``|c|_F`` exactly
+    from ``P = T T^H`` and ``Q = P^-1`` as ``sum Q[(l a b), (m a' b')] P[(m a'
+    c'), (l a c)] P[(m c' b'), (l c b)]``, at most O(n^3), and
+    :attr:`closure` as a bound: with ``R = Pi - E T``, ``Pi c[i, j] - Pi_i
+    Pi_j = R c[i, j] - R_i (E T)_j - (E T)_i R_j - R_i R_j``, so ``closure =
+    r (|c|_F + 2 |E T|_F + r)`` for r, |R|_F plus the rounding of its terms
+    (k eps times their norms).  No product of two Pi_i is formed.
+
+    The primitives are the block products conjugated by T: ``L(x) = T^-1
+    (⊕_l phi_l(x) ⊗ 1) T``, O(n^3) per generator; the regular trace is
+    ``sum_l m_l tr phi_l(x)``; and :meth:`center`,
+    :meth:`block_decomposition`, :meth:`wedderburn_map` and :meth:`block_trace`
+    are read off the blocks.  :meth:`pullback` gives the coordinates of a
+    matrix of the span.
+    """
+
+    def __init__(self, ops, frames, unit, involution=None, name="algebra"):
+        ops = np.ascontiguousarray(ops, dtype=complex)
+        n, k = ops.shape[0], ops.shape[1]
+        if ops.shape != (n, k, k):
+            raise DimensionMismatch(f"ops must be (n,k,k), got {ops.shape}")
+        self.sizes = tuple(embed.shape[2] for embed, _ in frames)
+        if sum(m * m for m in self.sizes) != n:
+            raise DimensionMismatch(f"blocks {self.sizes} do not fill an algebra of dimension {n}")
+        self.ops = ops
+        self._attach(n, unit, involution, None, name)
+        self._corners = [(embed[0], restrict[0]) for embed, restrict in frames]
+        self.coords = self._wedderburn_coords(ops)
+        self._inverse = np.linalg.inv(self.coords)
+        resid = ops.copy()  # R = Pi - E T
+        rounding = float(np.linalg.norm(ops))  # |Pi|_F + sum |E_j|_F |phi|_F |E_j'|_F bounds the terms of R
+        for (embed, restrict), phi in zip(frames, self._blocks(self.coords)):
+            for e_j, r_j in zip(embed, restrict):
+                resid -= e_j @ phi @ r_j
+                rounding += float(np.linalg.norm(e_j) * np.linalg.norm(phi) * np.linalg.norm(r_j))
+        # R is known to within the rounding of its terms, k eps times their norms (a GEMM of depth k)
+        r_norm = float(np.linalg.norm(resid)) + k * np.finfo(float).eps * rounding
+        et_norm = float(np.linalg.norm(ops - resid))
+        del resid
+        self._norm = self._exact_norm()
+        self.closure = r_norm * (self._norm + 2.0 * et_norm + r_norm)
+        self.singular_values = np.linalg.svd(ops.reshape(n, k * k).T, compute_uv=False)
+
+    def _wedderburn_coords(self, ops) -> np.ndarray:
+        """The (n, m) Wedderburn coordinates of m matrices of the span, the row-major blocks ``restrict[0] X embed[0]``."""
+        ops = np.asarray(ops, dtype=complex)
+        return np.concatenate(
+            [(restrict @ ops @ embed).reshape(ops.shape[0], -1) for embed, restrict in self._corners], axis=1
+        ).T
+
+    def pullback(self, ops) -> np.ndarray:
+        """The (n, m) coordinates x with ``Pi(x) = X`` of m matrices X of the span, (m, k, k): ``T^-1`` of their blocks."""
+        return self._inverse @ self._wedderburn_coords(ops)
+
+    def _offsets(self) -> list[slice]:
+        """The rows of T that hold each block."""
+        ends = np.cumsum([0] + [m * m for m in self.sizes])
+        return [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+
+    def _blocks(self, w) -> list[np.ndarray]:
+        """The (s, m_l, m_l) blocks of the s columns of Wedderburn coordinates ``w`` (n, s)."""
+        return [w[sl].T.reshape(-1, m, m) for sl, m in zip(self._offsets(), self.sizes)]
+
+    def _exact_norm(self) -> float:
+        """``|c|_F`` from ``P = T T^H`` and ``Q = P^-1``, one GEMM per pair of blocks (l, m).
+
+        With Q's block read as [a, b, a', b'] and P's as [a', c', a, c], the sum
+        over (a, a') is the GEMM of Q as [(a, a'), (b, b')] with P as [(a, a'), (c',
+        c)], and what is left pairs that with P as [(b, b'), (c', c)] = P[c', b', c, b].
+        """
+        p = self.coords @ self.coords.conj().T
+        q = self._inverse.conj().T @ self._inverse
+        acc = 0.0
+        for sl, m in zip(self._offsets(), self.sizes):
+            for sm, mm in zip(self._offsets(), self.sizes):
+                q_lm = q[sl, sm].reshape(m, m, mm, mm).transpose(0, 2, 1, 3).reshape(m * mm, m * mm)
+                p_ml = p[sm, sl].reshape(mm, mm, m, m)
+                first = p_ml.transpose(2, 0, 1, 3).reshape(m * mm, mm * m)
+                second = p_ml.transpose(3, 1, 0, 2).reshape(m * mm, mm * m)
+                acc += float(np.sum((q_lm.T @ first) * second).real)
+        return float(np.sqrt(max(acc, 0.0)))
+
+    def _multiply(self, wg, wh, left: bool) -> np.ndarray:
+        """Wedderburn coordinates of ``g_s h_j`` (``left``) or ``h_j g_s`` at [s, :, j], from the
+        Wedderburn coordinates ``wg`` (n, s) and ``wh`` (n, j) of the factors."""
+        out = []
+        for a, b in zip(self._blocks(wg), self._blocks(wh)):
+            prods = np.matmul(a[:, None], b[None]) if left else np.matmul(b[None], a[:, None])
+            out.append(prods.reshape(a.shape[0], b.shape[0], -1).transpose(0, 2, 1))
+        return np.concatenate(out, axis=1)
+
+    def _left_stack(self, g):
+        return self._inverse @ self._multiply(self.coords @ g, self.coords, left=True)
+
+    def _right_stack(self, g):
+        return self._inverse @ self._multiply(self.coords @ g, self.coords, left=False)
+
+    def mul(self, a, b):
+        wa, wb = (self.coords @ np.asarray(x, dtype=complex).reshape(-1, 1) for x in (a, b))
+        return self._inverse @ self._multiply(wa, wb, left=True)[0, :, 0]
+
+    def regular_trace(self, a) -> complex:
+        a = np.asarray(a, dtype=complex).reshape(-1, 1)
+        return complex(sum(m * np.trace(phi[0]) for m, phi in zip(self.sizes, self._blocks(self.coords @ a))))
+
+    def trace_form(self):
+        """``T[i, j] = sum_l m_l tr(phi_l(e_i) phi_l(e_j))``, one (n, n) x (n, n) GEMM."""
+        swapped = [
+            m * phi.transpose(0, 2, 1).reshape(self.dim, -1) for m, phi in zip(self.sizes, self._blocks(self.coords))
+        ]
+        return self.coords.T @ np.concatenate(swapped, axis=1).T
+
+    def _left_products(self, g, h):
+        return self._inverse @ self._multiply(self.coords @ g, self.coords @ h, left=True)
+
+    def homomorphism_defect(self, images, into: FinDimAlgebra | None = None) -> float:
+        """As :meth:`FinDimAlgebra.homomorphism_defect`, with ``f(e_i e_j) = F T^-1 vec(phi(e_i) phi(e_j))``
+        for F the matrix of f, 16 values of i at a time."""
+        n = self.dim
+        flat = images.reshape(n, -1) if into is None else images.T
+        through = flat.T @ self._inverse  # Wedderburn coordinates -> f(coordinates)
+        acc = 0.0
+        for lo in range(0, n, 16):
+            sl = slice(lo, lo + 16)
+            want = (through @ self._multiply(self.coords[:, sl], self.coords, left=True)).transpose(0, 2, 1)
+            if into is None:
+                got = np.matmul(images[sl, None], images[None]).reshape(want.shape)
+            else:
+                got = into._left_products(images[:, sl], images).transpose(0, 2, 1)
+            acc += float(np.linalg.norm(want - got)) ** 2
+        return float(np.sqrt(acc))
+
+    def _block_units(self) -> np.ndarray:
+        """The (n, number of blocks) coordinates of the blocks' identities, the minimal central idempotents."""
+        w = np.zeros((self.dim, len(self.sizes)), dtype=complex)
+        for col, (sl, m) in enumerate(zip(self._offsets(), self.sizes)):
+            w[sl, col] = np.eye(m).ravel()
+        return self._inverse @ w
+
+    def center(self, tol: Tolerance | None = None) -> Subspace:
+        """The span of the blocks' identities, computed once per tolerance."""
+        tol = get_tol(tol)
+        record = self._records.setdefault(tol, {})
+        if "center" not in record:
+            record["center"] = Subspace(self._block_units(), self.dim, tol)
+        return record["center"]
+
+    def _decompose(self, tol: Tolerance) -> "BlockDecomposition":
+        """The blocks ⊕_l M_{m_l}, after the semisimplicity check of :func:`block_decomposition`."""
+        blocks = [
+            Block(z, m, Subspace(self._inverse[:, sl], self.dim, tol))
+            for z, sl, m in zip(self._block_units().T, self._offsets(), self.sizes)
+        ]
+        blocks.sort(key=lambda b: (b.size, _support_key(b.central_idempotent, tol)))
+        return BlockDecomposition(blocks)
+
+    def _block_of(self, block: "Block") -> int:
+        """The index l of ``block`` among the blocks of the Wedderburn form."""
+        weights = [np.linalg.norm(phi) for phi in self._blocks(self.coords @ block.central_idempotent.reshape(-1, 1))]
+        return int(np.argmax(weights))
+
+    def wedderburn_map(self, tol: Tolerance | None = None) -> "WedderburnMap":
+        """phi_l of the form itself, in the order of :meth:`block_decomposition`; block l's ideal
+        is spanned by the matrix units E_a1 of its first column (not orthonormal)."""
+        tol = get_tol(tol)
+        record = self._records.setdefault(tol, {})
+        if "wedderburn" not in record:
+            blocks = self.block_decomposition(tol)
+            order = [self._block_of(b) for b in blocks]
+            phis, offsets = self._blocks(self.coords), self._offsets()
+            ideals = [self._inverse[:, offsets[l]][:, :: self.sizes[l]] for l in order]
+            record["wedderburn"] = WedderburnMap(blocks, ideals, [phis[l] for l in order])
+        return record["wedderburn"]
+
+    def block_trace(self, block: "Block", x) -> complex:
+        """``tr phi_l(x)`` for the block l of ``block``, O(n^2)."""
+        phi = self._blocks(self.coords @ np.asarray(x, dtype=complex).reshape(-1, 1))[self._block_of(block)]
+        return complex(np.trace(phi[0]))
 
 
 #: Bytes of products ``Pi(g) Pi_j`` that one slice of :class:`RepresentedAlgebra`'s
@@ -747,9 +993,11 @@ class BlockDecomposition:
 class WedderburnMap:
     """The Wedderburn isomorphism phi: A -> ⊕_q M_{n_q} of a semisimple algebra.
 
-    phi_q(x) = V_q^H L(x) V_q on an orthonormal basis V_q of the left ideal
-    A p, p a minimal idempotent of block q (the carrier of
-    ``irreducible_representations``), in the order of ``blocks``.
+    phi_q(x) is L(x) on a basis V_q of the left ideal A p, p a minimal
+    idempotent of block q (the carrier of ``irreducible_representations``),
+    in the order of ``blocks``: ``V_q^H L(x) V_q`` on an orthonormal V_q for
+    structure constants, and the matrix units E_a1 of the form for a
+    :class:`WedderburnAlgebra`.
     """
 
     blocks: BlockDecomposition
@@ -830,7 +1078,9 @@ def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) ->
     that :meth:`FinDimAlgebra.block_decomposition` reads, so both return the
     same object.  Raises :class:`NotSemisimple` on degenerate trace form and
     :class:`NonIntegerBlockSize` if some central block is not a full matrix
-    algebra over C.
+    algebra over C.  The blocks themselves come from the algebra's
+    ``_decompose``: split from its center for structure constants, read off
+    the form for a :class:`WedderburnAlgebra`.
     """
     tol = get_tol(tol)
     record = algebra._records.setdefault(tol, {})
@@ -838,18 +1088,7 @@ def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) ->
         return record["blocks"]
     if not algebra.is_semisimple(tol):
         raise NotSemisimple(f"{algebra.name}: regular trace form is degenerate")
-    center = algebra.center(tol)
-    idems = _minimal_central_idempotents(algebra, center, tol)
-    blocks = []
-    for e in idems:
-        image = Subspace(algebra.left_mult(e), algebra.dim, tol)
-        d = image.dim
-        size = int(round(np.sqrt(d)))
-        if abs(size * size - d) > 0 or abs(np.sqrt(d) - size) > INT_ROUNDING_TOL:
-            raise NonIntegerBlockSize(f"central block of dimension {d} is not a square")
-        blocks.append(Block(e, size, image))
-    blocks.sort(key=lambda b: (b.size, _support_key(b.central_idempotent, tol)))
-    record["blocks"] = BlockDecomposition(blocks)
+    record["blocks"] = algebra._decompose(tol)
     return record["blocks"]
 
 
@@ -879,7 +1118,7 @@ def induced_algebra(
     if unit_dist > unit_bound:
         raise ValidationError("subalgebra-unit", unit_dist, unit_bound)
     # prods[a, b] = q_a q_b, and c[a, b] = Q^H (q_a q_b) its coordinates
-    prods = (algebra._left_stack(q) @ q).transpose(0, 2, 1)
+    prods = algebra._left_products(q, q).transpose(0, 2, 1)
     c = prods @ q.conj()
     worst = float(np.max(np.linalg.norm(c @ q.T - prods, axis=(1, 2))))
     closure_bound = tol.bound(algebra.norm) * 10

@@ -439,7 +439,9 @@ def cmd_crossprod(args) -> int:
     When M (x)_(A^L) A is 0-dimensional, as for the trivial action through a
     counit that is not multiplicative, ``crossed_absent`` names that typed
     absence, every field derived from the crossed product is null, the action's
-    failing rows are reported, and the exit code is 2.
+    failing rows are reported, and the exit code is 2.  ``product_route`` names
+    the route of :func:`~whakit.actions.crossed_product` that holds the product:
+    "wedderburn", "represented" or "dense".
     """
     tol = Tolerance(args.tol, args.tol)
     crossed_absent = None
@@ -488,6 +490,7 @@ def cmd_crossprod(args) -> int:
         "module_dim": action.module.dim,
         "algebra_dim": action.wha.dim,
         "crossed_dim": None if cp is None else cp.dim,
+        "product_route": None if cp is None else cp.route,
         "expected_dim": None if shape is None else shape[1],
         "semisimple": None if cp is None else sizes is not None,
         "block_sizes": sizes,
@@ -511,6 +514,7 @@ def cmd_crossprod(args) -> int:
         else:
             lines += [
                 f"crossed product dim {doc['crossed_dim']} (M ⊗_N M: {'absent' if absent else doc['expected_dim']})",
+                f"product route: {doc['product_route']}",
                 f"blocks: {sizes if sizes is not None else 'not semisimple'}",
                 f"regular: {doc['regular']}"
                 + (f"  failing: {', '.join(doc['failing_clauses'])}" if doc["failing_clauses"] else ""),

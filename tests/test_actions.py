@@ -228,14 +228,19 @@ def test_crossed_product_memory_stays_below_the_deleted_product_tensor():
 
 
 def test_a_represented_crossed_product_stores_ops_and_pinv_and_no_cubic_array(actions, m23):
+    """The Wedderburn form that a Galois crossed product takes keeps Pi, T and T^-1; the represented
+    form built from the same Pi, its fallback, keeps Pi and Pi^+.  Neither keeps a (d, d, d) array."""
     for act in list(actions.values()) + [wk.dual_regular_action(m23)]:
         cp = wk.crossed_product(act)
         d, k = cp.dim, act.module.dim
-        assert isinstance(cp.algebra, wk.RepresentedAlgebra)
-        arrays = {key: v.shape for key, v in vars(cp.algebra).items() if isinstance(v, np.ndarray)}
-        assert arrays["ops"] == (d, k, k) and arrays["pinv"] == (d, k * k)
-        assert [key for key, shape in arrays.items() if len(shape) == 3] == ["ops"]
-        assert (d, d, d) not in arrays.values()
+        assert isinstance(cp.algebra, wk.WedderburnAlgebra)
+        rep = wk.RepresentedAlgebra(cp.algebra.ops, cp.algebra.unit, cp.algebra.involution)
+        for alg, kept in ((cp.algebra, {"coords": (d, d), "_inverse": (d, d)}), (rep, {"pinv": (d, k * k)})):
+            arrays = {key: v.shape for key, v in vars(alg).items() if isinstance(v, np.ndarray)}
+            assert arrays["ops"] == (d, k, k)
+            assert all(arrays[key] == shape for key, shape in kept.items())
+            assert [key for key, shape in arrays.items() if len(shape) == 3] == ["ops"]
+            assert (d, d, d) not in arrays.values()
 
 
 def test_crossed_product_peak_is_within_two_and_a_half_structure_constants(m23):
@@ -287,7 +292,12 @@ def test_galois_crossed_products_take_the_concrete_route(
     calls = _spy_on_the_dense_route(monkeypatch)
     cp = wk.crossed_product(act)
     assert calls == []
-    # the same crossed product with the concrete route refused: the dense route decides
+    # the same crossed product with the Wedderburn form refused: the represented form decides
+    with monkeypatch.context() as mp:
+        _refuse_the_wedderburn_form(mp)
+        rep = wk.crossed_product(act)
+    assert calls == []
+    # and with the concrete route refused: the dense route decides
     monkeypatch.setattr(wk.actions, "_represented_product", lambda *args: None)
     ref = wk.crossed_product(act)
     assert len(calls) == 1
@@ -304,15 +314,33 @@ def test_galois_crossed_products_take_the_concrete_route(
     assert [(r.name, pytest.approx(r.threshold, rel=1e-12)) for r in cp.report.checks] == [
         (r.name, r.threshold) for r in ref.report.checks
     ]
-    # the represented form against the dense route: blocks, the inclusion of M, and the rows
-    # that both compute from coordinates (the associativity and star rows report certificates)
-    assert isinstance(cp.algebra, wk.RepresentedAlgebra) and type(ref.algebra) is wk.FinDimAlgebra
+    # the Wedderburn form against the represented and dense routes: blocks, the inclusion of M,
+    # every row's name and verdict, and the residuals of the rows that all three compute from
+    # coordinates; the associativity and star rows report certificates, which bound the dense norms
+    assert (cp.route, rep.route, ref.route) == ("wedderburn", "represented", "dense")
+    assert isinstance(cp.algebra, wk.WedderburnAlgebra) and type(ref.algebra) is wk.FinDimAlgebra
+    assert rel(cp.algebra.c, rep.algebra.c) < 1e-12
     assert cp.algebra.block_decomposition().sizes == ref.algebra.block_decomposition().sizes
-    assert _inclusion_of_m(cp) == _inclusion_of_m(ref)
+    assert rep.algebra.block_decomposition().sizes == ref.algebra.block_decomposition().sizes
+    assert _inclusion_of_m(cp) == _inclusion_of_m(ref) == _inclusion_of_m(rep)
+    verdicts = [(r.name, r.passed) for r in ref.report.checks]
+    assert [(r.name, r.passed) for r in cp.report.checks] == verdicts
+    assert [(r.name, r.passed) for r in rep.report.checks] == verdicts
     rows = {r.name: r for r in cp.report.checks}
     for r in ref.report.checks:
-        if r.name not in ("associativity", "star-antimultiplicative"):
+        if r.name in ("associativity", "star-antimultiplicative"):
+            assert rows[r.name].residual >= r.residual, r.name
+        else:
             assert abs(rows[r.name].residual - r.residual) <= 1e-3 * r.threshold, r.name
+    # a basic construction: the blocks of M x| A are m_l = sum_q Lambda(N c M)[l, q] s_q over M's blocks s_q
+    lam, _, m_blocks = wk.inclusion_matrix(act.module, wk.invariants(act))
+    assert sorted(cp.algebra.sizes) == sorted((lam @ np.array(m_blocks.sizes)).tolist())
+    assert sorted(cp.algebra.block_decomposition().sizes) == sorted(cp.algebra.sizes)
+
+
+def _refuse_the_wedderburn_form(mp):
+    """Make the Wedderburn form refuse, so that the represented form, its fallback, decides."""
+    mp.setattr(wk.actions, "_wedderburn_product", lambda *args: None)
 
 
 def _inclusion_of_m(cp):
@@ -328,12 +356,17 @@ def _inclusion_of_m(cp):
 
 @pytest.fixture(scope="module")
 def represented(examples, rotated):
-    """Crossed products of the dual regular action of m23 and p4, canonical and complex-rotated."""
-    return {
-        (key, seed): wk.crossed_product(wk.dual_regular_action(examples[key] if seed is None else rotated(examples[key], seed)))
-        for key in ("m23", "p4")
-        for seed in (None, 3)
-    }
+    """Crossed products of the dual regular action of m23 and p4, canonical and complex-rotated, in the
+    represented form: the Wedderburn form is refused, so its fallback decides."""
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_the_wedderburn_form(mp)
+        return {
+            (key, seed): wk.crossed_product(
+                wk.dual_regular_action(examples[key] if seed is None else rotated(examples[key], seed))
+            )
+            for key in ("m23", "p4")
+            for seed in (None, 3)
+        }
 
 
 @pytest.mark.parametrize("seed", [None, 3], ids=["canonical", "complex"])
@@ -401,7 +434,7 @@ def test_the_trace_form_inner_product_makes_pi_a_star_representation(examples, r
     if basis != "canonical":
         w = rotated(w, seed=5, real=basis == "real")
     big = wk.crossed_product(make(w)).algebra
-    assert isinstance(big, wk.RepresentedAlgebra)
+    assert isinstance(big, wk.WedderburnAlgebra)
     assert _star_identity_residual(big, big._star_form()) <= 1e-12
     row = {r.name: r for r in big.validate().checks}["star-antimultiplicative"]
     assert row.passed and big._star_bound() == row.residual
@@ -441,25 +474,198 @@ def test_the_coordinate_star_row_matches_the_dense_one(represented, key):
 
 
 def test_no_library_path_reads_the_structure_constants_of_a_represented_algebra(examples, monkeypatch, tmp_path, capsys):
+    """No library path reads ``c`` of either operator storage, and the Wedderburn route never
+    constructs the represented form (its constructor raises) on the crossprod ladder."""
     def refuse(self):
-        raise AssertionError("a library path read RepresentedAlgebra.c")
+        raise AssertionError("a library path read the structure constants of an operator algebra")
 
-    monkeypatch.setattr(wk.RepresentedAlgebra, "c", property(refuse))
-    for key, blocks in (("m23", (5, 8)), ("p4", (4, 4, 4, 4))):
-        w = examples[key]
+    def never(self, *args, **kwargs):
+        raise AssertionError("the Wedderburn route constructed a RepresentedAlgebra")
+
+    for cls in (wk.RepresentedAlgebra, wk.WedderburnAlgebra):
+        monkeypatch.setattr(cls, "c", property(refuse))
+    monkeypatch.setattr(wk.RepresentedAlgebra, "__init__", never)
+    smash = {"s3": (6,), "p3": (3, 3, 3), "fp3": (3, 3, 3), "m23": (5, 8), "p4": (4, 4, 4, 4)}
+    for key, blocks in smash.items():
+        w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
         sp = wk.smash_product(w)
-        assert isinstance(sp.algebra, wk.RepresentedAlgebra)
+        assert isinstance(sp.algebra, wk.WedderburnAlgebra)
         assert wk.validate_action(sp.action).ok
         assert wk.block_decomposition(sp.algebra).sizes == blocks
-        assert wk.is_regular(sp.action, sp).regular == (key == "p4")
+        assert wk.is_regular(sp.action, sp).regular == (key in ("p3", "p4"))
         mat, bijective = wk.galois_map(sp.action)
         assert mat.shape == (sp.dim, sp.dim) and bijective
         path = tmp_path / f"{key}.wha.json"
         wk.save(w, path)
         assert main(["crossprod", "smash", str(path), "--format", "json"]) == EX_OK
-        assert json.loads(capsys.readouterr().out)["block_sizes"] == list(blocks)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["block_sizes"] == sorted(blocks) and doc["product_route"] == "wedderburn"
     assert main(["crossprod", "translation", "8", "--format", "json"]) == EX_OK
-    assert json.loads(capsys.readouterr().out)["block_sizes"] == [8]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["block_sizes"] == [8] and doc["product_route"] == "wedderburn"
+
+
+# ---------------------------------------------------------------------------
+# the Wedderburn form: R(N)' = End_N(M), certified by commutation and a dimension count
+
+
+@pytest.mark.parametrize("seed", [None, 13], ids=["canonical", "complex"])
+@pytest.mark.parametrize("key", ["p2", "s3", "p3", "fp3", "m23", "p4"])
+def test_the_wedderburn_primitives_are_the_dense_ones(examples, rotated, key, seed):
+    """Every primitive of the Wedderburn form against the same algebra held as its structure constants."""
+    w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
+    big = wk.crossed_product(wk.dual_regular_action(w if seed is None else rotated(w, seed))).algebra
+    assert isinstance(big, wk.WedderburnAlgebra)
+    c = big.c
+    dense = wk.FinDimAlgebra(c, big.unit, involution=big.involution)
+    scale = float(np.linalg.norm(c))
+    r = np.random.default_rng(1)
+    g = r.normal(size=(big.dim, 3)) + 1j * r.normal(size=(big.dim, 3))
+    assert np.linalg.norm(big._left_stack(g) - dense._left_stack(g)) <= 1e-12 * scale * np.linalg.norm(g)
+    assert np.linalg.norm(big._right_stack(g) - dense._right_stack(g)) <= 1e-12 * scale * np.linalg.norm(g)
+    assert np.linalg.norm(big.mul(g[:, 0], g[:, 1]) - dense.mul(g[:, 0], g[:, 1])) <= 1e-12 * scale * np.linalg.norm(g) ** 2
+    assert abs(big.regular_trace(g[:, 2]) - dense.regular_trace(g[:, 2])) <= 1e-12 * scale * np.linalg.norm(g) * big.dim
+    assert np.linalg.norm(big.trace_form() - dense.trace_form()) <= 1e-12 * np.linalg.norm(dense.trace_form())
+    assert abs(big.norm - dense.norm) <= 1e-12 * dense.norm
+    f = r.normal(size=(big.dim, big.dim))  # a linear map that is no homomorphism
+    want = dense.homomorphism_defect(f, into=dense)
+    assert abs(big.homomorphism_defect(f, into=big) - want) <= 1e-12 * want
+    assert abs(big.homomorphism_defect(big.ops) - dense.homomorphism_defect(big.ops)) <= 1e-12 * scale
+    assert big.center().equals(dense.center())
+    got, want = big.block_decomposition(), dense.block_decomposition()
+    assert got.sizes == want.sizes
+    for b, a in zip(got, want):
+        assert np.linalg.norm(b.central_idempotent - a.central_idempotent) <= 1e-9 * np.linalg.norm(a.central_idempotent)
+        assert abs(big.block_trace(b, g[:, 0]) - dense.block_trace(a, g[:, 0])) <= 1e-10 * np.linalg.norm(g[:, 0]) * big.dim
+    wedderburn = big.wedderburn_map()
+    assert [phi.shape[1] for phi in wedderburn.phis] == list(got.sizes)
+    for phi in wedderburn.phis:  # each block is a representation of the algebra
+        assert dense.homomorphism_defect(phi) <= 1e-10 * scale * float(np.linalg.norm(phi)) ** 2
+
+
+def test_the_invariants_are_computed_once_per_action_and_tolerance(examples, monkeypatch):
+    """The Wedderburn form, the Galois map, regularity clause (ii) and the basic construction share N."""
+    calls = []
+    original = wk.actions._invariants
+
+    def counting(action, tol):
+        calls.append(tol)
+        return original(action, tol)
+
+    monkeypatch.setattr(wk.actions, "_invariants", counting)
+    for key in ("p2", "s3", "p3", "m23"):
+        calls.clear()
+        sp = wk.smash_product(examples[key])
+        assert sp.route == "wedderburn"
+        wk.is_regular(sp.action, sp)
+        wk.galois_map(sp.action)
+        wk.verify_basic_construction(sp.action, sp)
+        assert calls == [wk.DEFAULT_TOL], key
+        other = wk.Tolerance(1e-8, 1e-8)
+        wk.galois_map(sp.action, other)
+        wk.invariants(sp.action, other)
+        assert calls == [wk.DEFAULT_TOL, other], key
+
+
+@pytest.mark.parametrize("seed", [None, 17], ids=["canonical", "complex"])
+@pytest.mark.parametrize("key", ["p2", "s3", "p3", "fp3", "m23", "p4", "z8"])
+def test_the_relative_commutant_is_the_pullback_of_n_prime_in_m(examples, rotated, key, seed):
+    """M' n (M x| A) read off R(N' n M) is the commutant of embed_m's columns in the algebra."""
+    if key == "z8":
+        w = wk.cyclic_wha(8)
+        act = wk.arrow_action(w if seed is None else rotated(w, seed))
+        cp = wk.crossed_product(act)
+    else:
+        w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
+        cp = wk.smash_product(w if seed is None else rotated(w, seed))
+    assert cp.route == "wedderburn"
+    got, _ = wk.actions._relative_commutant_and_a_r(cp, wk.DEFAULT_TOL)
+    want = cp.algebra.commutant_in(cp.embed_m.T)
+    assert got.dim == want.dim and got.equals(want)
+
+
+def _bend_the_operators(monkeypatch, bend):
+    """Let the Wedderburn route see ``bend(ops)`` in place of the operators Pi_g, and record what it returned."""
+    seen = []
+    original = wk.actions._wedderburn_product
+
+    def bent(action, ops, *args):
+        seen.append(original(action, bend(ops), *args))
+        return seen[-1]
+
+    monkeypatch.setattr(wk.actions, "_wedderburn_product", bent)
+    return seen
+
+
+def _off_the_commutant(ops):
+    """Each Pi_g plus 1e-6 |Pi_g| times a seeded complex Gaussian matrix, which leaves R(N)'."""
+    r = np.random.default_rng(6)
+    noise = r.normal(size=ops.shape) + 1j * r.normal(size=ops.shape)
+    scale = np.linalg.norm(ops, axis=(1, 2)) / np.linalg.norm(noise, axis=(1, 2))
+    return ops + 1e-6 * scale[:, None, None] * noise
+
+
+def _one_dependent_operator(ops):
+    """Pi_{d-1} replaced by Pi_0 + Pi_1: every Pi_g still commutes with R(N), but rank Pi = d - 1 < sum m_l^2."""
+    out = ops.copy()
+    out[-1] = ops[0] + ops[1]
+    return out
+
+
+@pytest.mark.parametrize("bend", [_off_the_commutant, _one_dependent_operator], ids=["commutation", "count"])
+@pytest.mark.parametrize("key", ["p3", "m23"])
+def test_a_form_that_misses_a_check_falls_back_to_the_represented_one(examples, monkeypatch, key, bend):
+    """Pi_g bent off R(N)' by 1e-6 miss the commutation bound, before the form is built, and a
+    dependent Pi_g misses the count rank Pi = sum m_l^2; either way the Wedderburn form is refused and
+    the represented form decides, with the rows it gives when the Wedderburn form is not tried."""
+    act = wk.dual_regular_action(examples[key])
+    with monkeypatch.context() as mp:
+        _refuse_the_wedderburn_form(mp)
+        want = wk.crossed_product(act)
+    built = []
+    original = wk.WedderburnAlgebra.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(wk.WedderburnAlgebra, "__init__", spy)
+    seen = _bend_the_operators(monkeypatch, bend)
+    got = wk.crossed_product(act)
+    assert seen == [None] and (built == [] if bend is _off_the_commutant else len(built) == 1)
+    assert got.route == "represented" and want.route == "represented"
+    assert [(r.name, r.passed, r.residual) for r in got.report.checks] == [
+        (r.name, r.passed, r.residual) for r in want.report.checks
+    ]
+    # the commutation residual over its bound: far below it on Pi, far above it on Pi bent off R(N)'
+    right_n = act.module._right_stack(wk.invariants(act).basis)
+
+    def commutation(ops):
+        resid = np.sqrt(sum(np.linalg.norm(ops @ r - r @ ops) ** 2 for r in right_n))
+        return resid / wk.DEFAULT_TOL.bound(2 * np.linalg.norm(ops) * np.linalg.norm(right_n))
+
+    assert commutation(got.algebra.ops) < 1e-2
+    if bend is _off_the_commutant:
+        assert commutation(bend(got.algebra.ops)) > 1e2
+
+
+def test_without_a_haar_integral_the_crossed_product_keeps_the_represented_form(examples):
+    """Sweedler's H4 has no Haar integral, so no invariants N: its smash product stays represented."""
+    sp = wk.smash_product(examples["h4"])
+    assert sp.route == "represented" and isinstance(sp.algebra, wk.RepresentedAlgebra)
+    with pytest.raises(wk.NotSemisimple):
+        wk.invariants(sp.action)
+    assert wk.block_decomposition(sp.algebra).sizes == (4,)
+
+
+def test_the_ising_smash_product_takes_the_wedderburn_form(ising):
+    """d = 396 and blocks [10, 10, 14] from R(N)' in Wedderburn form, with a bijective Galois map."""
+    sp = wk.smash_product(ising)
+    assert sp.route == "wedderburn" and sp.dim == 396
+    assert wk.block_decomposition(sp.algebra).sizes == (10, 10, 14)
+    assert sp.report.ok
+    mat, bijective = wk.galois_map(sp.action)
+    assert mat.shape == (396, 396) and bijective
 
 
 def test_the_trivial_action_takes_the_dense_route(examples, scalars, monkeypatch):
@@ -842,7 +1048,7 @@ def test_smash_of_a_group_algebra_is_a_full_matrix_algebra(examples):
 @pytest.mark.parametrize("key", ["p2", "m23"])
 def test_smash_product_forms_one_trace_form_of_the_smash_product(examples, monkeypatch, key):
     forms = []
-    for cls in (wk.FinDimAlgebra, wk.RepresentedAlgebra):
+    for cls in (wk.FinDimAlgebra, wk.RepresentedAlgebra, wk.WedderburnAlgebra):
 
         def spy(self, original=cls.trace_form):
             forms.append(self)
@@ -850,7 +1056,7 @@ def test_smash_product_forms_one_trace_form_of_the_smash_product(examples, monke
 
         monkeypatch.setattr(cls, "trace_form", spy)
     sp = wk.smash_product(examples[key])
-    assert isinstance(sp.algebra, wk.RepresentedAlgebra)
+    assert isinstance(sp.algebra, wk.WedderburnAlgebra)
     assert sum(a is sp.algebra for a in forms) == 1
 
 
@@ -881,8 +1087,9 @@ def test_a_miscounted_inclusion_in_the_smash_product_is_a_cross_check_mismatch(e
 
 @pytest.mark.parametrize("key", ["p3", "fp2", "m23"])
 def test_smash_product_reads_its_inclusion_off_blocks_in_hand(examples, rotated, monkeypatch, key):
-    """A^L is induced once, and Lambda(A c A # A^) from A's blocks through
-    embed_m is Lambda of the induced copy of A, up to the order of its rows."""
+    """A^L is induced once (after the invariants N, which the Wedderburn form induces once), and
+    Lambda(A c A # A^) from A's blocks through embed_m is Lambda of the induced copy of A, up to
+    the order of its rows."""
     induced = []
     original = wk.actions.induced_algebra
 
@@ -894,7 +1101,7 @@ def test_smash_product_reads_its_inclusion_off_blocks_in_hand(examples, rotated,
     for w in (examples[key], rotated(examples[key], 31)):
         induced.clear()
         sp = wk.smash_product(w)
-        assert induced == [w.counital_subalgebras.left.dim]
+        assert induced == [wk.invariants(sp.action).dim, w.counital_subalgebras.left.dim]
         blocks_a = w.algebra.block_decomposition()
         got = wk.actions._inclusion_matrix(sp.algebra, blocks_a, sp.embed_m, wk.DEFAULT_TOL)
         want, blocks_copy, _ = wk.inclusion_matrix(sp.algebra, Subspace(sp.embed_m, sp.dim))

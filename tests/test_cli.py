@@ -264,6 +264,29 @@ def test_crossprod_trivial_with_an_empty_quotient_reports_it_absent(tmp_path, ca
     assert "FAIL  action-algebra-map" in out
 
 
+def test_crossprod_reports_the_product_route(z3_file, m23_file, h4, tmp_path, capsys):
+    """Galois actions take the Wedderburn form; Sweedler's H4 has no Haar integral, so no invariants,
+    and keeps the represented form; Z_3 acting trivially on C is not Galois and takes the dense route."""
+    h4_file = tmp_path / "h4.wha.json"
+    whafile.save(h4, h4_file)
+    cases = [
+        (["smash", m23_file], "wedderburn"),
+        (["dual-regular", z3_file], "wedderburn"),
+        (["translation", "3"], "wedderburn"),
+        (["smash", str(h4_file)], "represented"),
+        (["trivial", z3_file], "dense"),
+    ]
+    for args, route in cases:
+        assert main(["crossprod", *args, "--format", "json"]) == EX_OK
+        assert json.loads(capsys.readouterr().out)["product_route"] == route, args
+    assert main(["crossprod", "smash", m23_file]) == EX_OK
+    assert "product route: wedderburn" in capsys.readouterr().out
+    p3_file = tmp_path / "p3.wha.json"
+    whafile.save(wk.pair_groupoid_wha(3), p3_file)
+    assert main(["crossprod", "trivial", str(p3_file), "--format", "json"]) == EX_AXIOM
+    assert json.loads(capsys.readouterr().out)["product_route"] is None
+
+
 @pytest.mark.parametrize("kind", ["smash", "dual-regular", "trivial"])
 def test_crossprod_without_a_haar_integral_reports_the_galois_map_absent(h4, kind, tmp_path, capsys):
     # h4 and its dual have no Haar integral, so there are no invariants to take M (x)_N M over
