@@ -22,7 +22,6 @@ from .algebra import (
     FinDimAlgebra,
     GnsRep,
     MarkovTrace,
-    RepresentedAlgebra,
     WedderburnAlgebra,
     WatataniIndex,
     block_decomposition,

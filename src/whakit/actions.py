@@ -9,18 +9,16 @@ checks, the Galois map ``M (x)_{M^A} M -> (M (x) A^) rho(1)`` into the corner
 of the coaction's unit, and the smash product ``A # A^``.  An action keeps its
 axiom report per tolerance; construction, crossed product and CLI share it.
 
-The crossed product comes from one of three routes (:func:`crossed_product`).
+The crossed product comes from one of two routes (:func:`crossed_product`).
 When the action is Galois, ``m x| a -> L(m) alpha_a`` is a faithful
 representation of M x| A on M (Caenepeel-De Groot; for the smash product the
 Heisenberg representation A # A^ = End_{A^L}(A) of Nikshych-Vainerman) onto
 End_N(M) = R(N)' for the invariants N = M^A, and the product is held in
 Wedderburn form, a :class:`~whakit.algebra.WedderburnAlgebra`, once a
-commutation residual and a dimension count certify that image; without that
-certificate it is held as its d operators on M, a
-:class:`~whakit.algebra.RepresentedAlgebra`; otherwise, as for the trivial
-action, a dense route contracts its structure constants.  N, its induced
-algebra and N' n M are computed once per action and tolerance
-(:meth:`WhaAction.derived`).
+commutation residual and a dimension count certify that image; otherwise, as
+for the trivial action or without a Haar integral, a dense route contracts
+its structure constants.  N, its induced algebra and N' n M are computed once
+per action and tolerance (:meth:`WhaAction.derived`).
 
 Both relative tensor products, M (x)_{A^L} A of the crossed product and
 M (x)_N M of the Galois map, are quotients by a relation span, read off a
@@ -42,7 +40,6 @@ import numpy as np
 from .algebra import (
     _NO_DECOMPOSITION,
     FinDimAlgebra,
-    RepresentedAlgebra,
     WedderburnAlgebra,
     _covariance_defect,
     _dense_associator_norm,
@@ -258,10 +255,8 @@ class CrossedProduct:
 
     @property
     def route(self) -> str:
-        """Which route of :func:`crossed_product` holds the product: "wedderburn", "represented" or "dense"."""
-        if isinstance(self.algebra, WedderburnAlgebra):
-            return "wedderburn"
-        return "represented" if isinstance(self.algebra, RepresentedAlgebra) else "dense"
+        """Which route of :func:`crossed_product` holds the product: "wedderburn" or "dense"."""
+        return "wedderburn" if isinstance(self.algebra, WedderburnAlgebra) else "dense"
 
     def element(self, m, a) -> np.ndarray:
         """Quotient coordinates of ``m x| a``."""
@@ -294,28 +289,25 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     singular value; for a groupoid's smash product its columns are standard
     basis vectors of M (x) A.  Two routes then compute the product.
 
-    * Wedderburn and represented (Galois actions): ``pi(m (x) a) = L(m)
-      alpha_a`` maps M (x) A into End(M), and for a Galois action it is
-      faithful on the quotient (Caenepeel-De Groot).  With ``Pi_g`` the image
-      of carrier vector g, a dim M x dim M matrix, neither the (d, d, d)
-      tensor nor the dense route's (d_full, d_full, d) one is formed.  These
-      routes decide only when alpha is multiplicative, ``alpha_a L(n) = sum
-      Delta[p,q,a] L(alpha_p(n)) alpha_q``, M is associative and pi kills the
-      relation span (:func:`_represented_product`); then pi is a homomorphism
-      with kernel the relation span, so the product descends and equals the
-      abstract one.  The image of pi is End_N(M) = R(N)' for the invariants
-      N: when every Pi_g commutes with R(N) and rank Pi = sum_l m_l^2, the
-      multiplicities m_l of N's blocks in M, the result is the
-      :class:`~whakit.algebra.WedderburnAlgebra` on ⊕_l M_{m_l}, whose
-      closure is a bound read off ``Pi - E T`` (:func:`_wedderburn_product`):
-      no product of two Pi_g is formed.  Otherwise, as without a Haar
-      integral, it is the :class:`~whakit.algebra.RepresentedAlgebra` built
-      from the Pi_g, when Pi has rank d and its closure residual ``Pi c[g, h]
-      - Pi_g Pi_h`` passes.  Either certifies associativity through Pi and the
-      star row through the inner product its regular trace makes on M, at
-      every dimension.
-    * Dense (fallback, e.g. the trivial action, or any input failing one of
-      those residuals): the product is contracted from the factors of
+    * Wedderburn (Galois actions): ``pi(m (x) a) = L(m) alpha_a`` maps M (x)
+      A into End(M), and for a Galois action it is faithful on the quotient
+      (Caenepeel-De Groot).  With ``Pi_g`` the image of carrier vector g, a
+      dim M x dim M matrix, neither the (d, d, d) tensor nor the dense
+      route's (d_full, d_full, d) one is formed.  This route decides only
+      when alpha is multiplicative, ``alpha_a L(n) = sum Delta[p,q,a]
+      L(alpha_p(n)) alpha_q``, M is associative and pi kills the relation
+      span; then pi is a homomorphism with kernel the relation span, so the
+      product descends and equals the abstract one.  The image of pi is
+      End_N(M) = R(N)' for the invariants N: when every Pi_g commutes with
+      R(N) and rank Pi = sum_l m_l^2, the multiplicities m_l of N's blocks in
+      M, the result is the :class:`~whakit.algebra.WedderburnAlgebra` on ⊕_l
+      M_{m_l}, whose closure is a bound read off ``Pi - E T``
+      (:func:`_wedderburn_product`): no product of two Pi_g is formed.  It
+      certifies associativity through Pi and the star row through the inner
+      product its regular trace makes on M, at every dimension.
+    * Dense (everything else: the trivial action, an acting algebra without
+      a Haar integral such as Sweedler's H4, or any input failing one of
+      those checks): the product is contracted from the factors of
       ``big`` into the (d_full, d_full, d) tensor ``carrier^H big`` with
       d_full = dim M * dim A, checked for left and right descent (a relation
       vector in either input slot has no component off the relation span,
@@ -387,7 +379,7 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
         del st  # the product route below peaks on top of what is kept
 
     name = f"{m_alg.name}x|{w.name}"
-    out = _represented_product(action, k_fac, carrier, v_rel, unit_q, inv_q, name, bound, tol)
+    out = _wedderburn_product(action, k_fac, carrier, v_rel, unit_q, inv_q, name, bound, tol)
     if out is None:
         out = FinDimAlgebra(_dense_product(action, k_fac, carrier, v_rel, bound), unit_q, involution=inv_q, name=name)
     del k_fac  # validation below peaks on top of the product
@@ -481,20 +473,35 @@ def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
     return v_rel, carrier
 
 
-def _represented_product(
+def _wedderburn_product(
     action: WhaAction, k_fac, carrier, v_rel, unit, involution, name: str, bound: float, tol: Tolerance
-) -> WedderburnAlgebra | RepresentedAlgebra | None:
-    """M x| A on the carrier as its operators on M, through the representation ``m x| a -> L(m) alpha_a``.
+) -> WedderburnAlgebra | None:
+    """M x| A on the carrier as R(N)' = End_N(M) in Wedderburn form, or None when it is not certified.
 
-    Returns the :class:`~whakit.algebra.WedderburnAlgebra` of
-    :func:`_wedderburn_product` when it is certified, else the
-    :class:`~whakit.algebra.RepresentedAlgebra` on the d operators Pi_g, or
-    None as soon as one of the preconditions listed in :func:`crossed_product`
-    fails against ``bound``; the dense route then decides.  Multiplicativity
-    and covariance are the kept :func:`validate_action` rows.  The represented
-    form's rank, by the cut of :func:`~whakit.linalg.matrix_rank`, and closure
-    residual are read off the algebra, which computed them from its one SVD of
-    Pi.
+    The representation ``m x| a -> L(m) alpha_a`` gives the d operators Pi_g
+    on M.  It is a homomorphism with kernel the relation span when alpha is
+    multiplicative and covariant (the kept :func:`validate_action` rows), M is
+    associative and pi kills the relation span, each against ``bound``.
+    For a Galois action with invariants N = M^A, pi then maps M x| A onto
+    R(N)', the commutant of right multiplication by N on M (Kreimer-Takeuchi;
+    Caenepeel-De Groot for weak Hopf actions).  N = ⊕_l M_{n_l}, and M as a
+    right N-module is ⊕_l C^{m_l} (x) C^{n_l}, so R(N)' = ⊕_l M_{m_l} (x) 1.
+    Two checks make span{Pi_g} = R(N)', which is closed under products:
+
+    * the commutation residual ``|Pi_g R(n) - R(n) Pi_g|_F`` over g and a
+      basis of N, against ``tol.bound(2 |Pi|_F |R(N)|_F)``, O(d dim N k^3)
+      for k = dim M;
+    * the count ``rank Pi = sum_l m_l^2 = d``, with m_l the rank of the
+      idempotent R(f_11) for a matrix unit f_11 of N's block l, read off N's
+      (cached) Wedderburn map, and rank Pi by the cut of
+      :func:`~whakit.linalg.matrix_rank` on the algebra's singular values.
+
+    The frame of block l is ``embed[j] = R(f_1j) V`` and ``restrict[j] = V^H
+    R(f_j1)`` for V an orthonormal basis of M f_11, the range of R(f_11),
+    which every Pi_g maps into itself.  The algebra's closure bound must meet
+    ``bound`` too.  None, so that the dense route decides, when a
+    precondition fails, the action has no invariants (no Haar integral, as
+    for Sweedler's H4), N does not decompose, or a check misses.
     """
     m_alg = action.module
     dm, da = m_alg.dim, action.wha.dim
@@ -511,42 +518,6 @@ def _represented_product(
     if v_rel.shape[1] and np.linalg.norm(pi_full @ v_rel) > bound:
         return None
     ops = (pi_full @ carrier).T.reshape(d, dm, dm)  # Pi_g, the image of carrier vector g
-    out = _wedderburn_product(action, ops, unit, involution, name, bound, tol)
-    if out is not None:
-        return out
-    out = RepresentedAlgebra(ops, unit, involution, name=name)
-    s = out.singular_values
-    if _svd_cut(s, tol, s[0]) != d or out.closure > bound:
-        return None
-    return out
-
-
-def _wedderburn_product(
-    action: WhaAction, ops, unit, involution, name: str, bound: float, tol: Tolerance
-) -> WedderburnAlgebra | None:
-    """M x| A as R(N)' = End_N(M) in Wedderburn form, or None when it is not certified.
-
-    For a Galois action with invariants N = M^A, pi maps M x| A onto R(N)', the
-    commutant of right multiplication by N on M (Kreimer-Takeuchi;
-    Caenepeel-De Groot for weak Hopf actions).  N = ⊕_l M_{n_l}, and M as a
-    right N-module is ⊕_l C^{m_l} (x) C^{n_l}, so R(N)' = ⊕_l M_{m_l} (x) 1.
-    Two checks make span{Pi_g} = R(N)', which is closed under products:
-
-    * the commutation residual ``|Pi_g R(n) - R(n) Pi_g|_F`` over g and a
-      basis of N, against ``tol.bound(2 |Pi|_F |R(N)|_F)``, O(d dim N k^3);
-    * the count ``rank Pi = sum_l m_l^2 = d``, with m_l the rank of the
-      idempotent R(f_11) for a matrix unit f_11 of N's block l, read off N's
-      (cached) Wedderburn map.
-
-    The frame of block l is ``embed[j] = R(f_1j) V`` and ``restrict[j] = V^H
-    R(f_j1)`` for V an orthonormal basis of M f_11, the range of R(f_11),
-    which every Pi_g maps into itself.  The algebra's closure bound must meet
-    ``bound`` too.  None, so that the :class:`RepresentedAlgebra` decides,
-    when the action has no invariants (no Haar integral, as for Sweedler's
-    H4), N does not decompose, or a check misses.
-    """
-    m_alg = action.module
-    d, k = ops.shape[0], ops.shape[1]
     try:
         n_alg, n_basis = action.derived(tol).induced
         wedderburn = n_alg.wedderburn_map(tol)
@@ -560,7 +531,7 @@ def _wedderburn_product(
     sizes = [phi.shape[1] for phi in wedderburn.phis]
     frames, lo = [], 0
     for size in sizes:
-        f = units[:, lo : lo + size * size].reshape(k, size, size)  # f[:, a, b] = f_ab
+        f = units[:, lo : lo + size * size].reshape(dm, size, size)  # f[:, a, b] = f_ab
         lo += size * size
         embed, back = m_alg._right_stack(f[:, 0, :]), m_alg._right_stack(f[:, :, 0])  # R(f_1j), R(f_j1)
         corner = orth(embed[0], tol)
@@ -572,7 +543,7 @@ def _wedderburn_product(
             return None
         frames.append((embed @ corner, corner.conj().T @ back))
     mults = [embed.shape[2] for embed, _ in frames]
-    if sum(m * m for m in mults) != d or sum(m * n for m, n in zip(mults, sizes)) != k:
+    if sum(m * m for m in mults) != d or sum(m * n for m, n in zip(mults, sizes)) != dm:
         return None
     try:
         out = WedderburnAlgebra(ops, frames, unit, involution, name=name)

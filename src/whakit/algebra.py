@@ -9,15 +9,13 @@ Markov traces, and Watatani index of a conditional expectation.
 
 Six primitives of :class:`FinDimAlgebra` read the structure constants (its
 docstring lists them), and everything else, here and in :mod:`whakit.actions`,
-reads an algebra through them.  An algebra has one of three storages: the
-(n, n, n) array ``c`` of :class:`FinDimAlgebra`; in :class:`WedderburnAlgebra`,
-k x k matrices that span a commutant ⊕_l M_{m_l} (x) 1, held as the block
-sizes m_l and the (n, n) coordinates T of the matrices in its matrix units,
-which is how :func:`whakit.actions.crossed_product` returns the crossed
-product of a Galois action; or, in :class:`RepresentedAlgebra`, n linearly
-independent k x k matrices closed under products, whose coordinates it reads
-off through one SVD, the fallback when the Wedderburn form is not certified.
-The last two override the six primitives and never form c.
+reads an algebra through them.  An algebra has one of two storages: the
+(n, n, n) array ``c`` of :class:`FinDimAlgebra`; or, in
+:class:`WedderburnAlgebra`, k x k matrices that span a commutant ⊕_l M_{m_l}
+(x) 1, held as the block sizes m_l and the (n, n) coordinates T of the
+matrices in its matrix units, which is how
+:func:`whakit.actions.crossed_product` returns the crossed product of a
+Galois action.  The second overrides the six primitives and never forms c.
 
 Commutants are kernels of stacked commutator rows ``L(g) - R(g)``, formed for
 all generators at once by one GEMM against the (n, n^2) view of the structure
@@ -55,7 +53,6 @@ from .report import AxiomReport
 
 __all__ = [
     "FinDimAlgebra",
-    "RepresentedAlgebra",
     "WedderburnAlgebra",
     "Block",
     "BlockDecomposition",
@@ -88,11 +85,10 @@ class FinDimAlgebra:
     ``c`` is the one (n, n, n) array an algebra of this class holds.  The
     primitives :meth:`_left_stack`, :meth:`_right_stack`, :meth:`regular_trace`,
     :meth:`trace_form`, :attr:`norm` and :meth:`homomorphism_defect` read it,
-    and are what the other storages, :class:`WedderburnAlgebra` and
-    :class:`RepresentedAlgebra` (matrices Pi_i with ``e_i = Pi_i``), override
-    together with the star row :meth:`_star_defect`; only the dense
-    associativity row of :meth:`validate` and :func:`watatani_index` read
-    ``c`` besides.
+    and are what the other storage, :class:`WedderburnAlgebra` (matrices Pi_i
+    with ``e_i = Pi_i``), overrides together with the star row
+    :meth:`_star_defect`; only the dense associativity row of :meth:`validate`
+    and :func:`watatani_index` read ``c`` besides.
     ``_records`` keeps, per tolerance, "semisimple", "center", "blocks" and
     "wedderburn", each computed once.
     """
@@ -254,7 +250,7 @@ class FinDimAlgebra:
 
     @cached_property
     def _trace_gram(self) -> np.ndarray:
-        """:meth:`trace_form`, once: :meth:`is_semisimple` and :meth:`RepresentedAlgebra._star_form` read it."""
+        """:meth:`trace_form`, once: :meth:`is_semisimple` and :meth:`WedderburnAlgebra._star_form` read it."""
         return self.trace_form()
 
     def is_semisimple(self, tol: Tolerance | None = None) -> bool:
@@ -387,9 +383,9 @@ _NO_DECOMPOSITION = (NotSemisimple, NonIntegerBlockSize, CrossCheckMismatch, np.
 #: n = 89: 2.0 s vs. 0.19 s.  Below 32 the gain is at most about a millisecond
 #: and a decomposition that nothing else may reuse is a cost, so every input
 #: of dimension <= 27 keeps the dense route.  The crossed product of a Galois
-#: action does not go through this cut: the ``validate`` of its Wedderburn or
-#: represented form certifies its associativity at every dimension through
-#: its representation on M, whose closure (bound or residual) it holds.
+#: action does not go through this cut: the ``validate`` of its Wedderburn
+#: form certifies its associativity at every dimension through its
+#: representation on M, whose closure bound it holds.
 #: The cut serves the dense crossed-product route and every other caller of
 #: :meth:`FinDimAlgebra.validate`.
 CERTIFY_ASSOCIATIVITY_FROM_DIM = 32
@@ -411,34 +407,81 @@ def _generic_pair(n: int) -> np.ndarray:
     return gen.standard_normal((n, 2)) + 1j * gen.standard_normal((n, 2))
 
 
-class _OperatorAlgebra(FinDimAlgebra):
-    """What the two storages of an algebra held as k x k matrices share.
+class WedderburnAlgebra(FinDimAlgebra):
+    """A *-algebra held as k x k matrices that span a commutant ⊕_l M_{m_l} ⊗ 1, in Wedderburn form.
 
-    A subclass sets ``ops`` (n, k, k), ``Pi_i`` the matrix of basis vector
-    e_i, :attr:`singular_values` of the (k^2, n) matrix Pi whose column i is
-    ``vec(Pi_i)``, :attr:`closure`, an upper bound on ``|Pi c[i, j] - Pi_i
-    Pi_j|_F`` (how far the algebra's products are from the products of its
-    matrices), and ``_norm`` = ``|c|_F``.  :meth:`validate` certifies
-    associativity through Pi, as :func:`_associator_certificate` does for any
-    homomorphism, and the star row through the inner product G on C^k that
-    the regular trace makes (:meth:`_star_bound`); each row falls back to its
-    coordinate norm when its bound misses the threshold.  :attr:`c` builds the
-    tensor on each read, for tests and that fallback; nothing else reads it.
+    Parameters
+    ----------
+    ops : (n, k, k) array
+        ``ops[i] = Pi_i``, the matrix of basis vector e_i, so that ``e_i e_j``
+        is the element whose matrix is ``Pi_i Pi_j``.
+    frames : list of pairs ``(embed, restrict)``, one per block l
+        ``embed`` (n_l, k, m_l) and ``restrict`` (n_l, m_l, k) with
+        ``restrict[j] @ embed[j'] = delta_jj' 1``, whose n_l ranges ``embed[j]``
+        add up to C^k.  The matrix units of the commutant are ``E_lab =
+        sum_j embed[j][:, a] restrict[j][b, :]``, and the range of
+        ``embed[0]`` is invariant under every Pi_i.
+    unit, involution, name
+        As for :class:`FinDimAlgebra`.
+
+    Block l of the Wedderburn map is ``phi_l(e_i) = restrict[0] Pi_i
+    embed[0]``; the (n, n) matrix T, column i stacking the row-major blocks of
+    phi(e_i), is the algebra's one coordinate change, and ``c[i, j] = T^-1
+    vec(phi(e_i) phi(e_j))``.  The constructor needs ``sum_l m_l^2 = n``.  It
+    computes :attr:`singular_values` of the (k^2, n) matrix Pi whose column i
+    is ``vec(Pi_i)`` (values only), :attr:`norm` ``|c|_F`` exactly from ``P =
+    T T^H`` and ``Q = P^-1`` as ``sum Q[(l a b), (m a' b')] P[(m a' c'), (l a
+    c)] P[(m c' b'), (l c b)]``, at most O(n^3), and :attr:`closure`, an upper
+    bound on ``|Pi c[i, j] - Pi_i Pi_j|_F`` (how far the algebra's products
+    are from the products of its matrices): with ``R = Pi - E T``, ``Pi c[i,
+    j] - Pi_i Pi_j = R c[i, j] - R_i (E T)_j - (E T)_i R_j - R_i R_j``, so
+    ``closure = r (|c|_F + 2 |E T|_F + r)`` for r, |R|_F plus the rounding of
+    its terms (k eps times their norms).  No product of two Pi_i is formed.
+
+    The primitives are the block products conjugated by T: ``L(x) = T^-1
+    (⊕_l phi_l(x) ⊗ 1) T``, O(n^3) per generator; the regular trace is
+    ``sum_l m_l tr phi_l(x)``; and :meth:`center`,
+    :meth:`block_decomposition`, :meth:`wedderburn_map` and :meth:`block_trace`
+    are read off the blocks.  :meth:`pullback` gives the coordinates of a
+    matrix of the span.  :meth:`validate` certifies associativity through Pi,
+    as :func:`_associator_certificate` does for any homomorphism, and the star
+    row through the inner product G on C^k that the regular trace makes
+    (:meth:`_star_bound`); each row falls back to its coordinate norm when its
+    bound misses the threshold.  :attr:`c` builds the tensor on each read, for
+    tests and that fallback; nothing else reads it.
     """
 
-    ops: np.ndarray
-    singular_values: np.ndarray
-    closure: float
-    _norm: float
+    def __init__(self, ops, frames, unit, involution=None, name="algebra"):
+        ops = np.ascontiguousarray(ops, dtype=complex)
+        n, k = ops.shape[0], ops.shape[1]
+        if ops.shape != (n, k, k):
+            raise DimensionMismatch(f"ops must be (n,k,k), got {ops.shape}")
+        self.sizes = tuple(embed.shape[2] for embed, _ in frames)
+        if sum(m * m for m in self.sizes) != n:
+            raise DimensionMismatch(f"blocks {self.sizes} do not fill an algebra of dimension {n}")
+        self.ops = ops
+        self._attach(n, unit, involution, None, name)
+        self._corners = [(embed[0], restrict[0]) for embed, restrict in frames]
+        self.coords = self._wedderburn_coords(ops)
+        self._inverse = np.linalg.inv(self.coords)
+        resid = ops.copy()  # R = Pi - E T
+        rounding = float(np.linalg.norm(ops))  # |Pi|_F + sum |E_j|_F |phi|_F |E_j'|_F bounds the terms of R
+        for (embed, restrict), phi in zip(frames, self._blocks(self.coords)):
+            for e_j, r_j in zip(embed, restrict):
+                resid -= e_j @ phi @ r_j
+                rounding += float(np.linalg.norm(e_j) * np.linalg.norm(phi) * np.linalg.norm(r_j))
+        # R is known to within the rounding of its terms, k eps times their norms (a GEMM of depth k)
+        r_norm = float(np.linalg.norm(resid)) + k * np.finfo(float).eps * rounding
+        et_norm = float(np.linalg.norm(ops - resid))
+        del resid
+        self.norm = self._exact_norm()  # in place of the cached_property, which would read c
+        self.closure = r_norm * (self.norm + 2.0 * et_norm + r_norm)
+        self.singular_values = np.linalg.svd(ops.reshape(n, k * k).T, compute_uv=False)
 
     @property
     def c(self) -> np.ndarray:
         """The (n, n, n) structure constants, built on each read and not kept."""
         return np.ascontiguousarray(self._left_stack(np.eye(self.dim)).transpose(0, 2, 1))
-
-    @property
-    def norm(self) -> float:
-        return self._norm
 
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
         """The rows of :meth:`FinDimAlgebra.validate`, associativity certified through Pi, the star through G."""
@@ -506,179 +549,6 @@ class _OperatorAlgebra(FinDimAlgebra):
             diff = s @ np.conj(self._right_stack(np.eye(n)[:, sl])) - self._left_stack(s[:, sl]) @ s
             acc += float(np.linalg.norm(diff)) ** 2
         return float(np.sqrt(acc))
-
-
-class RepresentedAlgebra(_OperatorAlgebra):
-    """A *-algebra held as n linearly independent k x k matrices closed under products.
-
-    Parameters
-    ----------
-    ops : (n, k, k) array
-        ``ops[i] = Pi_i``, the matrix of basis vector e_i, so that ``e_i e_j``
-        is the element whose matrix is ``Pi_i Pi_j``.
-    unit, involution, name
-        As for :class:`FinDimAlgebra`.
-
-    The constructor takes the one SVD of the (k^2, n) matrix Pi whose column
-    i is ``vec(Pi_i)`` (row-major), for :attr:`singular_values` and the
-    pseudo-inverse :attr:`pinv` (``c[i, j] = Pi^+ vec(Pi_i Pi_j)``), and runs
-    the closure loop, which forms every row ``c[i]`` once and keeps none, for
-    :attr:`norm` (``|c|_F``) and :attr:`closure` (the residual ``|Pi c[i, j] -
-    Pi_i Pi_j|_F`` itself), about ``2 n^3 k^2`` multiply-adds.
-
-    The structure constants are never stored.  The primitives compute
-    coordinates of products ``Pi(g) Pi_j`` in slices of at most
-    :data:`PRODUCT_SLICE_BYTES` of products, and the traces come from
-    ``W = sum_h Pi_h Q_h^T``, Q_h row h of Pi^+ as a k x k matrix: ``tr L(x) =
-    tr(Pi(x) W)``.  This is the storage for matrices of unknown structure:
-    :func:`whakit.actions.crossed_product` builds it only when the
-    :class:`WedderburnAlgebra` of a Galois action is not certified, and the
-    tests keep it as the reference of that form.
-    """
-
-    def __init__(self, ops, unit, involution=None, name="algebra"):
-        ops = np.ascontiguousarray(ops, dtype=complex)
-        n, k = ops.shape[0], ops.shape[1]
-        if ops.shape != (n, k, k):
-            raise DimensionMismatch(f"ops must be (n,k,k), got {ops.shape}")
-        self.ops = ops
-        self._attach(n, unit, involution, None, name)
-        u, s, vh = np.linalg.svd(ops.reshape(n, k * k).T, full_matrices=False)
-        # c[g, h] = Vh^H S^-1 U^H vec(Pi_g Pi_h); Vh is unitary, so |c[g]|_F = |U^H P_g S^-1|_F
-        u_bar = u.conj()
-        r2 = c2 = 0.0
-        for g in range(n):
-            prods = np.matmul(ops[g], ops).reshape(n, k * k)  # vec(Pi_g Pi_h) over h
-            coords = prods @ u_bar
-            c2 += float(np.linalg.norm(coords / s)) ** 2
-            r2 += float(np.linalg.norm(coords @ u.T - prods)) ** 2
-        self._norm, self.closure = float(np.sqrt(c2)), float(np.sqrt(r2))
-        self.singular_values, self.pinv = s, (vh.conj().T / s) @ u_bar.T
-
-    def _slices(self, m: int):
-        """Slices of m products ``Pi(g) Pi_j`` over all j, each holding at most :data:`PRODUCT_SLICE_BYTES`."""
-        n, k = self.ops.shape[:2]
-        step = max(1, PRODUCT_SLICE_BYTES // (16 * n * k * k))
-        return [slice(lo, lo + step) for lo in range(0, m, step)]
-
-    def _product_slice(self, pg, left: bool) -> np.ndarray:
-        """The (len(pg) * n, k^2) rows ``vec(Pi(g) Pi_j)`` (``left``) or ``vec(Pi_j Pi(g))`` over Pi(g) in ``pg``, then j."""
-        prods = np.matmul(pg[:, None], self.ops) if left else np.matmul(self.ops, pg[:, None])
-        return prods.reshape(-1, self.pinv.shape[1])
-
-    def _products(self, g, left: bool) -> np.ndarray:
-        """The (m, n, n) coordinates of ``Pi(g_m) Pi_j`` (``left``) or ``Pi_j Pi(g_m)`` at [m, j]."""
-        n = self.dim
-        pg = np.tensordot(np.asarray(g).T, self.ops, axes=1)  # Pi(g_m), (m, k, k)
-        out = np.empty((pg.shape[0], n, n), dtype=complex)
-        for sl in self._slices(pg.shape[0]):
-            prods = self._product_slice(pg[sl], left)
-            np.matmul(prods, self.pinv.T, out=out[sl].reshape(-1, n))
-            del prods  # one slice of products is live at a time
-        return out
-
-    def _left_stack(self, g):
-        return self._products(g, left=True).transpose(0, 2, 1)  # column j of L(g_m) is g_m e_j
-
-    def _right_stack(self, g):
-        return self._products(g, left=False).transpose(0, 2, 1)  # column j of R(g_m) is e_j g_m
-
-    @cached_property
-    def _trace_weight(self) -> np.ndarray:
-        """``W = sum_h Pi_h Q_h^T``: coordinate h of X is ``tr(Q_h^T X)``, so ``tr L(x) = tr(Pi(x) W)``."""
-        n, k = self.ops.shape[:2]
-        return np.einsum("hab,hcb->ac", self.ops, self.pinv.reshape(n, k, k))
-
-    def regular_trace(self, a) -> complex:
-        pa = np.tensordot(np.asarray(a, dtype=complex).ravel(), self.ops, axes=1)
-        return complex(np.sum(self._trace_weight.T * pa))
-
-    def trace_form(self):
-        """``T[i, j] = tr(L(e_i e_j)) = tr(Pi_i Pi_j W)``, O(n k^3 + n^2 k^2); no sweep over the basis."""
-        n, k = self.ops.shape[:2]
-        right = (self.ops @ self._trace_weight).transpose(0, 2, 1).reshape(n, k * k)  # (Pi_j W)^T
-        return self.ops.reshape(n, k * k) @ right.T
-
-    def homomorphism_defect(self, images, into: FinDimAlgebra | None = None) -> float:
-        """As :meth:`FinDimAlgebra.homomorphism_defect`, with ``f(e_i e_j) = F Pi^+ vec(Pi_i Pi_j)``
-        for F the matrix of f, over the slices of :meth:`_slices`."""
-        n = self.dim
-        flat = images.reshape(n, -1) if into is None else images.T
-        through = self.pinv.T @ flat  # vec(X) -> f(coords(X))
-        acc = 0.0
-        for sl in self._slices(n):
-            want = (self._product_slice(self.ops[sl], left=True) @ through).reshape(-1, n, flat.shape[1])
-            if into is None:  # f(e_i e_j) - f(e_i) f(e_j) over i in sl, j
-                got = np.matmul(images[sl, None], images[None]).reshape(want.shape)
-            else:
-                got = into._left_products(images[:, sl], images).transpose(0, 2, 1)
-            acc += float(np.linalg.norm(want - got)) ** 2
-        return float(np.sqrt(acc))
-
-
-class WedderburnAlgebra(_OperatorAlgebra):
-    """A *-algebra held as k x k matrices that span a commutant ⊕_l M_{m_l} ⊗ 1, in Wedderburn form.
-
-    Parameters
-    ----------
-    ops : (n, k, k) array
-        ``ops[i] = Pi_i``, the matrix of basis vector e_i, as for
-        :class:`RepresentedAlgebra`.
-    frames : list of pairs ``(embed, restrict)``, one per block l
-        ``embed`` (n_l, k, m_l) and ``restrict`` (n_l, m_l, k) with
-        ``restrict[j] @ embed[j'] = delta_jj' 1``, whose n_l ranges ``embed[j]``
-        add up to C^k.  The matrix units of the commutant are ``E_lab =
-        sum_j embed[j][:, a] restrict[j][b, :]``, and the range of
-        ``embed[0]`` is invariant under every Pi_i.
-    unit, involution, name
-        As for :class:`FinDimAlgebra`.
-
-    Block l of the Wedderburn map is ``phi_l(e_i) = restrict[0] Pi_i
-    embed[0]``; the (n, n) matrix T, column i stacking the row-major blocks of
-    phi(e_i), is the algebra's one coordinate change, and ``c[i, j] = T^-1
-    vec(phi(e_i) phi(e_j))``.  The constructor needs ``sum_l m_l^2 = n``.  It
-    computes :attr:`singular_values` of Pi (values only), ``|c|_F`` exactly
-    from ``P = T T^H`` and ``Q = P^-1`` as ``sum Q[(l a b), (m a' b')] P[(m a'
-    c'), (l a c)] P[(m c' b'), (l c b)]``, at most O(n^3), and
-    :attr:`closure` as a bound: with ``R = Pi - E T``, ``Pi c[i, j] - Pi_i
-    Pi_j = R c[i, j] - R_i (E T)_j - (E T)_i R_j - R_i R_j``, so ``closure =
-    r (|c|_F + 2 |E T|_F + r)`` for r, |R|_F plus the rounding of its terms
-    (k eps times their norms).  No product of two Pi_i is formed.
-
-    The primitives are the block products conjugated by T: ``L(x) = T^-1
-    (⊕_l phi_l(x) ⊗ 1) T``, O(n^3) per generator; the regular trace is
-    ``sum_l m_l tr phi_l(x)``; and :meth:`center`,
-    :meth:`block_decomposition`, :meth:`wedderburn_map` and :meth:`block_trace`
-    are read off the blocks.  :meth:`pullback` gives the coordinates of a
-    matrix of the span.
-    """
-
-    def __init__(self, ops, frames, unit, involution=None, name="algebra"):
-        ops = np.ascontiguousarray(ops, dtype=complex)
-        n, k = ops.shape[0], ops.shape[1]
-        if ops.shape != (n, k, k):
-            raise DimensionMismatch(f"ops must be (n,k,k), got {ops.shape}")
-        self.sizes = tuple(embed.shape[2] for embed, _ in frames)
-        if sum(m * m for m in self.sizes) != n:
-            raise DimensionMismatch(f"blocks {self.sizes} do not fill an algebra of dimension {n}")
-        self.ops = ops
-        self._attach(n, unit, involution, None, name)
-        self._corners = [(embed[0], restrict[0]) for embed, restrict in frames]
-        self.coords = self._wedderburn_coords(ops)
-        self._inverse = np.linalg.inv(self.coords)
-        resid = ops.copy()  # R = Pi - E T
-        rounding = float(np.linalg.norm(ops))  # |Pi|_F + sum |E_j|_F |phi|_F |E_j'|_F bounds the terms of R
-        for (embed, restrict), phi in zip(frames, self._blocks(self.coords)):
-            for e_j, r_j in zip(embed, restrict):
-                resid -= e_j @ phi @ r_j
-                rounding += float(np.linalg.norm(e_j) * np.linalg.norm(phi) * np.linalg.norm(r_j))
-        # R is known to within the rounding of its terms, k eps times their norms (a GEMM of depth k)
-        r_norm = float(np.linalg.norm(resid)) + k * np.finfo(float).eps * rounding
-        et_norm = float(np.linalg.norm(ops - resid))
-        del resid
-        self._norm = self._exact_norm()
-        self.closure = r_norm * (self._norm + 2.0 * et_norm + r_norm)
-        self.singular_values = np.linalg.svd(ops.reshape(n, k * k).T, compute_uv=False)
 
     def _wedderburn_coords(self, ops) -> np.ndarray:
         """The (n, m) Wedderburn coordinates of m matrices of the span, the row-major blocks ``restrict[0] X embed[0]``."""
@@ -815,13 +685,6 @@ class WedderburnAlgebra(_OperatorAlgebra):
         """``tr phi_l(x)`` for the block l of ``block``, O(n^2)."""
         phi = self._blocks(self.coords @ np.asarray(x, dtype=complex).reshape(-1, 1))[self._block_of(block)]
         return complex(np.trace(phi[0]))
-
-
-#: Bytes of products ``Pi(g) Pi_j`` that one slice of :class:`RepresentedAlgebra`'s
-#: primitives holds.  One product column is n k^2 entries: 0.23 MiB on m23's
-#: smash product (n = 89, k = 13), 0.25 MiB on p4's (n = 64, k = 16), and
-#: 7 MiB on Ising's (n = 396, k = 34), where a slice holds one column.
-PRODUCT_SLICE_BYTES = 1 << 20
 
 
 def _dense_associator_norm(c) -> float:

@@ -441,7 +441,7 @@ def cmd_crossprod(args) -> int:
     absence, every field derived from the crossed product is null, the action's
     failing rows are reported, and the exit code is 2.  ``product_route`` names
     the route of :func:`~whakit.actions.crossed_product` that holds the product:
-    "wedderburn", "represented" or "dense".
+    "wedderburn" or "dense".
     """
     tol = Tolerance(args.tol, args.tol)
     crossed_absent = None

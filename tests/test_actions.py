@@ -1,5 +1,6 @@
 """Module algebra actions, crossed products, regularity, Galois, smash."""
 
+import copy
 import json
 import re
 import tracemalloc
@@ -227,20 +228,17 @@ def test_crossed_product_memory_stays_below_the_deleted_product_tensor():
     assert peak < 64 * 2**20
 
 
-def test_a_represented_crossed_product_stores_ops_and_pinv_and_no_cubic_array(actions, m23):
-    """The Wedderburn form that a Galois crossed product takes keeps Pi, T and T^-1; the represented
-    form built from the same Pi, its fallback, keeps Pi and Pi^+.  Neither keeps a (d, d, d) array."""
+def test_a_wedderburn_crossed_product_stores_ops_and_coordinates_and_no_cubic_array(actions, m23):
+    """The Wedderburn form that a Galois crossed product takes keeps Pi, T and T^-1, and no (d, d, d) array."""
     for act in list(actions.values()) + [wk.dual_regular_action(m23)]:
         cp = wk.crossed_product(act)
         d, k = cp.dim, act.module.dim
         assert isinstance(cp.algebra, wk.WedderburnAlgebra)
-        rep = wk.RepresentedAlgebra(cp.algebra.ops, cp.algebra.unit, cp.algebra.involution)
-        for alg, kept in ((cp.algebra, {"coords": (d, d), "_inverse": (d, d)}), (rep, {"pinv": (d, k * k)})):
-            arrays = {key: v.shape for key, v in vars(alg).items() if isinstance(v, np.ndarray)}
-            assert arrays["ops"] == (d, k, k)
-            assert all(arrays[key] == shape for key, shape in kept.items())
-            assert [key for key, shape in arrays.items() if len(shape) == 3] == ["ops"]
-            assert (d, d, d) not in arrays.values()
+        arrays = {key: v.shape for key, v in vars(cp.algebra).items() if isinstance(v, np.ndarray)}
+        assert arrays["ops"] == (d, k, k)
+        assert arrays["coords"] == arrays["_inverse"] == (d, d)
+        assert [key for key, shape in arrays.items() if len(shape) == 3] == ["ops"]
+        assert (d, d, d) not in arrays.values()
 
 
 def test_crossed_product_peak_is_within_two_and_a_half_structure_constants(m23):
@@ -292,13 +290,8 @@ def test_galois_crossed_products_take_the_concrete_route(
     calls = _spy_on_the_dense_route(monkeypatch)
     cp = wk.crossed_product(act)
     assert calls == []
-    # the same crossed product with the Wedderburn form refused: the represented form decides
-    with monkeypatch.context() as mp:
-        _refuse_the_wedderburn_form(mp)
-        rep = wk.crossed_product(act)
-    assert calls == []
-    # and with the concrete route refused: the dense route decides
-    monkeypatch.setattr(wk.actions, "_represented_product", lambda *args: None)
+    # the same crossed product with the Wedderburn form refused: the dense route decides
+    _refuse_the_wedderburn_form(monkeypatch)
     ref = wk.crossed_product(act)
     assert len(calls) == 1
 
@@ -314,18 +307,15 @@ def test_galois_crossed_products_take_the_concrete_route(
     assert [(r.name, pytest.approx(r.threshold, rel=1e-12)) for r in cp.report.checks] == [
         (r.name, r.threshold) for r in ref.report.checks
     ]
-    # the Wedderburn form against the represented and dense routes: blocks, the inclusion of M,
-    # every row's name and verdict, and the residuals of the rows that all three compute from
-    # coordinates; the associativity and star rows report certificates, which bound the dense norms
-    assert (cp.route, rep.route, ref.route) == ("wedderburn", "represented", "dense")
+    # the Wedderburn form against the dense route: blocks, the inclusion of M, every row's name and
+    # verdict, and the residuals of the rows that both compute from coordinates; the associativity
+    # and star rows report certificates, which bound the dense norms
+    assert (cp.route, ref.route) == ("wedderburn", "dense")
     assert isinstance(cp.algebra, wk.WedderburnAlgebra) and type(ref.algebra) is wk.FinDimAlgebra
-    assert rel(cp.algebra.c, rep.algebra.c) < 1e-12
     assert cp.algebra.block_decomposition().sizes == ref.algebra.block_decomposition().sizes
-    assert rep.algebra.block_decomposition().sizes == ref.algebra.block_decomposition().sizes
-    assert _inclusion_of_m(cp) == _inclusion_of_m(ref) == _inclusion_of_m(rep)
+    assert _inclusion_of_m(cp) == _inclusion_of_m(ref)
     verdicts = [(r.name, r.passed) for r in ref.report.checks]
     assert [(r.name, r.passed) for r in cp.report.checks] == verdicts
-    assert [(r.name, r.passed) for r in rep.report.checks] == verdicts
     rows = {r.name: r for r in cp.report.checks}
     for r in ref.report.checks:
         if r.name in ("associativity", "star-antimultiplicative"):
@@ -339,7 +329,7 @@ def test_galois_crossed_products_take_the_concrete_route(
 
 
 def _refuse_the_wedderburn_form(mp):
-    """Make the Wedderburn form refuse, so that the represented form, its fallback, decides."""
+    """Make the Wedderburn form refuse, so that the dense route decides."""
     mp.setattr(wk.actions, "_wedderburn_product", lambda *args: None)
 
 
@@ -351,47 +341,19 @@ def _inclusion_of_m(cp):
 
 
 # ---------------------------------------------------------------------------
-# the represented form: the operators Pi_g on M, never the (d, d, d) tensor
-
-
-@pytest.fixture(scope="module")
-def represented(examples, rotated):
-    """Crossed products of the dual regular action of m23 and p4, canonical and complex-rotated, in the
-    represented form: the Wedderburn form is refused, so its fallback decides."""
-    with pytest.MonkeyPatch.context() as mp:
-        _refuse_the_wedderburn_form(mp)
-        return {
-            (key, seed): wk.crossed_product(
-                wk.dual_regular_action(examples[key] if seed is None else rotated(examples[key], seed))
-            )
-            for key in ("m23", "p4")
-            for seed in (None, 3)
-        }
-
-
-@pytest.mark.parametrize("seed", [None, 3], ids=["canonical", "complex"])
-@pytest.mark.parametrize("key", ["m23", "p4"])
-def test_the_represented_traces_match_their_einsum_forms(represented, key, seed):
-    big = represented[key, seed].algebra
-    assert isinstance(big, wk.RepresentedAlgebra)
-    c = big.c
-    lm = c.transpose(0, 2, 1)  # L(e_i)
-    want = np.einsum("iab,jba->ij", lm, lm)
-    assert np.linalg.norm(big.trace_form() - want) <= 1e-12 * np.linalg.norm(want)
-    r = np.random.default_rng(0)
-    for x in (big.unit, r.normal(size=big.dim) + 1j * r.normal(size=big.dim)):
-        want = complex(np.einsum("i,ikk->", x, c))
-        assert abs(big.regular_trace(x) - want) <= 1e-12 * float(np.linalg.norm(x) * np.linalg.norm(c))
+# the Wedderburn form: the operators Pi_g on M, never the (d, d, d) tensor
 
 
 @pytest.mark.parametrize("key", ["m23", "p4"])
-def test_the_basic_construction_on_the_represented_form_is_the_dense_one(represented, monkeypatch, key):
-    """Every row of verify_basic_construction gives the dense route's verdict and residual.
-    All pass on p4; m23's dual regular action is not regular (clause (ii)), so there the Jones
-    rows pass and the items comparing commutants and centers with A^L, A^R, Z^L, Z^R fail on both."""
-    cp = represented[key, None]
+def test_the_basic_construction_on_the_represented_form_is_the_dense_one(examples, monkeypatch, key):
+    """Every row of verify_basic_construction on the Wedderburn form, the crossed product represented
+    on M, gives the dense route's verdict and residual.  All pass on p4; m23's dual regular action
+    is not regular (clause (ii)), so there the Jones rows pass and the items comparing commutants and
+    centers with A^L, A^R, Z^L, Z^R fail on both."""
+    cp = wk.crossed_product(wk.dual_regular_action(examples[key]))
+    assert isinstance(cp.algebra, wk.WedderburnAlgebra)
     got = wk.verify_basic_construction(cp.action, cp)
-    monkeypatch.setattr(wk.actions, "_represented_product", lambda *args: None)
+    _refuse_the_wedderburn_form(monkeypatch)
     want = wk.verify_basic_construction(cp.action, wk.crossed_product(cp.action))
     assert [(r.name, r.passed) for r in got.checks] == [(r.name, r.passed) for r in want.checks]
     for r, w in zip(got.checks, want.checks):
@@ -401,16 +363,17 @@ def test_the_basic_construction_on_the_represented_form_is_the_dense_one(represe
 
 
 @pytest.mark.parametrize("key", ["m23", "p4"])
-def test_the_star_certificate_refuses_a_bent_involution(represented, key):
+def test_the_star_certificate_refuses_a_bent_involution(examples, key):
     """Scaling any one column of the involution by 1 + 1e-6 makes the certificate miss the star
     row's threshold, and the coordinate row that then decides fails (checked on three columns)."""
-    big = represented[key, None].algebra
+    big = wk.crossed_product(wk.dual_regular_action(examples[key])).algebra
+    assert isinstance(big, wk.WedderburnAlgebra)
     row = {r.name: r for r in big.validate().checks}["star-antimultiplicative"]
     assert row.passed and big._star_bound() == row.residual
     for col in range(big.dim):
-        inv = big.involution.copy()
-        inv[:, col] *= 1 + 1e-6
-        bent = wk.RepresentedAlgebra(big.ops, big.unit, involution=inv)
+        bent = copy.copy(big)  # the same operators and frames, with the involution bent
+        bent.involution = big.involution.copy()
+        bent.involution[:, col] *= 1 + 1e-6
         assert bent._star_bound() > row.threshold, col
         if col in (0, big.dim // 2, big.dim - 1):
             bent_row = {r.name: r for r in bent.validate().checks}["star-antimultiplicative"]
@@ -467,24 +430,24 @@ def test_the_star_certificate_on_p4_stays_below_two_mib(examples):
 
 
 @pytest.mark.parametrize("key", ["m23", "p4"])
-def test_the_coordinate_star_row_matches_the_dense_one(represented, key):
-    big = represented[key, 3].algebra
+def test_the_coordinate_star_row_matches_the_dense_one(examples, rotated, key):
+    big = wk.crossed_product(wk.dual_regular_action(rotated(examples[key], 3))).algebra
+    assert isinstance(big, wk.WedderburnAlgebra)
     dense = wk.FinDimAlgebra(big.c, big.unit, involution=big.involution)
     assert abs(big._star_defect() - dense._star_defect()) <= 1e-12 * big.norm**2
 
 
 def test_no_library_path_reads_the_structure_constants_of_a_represented_algebra(examples, monkeypatch, tmp_path, capsys):
-    """No library path reads ``c`` of either operator storage, and the Wedderburn route never
-    constructs the represented form (its constructor raises) on the crossprod ladder."""
+    """No library path reads ``c`` of the Wedderburn form, the crossed product represented on M, and
+    the dense route never runs (it raises) on the crossprod ladder."""
     def refuse(self):
-        raise AssertionError("a library path read the structure constants of an operator algebra")
+        raise AssertionError("a library path read the structure constants of the Wedderburn form")
 
-    def never(self, *args, **kwargs):
-        raise AssertionError("the Wedderburn route constructed a RepresentedAlgebra")
+    def never(*args, **kwargs):
+        raise AssertionError("a Galois crossed product took the dense route")
 
-    for cls in (wk.RepresentedAlgebra, wk.WedderburnAlgebra):
-        monkeypatch.setattr(cls, "c", property(refuse))
-    monkeypatch.setattr(wk.RepresentedAlgebra, "__init__", never)
+    monkeypatch.setattr(wk.WedderburnAlgebra, "c", property(refuse))
+    monkeypatch.setattr(wk.actions, "_dense_product", never)
     smash = {"s3": (6,), "p3": (3, 3, 3), "fp3": (3, 3, 3), "m23": (5, 8), "p4": (4, 4, 4, 4)}
     for key, blocks in smash.items():
         w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
@@ -585,12 +548,19 @@ def test_the_relative_commutant_is_the_pullback_of_n_prime_in_m(examples, rotate
 
 
 def _bend_the_operators(monkeypatch, bend):
-    """Let the Wedderburn route see ``bend(ops)`` in place of the operators Pi_g, and record what it returned."""
+    """Let the Wedderburn route see ``bend(ops)`` in place of the operators Pi_g, and record what it returned.
+
+    The bend is lifted to pi[(k, l), (i, a)] = (L(e_i) alpha_a)[k, l] = K[a, i, l, k] on the carrier
+    alone, so pi still kills the relation span; the dense route, if it decides, sees K unbent."""
     seen = []
     original = wk.actions._wedderburn_product
 
-    def bent(action, ops, *args):
-        seen.append(original(action, bend(ops), *args))
+    def bent(action, k_fac, carrier, *args):
+        da, dm = k_fac.shape[:2]
+        pi = k_fac.transpose(3, 2, 1, 0).reshape(dm * dm, dm * da)
+        ops = (pi @ carrier).T.reshape(-1, dm, dm)
+        pi = pi + (bend(ops) - ops).reshape(len(ops), -1).T @ carrier.conj().T
+        seen.append(original(action, pi.reshape(dm, dm, dm, da).transpose(3, 2, 1, 0), carrier, *args))
         return seen[-1]
 
     monkeypatch.setattr(wk.actions, "_wedderburn_product", bent)
@@ -614,11 +584,12 @@ def _one_dependent_operator(ops):
 
 @pytest.mark.parametrize("bend", [_off_the_commutant, _one_dependent_operator], ids=["commutation", "count"])
 @pytest.mark.parametrize("key", ["p3", "m23"])
-def test_a_form_that_misses_a_check_falls_back_to_the_represented_one(examples, monkeypatch, key, bend):
+def test_a_form_that_misses_a_check_falls_back_to_the_dense_route(examples, monkeypatch, key, bend):
     """Pi_g bent off R(N)' by 1e-6 miss the commutation bound, before the form is built, and a
     dependent Pi_g misses the count rank Pi = sum m_l^2; either way the Wedderburn form is refused and
-    the represented form decides, with the rows it gives when the Wedderburn form is not tried."""
+    the dense route decides, with the rows it gives when the Wedderburn form is not tried."""
     act = wk.dual_regular_action(examples[key])
+    ops = wk.crossed_product(act).algebra.ops  # the Pi_g of the Wedderburn form, unbent
     with monkeypatch.context() as mp:
         _refuse_the_wedderburn_form(mp)
         want = wk.crossed_product(act)
@@ -633,7 +604,7 @@ def test_a_form_that_misses_a_check_falls_back_to_the_represented_one(examples, 
     seen = _bend_the_operators(monkeypatch, bend)
     got = wk.crossed_product(act)
     assert seen == [None] and (built == [] if bend is _off_the_commutant else len(built) == 1)
-    assert got.route == "represented" and want.route == "represented"
+    assert got.route == "dense" and want.route == "dense"
     assert [(r.name, r.passed, r.residual) for r in got.report.checks] == [
         (r.name, r.passed, r.residual) for r in want.report.checks
     ]
@@ -644,18 +615,38 @@ def test_a_form_that_misses_a_check_falls_back_to_the_represented_one(examples, 
         resid = np.sqrt(sum(np.linalg.norm(ops @ r - r @ ops) ** 2 for r in right_n))
         return resid / wk.DEFAULT_TOL.bound(2 * np.linalg.norm(ops) * np.linalg.norm(right_n))
 
-    assert commutation(got.algebra.ops) < 1e-2
+    assert commutation(ops) < 1e-2
     if bend is _off_the_commutant:
-        assert commutation(bend(got.algebra.ops)) > 1e2
+        assert commutation(bend(ops)) > 1e2
 
 
-def test_without_a_haar_integral_the_crossed_product_keeps_the_represented_form(examples):
-    """Sweedler's H4 has no Haar integral, so no invariants N: its smash product stays represented."""
+def test_without_a_haar_integral_the_crossed_product_takes_the_dense_route(examples):
+    """Sweedler's H4 has no Haar integral, so no invariants N: its smash product takes the dense route."""
     sp = wk.smash_product(examples["h4"])
-    assert sp.route == "represented" and isinstance(sp.algebra, wk.RepresentedAlgebra)
+    assert sp.route == "dense" and type(sp.algebra) is wk.FinDimAlgebra
     with pytest.raises(wk.NotSemisimple):
         wk.invariants(sp.action)
     assert wk.block_decomposition(sp.algebra).sizes == (4,)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_non_galois_action_builds_no_operator_algebra(scalars, monkeypatch, n):
+    """C[Z_n] acting trivially on C is not Galois: the count rank Pi = 1 < n = d refuses the
+    Wedderburn form before it is built, and the dense algebra is the one algebra that the crossed
+    product attaches.  The invariants N = C are induced beforehand; they are kept per action."""
+    act = wk.trivial_action(wk.cyclic_wha(n), scalars)
+    act.derived(wk.DEFAULT_TOL).induced
+    attached = []
+    original = wk.FinDimAlgebra._attach
+
+    def spy(self, *args, **kwargs):
+        attached.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(wk.FinDimAlgebra, "_attach", spy)
+    cp = wk.crossed_product(act)
+    assert cp.route == "dense" and type(cp.algebra) is wk.FinDimAlgebra and cp.dim == n
+    assert len(attached) == 1 and attached[0] is cp.algebra
 
 
 def test_the_ising_smash_product_takes_the_wedderburn_form(ising):
@@ -1048,7 +1039,7 @@ def test_smash_of_a_group_algebra_is_a_full_matrix_algebra(examples):
 @pytest.mark.parametrize("key", ["p2", "m23"])
 def test_smash_product_forms_one_trace_form_of_the_smash_product(examples, monkeypatch, key):
     forms = []
-    for cls in (wk.FinDimAlgebra, wk.RepresentedAlgebra, wk.WedderburnAlgebra):
+    for cls in (wk.FinDimAlgebra, wk.WedderburnAlgebra):
 
         def spy(self, original=cls.trace_form):
             forms.append(self)

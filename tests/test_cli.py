@@ -266,19 +266,23 @@ def test_crossprod_trivial_with_an_empty_quotient_reports_it_absent(tmp_path, ca
 
 def test_crossprod_reports_the_product_route(z3_file, m23_file, h4, tmp_path, capsys):
     """Galois actions take the Wedderburn form; Sweedler's H4 has no Haar integral, so no invariants,
-    and keeps the represented form; Z_3 acting trivially on C is not Galois and takes the dense route."""
+    and takes the dense route with its one block of size 4; Z_3 acting trivially on C is not Galois
+    and takes the dense route."""
     h4_file = tmp_path / "h4.wha.json"
     whafile.save(h4, h4_file)
     cases = [
         (["smash", m23_file], "wedderburn"),
         (["dual-regular", z3_file], "wedderburn"),
         (["translation", "3"], "wedderburn"),
-        (["smash", str(h4_file)], "represented"),
+        (["smash", str(h4_file)], "dense"),
         (["trivial", z3_file], "dense"),
     ]
     for args, route in cases:
         assert main(["crossprod", *args, "--format", "json"]) == EX_OK
-        assert json.loads(capsys.readouterr().out)["product_route"] == route, args
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["product_route"] == route, args
+        if args[1] == str(h4_file):
+            assert doc["block_sizes"] == [4]
     assert main(["crossprod", "smash", m23_file]) == EX_OK
     assert "product route: wedderburn" in capsys.readouterr().out
     p3_file = tmp_path / "p3.wha.json"
