@@ -7,7 +7,8 @@ relative tensor product over ``A^L``, the regularity clauses that make
 ``M^A c M c M x| A`` a basic construction, the itemized basic-construction
 checks, the Galois map ``M (x)_{M^A} M -> (M (x) A^) rho(1)`` into the corner
 of the coaction's unit, and the smash product ``A # A^``.  An action keeps its
-axiom report per tolerance; construction, crossed product and CLI share it.
+axiom report per tolerance in ``derived(tol)``; construction, crossed product
+and CLI share it.
 
 The crossed product comes from one of two routes (:func:`crossed_product`).
 When the action is Galois, ``m x| a -> L(m) alpha_a`` is a faithful
@@ -32,7 +33,7 @@ arrow action of A^, whose structure constants are A's comultiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +48,7 @@ from .algebra import (
     induced_algebra,
     watatani_index,
 )
-from .config import Tolerance, get_tol, round_to_int
+from .config import Derived, HasDerived, Tolerance, get_tol, round_to_int
 from .errors import (
     CrossCheckMismatch,
     DimensionMismatch,
@@ -92,16 +93,44 @@ __all__ = [
 ]
 
 
+class ActionDerived(Derived):
+    """What an action derives at one tolerance, each computed on first use.
+
+    The entries are the :attr:`report` of :func:`validate_action`, N = M^A
+    (:attr:`invariants`), the :attr:`induced` algebra N with its coordinates
+    in M (N's blocks and Wedderburn map are kept in that algebra's own
+    ``derived``), and the :attr:`relative_commutant` N' n M.  The Galois map,
+    the Wedderburn form of the crossed product, regularity clause (ii) and
+    the basic-construction items read them, so N is found once.
+    """
+
+    @cached_property
+    def report(self) -> AxiomReport:
+        return _validate_action(self.owner, self.tol)
+
+    @cached_property
+    def invariants(self) -> Subspace:
+        return _invariants(self.owner, self.tol)
+
+    @cached_property
+    def induced(self) -> tuple[FinDimAlgebra, np.ndarray]:
+        return induced_algebra(self.owner.module, self.invariants, tol=self.tol, name="invariants")
+
+    @cached_property
+    def relative_commutant(self) -> Subspace:
+        return self.owner.module.commutant_in(self.invariants.basis.T, tol=self.tol)
+
+
 @dataclass
-class WhaAction:
-    """A left action of a weak Hopf algebra on a finite-dimensional algebra."""
+class WhaAction(HasDerived):
+    """A left action of a weak Hopf algebra on a finite-dimensional algebra, deriving an :class:`ActionDerived`."""
 
     wha: WeakHopfAlgebra
     module: FinDimAlgebra
     alpha: np.ndarray  # (dim A, dim M, dim M)
     name: str = "action"
-    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    Derived = ActionDerived
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=complex)
@@ -124,50 +153,17 @@ class WhaAction:
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
         return validate_action(self, tol)
 
-    def derived(self, tol: Tolerance | None = None) -> "ActionDerived":
-        """The structures read off the invariants at ``tol`` (one cache per tolerance)."""
-        tol = get_tol(tol)
-        if tol not in self._derived:
-            self._derived[tol] = ActionDerived(self, tol)
-        return self._derived[tol]
-
-
-class ActionDerived:
-    """N = M^A and what is read off it, for one action at one tolerance, each computed on first use.
-
-    The entries are :attr:`invariants`, the :attr:`induced` algebra N with its
-    coordinates in M (N's blocks and Wedderburn map are cached on that
-    algebra), and the :attr:`relative_commutant` N' n M.  The Galois map, the
-    Wedderburn form of the crossed product, regularity clause (ii) and the
-    basic-construction items read them, so N is found once.  An entry that
-    raises is not kept.
-    """
-
-    def __init__(self, action: WhaAction, tol: Tolerance):
-        self.action = action
-        self.tol = tol
-
-    @cached_property
-    def invariants(self) -> Subspace:
-        return _invariants(self.action, self.tol)
-
-    @cached_property
-    def induced(self) -> tuple[FinDimAlgebra, np.ndarray]:
-        return induced_algebra(self.action.module, self.invariants, tol=self.tol, name="invariants")
-
-    @cached_property
-    def relative_commutant(self) -> Subspace:
-        return self.action.module.commutant_in(self.invariants.basis.T, tol=self.tol)
-
 
 def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomReport:
-    """Residuals of the action axioms, computed once per tolerance and kept in the
-    action (build a new action instead of changing ``alpha``).  ``action-module-algebra``
-    is :func:`~whakit.algebra._covariance_defect`, the sliced kernel that also
+    """Residuals of the action axioms, computed once per tolerance and kept in
+    ``action.derived(tol)``.  ``action-module-algebra`` is
+    :func:`~whakit.algebra._covariance_defect`, the sliced kernel that also
     checks the multiplicativity of Delta in :func:`~whakit.wha.validate_wba`."""
-    tol = get_tol(tol)
-    if tol in action._reports:
-        return action._reports[tol]
+    return action.derived(tol).report
+
+
+def _validate_action(action: WhaAction, tol: Tolerance) -> AxiomReport:
+    """:func:`validate_action`, computed."""
     w, m_alg, alpha = action.wha, action.module, action.alpha
     rep = AxiomReport(f"{action.name}: {w.name} on {m_alg.name}")
     scale = max(1.0, float(np.linalg.norm(alpha)))
@@ -182,7 +178,6 @@ def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomRep
         lhs4 = np.einsum("kr,tjr->tjk", inv_m, np.conj(alpha), optimize=True)
         rhs4 = np.einsum("it,irk,rj->tjk", w.star_antipode, alpha, inv_m, optimize=True)
         rep.add("action-star", np.linalg.norm(lhs4 - rhs4), tol.bound(scale) * 10)
-    action._reports[tol] = rep
     return rep
 
 

@@ -5,7 +5,9 @@ vectors, ``e_i e_j = sum_k c[i,j,k] e_k``, a unit vector, and an optional
 antilinear involution ``a* = inv @ conj(a)``.  On top of that this module
 provides the structural toolbox used everywhere else: center and commutants,
 Wedderburn block decomposition, inclusion matrices of unital subalgebras,
-Markov traces, and Watatani index of a conditional expectation.
+Markov traces, and Watatani index of a conditional expectation.  Whether an
+algebra is semisimple, its center, blocks and Wedderburn map are kept per
+tolerance in ``derived(tol)``, an :class:`AlgebraDerived`.
 
 Six primitives of :class:`FinDimAlgebra` read the structure constants (its
 docstring lists them), and everything else, here and in :mod:`whakit.actions`,
@@ -34,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import INT_ROUNDING_TOL, Tolerance, get_tol, rng, round_to_int
+from .config import INT_ROUNDING_TOL, Derived, HasDerived, Tolerance, get_tol, rng, round_to_int
 from .errors import (
     CrossCheckMismatch,
     DimensionMismatch,
@@ -69,7 +71,32 @@ __all__ = [
 ]
 
 
-class FinDimAlgebra:
+class AlgebraDerived(Derived):
+    """Whether an algebra is semisimple, its center, blocks and Wedderburn map at one tolerance,
+    the last three computed by the storage's ``_center``, ``_decompose`` and ``_wedderburn``."""
+
+    @cached_property
+    def semisimple(self) -> bool:
+        t = self.owner._trace_gram
+        norm = float(np.linalg.norm(t))
+        return bool(norm > 0.0 and matrix_rank(t / norm, self.tol) == self.owner.dim)
+
+    @cached_property
+    def center(self) -> Subspace:
+        return self.owner._center(self.tol)
+
+    @cached_property
+    def blocks(self) -> "BlockDecomposition":
+        if not self.owner.is_semisimple(self.tol):
+            raise NotSemisimple(f"{self.owner.name}: regular trace form is degenerate")
+        return self.owner._decompose(self.tol)
+
+    @cached_property
+    def wedderburn(self) -> "WedderburnMap":
+        return self.owner._wedderburn(self.tol)
+
+
+class FinDimAlgebra(HasDerived):
     """Associative unital algebra over C with explicit structure constants.
 
     Parameters
@@ -88,10 +115,12 @@ class FinDimAlgebra:
     and are what the other storage, :class:`WedderburnAlgebra` (matrices Pi_i
     with ``e_i = Pi_i``), overrides together with the star row
     :meth:`_star_defect`; only the dense associativity row of :meth:`validate`
-    and :func:`watatani_index` read ``c`` besides.
-    ``_records`` keeps, per tolerance, "semisimple", "center", "blocks" and
-    "wedderburn", each computed once.
+    and :func:`watatani_index` read ``c`` besides in this module.
+    What the algebra derives at a tolerance is kept in ``derived(tol)``, an
+    :class:`AlgebraDerived`.
     """
+
+    Derived = AlgebraDerived
 
     def __init__(self, structure_constants, unit, involution=None, basis_labels=None, name="algebra"):
         c = np.asarray(structure_constants, dtype=complex)
@@ -101,7 +130,7 @@ class FinDimAlgebra:
         self._attach(c.shape[0], unit, involution, basis_labels, name)
 
     def _attach(self, n: int, unit, involution, basis_labels, name: str):
-        """Check and set what every storage shares: dimension, unit, involution, labels, name and records."""
+        """Check and set what every storage shares: dimension, unit, involution, labels and name."""
         unit = np.asarray(unit, dtype=complex).ravel()
         if unit.shape != (n,):
             raise DimensionMismatch(f"unit must have shape ({n},), got {unit.shape}")
@@ -116,7 +145,6 @@ class FinDimAlgebra:
         self.involution = involution
         self.basis_labels = list(basis_labels) if basis_labels is not None else [f"e{i}" for i in range(n)]
         self.name = name
-        self._records: dict[Tolerance, dict] = {}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -255,20 +283,16 @@ class FinDimAlgebra:
 
     def is_semisimple(self, tol: Tolerance | None = None) -> bool:
         """Whether ``matrix_rank(T / |T|_F) == n`` for the trace form T (scale-free; T = 0 is not), once per tolerance."""
-        tol = get_tol(tol)
-        record = self._records.setdefault(tol, {})
-        if "semisimple" not in record:
-            t = self._trace_gram
-            norm = float(np.linalg.norm(t))
-            record["semisimple"] = bool(norm > 0.0 and matrix_rank(t / norm, tol) == self.dim)
-        return record["semisimple"]
+        return self.derived(tol).semisimple
 
     # -- structure ----------------------------------------------------------
 
     def center(self, tol: Tolerance | None = None) -> Subspace:
-        """Elements commuting with the whole algebra, computed once per tolerance.
+        """Elements commuting with the whole algebra, computed once per tolerance by :meth:`_center`."""
+        return self.derived(tol).center
 
-        The center is the kernel of the (n^2, n) system S whose row block i is
+    def _center(self, tol: Tolerance) -> Subspace:
+        """The center: the kernel of the (n^2, n) system S whose row block i is
         ``L(e_i) - R(e_i)``.  Two routes compute it, chosen by the dimension n:
 
         * below :data:`CENTER_FROM_PAIR_DIM`, the kernel of S itself, O(n^4);
@@ -287,10 +311,6 @@ class FinDimAlgebra:
           Otherwise, as when the pair does not generate the algebra or the
           algebra is not semisimple, the kernel of S decides.
         """
-        tol = get_tol(tol)
-        record = self._records.setdefault(tol, {})
-        if "center" in record:
-            return record["center"]
         n, eye = self.dim, np.eye(self.dim)
         if n >= CENTER_FROM_PAIR_DIM:
             pair = _generic_pair(n)
@@ -301,10 +321,8 @@ class FinDimAlgebra:
             low = max(np.linalg.norm(r) / np.linalg.norm(g) for r, g in zip(rows.reshape(2, n, n), pair.T))
             slices = (self._commutator_stack(eye[:, lo : lo + 16]) for lo in range(0, n, 16))
             if resid <= tol.bound(low) or resid <= tol.bound(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in slices))):
-                record["center"] = Subspace(z, n, tol)
-                return record["center"]
-        record["center"] = Subspace(kernel(self._commutator_stack(eye), tol), n, tol)
-        return record["center"]
+                return Subspace(z, n, tol)
+        return Subspace(kernel(self._commutator_stack(eye), tol), n, tol)
 
     def commutant_in(self, generators, tol: Tolerance | None = None) -> Subspace:
         """Elements of A commuting with the generators.
@@ -321,14 +339,8 @@ class FinDimAlgebra:
         return Subspace(kernel(self._commutator_stack(np.column_stack(gens)), tol), self.dim, tol)
 
     def block_decomposition(self, tol: Tolerance | None = None) -> "BlockDecomposition":
-        """Wedderburn blocks, computed once per tolerance (the algebra is immutable).
-
-        Shares its cache with the module function :func:`block_decomposition`,
-        which it calls only when the blocks at ``tol`` are not there yet.
-        """
-        tol = get_tol(tol)
-        blocks = self._records.get(tol, {}).get("blocks")
-        return blocks if blocks is not None else block_decomposition(self, tol)
+        """Wedderburn blocks, computed once per tolerance: :func:`block_decomposition` of this algebra."""
+        return block_decomposition(self, tol)
 
     def _decompose(self, tol: Tolerance) -> "BlockDecomposition":
         """The blocks of a semisimple algebra, split from its center by minimal central idempotents."""
@@ -351,20 +363,20 @@ class FinDimAlgebra:
         :class:`CrossCheckMismatch` when a left ideal ``A p`` does not have the
         dimension of its block or the blocks do not add up to the algebra.
         """
-        tol = get_tol(tol)
-        record = self._records.setdefault(tol, {})
-        if "wedderburn" not in record:
-            blocks = self.block_decomposition(tol)
-            ideals = [orth(self.right_mult(_minimal_idempotent_in_block(self, b, tol)), tol) for b in blocks]
-            for v, b in zip(ideals, blocks):
-                if v.shape[1] != b.size:
-                    raise CrossCheckMismatch(f"ideal carrier {v.shape[1]} != block size {b.size}")
-            if sum(b.size**2 for b in blocks) != self.dim:
-                raise CrossCheckMismatch(f"blocks {blocks.sizes} do not fill an algebra of dimension {self.dim}")
-            # phi_q(e_i)[r, s] = (V_q^H R(v_s))[r, i], v_s the columns of V_q
-            phis = [(v.conj().T @ self._right_stack(v)).transpose(2, 1, 0) for v in ideals]
-            record["wedderburn"] = WedderburnMap(blocks, ideals, phis)
-        return record["wedderburn"]
+        return self.derived(tol).wedderburn
+
+    def _wedderburn(self, tol: Tolerance) -> "WedderburnMap":
+        """The Wedderburn map, computed on the orthonormal left ideals ``A p``."""
+        blocks = self.block_decomposition(tol)
+        ideals = [orth(self.right_mult(_minimal_idempotent_in_block(self, b, tol)), tol) for b in blocks]
+        for v, b in zip(ideals, blocks):
+            if v.shape[1] != b.size:
+                raise CrossCheckMismatch(f"ideal carrier {v.shape[1]} != block size {b.size}")
+        if sum(b.size**2 for b in blocks) != self.dim:
+            raise CrossCheckMismatch(f"blocks {blocks.sizes} do not fill an algebra of dimension {self.dim}")
+        # phi_q(e_i)[r, s] = (V_q^H R(v_s))[r, i], v_s the columns of V_q
+        phis = [(v.conj().T @ self._right_stack(v)).transpose(2, 1, 0) for v in ideals]
+        return WedderburnMap(blocks, ideals, phis)
 
     def block_trace(self, block: "Block", x) -> complex:
         """Trace of ``x`` in the irreducible representation of ``block``: tr(z_q x) / n_q."""
@@ -377,27 +389,27 @@ _NO_DECOMPOSITION = (NotSemisimple, NonIntegerBlockSize, CrossCheckMismatch, np.
 
 #: Dimension from which :meth:`FinDimAlgebra.validate` certifies associativity
 #: through the Wedderburn map instead of the dense loop.  Dense loop vs. block
-#: decomposition plus certificate on smash products (minimum of 7 runs, 2 vCPUs,
-#: numpy 2.4, OpenBLAS): n = 16: 1.0 vs. 2.2 ms; n = 25: 5.7 vs. 4.5 ms;
-#: n = 27: 7.4 vs. 6.5 ms; n = 36: 22 vs. 8.4 ms; n = 64: 0.44 s vs. 0.09 s;
-#: n = 89: 2.0 s vs. 0.19 s.  Below 32 the gain is at most about a millisecond
-#: and a decomposition that nothing else may reuse is a cost, so every input
-#: of dimension <= 27 keeps the dense route.  The crossed product of a Galois
-#: action does not go through this cut: the ``validate`` of its Wedderburn
-#: form certifies its associativity at every dimension through its
-#: representation on M, whose closure bound it holds.
-#: The cut serves the dense crossed-product route and every other caller of
-#: :meth:`FinDimAlgebra.validate`.
+#: decomposition plus certificate, timed on the smash products when they were
+#: still held densely (minimum of 7 runs, 2 vCPUs, numpy 2.4, OpenBLAS): n = 16:
+#: 1.0 vs. 2.2 ms; n = 25: 5.7 vs. 4.5 ms; n = 27: 7.4 vs. 6.5 ms; n = 36: 22
+#: vs. 8.4 ms; n = 64: 0.44 s vs. 0.09 s; n = 89: 2.0 s vs. 0.19 s.  Below 32
+#: the gain is at most about a millisecond and a decomposition that nothing
+#: else may reuse is a cost.  The dense algebras that reach the cut today are
+#: Ising's A and Â (n = 34), crossed products on the dense route and dense
+#: copies in tests; every dense algebra the benchmark validates has n <= 16,
+#: and a :class:`WedderburnAlgebra` certifies through its matrices instead.
 CERTIFY_ASSOCIATIVITY_FROM_DIM = 32
 
 #: Dimension from which :meth:`FinDimAlgebra.center` takes the certified
 #: commutant of two generic elements instead of the kernel of the (n^2, n)
 #: commutator system.  Dense kernel vs. certified pair (minimum of 7 runs,
 #: 2 vCPUs, 1 BLAS thread, numpy 2.4, OpenBLAS; ranges over two sessions and
-#: canonical and rotated bases): n = 13 (m23): 0.22 vs. 0.41 ms; n = 16 (p4):
-#: 0.27 vs. 0.43 ms; n = 27 (p3 and fp3 smash): 0.51-1.02 vs. 0.58-1.35 ms;
-#: n = 36 (s3 smash): 1.8-2.4 vs. 1.0-1.9 ms; n = 64 (p4 smash, Z_8
-#: translation): 16-21 vs. 3.9-6.5 ms; n = 89 (m23 smash): 76-92 vs. 10-22 ms.
+#: canonical and rotated bases; the smash products held densely): n = 13 (m23):
+#: 0.22 vs. 0.41 ms; n = 16 (p4): 0.27 vs. 0.43 ms; n = 27 (p3 and fp3 smash):
+#: 0.51-1.02 vs. 0.58-1.35 ms; n = 36 (s3 smash): 1.8-2.4 vs. 1.0-1.9 ms; n = 64
+#: (p4 smash, Z_8 translation): 16-21 vs. 3.9-6.5 ms; n = 89 (m23 smash): 76-92
+#: vs. 10-22 ms.  The inputs of the cut above reach it, and the benchmark's do
+#: not; a :class:`WedderburnAlgebra` reads its center off its blocks.
 CENTER_FROM_PAIR_DIM = 32
 
 
@@ -646,13 +658,9 @@ class WedderburnAlgebra(FinDimAlgebra):
             w[sl, col] = np.eye(m).ravel()
         return self._inverse @ w
 
-    def center(self, tol: Tolerance | None = None) -> Subspace:
-        """The span of the blocks' identities, computed once per tolerance."""
-        tol = get_tol(tol)
-        record = self._records.setdefault(tol, {})
-        if "center" not in record:
-            record["center"] = Subspace(self._block_units(), self.dim, tol)
-        return record["center"]
+    def _center(self, tol: Tolerance) -> Subspace:
+        """The span of the blocks' identities."""
+        return Subspace(self._block_units(), self.dim, tol)
 
     def _decompose(self, tol: Tolerance) -> "BlockDecomposition":
         """The blocks ⊕_l M_{m_l}, after the semisimplicity check of :func:`block_decomposition`."""
@@ -668,18 +676,14 @@ class WedderburnAlgebra(FinDimAlgebra):
         weights = [np.linalg.norm(phi) for phi in self._blocks(self.coords @ block.central_idempotent.reshape(-1, 1))]
         return int(np.argmax(weights))
 
-    def wedderburn_map(self, tol: Tolerance | None = None) -> "WedderburnMap":
+    def _wedderburn(self, tol: Tolerance) -> "WedderburnMap":
         """phi_l of the form itself, in the order of :meth:`block_decomposition`; block l's ideal
         is spanned by the matrix units E_a1 of its first column (not orthonormal)."""
-        tol = get_tol(tol)
-        record = self._records.setdefault(tol, {})
-        if "wedderburn" not in record:
-            blocks = self.block_decomposition(tol)
-            order = [self._block_of(b) for b in blocks]
-            phis, offsets = self._blocks(self.coords), self._offsets()
-            ideals = [self._inverse[:, offsets[l]][:, :: self.sizes[l]] for l in order]
-            record["wedderburn"] = WedderburnMap(blocks, ideals, [phis[l] for l in order])
-        return record["wedderburn"]
+        blocks = self.block_decomposition(tol)
+        order = [self._block_of(b) for b in blocks]
+        phis, offsets = self._blocks(self.coords), self._offsets()
+        ideals = [self._inverse[:, offsets[l]][:, :: self.sizes[l]] for l in order]
+        return WedderburnMap(blocks, ideals, [phis[l] for l in order])
 
     def block_trace(self, block: "Block", x) -> complex:
         """``tr phi_l(x)`` for the block l of ``block``, O(n^2)."""
@@ -937,22 +941,15 @@ def _support_key(v, tol: Tolerance):
 def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) -> BlockDecomposition:
     """Wedderburn decomposition of a semisimple algebra into full matrix blocks.
 
-    Computed once per algebra and tolerance: the result is kept in the cache
-    that :meth:`FinDimAlgebra.block_decomposition` reads, so both return the
-    same object.  Raises :class:`NotSemisimple` on degenerate trace form and
-    :class:`NonIntegerBlockSize` if some central block is not a full matrix
-    algebra over C.  The blocks themselves come from the algebra's
-    ``_decompose``: split from its center for structure constants, read off
-    the form for a :class:`WedderburnAlgebra`.
+    Computed once per algebra and tolerance and kept in ``algebra.derived(tol)``;
+    :meth:`FinDimAlgebra.block_decomposition` returns this function's result,
+    so both return the same object.  Raises :class:`NotSemisimple` on
+    degenerate trace form and :class:`NonIntegerBlockSize` if some central
+    block is not a full matrix algebra over C.  The blocks themselves come
+    from the algebra's ``_decompose``: split from its center for structure
+    constants, read off the form for a :class:`WedderburnAlgebra`.
     """
-    tol = get_tol(tol)
-    record = algebra._records.setdefault(tol, {})
-    if "blocks" in record:
-        return record["blocks"]
-    if not algebra.is_semisimple(tol):
-        raise NotSemisimple(f"{algebra.name}: regular trace form is degenerate")
-    record["blocks"] = algebra._decompose(tol)
-    return record["blocks"]
+    return algebra.derived(tol).blocks
 
 
 def induced_algebra(

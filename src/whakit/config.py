@@ -4,7 +4,8 @@ All equality in this package is approximate equality of complex arrays:
 ``x == y`` means ``norm(x - y) <= abs_tol + rel_tol * max(norm(x), norm(y))``
 with the Frobenius norm.  A single :class:`Tolerance` instance is threaded
 through every check; ``DEFAULT_TOL`` is the package-wide default
-(1e-9 absolute, 1e-9 relative).
+(1e-9 absolute, 1e-9 relative).  What an object derives at a tolerance is
+kept in one :class:`Derived` per tolerance, ``obj.derived(tol)``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,26 @@ DEFAULT_TOL = Tolerance()
 def get_tol(tol: Tolerance | None) -> Tolerance:
     """Resolve an optional per-call tolerance to the default."""
     return DEFAULT_TOL if tol is None else tol
+
+
+class Derived:
+    """What one owner derives at one tolerance, its entries ``functools.cached_property``s
+    computed on first use (one that raises is not kept).  The owner is treated
+    as immutable: build a new one instead of changing its arrays."""
+
+    def __init__(self, owner, tol: Tolerance):
+        self.owner, self.tol = owner, tol
+
+
+class HasDerived:
+    """An owner whose ``derived(tol)`` keeps one of its class attribute ``Derived`` per tolerance."""
+
+    def derived(self, tol: Tolerance | None = None):
+        tol = get_tol(tol)
+        cache = vars(self).setdefault("_derived", {})
+        if tol not in cache:
+            cache[tol] = self.Derived(self, tol)
+        return cache[tol]
 
 
 def rng(seed: int | None = None) -> np.random.Generator:

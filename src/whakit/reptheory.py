@@ -189,7 +189,9 @@ def irreducible_representations(w: WeakHopfAlgebra, tol: Tolerance | None = None
 
     Carriers are the left ideals ``A p`` (p a minimal idempotent) of
     :meth:`~whakit.algebra.FinDimAlgebra.wedderburn_map`, orthonormalized in
-    the inner product of a faithful Haar state.
+    the inner product G of a faithful Haar state: with ``K = V_q^H G V_q = U
+    Lambda U^H`` and ``W = U Lambda^{-1/2}``, ``L(x) V_q = V_q phi_q(x)`` gives
+    ``rho_q(x) = W^H K phi_q(x) W = W^-1 phi_q(x) W`` on the carrier ``V_q W``.
     """
     tol = get_tol(tol)
     state = w.derived(tol).haar_state
@@ -200,11 +202,11 @@ def irreducible_representations(w: WeakHopfAlgebra, tol: Tolerance | None = None
     gram = state.gram
     out = []
     wedderburn = w.algebra.wedderburn_map(tol)
-    for b, ideal in zip(wedderburn.blocks, wedderburn.ideals):  # columns span A p
+    for b, ideal, phi in zip(wedderburn.blocks, wedderburn.ideals, wedderburn.phis):  # columns span A p
         k = ideal.conj().T @ gram @ ideal
         vals, vecs = np.linalg.eigh((k + k.conj().T) / 2)
-        basis = ideal @ (vecs / np.sqrt(vals))
-        mats = (basis.conj().T @ gram) @ w.algebra.c.transpose(0, 2, 1) @ basis  # over the L(e_j) = c[j].T
+        root = np.sqrt(vals)
+        mats = (vecs * root).conj().T @ phi @ (vecs / root)
         out.append(Representation(w, mats, name=f"irrep[{b.size}]"))
     return out
 

@@ -28,7 +28,8 @@ from .algebra import (
     _minimal_central_idempotents,
     induced_algebra,
 )
-from .config import DEFAULT_TOL, Tolerance, get_tol
+from . import config
+from .config import HasDerived, Tolerance, get_tol
 from .errors import (
     CrossCheckMismatch,
     DimensionMismatch,
@@ -61,8 +62,47 @@ __all__ = [
 ]
 
 
-class WeakBialgebra:
-    """Algebra + comultiplication + counit (validation is a separate step)."""
+def _entry(module: str, function: str) -> cached_property:
+    """A cached ``function(w, tol)``, looked up in ``whakit.<module>`` when first computed
+    so that a wrapper rebound to that module attribute sees every computation."""
+
+    def compute(self: "Derived"):
+        return getattr(importlib.import_module(f".{module}", __package__), function)(self.owner, self.tol)
+
+    return cached_property(compute)
+
+
+class Derived(config.Derived):
+    """What a weak bialgebra derives at one tolerance, each computed on first use.
+
+    The entries are the counital subalgebras, the (left, right) integral
+    spaces, the Haar pair (``haar`` = h, ``haar_functional`` = the dual's h as
+    a covector on A), the GNS data of the Haar state (None without the dual's
+    h), the canonical grouplike (None without the Haar pair), the vacua, the
+    irreducible representations in block order, the sector table, the report
+    of :func:`validate_wba` and the antipode solved from the comultiplication.
+    """
+
+    counital_subalgebras = _entry("wha", "_counital_subalgebras")
+    integral_spaces = _entry("integrals", "integral_spaces")
+    haar = _entry("integrals", "haar_integral")
+    haar_state = _entry("integrals", "haar_state")
+    grouplike = _entry("integrals", "canonical_grouplike")
+    vacua = _entry("reptheory", "vacua")
+    irreps = _entry("reptheory", "irreducible_representations")
+    sectors = _entry("reptheory", "sector_dimensions")
+    wba_report = _entry("wha", "validate_wba")
+    solved_antipode = _entry("wha", "solve_antipode")
+
+    @property
+    def haar_functional(self):
+        return self.owner.dual.derived(self.tol).haar
+
+
+class WeakBialgebra(HasDerived):
+    """Algebra + comultiplication + counit (validation is a separate step), deriving a :class:`Derived`."""
+
+    Derived = Derived
 
     def __init__(self, algebra: FinDimAlgebra, delta, eps):
         n = algebra.dim
@@ -75,7 +115,6 @@ class WeakBialgebra:
         self.algebra = algebra
         self.delta = delta
         self.eps = eps
-        self._derived: dict[Tolerance, Derived] = {}
 
     # convenience pass-throughs
     @property
@@ -128,18 +167,6 @@ class WeakBialgebra:
         feps = self.algebra.c @ self.eps  # eps(e_i e_j)
         return self.delta1.T @ feps, self.delta1 @ feps.T
 
-    def derived(self, tol: Tolerance | None = None) -> "Derived":
-        """The structures derived from this algebra at ``tol`` (one cache per tolerance)."""
-        tol = get_tol(tol)
-        if tol not in self._derived:
-            self._derived[tol] = Derived(self, tol)
-        return self._derived[tol]
-
-    @property
-    def counital_subalgebras(self) -> "CounitalSubalgebras":
-        """A^L, A^R and their centers at ``DEFAULT_TOL``."""
-        return self.derived(DEFAULT_TOL).counital_subalgebras
-
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
         return validate_wba(self, tol)
 
@@ -175,7 +202,7 @@ class WeakHopfAlgebra(WeakBialgebra):
         d.__dict__["dual"] = self
         d.__dict__["dual_algebra"] = self.algebra
         if "dual_algebra" in self.__dict__:  # keep what the Â built for the antipode derived
-            d.algebra._records = self.dual_algebra._records
+            vars(d.algebra)["_derived"] = vars(self.dual_algebra).setdefault("_derived", {})
         self.__dict__["dual_algebra"] = d.algebra
         return d
 
@@ -192,50 +219,6 @@ class WeakHopfAlgebra(WeakBialgebra):
         derived.__dict__["wba_report"] = report  # validate_wha's stage 1
         derived.__dict__["solved_antipode"] = solved  # what validate_wha compares with
         return w
-
-
-def _entry(module: str, function: str) -> cached_property:
-    """A cached ``function(w, tol)``, looked up in ``whakit.<module>`` when first computed
-    so that a wrapper rebound to that module attribute sees every computation."""
-
-    def compute(self: "Derived"):
-        return getattr(importlib.import_module(f".{module}", __package__), function)(self.wha, self.tol)
-
-    return cached_property(compute)
-
-
-class Derived:
-    """Structures derived from one algebra at one tolerance, each computed on first use.
-
-    The entries are the counital subalgebras, the (left, right) integral
-    spaces, the Haar pair (``haar`` = h, ``haar_functional`` = the dual's h as
-    a covector on A), the GNS data of the Haar state (None without the dual's
-    h), the canonical grouplike (None without the Haar pair),
-    the vacua, the irreducible representations in block order, the sector
-    table, the report of :func:`validate_wba` and the antipode solved from
-    the comultiplication.  They are kept because an algebra is treated as
-    immutable: build a new one instead of changing its arrays.  An entry that
-    raises is not kept.
-    """
-
-    def __init__(self, w: WeakBialgebra, tol: Tolerance):
-        self.wha = w
-        self.tol = tol
-
-    counital_subalgebras = _entry("wha", "_counital_subalgebras")
-    integral_spaces = _entry("integrals", "integral_spaces")
-    haar = _entry("integrals", "haar_integral")
-    haar_state = _entry("integrals", "haar_state")
-    grouplike = _entry("integrals", "canonical_grouplike")
-    vacua = _entry("reptheory", "vacua")
-    irreps = _entry("reptheory", "irreducible_representations")
-    sectors = _entry("reptheory", "sector_dimensions")
-    wba_report = _entry("wha", "validate_wba")
-    solved_antipode = _entry("wha", "solve_antipode")
-
-    @property
-    def haar_functional(self):
-        return self.wha.dual.derived(self.tol).haar
 
 
 @dataclass

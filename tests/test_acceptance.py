@@ -305,8 +305,8 @@ def test_criterion_06_bidual_and_counital_duality(examples, acceptance):
             d = w.dual
             arr = wk.sweedler_arrows(w)
             one_hat = d.unit
-            sub = w.counital_subalgebras
-            dsub = d.counital_subalgebras
+            sub = w.derived().counital_subalgebras
+            dsub = d.derived().counital_subalgebras
             for label, basis, action, target in (
                 ("A^L -> dual A^R", sub.left.basis, lambda v: arr.act(v, one_hat), dsub.right),
                 ("A^R -> dual A^L", sub.right.basis, lambda v: arr.ract(one_hat, v), dsub.left),
@@ -329,7 +329,7 @@ def _corner_index(w):
     alg = w.algebra
     space = Subspace(orth(alg.left_mult(z)), w.dim)
     corner, qmat = wk.induced_algebra(alg, space, unit_vec=z, name=f"{w.name}|corner")
-    coords, resid = lstsq(qmat, alg.left_mult(z) @ w.counital_subalgebras.left.basis)
+    coords, resid = lstsq(qmat, alg.left_mult(z) @ w.derived().counital_subalgebras.left.basis)
     if resid > 1e-8:
         raise AssertionError(f"{w.name}: z A^L does not embed in the corner")
     mt = wk.markov_trace(corner, Subspace(orth(coords), corner.dim))
@@ -461,7 +461,7 @@ def test_criterion_09_actions_crossed_products_galois(examples, acceptance):
 
             # on groupoids and group algebras A is free over A^L
             w = act.wha
-            expected = act.module.dim * w.dim // w.counital_subalgebras.left.dim
+            expected = act.module.dim * w.dim // w.derived().counital_subalgebras.left.dim
             cp = wk.crossed_product(act)
             c.check(cp.report.ok, f"{name}: crossed product construction report not ok")
             c.check(
@@ -540,7 +540,7 @@ def test_criterion_10_smash_products(examples, acceptance):
                     sizes == (n,),
                     f"{key}: smash product blocks {sizes}, expected a single M_{n} factor",
                 )
-            al_alg, _ = wk.induced_algebra(w.algebra, w.counital_subalgebras.left, name=f"{key}|A^L")
+            al_alg, _ = wk.induced_algebra(w.algebra, w.derived().counital_subalgebras.left, name=f"{key}|A^L")
             al_sizes = wk.block_decomposition(al_alg).sizes
             c.check(
                 len(sizes) == len(al_sizes),

@@ -67,7 +67,7 @@ def test_crossed_product_dimensions_and_blocks(actions, name):
     assert wk.block_decomposition(cp.algebra).sizes == blocks
     assert wk.invariants(act).dim == dim_inv
     # dim(M x| A) = dim M * dim A / dim A^L on these (A free over A^L)
-    al = act.wha.counital_subalgebras.left.dim
+    al = act.wha.derived().counital_subalgebras.left.dim
     assert cp.algebra.dim == act.module.dim * act.wha.dim // al
 
 
@@ -530,6 +530,35 @@ def test_the_invariants_are_computed_once_per_action_and_tolerance(examples, mon
         assert calls == [wk.DEFAULT_TOL, other], key
 
 
+def test_algebras_weak_hopf_algebras_and_actions_keep_one_derived_cache_per_tolerance():
+    """An algebra of either storage, a weak Hopf algebra and an action keep what they
+    derive in ``derived(tol)``, one cache per tolerance, which every accessor reads."""
+    w = wk.pair_groupoid_wha(2)
+    sp = wk.smash_product(w)
+    assert isinstance(sp.algebra, wk.WedderburnAlgebra) and type(w.algebra) is wk.FinDimAlgebra
+    loose = wk.Tolerance(1e-8, 1e-8)
+    for owner in (w.algebra, sp.algebra, w, sp.action):
+        default, other = owner.derived(), owner.derived(loose)
+        assert default is owner.derived(wk.DEFAULT_TOL) and other is owner.derived(loose)
+        assert other is not default and (default.tol, other.tol) == (wk.DEFAULT_TOL, loose)
+        assert default.owner is owner and other.owner is owner
+    for alg in (w.algebra, sp.algebra):
+        for tol in (wk.DEFAULT_TOL, loose):
+            derived = alg.derived(tol)
+            assert alg.center(tol) is derived.center
+            assert alg.is_semisimple(tol) is derived.semisimple is True
+            assert wk.block_decomposition(alg, tol) is alg.block_decomposition(tol) is derived.blocks
+            assert alg.wedderburn_map(tol) is derived.wedderburn
+        assert alg.center() is not alg.center(loose)
+        assert alg.block_decomposition() is not alg.block_decomposition(loose)
+    for tol in (wk.DEFAULT_TOL, loose):
+        assert wk.validate_action(sp.action, tol) is sp.action.derived(tol).report
+        assert sp.action.validate(tol) is sp.action.derived(tol).report
+        assert wk.invariants(sp.action, tol) is sp.action.derived(tol).invariants
+    assert wk.validate_action(sp.action) is not wk.validate_action(sp.action, loose)
+    assert w.derived().counital_subalgebras is not w.derived(loose).counital_subalgebras
+
+
 @pytest.mark.parametrize("seed", [None, 17], ids=["canonical", "complex"])
 @pytest.mark.parametrize("key", ["p2", "s3", "p3", "fp3", "m23", "p4", "z8"])
 def test_the_relative_commutant_is_the_pullback_of_n_prime_in_m(examples, rotated, key, seed):
@@ -707,7 +736,7 @@ def test_the_separability_idempotent_is_the_casimir_of_the_trace_form(examples, 
     the regular trace form T of the induced A^L, for A and for the acting algebra A^."""
     for w in (examples[key], rotated(examples[key], 7)):
         for v in (w, w.dual):
-            al_alg, q = wk.induced_algebra(v.algebra, v.counital_subalgebras.left)
+            al_alg, q = wk.induced_algebra(v.algebra, v.derived().counital_subalgebras.left)
             e_full = v.antipode @ v.delta1
             coef = q.conj().T @ e_full @ np.conj(q)
             assert np.linalg.norm(e_full - q @ coef @ q.T) <= 1e-12 * np.linalg.norm(e_full), v.name
@@ -742,7 +771,7 @@ def test_the_quotients_come_from_the_separability_idempotent(examples, monkeypat
     act = make(wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key])
     w, m_alg = act.wha, act.module
     a_alg = w.algebra
-    lb = w.counital_subalgebras.left.basis
+    lb = w.derived().counital_subalgebras.left.basis
     u = np.einsum("pjr,j->pr", act.alpha, m_alg.unit)  # alpha_{e_p}(1_M)
     # E(m (x) a) = sum_pq e[p, q] m u_p (x) e_q a, with e = (S (x) id) Delta(1)
     e = w.antipode @ w.delta1
@@ -813,7 +842,7 @@ def test_an_svd_that_does_not_converge_on_either_route_propagates(examples, monk
 def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples):
     act = wk.dual_regular_action(examples["p2"])
     w, m_alg = act.wha, act.module
-    lb = w.counital_subalgebras.left.basis
+    lb = w.derived().counital_subalgebras.left.basis
     u_l = np.einsum("pjr,j->rp", act.alpha, m_alg.unit) @ lb
     rho, lam = m_alg._right_stack(u_l), w.algebra._left_stack(lb)
     coef = lb.conj().T @ (w.antipode @ w.delta1) @ np.conj(lb)
@@ -1000,7 +1029,7 @@ def test_m_r_subalgebra(actions):
         act = actions[name]
         span, injective = wk.m_r_subalgebra(act)
         assert injective
-        assert span.dim == act.wha.counital_subalgebras.left.dim
+        assert span.dim == act.wha.derived().counital_subalgebras.left.dim
 
 
 # --------------------------------------------------------------------------
@@ -1025,7 +1054,7 @@ def test_smash_product_block_structure(examples, key):
     assert sp.algebra.dim == dim
     assert wk.block_decomposition(sp.algebra).sizes == blocks
     # block count matches the block count of A^L
-    al_alg, _ = wk.induced_algebra(w.algebra, w.counital_subalgebras.left)
+    al_alg, _ = wk.induced_algebra(w.algebra, w.derived().counital_subalgebras.left)
     assert len(blocks) == len(wk.block_decomposition(al_alg).blocks)
 
 
@@ -1092,7 +1121,7 @@ def test_smash_product_reads_its_inclusion_off_blocks_in_hand(examples, rotated,
     for w in (examples[key], rotated(examples[key], 31)):
         induced.clear()
         sp = wk.smash_product(w)
-        assert induced == [wk.invariants(sp.action).dim, w.counital_subalgebras.left.dim]
+        assert induced == [wk.invariants(sp.action).dim, w.derived().counital_subalgebras.left.dim]
         blocks_a = w.algebra.block_decomposition()
         got = wk.actions._inclusion_matrix(sp.algebra, blocks_a, sp.embed_m, wk.DEFAULT_TOL)
         want, blocks_copy, _ = wk.inclusion_matrix(sp.algebra, Subspace(sp.embed_m, sp.dim))

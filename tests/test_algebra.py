@@ -327,7 +327,7 @@ def inclusion_ladder(examples, rotated, ising):
 
 def test_inclusion_matrix_from_central_idempotents_matches_minimal_idempotents(inclusion_ladder):
     for key, w in inclusion_ladder.items():
-        sub = w.counital_subalgebras
+        sub = w.derived().counital_subalgebras
         for side in (sub.left, sub.right):
             lam, blocks_b, blocks_a = wk.inclusion_matrix(w.algebra, side)
             assert np.array_equal(lam, _reference_inclusion_matrix(w.algebra, side, blocks_b)), key
@@ -336,7 +336,7 @@ def test_inclusion_matrix_from_central_idempotents_matches_minimal_idempotents(i
 
 def test_induced_algebra_matches_least_squares_on_rotated_bases(inclusion_ladder):
     for key, w in inclusion_ladder.items():
-        sub = w.counital_subalgebras
+        sub = w.derived().counital_subalgebras
         for side in (sub.left, sub.right):
             b, q = wk.induced_algebra(w.algebra, side)
             c, unit, inv = _lstsq_induced(w.algebra, q, w.algebra.unit)
@@ -351,7 +351,7 @@ def test_equal_size_blocks_keep_their_order_under_roundoff(rotated):
     three B-blocks tie on size and support; a 1e-15 change in B's structure
     constants (projection against least squares) must not permute them."""
     w = rotated(wk.function_wha(wk.pair_groupoid(3)), 17)
-    alg, side = w.algebra, w.counital_subalgebras.left
+    alg, side = w.algebra, w.derived().counital_subalgebras.left
     b_proj, q = wk.induced_algebra(alg, side)
     b_lstsq = wk.FinDimAlgebra(*_lstsq_induced(alg, q, alg.unit)[:2])
     blocks_a = alg.block_decomposition()

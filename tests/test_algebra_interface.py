@@ -25,7 +25,7 @@ class MatrixBacked(wk.FinDimAlgebra):
     def __init__(self, dense: wk.FinDimAlgebra):
         self.mats = np.stack([dense.left_mult(e) for e in np.eye(dense.dim)])
         self.dim, self.unit, self.involution = dense.dim, dense.unit, dense.involution
-        self.basis_labels, self.name, self._records = dense.basis_labels, f"{dense.name}|matrices", {}
+        self.basis_labels, self.name = dense.basis_labels, f"{dense.name}|matrices"
 
     @property
     def c(self):

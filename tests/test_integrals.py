@@ -115,7 +115,7 @@ def test_haar_expectations(examples, key):
     exps = wk.haar_expectations(w)
     assert exps is not None
     e_l, e_r = exps
-    sub = w.counital_subalgebras
+    sub = w.derived().counital_subalgebras
     for e, target in ((e_l, sub.left), (e_r, sub.right)):
         assert np.linalg.norm(e @ e - e) < 1e-9
         assert np.linalg.matrix_rank(e, tol=1e-9) == target.dim

@@ -323,3 +323,24 @@ def test_markov_index_agrees_with_the_sector_delta(examples):
     for key in ("s3", "fp2", "m23"):
         table = wk.sector_dimensions(examples[key])
         assert wk.markov_index(examples[key]) == pytest.approx(float(table.delta), abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["canonical", "complex"])
+@pytest.mark.parametrize("key", ["m23", "s3", "fp3", "p4"])
+def test_irreducible_representations_are_the_wedderburn_map_conjugated(examples, rotated, key, seed):
+    """rho_q(e_j) = W^-1 phi_q(e_j) W equals the restriction of L(e_j) to the carrier
+    V_q W orthonormalized in the Haar state's inner product G, on A and on A^."""
+    w = wk.function_wha(wk.pair_groupoid(3)) if key == "fp3" else examples[key]
+    if seed is not None:
+        w = rotated(w, seed)
+    for v in (w, w.dual):
+        gram = v.derived().haar_state.gram
+        irreps = wk.irreducible_representations(v)
+        ideals = v.algebra.wedderburn_map().ideals
+        assert len(irreps) == len(ideals)
+        for rep, ideal in zip(irreps, ideals):
+            k = ideal.conj().T @ gram @ ideal
+            vals, vecs = np.linalg.eigh((k + k.conj().T) / 2)
+            basis = ideal @ (vecs / np.sqrt(vals))
+            want = (basis.conj().T @ gram) @ v.algebra.c.transpose(0, 2, 1) @ basis  # over the L(e_j) = c[j].T
+            assert float(np.max(np.abs(rep.matrices - want))) <= 1e-12, (key, v.name)
