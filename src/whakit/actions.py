@@ -25,6 +25,11 @@ Both relative tensor products, M (x)_{A^L} A of the crossed product and
 M (x)_N M of the Galois map, are quotients by a relation span, read off a
 separability idempotent of the algebra they are taken over when it decides
 and off the SVD of the relation span otherwise (:func:`_relative_quotient`).
+An idempotent's range is read off its trace and one seeded sketch
+(:func:`~whakit.linalg.idempotent_range`), with a full SVD deciding when the
+sketch does not certify; no basis of a relation span is formed, since the
+residual of a map X on the relations is ``|X - (X C) C^H|_F`` for the
+carrier C.
 
 The canonical actions copy nothing: :func:`arrow_action` of A on A^ has
 ``alpha = c_A.transpose(1, 2, 0)``, and :func:`dual_regular_action` is the
@@ -65,6 +70,8 @@ from .linalg import (
     Subspace,
     _svd_cut,
     coimage_and_kernel,
+    contract,
+    idempotent_range,
     kernel,
     kron_sum,
     matrix_rank,
@@ -175,8 +182,8 @@ def _validate_action(action: WhaAction, tol: Tolerance) -> AxiomReport:
     rep.add("action-unit-invariance", np.linalg.norm(on_unit - on_unit @ w.counital_maps[0]), tol.bound(scale) * 10)
     if m_alg.involution is not None and w.algebra.involution is not None:
         inv_m = m_alg.involution
-        lhs4 = np.einsum("kr,tjr->tjk", inv_m, np.conj(alpha), optimize=True)
-        rhs4 = np.einsum("it,irk,rj->tjk", w.star_antipode, alpha, inv_m, optimize=True)
+        lhs4 = contract("kr,tjr->tjk", inv_m, np.conj(alpha))
+        rhs4 = contract("it,irk,rj->tjk", w.star_antipode, alpha, inv_m)
         rep.add("action-star", np.linalg.norm(lhs4 - rhs4), tol.bound(scale) * 10)
     return rep
 
@@ -274,11 +281,18 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     The quotient comes from the separability idempotent ``e = (S (x)
     id) Delta(1) = sum_ij e_ij l_i (x) l_j`` of A^L, over an orthonormal basis
     l_i of A^L: ``E = sum_ij e_ij R(u(l_i)) (x) L(l_j)`` on M (x) A has the
-    relation span as its kernel and the carrier as its coimage, from one SVD
-    of the (d_full, d_full) matrix E, and ``d = tr E``.  It decides when e lies
-    in A^L (x) A^L, u is multiplicative on A^L and the residuals of
-    :func:`_separable_quotient` pass, all against ``bound``; otherwise the SVD
-    of the stacked relations decides.  Either way the carrier's basis is
+    relation span as its kernel and the carrier as its coimage, and ``d = tr
+    E``.  The coimage is read off one seeded (d_full, d) sketch of E^H,
+    certified against the rank cut of E's SVD, or is the whole space when
+    E = 1 (every Hopf algebra, whose A^L is C1); the full SVD of the
+    (d_full, d_full) matrix E decides when the sketch does not certify.  The
+    idempotent decides when e lies in A^L (x) A^L, u is multiplicative on
+    A^L and the residuals of :func:`_separable_quotient` pass, all against
+    ``bound``; otherwise the SVD of the stacked relations decides.  No basis
+    of the relation span is formed: with the carrier C, the residual of a
+    map X on the relations, ``|X V_rel|_F`` for an orthonormal basis V_rel of
+    them, is ``|X - (X C) C^H|_F``, and the dense route alone derives V_rel
+    from C.  Either way the carrier's basis is
     :func:`~whakit.linalg.pivoted_basis` of the complement, which depends on
     the quotient alone, not on how an SVD rotates singular vectors of equal
     singular value; for a groupoid's smash product its columns are standard
@@ -324,18 +338,17 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     d_full = dm * da
 
     # K[p,i,j,k]: the coefficient of e_k in e_i alpha_p(e_j)
-    k_fac = np.einsum("pjr,irk->pijk", alpha, m_alg.c, optimize=True)
+    k_fac = contract("pjr,irk->pijk", alpha, m_alg.c)
     # |big|_F^2 = sum_a <Delta[:,:,a], (G_K (x) G_A) Delta[:,:,a]> with the Gram
     # matrices of the alpha- and c_A-factors
     k_rows = k_fac.reshape(da, -1)
     a_rows = w.algebra.c.reshape(da, -1)
-    norm2 = np.einsum(
+    norm2 = contract(
         "pqa,pP,qQ,PQa->",
         w.delta3,
         k_rows @ k_rows.conj().T,
         a_rows @ a_rows.conj().T,
         np.conj(w.delta3),
-        optimize=True,
     ).real
     scale = max(1.0, float(np.sqrt(max(norm2, 0.0))))
     bound = tol.bound(scale) * 100
@@ -350,7 +363,7 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     legs = float(np.linalg.norm(e_full - lb @ coef @ lb.T))
     # u(l_i l_j) - u(l_i) u(l_j)
     u_defect = float(np.linalg.norm(action.unit_map @ (lam @ lb) - m_alg._left_stack(u_l) @ u_l))
-    v_rel, carrier = _relative_quotient(rho, lam, coef if max(legs, u_defect) <= bound else None, bound, tol)
+    carrier = _relative_quotient(rho, lam, coef if max(legs, u_defect) <= bound else None, bound, tol)
     if carrier.shape[1] == 0:  # e.g. a trivial action through a counit that is not multiplicative
         raise EmptyQuotient(f"M (x)_(A^L) A is 0-dimensional: the relations span all of M (x) A (dim {d_full})")
     carrier = pivoted_basis(carrier)
@@ -360,23 +373,25 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     if m_alg.involution is not None and w.algebra.involution is not None:
         # (m x| a)* = alpha_{(a*)_(1)}(m*) x| (a*)_(2), antilinear in (m, a):
         # Delta(a*) carries the conjugated coefficients of Delta(a)
-        st = np.einsum(
+        st = contract(
             "pqa,mp,mjr,ji,nq->rnia",
             np.conj(w.delta3),
             w.algebra.involution,
             alpha,
             m_alg.involution,
             w.algebra.involution,
-            optimize=True,
         ).reshape(d_full, d_full)
-        star_resid = float(np.linalg.norm(carrier.conj().T @ (st @ np.conj(v_rel))))
-        inv_q = carrier.conj().T @ st @ np.conj(carrier)
+        half = carrier.conj().T @ st
         del st  # the product route below peaks on top of what is kept
+        inv_q = half @ np.conj(carrier)
+        # conj(carrier) and conj(V_rel) span complementary subspaces, so |half conj(V_rel)|_F is this
+        star_resid = float(np.linalg.norm(half - inv_q @ carrier.T))
+        del half
 
     name = f"{m_alg.name}x|{w.name}"
-    out = _wedderburn_product(action, k_fac, carrier, v_rel, unit_q, inv_q, name, bound, tol)
+    out = _wedderburn_product(action, k_fac, carrier, unit_q, inv_q, name, bound, tol)
     if out is None:
-        out = FinDimAlgebra(_dense_product(action, k_fac, carrier, v_rel, bound), unit_q, involution=inv_q, name=name)
+        out = FinDimAlgebra(_dense_product(action, k_fac, carrier, bound, tol), unit_q, involution=inv_q, name=name)
     del k_fac  # validation below peaks on top of the product
     # raised after the product route, so that the dense route's product-descent error comes first
     if star_resid > bound:
@@ -407,21 +422,25 @@ def _add_embedding_row(rep: AxiomReport, name: str, src: FinDimAlgebra, emb, out
 
 
 def _relative_quotient(rho, lam, e, bound: float, tol: Tolerance):
-    """``(relation span, carrier)`` of X (x)_B Y, by :func:`_separable_quotient` when it certifies
-    the separability idempotent ``e`` of B: ``(S (x) id) Delta(1)`` in A^L (x) A^L
-    (Boehm-Nill-Szlachanyi) for the crossed product, the Casimir ``sum_ij (T^-1)_ij n_i (x) n_j``
-    of N = M^A's regular trace form T for the Galois map.  Otherwise, as for a broken action,
-    and whenever ``e`` is None, the SVD of the relation span of ``rho_b x (x) y - x (x) lam_b y``
-    itself decides."""
-    quotient = None if e is None else _separable_quotient(rho, lam, e, bound, tol)
-    if quotient is None:
+    """The carrier of X (x)_B Y, an orthonormal basis of the orthogonal complement of its
+    relation span, by :func:`_separable_quotient` when it certifies the separability
+    idempotent ``e`` of B: ``(S (x) id) Delta(1)`` in A^L (x) A^L (Boehm-Nill-Szlachanyi) for
+    the crossed product, the Casimir ``sum_ij (T^-1)_ij n_i (x) n_j`` of N = M^A's regular
+    trace form T for the Galois map.  Otherwise, as for a broken action, and whenever ``e`` is
+    None, the SVD of the relation span of ``rho_b x (x) y - x (x) lam_b y`` itself decides.
+
+    No basis of the relation span is returned: for the carrier C, whose columns and those of
+    a relation basis V_rel make a unitary, ``|X V_rel|_F = |X - (X C) C^H|_F``, which is how
+    every caller reads the residual of a map X on the relations."""
+    carrier = None if e is None else _separable_quotient(rho, lam, e, bound, tol)
+    if carrier is None:
         rel = kron_sum(rho, lam)
-        quotient = span_and_complement(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1), tol)
-    return quotient
+        carrier = span_and_complement(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1), tol)[1]
+    return carrier
 
 
 def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
-    """``(relation span, carrier)`` of X (x)_B Y from a separability idempotent of B, or None.
+    """The carrier of X (x)_B Y from a separability idempotent of B, or None.
 
     B acts on X from the right by the (k, dim X, dim X) stack ``rho`` and on Y
     from the left by the (k, dim Y, dim Y) stack ``lam``, both over a basis
@@ -436,12 +455,16 @@ def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
     * kills, ``E (rho_k (x) 1) = E (1 (x) lam_k)`` for every k: E vanishes on
       the relation span.
 
-    So one SVD of E gives the relation span (its kernel) and the carrier (its
-    coimage, the orthogonal complement), and ``tr E`` is the dimension of the
-    quotient.  Returns None when a residual exceeds ``bound``, ``tr E``
-    differs from the rank cut by more than ``bound`` or LAPACK's SVD of E does
-    not converge; :func:`_relative_quotient` then takes the SVD of the relation span itself.
-    No (k, dim X dim Y, dim X dim Y) stack of relations is formed.
+    So the carrier is E's coimage, the orthogonal complement of its kernel
+    and the range of E^H, and ``tr E`` is the dimension of the quotient.
+    :func:`~whakit.linalg.idempotent_range` of E^H reads it off one seeded
+    sketch of rank round(tr E), or off E = 1 when tr E = dim X dim Y, when
+    it certifies the rank cut of E's SVD; otherwise one SVD of E
+    (:func:`~whakit.linalg.coimage_and_kernel`) decides.  Returns None when
+    a residual exceeds ``bound``, ``tr E`` differs from the rank by more than
+    ``bound`` or LAPACK's SVD of E does not converge;
+    :func:`_relative_quotient` then takes the SVD of the relation span
+    itself.  No (k, dim X dim Y, dim X dim Y) stack of relations is formed.
     """
     k, dx, dy = rho.shape[0], rho.shape[1], lam.shape[1]
     right = np.tensordot(e, lam, axes=([1], [0]))  # right[i] = sum_j e[i, j] lam_j
@@ -458,18 +481,21 @@ def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
         r2 += float(np.linalg.norm(lhs.T @ rhs)) ** 2
     if np.sqrt(r2) > bound:
         return None
-    big_e = (x_flat.T @ lam_flat).reshape(dx, dx, dy, dy).transpose(0, 2, 1, 3).reshape(dx * dy, dx * dy)
-    try:
-        carrier, v_rel = coimage_and_kernel(big_e, tol)
-    except np.linalg.LinAlgError:  # LAPACK's SVD did not converge: this route does not certify
+    # E^H, whose range is the carrier: E[(a, b), (c, d)] is (x_flat.T @ lam_flat)[a, c, b, d]
+    big_eh = np.conj(x_flat.T @ lam_flat).reshape(dx, dx, dy, dy).transpose(1, 3, 0, 2).reshape(dx * dy, dx * dy)
+    carrier = idempotent_range(big_eh, tol)
+    if carrier is None:
+        try:
+            carrier = coimage_and_kernel(big_eh.conj().T, tol)[0]
+        except np.linalg.LinAlgError:  # LAPACK's SVD did not converge: this route does not certify
+            return None
+    if abs(np.trace(big_eh) - carrier.shape[1]) > bound:  # |tr E - d| = |tr E^H - d|
         return None
-    if abs(np.trace(big_e) - carrier.shape[1]) > bound:
-        return None
-    return v_rel, carrier
+    return carrier
 
 
 def _wedderburn_product(
-    action: WhaAction, k_fac, carrier, v_rel, unit, involution, name: str, bound: float, tol: Tolerance
+    action: WhaAction, k_fac, carrier, unit, involution, name: str, bound: float, tol: Tolerance
 ) -> WedderburnAlgebra | None:
     """M x| A on the carrier as R(N)' = End_N(M) in Wedderburn form, or None when it is not certified.
 
@@ -510,9 +536,10 @@ def _wedderburn_product(
         return None
     # pi_full[(k,l), (i,a)] = (L(e_i) alpha_a)[k, l] = K[a,i,l,k], which kills the relation span
     pi_full = k_fac.transpose(3, 2, 1, 0).reshape(dm * dm, dm * da)
-    if v_rel.shape[1] and np.linalg.norm(pi_full @ v_rel) > bound:
+    pi_c = pi_full @ carrier
+    if d < dm * da and np.linalg.norm(pi_full - pi_c @ carrier.conj().T) > bound:  # |pi_full V_rel|_F
         return None
-    ops = (pi_full @ carrier).T.reshape(d, dm, dm)  # Pi_g, the image of carrier vector g
+    ops = pi_c.T.reshape(d, dm, dm)  # Pi_g, the image of carrier vector g
     try:
         n_alg, n_basis = action.derived(tol).induced
         wedderburn = n_alg.wedderburn_map(tol)
@@ -550,19 +577,22 @@ def _wedderburn_product(
     return out
 
 
-def _dense_product(action: WhaAction, k_fac, carrier, v_rel, bound: float) -> np.ndarray:
+def _dense_product(action: WhaAction, k_fac, carrier, bound: float, tol: Tolerance) -> np.ndarray:
     """Structure constants of M x| A on the carrier from the (d_full, d_full, d) tensor ``carrier^H big``.
 
     Raises IllDefinedProduct when a relation vector in either input slot of
-    the product has a component off the relation span above ``bound``.
+    the product has a component off the relation span above ``bound``; the
+    relation vectors are an orthonormal basis of the carrier's orthogonal
+    complement, derived here from the carrier.
     """
     w, m_alg = action.wha, action.module
     dm, da = m_alg.dim, w.dim
     d_full, d = carrier.shape
+    v_rel = kernel(carrier.conj().T, tol)
     cbar = carrier.conj().reshape(dm, da, d)
     # bp[(i,a),(j,b),g] = sum_pqk Delta[p,q,a] K[p,i,j,k] U[q,b,k,g] = carrier^H big[(i,a),(j,b),:]
-    u_fac = np.einsum("qbc,kcg->qkbg", w.algebra.c, cbar, optimize=True)
-    t = np.einsum("pqa,pijk->iajqk", w.delta3, k_fac, optimize=True).reshape(d_full * dm, da * dm)
+    u_fac = contract("qbc,kcg->qkbg", w.algebra.c, cbar)
+    t = contract("pqa,pijk->iajqk", w.delta3, k_fac).reshape(d_full * dm, da * dm)
     bp = (t @ u_fac.reshape(da * dm, da * d)).reshape(d_full, d_full, d)
     del t, u_fac
 
@@ -764,13 +794,18 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     N over an orthonormal basis n_i: ``E = sum_ij e_ij R(n_i) (x) L(n_j)`` on
     M (x) M, as in :func:`crossed_product`.  It decides when T is invertible
     and the residuals of :func:`_separable_quotient` pass; otherwise the SVD
-    of the stacked relations decides.
+    of the stacked relations decides.  The corner is the range of right
+    multiplication by rho(1), an idempotent too, read off its trace and one
+    seeded sketch by :func:`~whakit.linalg.idempotent_range` (the whole space
+    when rho(1) = 1, as for every Hopf algebra), with
+    :func:`~whakit.linalg.orth` deciding when the sketch does not certify.
 
     Checks, both against ``tol.bound(|g|_F) * 100`` for the map ``g`` on the
-    unquotiented M (x) M: the image of the domain's relations
-    (IllDefinedProduct) and the image's component outside the corner
-    (CrossCheckMismatch).  Returns ``(matrix, bijective)``, the matrix in
-    orthonormal bases of the domain and of the corner.
+    unquotiented M (x) M: the image of the domain's relations, ``|g -
+    (g W) W^H|_F`` for the domain's orthonormal basis W (IllDefinedProduct),
+    and the image's component outside the corner (CrossCheckMismatch).
+    Returns ``(matrix, bijective)``, the matrix in orthonormal bases of the
+    domain and of the corner.
     """
     tol = get_tol(tol)
     w, m_alg, alpha = action.wha, action.module, action.alpha
@@ -779,11 +814,13 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
 
     # target: the range of (m (x) phi) -> (m (x) phi) rho(1) on M (x) A^, whose
     # product is the transpose of Delta
-    rho1 = np.einsum("rt,irk,stu->kuis", action.unit_map, m_alg.c, w.delta3, optimize=True)
-    corner = orth(rho1.reshape(dm * da, dm * da), tol)
+    rho1 = contract("rt,irk,stu->kuis", action.unit_map, m_alg.c, w.delta3).reshape(dm * da, -1)
+    corner = idempotent_range(rho1, tol)
+    if corner is None:
+        corner = orth(rho1, tol)
     del rho1  # the domain's quotient below peaks on top of what is kept
 
-    g_full = np.einsum("tjr,irk->ktij", alpha, m_alg.c, optimize=True).reshape(dm * da, dm * dm)
+    g_full = contract("tjr,irk->ktij", alpha, m_alg.c).reshape(dm * da, dm * dm)
     bound = tol.bound(max(1.0, float(np.linalg.norm(g_full)))) * 100
 
     # domain M (x)_N M: quotient by m n (x) m' - m (x) n m', N acting by R(n) and L(n)
@@ -793,11 +830,12 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     t = np.einsum("iab,jba->ij", restricted, restricted)  # regular trace form of N
     # sum_ij (T^-1)_ij n_i (x) n_j is a separability idempotent of N when T is invertible
     e = np.linalg.inv(t) if matrix_rank(t, tol) == nb.shape[1] else None
-    v_dom, w_dom = _relative_quotient(r_n, l_n, e, bound, tol)
-    resid = float(np.linalg.norm(g_full @ v_dom))
+    w_dom = _relative_quotient(r_n, l_n, e, bound, tol)
+    image = g_full @ w_dom
+    # |g_full V_dom|_F for a basis V_dom of the relations, the complement of w_dom
+    resid = float(np.linalg.norm(g_full - image @ w_dom.conj().T)) if w_dom.shape[1] < dm * dm else 0.0
     if resid > bound:
         raise IllDefinedProduct(f"Galois map does not descend to M (x)_N M ({resid:.3e})")
-    image = g_full @ w_dom
     mat = corner.conj().T @ image
     outside = float(np.linalg.norm(image - corner @ mat))
     if outside > bound:

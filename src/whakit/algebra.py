@@ -42,6 +42,7 @@ from .errors import (
     DimensionMismatch,
     NoInvolution,
     NonIntegerBlockSize,
+    NonIntegerMultiplicity,
     NoQuasiBasis,
     NotConditionalExpectation,
     NotConnected,
@@ -50,7 +51,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .linalg import Subspace, is_irreducible_nonneg, kernel, lstsq, matrix_rank, orth, perron_frobenius
+from .linalg import Subspace, contract, is_irreducible_nonneg, kernel, lstsq, matrix_rank, orth, perron_frobenius
 from .report import AxiomReport
 
 __all__ = [
@@ -724,12 +725,12 @@ def _covariance_defect(c_m, alpha, delta) -> float:
     for lo in range(0, da, 16):
         ts = slice(lo, lo + 16)
         # m1[(t, k), (p, b)] = sum_q Delta[p, q, t] alpha_q(m_k)_b
-        m1 = np.einsum("pqt,qkb->tkpb", delta[:, :, ts], alpha, optimize=True).reshape(-1, da * n)
+        m1 = contract("pqt,qkb->tkpb", delta[:, :, ts], alpha).reshape(-1, da * n)
         for jo in range(0, n, 16):
             js = slice(jo, jo + 16)
             # e[(p, b), (j, x)] = (alpha_p(m_j) m_b)_x and want[(t, k), (j, x)] = alpha_t(m_j m_k)_x
-            e = np.einsum("pja,abx->pbjx", alpha[:, js], c_m, optimize=True).reshape(da * n, -1)
-            want = np.einsum("jkr,trx->tkjx", c_m[js], alpha[ts], optimize=True).reshape(m1.shape[0], -1)
+            e = contract("pja,abx->pbjx", alpha[:, js], c_m).reshape(da * n, -1)
+            want = contract("jkr,trx->tkjx", c_m[js], alpha[ts]).reshape(m1.shape[0], -1)
             acc += float(np.linalg.norm(want - m1 @ e)) ** 2
     return float(np.sqrt(acc))
 
@@ -1165,10 +1166,26 @@ class WatataniIndex:
 def watatani_index(algebra: FinDimAlgebra, expectation, tol: Tolerance | None = None) -> WatataniIndex:
     """Watatani index of a conditional expectation E : A -> B = ran E.
 
-    ``expectation`` is the matrix of E in the algebra basis.  Solves the
-    two-sided quasi-basis equations ``sum u_i E(v_i x) = x = sum E(x u_i) v_i``
-    for a tensor ``T = sum u_i (x) v_i``; any two-sided solution yields the
-    same index element ``sum u_i v_i``.
+    ``expectation`` is the matrix of E in the algebra basis.  A quasi-basis
+    is a tensor ``T = sum u_i (x) v_i`` with ``sum u_i E(v_i x) = x = sum E(x
+    u_i) v_i``, held as ``T[i, j]`` over basis pairs; any two-sided solution
+    yields the same index element ``sum u_i v_i`` (Watatani, *Index for
+    C*-subalgebras*, Mem. AMS 424, 1990).  Two routes find T:
+
+    * block by block (:func:`_block_quasi_basis`), O(n^4): for each minimal
+      idempotent f in the spectral decomposition of a seeded generic element
+      of B, bases X of A f and Y of f A and the pairing ``E(y_k x_l) = P_kl
+      f`` give ``T = sum_f X P^-1 Y^T / n_f``, n_f the size of f's block;
+    * dense: the least-squares solution of both equations at once, an (2n^2,
+      n^2) system, O(n^6).
+
+    The block route's T is kept when both equations hold with a residual
+    within ``tol.quasi_basis_residual(n)``, the threshold the dense solve is
+    held to, checked in O(n^4) (:func:`_quasi_basis_residual`); otherwise, as
+    when B does not decompose or a pairing is singular, the dense route
+    decides and raises NoQuasiBasis above that threshold.  The index is a
+    scalar when the element lies within ``tol.scalar_index_residual`` of a
+    multiple of the unit.
     """
     tol = get_tol(tol)
     e = np.asarray(expectation, dtype=complex)
@@ -1180,11 +1197,11 @@ def watatani_index(algebra: FinDimAlgebra, expectation, tol: Tolerance | None = 
     checks.add("idempotent", np.linalg.norm(e @ e - e), tol.bound(scale**2) * 10)
     checks.add("unital", np.linalg.norm(e @ algebra.unit - algebra.unit), tol.bound(scale) * 10)
     ran = Subspace(e, n, tol)
+    lb, rb = algebra._left_stack(ran.basis), algebra._right_stack(ran.basis)
+    left, right = np.linalg.norm(lb @ e - e @ lb, axis=(1, 2)), np.linalg.norm(rb @ e - e @ rb, axis=(1, 2))
     for j in range(ran.dim):
-        b = ran.basis[:, j]
-        lb, rb = algebra.left_mult(b), algebra.right_mult(b)
-        checks.add(f"left-module-map[{j}]", np.linalg.norm(lb @ e - e @ lb), tol.bound(scale**2) * 100)
-        checks.add(f"right-module-map[{j}]", np.linalg.norm(rb @ e - e @ rb), tol.bound(scale**2) * 100)
+        checks.add(f"left-module-map[{j}]", left[j], tol.bound(scale**2) * 100)
+        checks.add(f"right-module-map[{j}]", right[j], tol.bound(scale**2) * 100)
     if algebra.involution is not None:
         inv = algebra.involution
         checks.add("star-preserving", np.linalg.norm(e @ inv - inv @ np.conj(e)), tol.bound(scale) * 10)
@@ -1192,15 +1209,102 @@ def watatani_index(algebra: FinDimAlgebra, expectation, tol: Tolerance | None = 
         worst = max(checks.failures, key=lambda c: c.residual)
         raise NotConditionalExpectation(f"{worst.name}: residual {worst.residual:.3e}")
 
-    c = algebra.c
-    l1 = np.einsum("jlp,mp,imk->klij", c, e, c, optimize=True).reshape(n * n, n * n)
-    l2 = np.einsum("lip,mp,mjk->klij", c, e, c, optimize=True).reshape(n * n, n * n)
+    t = _block_quasi_basis(algebra, e, ran, tol)
+    if t is None or not _quasi_basis_residual(algebra, e, t) <= tol.quasi_basis_residual(n):
+        t = _dense_quasi_basis(algebra, e, tol)
+    element = np.einsum("ij,ijk->k", t, algebra.c)
+    lam = complex(np.vdot(algebra.unit, element) / np.vdot(algebra.unit, algebra.unit))
+    scalar = lam if np.linalg.norm(element - lam * algebra.unit) <= tol.scalar_index_residual(abs(lam)) else None
+    return WatataniIndex(element=element, scalar=scalar, quasi_basis=t)
+
+
+def _block_quasi_basis(algebra: FinDimAlgebra, e, ran: Subspace, tol: Tolerance) -> np.ndarray | None:
+    """The quasi-basis ``T = sum_f X_f P_f^-1 Y_f^T / n_f`` of E onto B = ``ran``, block by block, or None.
+
+    A seeded generic element g of B is ``sum_f lam_f f`` over orthogonal
+    minimal idempotents f of B, n_mu of them in block mu ≅ M_(n_mu), with
+    distinct eigenvalues lam_f.  So L(g) and R(g) are diagonalizable on A,
+    their lam_f-eigenspaces are f A and A f, and one eigendecomposition of
+    each gives bases Y_f of f A and X_f of A f for every f at once, L(f) as
+    the spectral projector of L(g), f = L(f) 1 and n_f = n_mu = tr L(f) on B.
+    E maps f A f into f B f = C f, so ``E(y_k x_l) = P_kl f``, and when P is
+    invertible ``z = sum_lk x_l (P^-1)_lk E(y_k z)`` for z in A f.  Summing
+    ``x e_a1 e_1a`` over matrix units of block mu with e_11 = f turns this
+    into ``sum_lk x_l (P^-1)_lk E(y_k x) = x z_mu`` for every x, z_mu the
+    central support of f, so dividing by n_mu and summing over all f gives
+    the left equation; the right one follows in the same way from f A.
+    Eigenvalues of L(g) are grouped, and matched with those of R(g), within
+    ``tol.bound`` of their largest magnitude.  None when an eigensolver
+    fails, the eigenvalues of L(g) and R(g) do not match with equal
+    multiplicities, some n_f is not a positive integer or a pairing is
+    singular; the caller's residual check decides the rest, a NaN residual
+    included.
+    """
+    q = ran.basis
+    g = q @ _generic_pair(q.shape[1])[:, 0]
+    try:
+        lam_l, y_all = np.linalg.eig(algebra.left_mult(g))
+        lam_r, x_all = np.linalg.eig(algebra.right_mult(g))
+        y_inv = np.linalg.inv(y_all)
+    except np.linalg.LinAlgError:
+        return None
+    cut = tol.bound(float(np.max(np.abs(lam_l))))
+    n = algebra.dim
+    t = np.zeros((n, n), dtype=complex)
+    taken = np.zeros(n, dtype=bool)
+    for gl in _eigenvalue_groups(lam_l, cut):
+        gr = np.flatnonzero(np.abs(lam_r - lam_l[gl[0]]) <= cut)  # the same eigenvalue of R(g)
+        if len(gr) != len(gl) or taken[gr].any():
+            return None
+        taken[gr] = True
+        y, x = y_all[:, gl], x_all[:, gr]  # bases of f A and A f
+        proj = y @ y_inv[gl]  # L(f)
+        f = proj @ algebra.unit
+        try:
+            size = round_to_int(np.trace(q.conj().T @ proj @ q), "block size of a minimal idempotent")
+            if size < 1:
+                return None
+            ex = e @ algebra._left_products(y, x)  # [k, :, l] = E(y_k x_l)
+            pairing = np.tensordot(f.conj(), ex, axes=([0], [1])) / np.vdot(f, f)
+            t += x @ np.linalg.solve(pairing, y.T) / size
+        except (NonIntegerMultiplicity, np.linalg.LinAlgError):
+            return None
+    return t
+
+
+def _eigenvalue_groups(vals, cut: float) -> list[list[int]]:
+    """Indices of ``vals`` grouped by the first value within ``cut`` of each, in order of first appearance."""
+    first = np.argmax(np.abs(vals[:, None] - vals[None, :]) <= cut, axis=1)
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(first.tolist()):
+        groups.setdefault(k, []).append(i)
+    return list(groups.values())
+
+
+def _quasi_basis_residual(algebra: FinDimAlgebra, e, t) -> float:
+    """``sqrt(|sum_ij T_ij L(e_i) E L(e_j) - 1|_F^2 + |sum_ij T_ij R(e_j) E R(e_i) - 1|_F^2)``.
+
+    The two quasi-basis equations for T as maps on A, the residual that the
+    dense route's least-squares solve reports, from (n, n, n) stacks of left
+    and right multiplications in O(n^4).
+    """
+    n = algebra.dim
+    eye = np.eye(n)
+    # sum_i L(e_i) E L(t_i) for the rows t_i of T, and sum_j R(e_j) E R(s_j) for its columns s_j,
+    # each one (n, n^2) @ (n^2, n) GEMM
+    left = algebra._left_stack(eye).transpose(1, 0, 2).reshape(n, -1) @ (e @ algebra._left_stack(t.T)).reshape(-1, n)
+    right = algebra._right_stack(eye).transpose(1, 0, 2).reshape(n, -1) @ (e @ algebra._right_stack(t)).reshape(-1, n)
+    return float(np.sqrt(np.linalg.norm(left - eye) ** 2 + np.linalg.norm(right - eye) ** 2))
+
+
+def _dense_quasi_basis(algebra: FinDimAlgebra, e, tol: Tolerance) -> np.ndarray:
+    """The least-squares quasi-basis of both equations as one (2n^2, n^2) system;
+    raises NoQuasiBasis when its residual exceeds ``tol.quasi_basis_residual(n)``."""
+    c, n = algebra.c, algebra.dim
+    l1 = contract("jlp,mp,imk->klij", c, e, c).reshape(n * n, n * n)
+    l2 = contract("lip,mp,mjk->klij", c, e, c).reshape(n * n, n * n)
     target = np.eye(n, dtype=complex).reshape(n * n)
     t, resid = lstsq(np.vstack([l1, l2]), np.concatenate([target, target]), tol)
-    if resid > 1e-7 * np.sqrt(n):
+    if resid > tol.quasi_basis_residual(n):
         raise NoQuasiBasis(f"no quasi-basis within tolerance (residual {resid:.3e})")
-    t = t.reshape(n, n)
-    element = np.einsum("ij,ijk->k", t, c)
-    lam = complex(np.vdot(algebra.unit, element) / np.vdot(algebra.unit, algebra.unit))
-    scalar = lam if np.linalg.norm(element - lam * algebra.unit) <= 1e-7 * max(1.0, abs(lam)) else None
-    return WatataniIndex(element=element, scalar=scalar, quasi_basis=t)
+    return t.reshape(n, n)

@@ -31,8 +31,19 @@ class Tolerance:
 
     def bound(self, *scales) -> float:
         """Comparison threshold for quantities of the given magnitudes."""
-        scale = max((float(s) for s in scales), default=0.0)
-        return self.abs_tol + self.rel_tol * scale
+        return self.abs_tol + self.rel_tol * (max(map(float, scales)) if scales else 0.0)
+
+    def quasi_basis_residual(self, n: int) -> float:
+        """Bound on the residual of the two quasi-basis equations of an
+        expectation on an n-dimensional algebra, each an identity of Frobenius
+        norm sqrt(n): 50 ``bound(1)`` sqrt(n), 1e-7 sqrt(n) at the default."""
+        return 50 * self.bound(1.0) * float(np.sqrt(n))
+
+    def scalar_index_residual(self, magnitude: float) -> float:
+        """How far an index element may lie from ``lam`` times the unit, for |lam| =
+        ``magnitude``, and still be the scalar ``lam``: 50 ``bound(1)`` max(1,
+        magnitude), 1e-7 max(1, magnitude) at the default."""
+        return 50 * self.bound(1.0) * max(1.0, float(magnitude))
 
     def scaled(self, factor: float) -> "Tolerance":
         return Tolerance(self.abs_tol * factor, self.rel_tol * factor)

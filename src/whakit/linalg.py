@@ -14,13 +14,24 @@ singular vectors, ``a = R^H Q^H`` for wide ``a`` keeps the left ones, and
 ``Q``, having orthonormal columns, changes no singular value.  Householder
 QR is backward stable, so the rank cut sees ``a``'s singular values to
 roundoff; no Gram matrix is formed, which would square them.
+
+An idempotent needs no SVD at all: its rank is its trace, so
+:func:`idempotent_range` takes r = round(tr p) and reads the range off one
+seeded sketch ``p Omega`` for an (n, r) Gaussian Omega, orthonormalized and
+projected by p once more (Halko-Martinsson-Tropp, *Finding structure with
+randomness*, SIAM Rev. 53, 2011).  It returns the basis Q only when the
+singular values of ``Q^H p`` and the residual ``|p - Q Q^H p|_F`` show that
+the cut of :func:`matrix_rank` keeps exactly r singular values of p;
+otherwise it returns None, and the caller's SVD decides.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .config import Tolerance, get_tol
+from .config import Tolerance, get_tol, rng
 from .errors import DimensionMismatch, NotNonnegative, NotPositive, RankDeficient
 
 __all__ = [
@@ -28,10 +39,12 @@ __all__ = [
     "kernel",
     "span_and_complement",
     "coimage_and_kernel",
+    "idempotent_range",
     "pivoted_basis",
     "lstsq",
     "matrix_rank",
     "kron_sum",
+    "contract",
     "normalize_phase",
     "Subspace",
     "perron_frobenius",
@@ -51,8 +64,7 @@ def _as_matrix(a):
 
 def _svd_cut(s, tol: Tolerance, scale: float) -> int:
     """Number of singular values considered nonzero."""
-    cut = tol.bound(scale)
-    return int(np.sum(s > cut))
+    return int(np.count_nonzero(s > tol.bound(scale)))
 
 
 def normalize_phase(v, tol: Tolerance | None = None):
@@ -77,11 +89,8 @@ def _phase_normalized(q):
     """
     mag = np.abs(q)
     top = mag.max(axis=0, initial=0.0)
-    first = np.argmax(mag > 0.1 * top, axis=0)
-    pivot = q[first, np.arange(q.shape[1])]
-    nonzero = top > 0
-    phase = np.ones(q.shape[1], dtype=complex)
-    phase[nonzero] = np.abs(pivot[nonzero]) / pivot[nonzero]
+    first, cols = np.argmax(mag > 0.1 * top, axis=0), np.arange(q.shape[1])
+    phase = np.divide(mag[first, cols], q[first, cols], out=np.ones(q.shape[1], dtype=complex), where=top > 0)
     return q * phase
 
 
@@ -166,6 +175,56 @@ def coimage_and_kernel(a, tol: Tolerance | None = None):
     return _phase_normalized(vh[:r].conj().T), _phase_normalized(vh[r:].conj().T)
 
 
+def idempotent_range(p, tol: Tolerance | None = None):
+    """Orthonormal basis (columns) of the range of a square idempotent ``p``, or None.
+
+    The rank of an idempotent is its trace, r = round(tr p).  For 0 < r < n
+    the basis is the orthonormal factor Q of ``p Q_0``, for Q_0 that of ``p
+    Omega`` and Omega a seeded real Gaussian (n, r) matrix.  In exact
+    arithmetic the two span ran p; the second product moves the roundoff of
+    the first QR, which grows with the condition number of ``p Omega``, back
+    into ran p, so Q is accurate to roundoff in p alone.  Q is returned only
+    when it certifies that the cut of :func:`matrix_rank` keeps exactly r
+    singular values: with s the singular values of ``Q^H p`` and ``res = |p
+    - Q Q^H p|_F``, sigma_r(p) >= s_min, sigma_(r+1)(p) <= res and s_max <=
+    sigma_max(p) <= s_max + res, so ``s_min > tol.bound(s_max + res)`` and
+    ``res <= tol.bound(s_max)`` put the cut between sigma_(r+1) and sigma_r.
+    For r = n the basis is the identity, returned only when ``res = |p -
+    1|_F`` passes the same two tests, every singular value lying within res
+    of 1.  Otherwise the result is None: for an r outside [1, n], a ``p``
+    whose rank cut is not its rounded trace, a sketch that misses ran p, or
+    a non-finite entry.  Costs O(n^2 r); no (n, n) factor of an SVD is
+    formed.
+    """
+    tol = get_tol(tol)
+    p = _as_matrix(p)
+    n = p.shape[0]
+    if p.shape != (n, n) or not np.all(np.isfinite(p)):
+        return None
+    r = int(round(float(np.trace(p).real)))
+    # lo <= sigma_max(p) <= hi, sigma_r(p) >= s_min and sigma_(r+1)(p) <= res
+    if r == n:
+        q, res = np.eye(n, dtype=complex), float(np.linalg.norm(p - np.eye(n)))
+        s_min, lo, hi = 1.0 - res, 1.0 - res, 1.0 + res
+    elif 0 < r < n:
+        # p (p Omega) = p Omega, so the second product only returns the first QR's roundoff to ran p
+        q = np.linalg.qr(p @ np.linalg.qr(p @ rng().standard_normal((n, r)))[0])[0]
+        qp = q.conj().T @ p
+        diff = q @ qp
+        diff -= p
+        res = float(np.linalg.norm(diff))
+        try:
+            s = np.linalg.svd(qp, compute_uv=False)
+        except np.linalg.LinAlgError:
+            return None
+        s_min, lo, hi = s[-1], s[0], s[0] + res
+    else:
+        return None
+    if s_min > tol.bound(hi) and res <= tol.bound(lo):
+        return _phase_normalized(q)
+    return None
+
+
 def pivoted_basis(q):
     """The column-pivoted Gram-Schmidt basis of the span of the orthonormal columns ``q``.
 
@@ -177,8 +236,11 @@ def pivoted_basis(q):
     vectors it picks them first.  Column k of ``q^H`` holds the coordinates
     of ``P e_k`` in the basis q, so the search costs O(r^2 n) for r columns of
     length n and P is never formed.  Column t is scaled so that its entry at
-    the t-th pivot is real positive.
+    the t-th pivot is real positive.  A basis of the whole space gives the
+    identity, which is returned without the search.
     """
+    if q.shape[0] == q.shape[1]:
+        return np.eye(q.shape[0], dtype=complex)
     res = q.conj().T.copy()
     norms = np.einsum("ij,ij->j", res.conj(), res).real
     pivots: list[int] = []
@@ -218,6 +280,19 @@ def kron_sum(x, y):
     n, p, r = x.shape[0], x.shape[1], y.shape[1]
     out = x[:, :, None, :, None] * np.eye(r)[:, None, :] - np.eye(p)[:, None, :, None] * y[:, None, :, None, :]
     return out.reshape(n, p * r, p * r)
+
+
+def contract(subscripts: str, *operands):
+    """``np.einsum(subscripts, *operands, optimize=True)``, with the greedy contraction path
+    computed once per subscripts and operand shapes instead of on every call."""
+    path = _contraction_path(subscripts, tuple(np.shape(op) for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+@lru_cache(maxsize=256)
+def _contraction_path(subscripts: str, shapes: tuple) -> list:
+    """The path ``optimize=True`` takes, which depends on the shapes alone."""
+    return np.einsum_path(subscripts, *(np.broadcast_to(0.0, shape) for shape in shapes), optimize="greedy")[0]
 
 
 def lstsq(a, b, tol: Tolerance | None = None):

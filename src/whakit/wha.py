@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
     WhakitError,
 )
-from .linalg import Subspace, kernel, lstsq, matrix_rank
+from .linalg import Subspace, contract, kernel, lstsq, matrix_rank
 from .report import AxiomReport
 
 __all__ = [
@@ -307,8 +307,8 @@ def _unit_compatibility(c, d3, unit) -> tuple[float, float]:
     opposite; on (Delta, c, eps) they are ``eps(xyz) = eps(x y_(1)) eps(y_(2) z)`` and its opposite."""
     w1 = d3 @ unit  # Delta(1), left leg = row index
     d2_unit = d3 @ w1  # (Delta (x) id) Delta(1)
-    r1 = np.einsum("ai,jc,ijm->amc", w1, w1, c, optimize=True)
-    r2 = np.einsum("pq,ij,pjm->imq", w1, w1, c, optimize=True)
+    r1 = contract("ai,jc,ijm->amc", w1, w1, c)
+    r2 = contract("pq,ij,pjm->imq", w1, w1, c)
     return float(np.linalg.norm(d2_unit - r1)), float(np.linalg.norm(d2_unit - r2))
 
 
@@ -317,7 +317,7 @@ def _add_star_coalgebra_checks(rep: AxiomReport, w: WeakBialgebra, tol: Toleranc
     inv, d3, eps = w.algebra.involution, w.delta3, w.eps
     scale = max(1.0, float(np.linalg.norm(w.algebra.c)), float(np.linalg.norm(d3)))
     lhs_star = np.einsum("abm,mj->abj", d3, inv)
-    rhs_star = np.einsum("pqj,ap,bq->abj", np.conj(d3), inv, inv, optimize=True)
+    rhs_star = contract("pqj,ap,bq->abj", np.conj(d3), inv, inv)
     rep.add("comultiplication-star-compatible", np.linalg.norm(lhs_star - rhs_star), tol.bound(scale**2))
     rep.add("counit-star-compatible", np.linalg.norm(eps @ inv - np.conj(eps)), tol.bound(scale))
 
@@ -386,10 +386,10 @@ def _solve_antipode_dense(w: WeakBialgebra, tol: Tolerance):
     c, d3 = w.algebra.c, w.delta3
     n = w.dim
     pi_l, pi_r = w.counital_maps
-    m1 = np.einsum("pqj,pmk->kjmq", d3, c, optimize=True).reshape(n * n, n * n)
-    m2 = np.einsum("pqj,mqk->kjmp", d3, c, optimize=True).reshape(n * n, n * n)
-    m3 = np.einsum("pqj,rq,mrk->kjmp", d3, pi_l, c, optimize=True).reshape(n * n, n * n)
-    m4 = np.einsum("pqj,rp,rmk->kjmq", d3, pi_r, c, optimize=True).reshape(n * n, n * n)
+    m1 = contract("pqj,pmk->kjmq", d3, c).reshape(n * n, n * n)
+    m2 = contract("pqj,mqk->kjmp", d3, c).reshape(n * n, n * n)
+    m3 = contract("pqj,rq,mrk->kjmp", d3, pi_l, c).reshape(n * n, n * n)
+    m4 = contract("pqj,rp,rmk->kjmq", d3, pi_r, c).reshape(n * n, n * n)
     eye = np.eye(n * n, dtype=complex)
     stacked = np.vstack([m1, m2, m3 - eye, m4 - eye])
     zeros = np.zeros(n * n, dtype=complex)

@@ -814,12 +814,19 @@ def test_a_broken_action_takes_the_relation_span(examples, monkeypatch):
     assert len(calls) == 1
 
 
-def test_an_svd_that_does_not_converge_falls_back_to_the_relation_span(examples, monkeypatch):
-    # LAPACK's SVD of E did not converge on some rotated m23 inputs; the relation span then decides
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def _no_sketch(monkeypatch):
+    """Make every sketch in ``actions`` miss, so that the full SVD or ``orth`` decides next."""
+    monkeypatch.setattr(wk.actions, "idempotent_range", lambda *args, **kwargs: None)
 
-    monkeypatch.setattr(wk.actions, "coimage_and_kernel", no_convergence)
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def test_an_svd_that_does_not_converge_falls_back_to_the_relation_span(examples, monkeypatch):
+    # LAPACK's SVD of E did not converge on some rotated m23 inputs; after the sketch, the relation span then decides
+    _no_sketch(monkeypatch)
+    monkeypatch.setattr(wk.actions, "coimage_and_kernel", _no_convergence)
     calls = _spy_on_the_relation_span(monkeypatch)
     sp = wk.smash_product(examples["m23"])
     assert sp.dim == 89
@@ -830,16 +837,23 @@ def test_an_svd_that_does_not_converge_falls_back_to_the_relation_span(examples,
 
 
 def test_an_svd_that_does_not_converge_on_either_route_propagates(examples, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(wk.actions, "coimage_and_kernel", no_convergence)
-    monkeypatch.setattr(wk.actions, "span_and_complement", no_convergence)
+    _no_sketch(monkeypatch)
+    monkeypatch.setattr(wk.actions, "coimage_and_kernel", _no_convergence)
+    monkeypatch.setattr(wk.actions, "span_and_complement", _no_convergence)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         wk.smash_product(examples["m23"])
 
 
-def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples):
+def test_an_svd_that_does_not_converge_is_not_reached_when_the_sketch_decides(examples, monkeypatch):
+    monkeypatch.setattr(wk.actions, "coimage_and_kernel", _no_convergence)
+    calls = _spy_on_the_relation_span(monkeypatch)
+    sp = wk.smash_product(examples["m23"])
+    mat, bijective = wk.galois_map(sp.action)
+    assert sp.dim == 89 and mat.shape == (89, 89) and bijective
+    assert calls == []
+
+
+def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples, monkeypatch):
     act = wk.dual_regular_action(examples["p2"])
     w, m_alg = act.wha, act.module
     lb = w.derived().counital_subalgebras.left.basis
@@ -847,20 +861,104 @@ def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples):
     rho, lam = m_alg._right_stack(u_l), w.algebra._left_stack(lb)
     coef = lb.conj().T @ (w.antipode @ w.delta1) @ np.conj(lb)
     tol = wk.DEFAULT_TOL
-    v_rel, carrier = wk.actions._separable_quotient(rho, lam, coef, 1e-9, tol)
-    assert carrier.shape == (16, 8) and v_rel.shape == (16, 8)
-    # sum_ij e_ij lam_i lam_j = 1/2
-    assert wk.actions._separable_quotient(rho, lam, coef / 2, 1e-9, tol) is None
-    # a right action that is not u: E no longer vanishes on the relations
+    ref = _relation_complement(rho, lam)
     bent = rho.copy()
     bent[0, 0, 1] += 1e-3
-    assert wk.actions._separable_quotient(bent, lam, coef, 1e-9, tol) is None
+    for sketch in (True, False):  # the sketch decides, then the full SVD of E
+        with monkeypatch.context() as patch:
+            if not sketch:
+                _no_sketch(patch)
+            carrier = wk.actions._separable_quotient(rho, lam, coef, 1e-9, tol)
+            assert carrier.shape == (16, 8)
+            assert np.linalg.norm(carrier @ carrier.conj().T - ref @ ref.conj().T) <= 1e-12
+            # sum_ij e_ij lam_i lam_j = 1/2
+            assert wk.actions._separable_quotient(rho, lam, coef / 2, 1e-9, tol) is None
+            # a right action that is not u: E no longer vanishes on the relations
+            assert wk.actions._separable_quotient(bent, lam, coef, 1e-9, tol) is None
+
+
+def _spy_on_the_sketch(monkeypatch):
+    """Record ``(p, result)`` of every ``idempotent_range`` call in ``actions``."""
+    calls = []
+    original = wk.actions.idempotent_range
+
+    def spy(p, tol=None):
+        out = original(p, tol)
+        calls.append((np.array(p), out))
+        return out
+
+    monkeypatch.setattr(wk.actions, "idempotent_range", spy)
+    return calls
+
+
+@pytest.mark.parametrize("key", ["p2", "s3", "p3", "fp3", "m23", "p4", "m23 complex"])
+def test_the_sketch_spans_what_the_full_svd_spans(examples, rotated, monkeypatch, key):
+    """Every idempotent the smash product and its Galois map hand to the sketch (E^H of both
+    quotients, the corner rho(1)) is decided by it, and its projector is the full SVD's."""
+    w = {"fp3": lambda: wk.function_wha(wk.pair_groupoid(3)), "m23 complex": lambda: rotated(examples["m23"], 7)}
+    calls = _spy_on_the_sketch(monkeypatch)
+    sp = wk.smash_product(w[key]() if key in w else examples[key])
+    _, bijective = wk.galois_map(sp.action)
+    assert bijective and len(calls) == 3
+    for p, q in calls:
+        assert q is not None
+        u = wk.linalg.orth(p)
+        assert np.linalg.norm(q @ q.conj().T - u @ u.conj().T) <= 1e-12
+
+
+def test_a_sketch_that_misses_the_range_leaves_the_decision_to_the_svd(examples, monkeypatch):
+    class Zero:
+        """A sketch Omega = 0, which misses the range; on p3 so does its second product p Q_0."""
+
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    act = wk.dual_regular_action(examples["p3"])
+    ref = wk.crossed_product(act)
+    ref_mat, _ = wk.galois_map(act)
+    monkeypatch.setattr(wk.linalg, "rng", lambda *args: Zero())
+    svds = []
+    original = wk.actions.coimage_and_kernel
+    monkeypatch.setattr(wk.actions, "coimage_and_kernel", lambda a, tol=None: svds.append(a.shape) or original(a, tol))
+    sketches = _spy_on_the_sketch(monkeypatch)
+    act = wk.dual_regular_action(examples["p3"])
+    cp = wk.crossed_product(act)
+    mat, bijective = wk.galois_map(act)
+    assert [q for _, q in sketches] == [None, None, None]
+    assert svds == [(81, 81), (81, 81)]  # the crossed product's E and the Galois domain's; the corner takes orth
+    assert np.linalg.norm(cp.carrier - ref.carrier) <= 1e-12
+    assert np.allclose(cp.algebra.c, ref.algebra.c, rtol=0, atol=1e-12)
+    assert bijective and mat.shape == ref_mat.shape
+    assert np.allclose(np.linalg.svd(mat, compute_uv=False), np.linalg.svd(ref_mat, compute_uv=False), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wk.crossed_product(wk.arrow_action(wk.cyclic_wha(8))),
+    lambda: wk.smash_product(wk.symmetric_wha(3)),
+], ids=["z8 translation", "s3 smash"])
+def test_hopf_quotients_take_the_identity_without_a_sketch(monkeypatch, build):
+    """For a Hopf algebra A^L = C1, so E = 1 on M (x) A; N = C1 for these actions, so E = 1 on
+    M (x) M; and rho(1) = 1 (x) 1.  Each is checked against 1 and taken whole: no sketch is drawn,
+    and neither an SVD nor a relation span is formed."""
+    def no_draw(*args):
+        raise AssertionError("a sketch was drawn")
+
+    monkeypatch.setattr(wk.linalg, "rng", no_draw)
+    monkeypatch.setattr(wk.actions, "coimage_and_kernel", no_draw)
+    calls = _spy_on_the_relation_span(monkeypatch)
+    sketches = _spy_on_the_sketch(monkeypatch)
+    cp = build()
+    _, bijective = wk.galois_map(cp.action)
+    assert bijective and calls == [] and len(sketches) == 3
+    for p, q in sketches:
+        assert np.array_equal(q, np.eye(p.shape[0]))
+    assert np.array_equal(cp.carrier, np.eye(cp.dim))
 
 
 def test_the_p4_crossed_product_peaks_below_eight_mib():
     # the (4, 256, 256) relation stack, its reshaped copy and their QR peaked at 17.4 MiB, and
-    # the product with its (64, 64, 64) structure constants stored at 10.0 MiB; the SVD of E now
-    # sets the peak (7.4 MiB)
+    # the product with its (64, 64, 64) structure constants stored at 10.0 MiB; the SVD of E set
+    # the peak at 7.4 MiB, and the sketch of E^H that replaced it leaves the call at 6.5 MiB
     act = wk.dual_regular_action(wk.pair_groupoid_wha(4))
     tracemalloc.start()
     try:

@@ -8,6 +8,7 @@ from whakit.linalg import (
     _phase_normalized,
     coimage_and_kernel,
     hermitian_sqrt,
+    idempotent_range,
     is_irreducible_nonneg,
     kernel,
     kron_sum,
@@ -129,6 +130,74 @@ def test_the_pivoted_basis_depends_only_on_the_span():
     assert np.linalg.norm(got - want) <= 1e-12
     assert np.allclose(got.conj().T @ got, np.eye(4), atol=1e-12)
     assert np.linalg.norm(got @ got.conj().T - q @ q.conj().T) <= 1e-12
+
+
+def _oblique_idempotent(n, r, seed, real=False):
+    """``a (b a)^-1 b`` for random (n, r) a and (r, n) b: an idempotent of rank r that is not Hermitian."""
+    a = _svd_test_matrix(n, r, r, real, seed)
+    b = _svd_test_matrix(r, n, r, real, seed + 1)
+    return a @ np.linalg.solve(b @ a, b)
+
+
+@pytest.mark.parametrize("n, r, real", [(12, 5, True), (30, 12, False), (64, 1, False), (50, 49, True)])
+def test_the_range_of_an_idempotent_is_the_full_svd_range(n, r, real):
+    p = _oblique_idempotent(n, r, seed=n + r, real=real)
+    q = idempotent_range(p)
+    u = orth(p)
+    assert q.shape == u.shape == (n, r)
+    assert np.allclose(q.conj().T @ q, np.eye(r), atol=1e-12)
+    assert np.linalg.norm(q @ q.conj().T - u @ u.conj().T) <= 1e-12
+    _assert_same_subspace_and_phases(q, q)  # first significant entry of each column real positive
+
+
+def test_the_identity_is_its_own_range_without_a_sketch(monkeypatch):
+    monkeypatch.setattr("whakit.linalg.rng", lambda *args: pytest.fail("a sketch was drawn"))
+    assert np.array_equal(idempotent_range(np.eye(7)), np.eye(7))
+    assert idempotent_range(np.eye(7) + 1e-6 * np.eye(7)[:, ::-1]) is None  # trace 7, but 1 is not what it is
+
+
+def test_a_matrix_whose_trace_is_not_its_rank_cut_is_refused():
+    p = _oblique_idempotent(20, 6, seed=3)
+    assert idempotent_range(np.zeros((5, 5))) is None  # trace 0
+    assert idempotent_range(2 * p) is None  # trace 12, rank 6
+    # a 1e-6 perturbation keeps the trace but lifts 14 singular values above the cut of matrix_rank
+    noisy = p + 1e-6 * RNG.normal(size=(20, 20))
+    assert round(np.trace(noisy).real) == 6 and matrix_rank(noisy) == 20
+    assert idempotent_range(noisy) is None
+    # below the cut the sketch decides, and the cut keeps 6
+    quiet = p + 1e-13 * RNG.normal(size=(20, 20))
+    assert matrix_rank(quiet) == 6 and idempotent_range(quiet).shape == (20, 6)
+    assert idempotent_range(np.full((4, 4), np.nan)) is None
+    assert idempotent_range(np.ones((3, 4))) is None
+
+
+class _Constant:
+    """A stand-in generator whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, shape):
+        return np.full(shape, self.value)
+
+
+def test_a_sketch_that_misses_the_range_is_refused(monkeypatch):
+    # Omega = 0 misses ran p, Q_0 is then the first 6 unit vectors, and p kills the first of them
+    a = _svd_test_matrix(20, 6, 6, False, 5)
+    b = _svd_test_matrix(6, 20, 6, False, 6)
+    b[:, 0] = 0.0
+    p = a @ np.linalg.solve(b @ a, b)
+    monkeypatch.setattr("whakit.linalg.rng", lambda *args: _Constant(0.0))
+    assert idempotent_range(p) is None
+
+
+def test_the_second_product_repairs_a_sketch_of_rank_one(monkeypatch):
+    # p Omega has rank 1 for Omega = 1, but the completion of its QR factor is generic, and p maps it onto ran p
+    p = _oblique_idempotent(20, 6, seed=5)
+    monkeypatch.setattr("whakit.linalg.rng", lambda *args: _Constant(1.0))
+    q = idempotent_range(p)
+    u = orth(p)
+    assert np.linalg.norm(q @ q.conj().T - u @ u.conj().T) <= 1e-12
 
 
 @pytest.mark.parametrize(
