@@ -22,18 +22,23 @@ its structure constants.  N, its induced algebra and N' n M are computed once
 per action and tolerance (:meth:`WhaAction.derived`).
 
 Both relative tensor products, M (x)_{A^L} A of the crossed product and
-M (x)_N M of the Galois map, are quotients by a relation span, read off a
-separability idempotent of the algebra they are taken over when it decides
-and off the SVD of the relation span otherwise (:func:`_relative_quotient`).
-An idempotent's range is read off its trace and one seeded sketch
-(:func:`~whakit.linalg.idempotent_range`), with a full SVD deciding when the
-sketch does not certify; no basis of a relation span is formed, since the
-residual of a map X on the relations is ``|X - (X C) C^H|_F`` for the
-carrier C.
+M (x)_N M of the Galois map, are quotients by a relation span over a
+semisimple algebra B (A^L or N), and split block by block (Morita): X (x)_B Y
+= ⊕_l X f_l (x) f_l Y for the minimal projections f_l = e^l_11 of B.
+:func:`~whakit.algebra.relative_tensor_carrier` reads the quotient off B's
+cached Wedderburn map, the small ranges X f_l and f_l Y and the separability
+idempotent of B applied through its Kronecker factors; the SVD of the
+relation span decides when B does not decompose or a check misses
+(:func:`_relative_quotient`).  No (dim X dim Y)^2 array is formed, and no
+basis of a relation span, since the residual of a map X on the relations is
+``|X - (X C) C^H|_F`` for the carrier C.  The Galois corner (M (x) A^)
+rho(1) needs no basis when the map is onto it (:func:`_onto_the_corner`).
 
 The canonical actions copy nothing: :func:`arrow_action` of A on A^ has
 ``alpha = c_A.transpose(1, 2, 0)``, and :func:`dual_regular_action` is the
-arrow action of A^, whose structure constants are A's comultiplication.
+arrow action of A^, whose structure constants are A's comultiplication.  The
+covariance row of an arrow action is the multiplicativity row of the dual's
+Delta, which it reads from the dual's derived structures.
 """
 
 from __future__ import annotations
@@ -47,20 +52,21 @@ from .algebra import (
     _NO_DECOMPOSITION,
     FinDimAlgebra,
     WedderburnAlgebra,
+    WedderburnMap,
     _covariance_defect,
     _dense_associator_norm,
     _inclusion_matrix,
     induced_algebra,
+    relative_tensor_carrier,
     watatani_index,
 )
-from .config import Derived, HasDerived, Tolerance, get_tol, round_to_int
+from .config import Derived, HasDerived, Tolerance, get_tol
 from .errors import (
     CrossCheckMismatch,
     DimensionMismatch,
     EmptyQuotient,
     IllDefinedProduct,
     InvariantMismatch,
-    NonIntegerMultiplicity,
     NoQuasiBasis,
     NotConditionalExpectation,
     NotSemisimple,
@@ -69,9 +75,8 @@ from .errors import (
 from .linalg import (
     Subspace,
     _svd_cut,
-    coimage_and_kernel,
     contract,
-    idempotent_range,
+    idempotent_ranges,
     kernel,
     kron_sum,
     matrix_rank,
@@ -136,6 +141,8 @@ class WhaAction(HasDerived):
     module: FinDimAlgebra
     alpha: np.ndarray  # (dim A, dim M, dim M)
     name: str = "action"
+    # a weak Hopf algebra whose Delta-multiplicativity residual is this action's covariance row, or None
+    covariance_of: WeakHopfAlgebra | None = None
 
     Derived = ActionDerived
 
@@ -165,7 +172,10 @@ def validate_action(action: WhaAction, tol: Tolerance | None = None) -> AxiomRep
     """Residuals of the action axioms, computed once per tolerance and kept in
     ``action.derived(tol)``.  ``action-module-algebra`` is
     :func:`~whakit.algebra._covariance_defect`, the sliced kernel that also
-    checks the multiplicativity of Delta in :func:`~whakit.wha.validate_wba`."""
+    checks the multiplicativity of Delta in :func:`~whakit.wha.validate_wba`.
+    The arrow action of A on A^ is the one action whose covariance row is that
+    of Delta_{A^}: it reads the residual kept in ``A^.derived(tol)``
+    (``covariance_of``), against its own threshold."""
     return action.derived(tol).report
 
 
@@ -177,7 +187,9 @@ def _validate_action(action: WhaAction, tol: Tolerance) -> AxiomReport:
     ops = alpha.transpose(0, 2, 1)  # operator matrix of alpha_{e_i}
     rep.add("action-algebra-map", w.algebra.homomorphism_defect(ops), tol.bound(scale**2) * 10)
     rep.add("action-unital", np.linalg.norm(action.amat(w.unit) - np.eye(m_alg.dim)), tol.bound(scale) * 10)
-    rep.add("action-module-algebra", _covariance_defect(m_alg.c, alpha, w.delta3), tol.bound(scale**2) * 10)
+    source = action.covariance_of
+    covariance = _covariance_defect(m_alg.c, alpha, w.delta3) if source is None else source.derived(tol).multiplicativity
+    rep.add("action-module-algebra", covariance, tol.bound(scale**2) * 10)
     on_unit = action.unit_map  # alpha_a(1_M) = alpha_{pi^L(a)}(1_M)
     rep.add("action-unit-invariance", np.linalg.norm(on_unit - on_unit @ w.counital_maps[0]), tol.bound(scale) * 10)
     if m_alg.involution is not None and w.algebra.involution is not None:
@@ -278,25 +290,26 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     read off Gram matrices of its factors without forming it, and ``bound =
     tol.bound(scale) * 100``.
 
-    The quotient comes from the separability idempotent ``e = (S (x)
-    id) Delta(1) = sum_ij e_ij l_i (x) l_j`` of A^L, over an orthonormal basis
-    l_i of A^L: ``E = sum_ij e_ij R(u(l_i)) (x) L(l_j)`` on M (x) A has the
-    relation span as its kernel and the carrier as its coimage, and ``d = tr
-    E``.  The coimage is read off one seeded (d_full, d) sketch of E^H,
-    certified against the rank cut of E's SVD, or is the whole space when
-    E = 1 (every Hopf algebra, whose A^L is C1); the full SVD of the
-    (d_full, d_full) matrix E decides when the sketch does not certify.  The
-    idempotent decides when e lies in A^L (x) A^L, u is multiplicative on
-    A^L and the residuals of :func:`_separable_quotient` pass, all against
-    ``bound``; otherwise the SVD of the stacked relations decides.  No basis
-    of the relation span is formed: with the carrier C, the residual of a
-    map X on the relations, ``|X V_rel|_F`` for an orthonormal basis V_rel of
-    them, is ``|X - (X C) C^H|_F``, and the dense route alone derives V_rel
-    from C.  Either way the carrier's basis is
-    :func:`~whakit.linalg.pivoted_basis` of the complement, which depends on
-    the quotient alone, not on how an SVD rotates singular vectors of equal
-    singular value; for a groupoid's smash product its columns are standard
-    basis vectors of M (x) A.  Two routes then compute the product.
+    The quotient is read off the matrix units of A^L, over an orthonormal
+    basis l_i of A^L and its Wedderburn map, kept in ``w.derived(tol)``: M is
+    a right A^L-module through ``m . l = m u(l)`` and A a left one, and
+    :func:`~whakit.algebra.relative_tensor_carrier` builds the carrier from
+    the ranges M u(f_l) and f_l A of the minimal projections f_l and from the
+    separability idempotent of A^L applied through its Kronecker factors, when
+    its unit, kills, fixes and count checks pass against ``bound``
+    (:func:`_relative_quotient`).  For every Hopf algebra A^L = C1 and the
+    carrier is the identity.  Otherwise, and when A^L does not decompose, the
+    SVD of the stacked relations decides.  No (d_full, d_full) array is
+    formed for the quotient, and no basis of the relation span: with the
+    carrier C, the residual of a map X on the relations, ``|X V_rel|_F`` for
+    an orthonormal basis V_rel of them, is ``|X - (X C) C^H|_F``, and the
+    dense route alone derives V_rel from C.  Either way the carrier's basis
+    depends on the quotient alone, not on how an SVD rotates singular
+    vectors of equal singular value: through pivoted bases of the small
+    ranges, or as the :func:`~whakit.linalg.pivoted_basis` of the complement;
+    for a groupoid's smash product in its canonical basis both give the
+    same standard basis vectors of M (x) A.  Two routes then compute the
+    product.
 
     * Wedderburn (Galois actions): ``pi(m (x) a) = L(m) alpha_a`` maps M (x)
       A into End(M), and for a Galois action it is faithful on the quotient
@@ -357,16 +370,9 @@ def crossed_product(action: WhaAction, tol: Tolerance | None = None) -> CrossedP
     lb = w.derived(tol).counital_subalgebras.left.basis
     u_l = action.unit_map @ lb
     rho, lam = m_alg._right_stack(u_l), w.algebra._left_stack(lb)
-    # e = (S (x) id) Delta(1) = sum_ij coef[i, j] l_i (x) l_j, a separability idempotent of A^L
-    e_full = w.antipode @ w.delta1
-    coef = lb.conj().T @ e_full @ np.conj(lb)
-    legs = float(np.linalg.norm(e_full - lb @ coef @ lb.T))
-    # u(l_i l_j) - u(l_i) u(l_j)
-    u_defect = float(np.linalg.norm(action.unit_map @ (lam @ lb) - m_alg._left_stack(u_l) @ u_l))
-    carrier = _relative_quotient(rho, lam, coef if max(legs, u_defect) <= bound else None, bound, tol)
+    carrier = _relative_quotient(rho, lam, _wedderburn_of(lambda: w.derived(tol).left_algebra, tol), bound, tol)
     if carrier.shape[1] == 0:  # e.g. a trivial action through a counit that is not multiplicative
         raise EmptyQuotient(f"M (x)_(A^L) A is 0-dimensional: the relations span all of M (x) A (dim {d_full})")
-    carrier = pivoted_basis(carrier)
 
     unit_q = carrier.conj().T @ np.kron(m_alg.unit, w.unit)
     inv_q, star_resid = None, 0.0
@@ -421,77 +427,36 @@ def _add_embedding_row(rep: AxiomReport, name: str, src: FinDimAlgebra, emb, out
     rep.add(name, src.homomorphism_defect(emb, into=out), threshold)
 
 
-def _relative_quotient(rho, lam, e, bound: float, tol: Tolerance):
-    """The carrier of X (x)_B Y, an orthonormal basis of the orthogonal complement of its
-    relation span, by :func:`_separable_quotient` when it certifies the separability
-    idempotent ``e`` of B: ``(S (x) id) Delta(1)`` in A^L (x) A^L (Boehm-Nill-Szlachanyi) for
-    the crossed product, the Casimir ``sum_ij (T^-1)_ij n_i (x) n_j`` of N = M^A's regular
-    trace form T for the Galois map.  Otherwise, as for a broken action, and whenever ``e`` is
-    None, the SVD of the relation span of ``rho_b x (x) y - x (x) lam_b y`` itself decides.
+def _relative_quotient(rho, lam, wedderburn: WedderburnMap | None, bound: float, tol: Tolerance):
+    """The carrier of X (x)_B Y, an orthonormal basis of the orthogonal complement of its relation span.
+
+    B acts on X from the right by the stack ``rho`` and on Y from the left by
+    ``lam``; the relations are ``rho_b x (x) y - x (x) lam_b y``.  With B's
+    Wedderburn map ``wedderburn`` (A^L's for the crossed product, N = M^A's
+    for the Galois map), :func:`~whakit.algebra.relative_tensor_carrier`
+    reads the carrier off B's matrix units block by block, when its checks
+    pass against ``bound``.  Otherwise, as for a broken action, and whenever
+    ``wedderburn`` is None (B does not decompose), the SVD of the relation
+    span decides, and the carrier is the :func:`~whakit.linalg.pivoted_basis`
+    of its complement.  Either basis depends on the quotient alone.
 
     No basis of the relation span is returned: for the carrier C, whose columns and those of
     a relation basis V_rel make a unitary, ``|X V_rel|_F = |X - (X C) C^H|_F``, which is how
     every caller reads the residual of a map X on the relations."""
-    carrier = None if e is None else _separable_quotient(rho, lam, e, bound, tol)
+    carrier = None if wedderburn is None else relative_tensor_carrier(wedderburn, rho, lam, bound, tol)
     if carrier is None:
         rel = kron_sum(rho, lam)
-        carrier = span_and_complement(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1), tol)[1]
+        carrier = pivoted_basis(span_and_complement(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1), tol)[1])
     return carrier
 
 
-def _separable_quotient(rho, lam, e, bound: float, tol: Tolerance):
-    """The carrier of X (x)_B Y from a separability idempotent of B, or None.
-
-    B acts on X from the right by the (k, dim X, dim X) stack ``rho`` and on Y
-    from the left by the (k, dim Y, dim Y) stack ``lam``, both over a basis
-    b_1..b_k of B; the relation span is spanned by ``rho_b x (x) y - x (x)
-    lam_b y``, and ``e = sum_ij e[i, j] b_i (x) b_j``.  On X (x) Y let
-    ``E = sum_ij e[i, j] rho_i (x) lam_j``.  Two residuals make E the
-    idempotent whose kernel is the relation span:
-
-    * unit, ``sum_ij e[i, j] lam_i lam_j = 1`` on Y: then ``x (x) y - E(x (x)
-      y) = sum_ij e[i, j] (x (x) lam_i lam_j y - rho_i x (x) lam_j y)`` is a
-      sum of relations;
-    * kills, ``E (rho_k (x) 1) = E (1 (x) lam_k)`` for every k: E vanishes on
-      the relation span.
-
-    So the carrier is E's coimage, the orthogonal complement of its kernel
-    and the range of E^H, and ``tr E`` is the dimension of the quotient.
-    :func:`~whakit.linalg.idempotent_range` of E^H reads it off one seeded
-    sketch of rank round(tr E), or off E = 1 when tr E = dim X dim Y, when
-    it certifies the rank cut of E's SVD; otherwise one SVD of E
-    (:func:`~whakit.linalg.coimage_and_kernel`) decides.  Returns None when
-    a residual exceeds ``bound``, ``tr E`` differs from the rank by more than
-    ``bound`` or LAPACK's SVD of E does not converge;
-    :func:`_relative_quotient` then takes the SVD of the relation span
-    itself.  No (k, dim X dim Y, dim X dim Y) stack of relations is formed.
-    """
-    k, dx, dy = rho.shape[0], rho.shape[1], lam.shape[1]
-    right = np.tensordot(e, lam, axes=([1], [0]))  # right[i] = sum_j e[i, j] lam_j
-    unit = float(np.linalg.norm(lam.transpose(1, 0, 2).reshape(dy, -1) @ right.reshape(-1, dy) - np.eye(dy)))
-    if unit > bound:
+def _wedderburn_of(induced, tol: Tolerance) -> WedderburnMap | None:
+    """The Wedderburn map of the algebra B in the pair ``(B, coordinates) = induced()``, or None
+    when B cannot be induced or does not decompose at ``tol``."""
+    try:
+        return induced()[0].wedderburn_map(tol)
+    except (InvariantMismatch, ValidationError, *_NO_DECOMPOSITION):
         return None
-    x = np.tensordot(e, rho, axes=([0], [0]))  # x[j] = sum_i e[i, j] rho_i, so E = sum_j x_j (x) lam_j
-    x_flat, lam_flat = x.reshape(k, -1), lam.reshape(k, -1)
-    r2 = 0.0
-    for rho_k, lam_k in zip(rho, lam):
-        # E (rho_k (x) 1) - E (1 (x) lam_k) = sum_j x_j rho_k (x) lam_j - x_j (x) lam_j lam_k, entries permuted
-        lhs = np.concatenate([(x @ rho_k).reshape(k, -1), x_flat])
-        rhs = np.concatenate([lam_flat, -(lam @ lam_k).reshape(k, -1)])
-        r2 += float(np.linalg.norm(lhs.T @ rhs)) ** 2
-    if np.sqrt(r2) > bound:
-        return None
-    # E^H, whose range is the carrier: E[(a, b), (c, d)] is (x_flat.T @ lam_flat)[a, c, b, d]
-    big_eh = np.conj(x_flat.T @ lam_flat).reshape(dx, dx, dy, dy).transpose(1, 3, 0, 2).reshape(dx * dy, dx * dy)
-    carrier = idempotent_range(big_eh, tol)
-    if carrier is None:
-        try:
-            carrier = coimage_and_kernel(big_eh.conj().T, tol)[0]
-        except np.linalg.LinAlgError:  # LAPACK's SVD did not converge: this route does not certify
-            return None
-    if abs(np.trace(big_eh) - carrier.shape[1]) > bound:  # |tr E - d| = |tr E^H - d|
-        return None
-    return carrier
 
 
 def _wedderburn_product(
@@ -502,7 +467,9 @@ def _wedderburn_product(
     The representation ``m x| a -> L(m) alpha_a`` gives the d operators Pi_g
     on M.  It is a homomorphism with kernel the relation span when alpha is
     multiplicative and covariant (the kept :func:`validate_action` rows), M is
-    associative and pi kills the relation span, each against ``bound``.
+    associative (M's associativity row, kept in ``M.derived(tol)``; a
+    certified bound that misses ``bound`` is redone densely) and pi kills the
+    relation span, each against ``bound``.
     For a Galois action with invariants N = M^A, pi then maps M x| A onto
     R(N)', the commutant of right multiplication by N on M (Kreimer-Takeuchi;
     Caenepeel-De Groot for weak Hopf actions).  N = ⊕_l M_{n_l}, and M as a
@@ -531,8 +498,11 @@ def _wedderburn_product(
     axioms = {check.name: check.residual for check in validate_action(action, tol).checks}
     if axioms["action-algebra-map"] > bound or axioms["action-module-algebra"] > bound:
         return None
-    # L(e_i) L(e_j) = L(e_i e_j)
-    if _dense_associator_norm(m_alg.c) > bound:
+    # L(e_i) L(e_j) = L(e_i e_j): M's associativity row, kept per tolerance; a certificate over bound is redone densely
+    assoc, certified = m_alg.derived(tol).associativity
+    if certified and assoc > bound:
+        assoc = _dense_associator_norm(m_alg.c)
+    if assoc > bound:
         return None
     # pi_full[(k,l), (i,a)] = (L(e_i) alpha_a)[k, l] = K[a,i,l,k], which kills the relation span
     pi_full = k_fac.transpose(3, 2, 1, 0).reshape(dm * dm, dm * da)
@@ -543,26 +513,23 @@ def _wedderburn_product(
     try:
         n_alg, n_basis = action.derived(tol).induced
         wedderburn = n_alg.wedderburn_map(tol)
-        units = n_basis @ np.linalg.inv(wedderburn.matrix)  # matrix units of N in M's coordinates
+        units = n_basis @ wedderburn.units  # matrix units of N in M's coordinates
     except (InvariantMismatch, ValidationError, *_NO_DECOMPOSITION):
         return None
     right_n = m_alg._right_stack(n_basis)
     commutation = np.sqrt(sum(float(np.linalg.norm(ops @ r - r @ ops)) ** 2 for r in right_n))
     if commutation > tol.bound(2.0 * float(np.linalg.norm(ops)) * float(np.linalg.norm(right_n))):
         return None
-    sizes = [phi.shape[1] for phi in wedderburn.phis]
-    frames, lo = [], 0
-    for size in sizes:
-        f = units[:, lo : lo + size * size].reshape(dm, size, size)  # f[:, a, b] = f_ab
-        lo += size * size
+    sizes = wedderburn.sizes
+    ends = np.cumsum([n * n for n in sizes])
+    blocks = [units[:, hi - n * n : hi].reshape(dm, n, n) for hi, n in zip(ends, sizes)]  # f[:, a, b] = f_ab
+    # the ranges M f_11 of R(f_11), whose ranks are the multiplicities of N's blocks in M
+    corners = idempotent_ranges(m_alg._right_stack(np.stack([f[:, 0, 0] for f in blocks], axis=1)), tol)
+    if corners is None:
+        return None
+    frames = []
+    for f, (corner, _) in zip(blocks, corners):
         embed, back = m_alg._right_stack(f[:, 0, :]), m_alg._right_stack(f[:, :, 0])  # R(f_1j), R(f_j1)
-        corner = orth(embed[0], tol)
-        try:
-            mult = round_to_int(np.trace(embed[0]), "multiplicity of a block of N in M")
-        except NonIntegerMultiplicity:
-            return None
-        if corner.shape[1] != mult:
-            return None
         frames.append((embed @ corner, corner.conj().T @ back))
     mults = [embed.shape[2] for embed, _ in frames]
     if sum(m * m for m in mults) != d or sum(m * n for m, n in zip(mults, sizes)) != dm:
@@ -789,16 +756,15 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     the dual regular action of S_3 is Galois but fails the relative-commutant
     clause of :func:`is_regular`.
 
-    The domain's quotient comes from the separability idempotent of N, the
-    Casimir ``e = sum_ij (T^-1)_ij n_i (x) n_j`` of the regular trace form T of
-    N over an orthonormal basis n_i: ``E = sum_ij e_ij R(n_i) (x) L(n_j)`` on
-    M (x) M, as in :func:`crossed_product`.  It decides when T is invertible
-    and the residuals of :func:`_separable_quotient` pass; otherwise the SVD
-    of the stacked relations decides.  The corner is the range of right
-    multiplication by rho(1), an idempotent too, read off its trace and one
-    seeded sketch by :func:`~whakit.linalg.idempotent_range` (the whole space
-    when rho(1) = 1, as for every Hopf algebra), with
-    :func:`~whakit.linalg.orth` deciding when the sketch does not certify.
+    The domain's quotient is read off the matrix units of N, through N's
+    cached Wedderburn map (:func:`_relative_quotient`), with the SVD of the
+    stacked relations deciding when N does not decompose or a check misses.
+    When the map is onto the corner, the corner needs no basis of its own
+    (:func:`_onto_the_corner`): the orthonormal factor of the image's QR is
+    one, and the triangular factor is the matrix.
+    Otherwise, as when the map is not bijective or a check of that route
+    misses, the corner is :func:`~whakit.linalg.orth` of the dense
+    (dim M dim A, dim M dim A) matrix of right multiplication by rho(1).
 
     Checks, both against ``tol.bound(|g|_F) * 100`` for the map ``g`` on the
     unquotiented M (x) M: the image of the domain's relations, ``|g -
@@ -812,36 +778,75 @@ def galois_map(action: WhaAction, tol: Tolerance | None = None):
     dm, da = m_alg.dim, w.dim
     n_sub = invariants(action, tol)
 
-    # target: the range of (m (x) phi) -> (m (x) phi) rho(1) on M (x) A^, whose
-    # product is the transpose of Delta
-    rho1 = contract("rt,irk,stu->kuis", action.unit_map, m_alg.c, w.delta3).reshape(dm * da, -1)
-    corner = idempotent_range(rho1, tol)
-    if corner is None:
-        corner = orth(rho1, tol)
-    del rho1  # the domain's quotient below peaks on top of what is kept
-
     g_full = contract("tjr,irk->ktij", alpha, m_alg.c).reshape(dm * da, dm * dm)
     bound = tol.bound(max(1.0, float(np.linalg.norm(g_full)))) * 100
 
     # domain M (x)_N M: quotient by m n (x) m' - m (x) n m', N acting by R(n) and L(n)
     nb = n_sub.basis
     r_n, l_n = m_alg._right_stack(nb), m_alg._left_stack(nb)
-    restricted = nb.conj().T @ l_n @ nb  # L(n_i) on N
-    t = np.einsum("iab,jba->ij", restricted, restricted)  # regular trace form of N
-    # sum_ij (T^-1)_ij n_i (x) n_j is a separability idempotent of N when T is invertible
-    e = np.linalg.inv(t) if matrix_rank(t, tol) == nb.shape[1] else None
-    w_dom = _relative_quotient(r_n, l_n, e, bound, tol)
+    w_dom = _relative_quotient(r_n, l_n, _wedderburn_of(lambda: action.derived(tol).induced, tol), bound, tol)
     image = g_full @ w_dom
     # |g_full V_dom|_F for a basis V_dom of the relations, the complement of w_dom
     resid = float(np.linalg.norm(g_full - image @ w_dom.conj().T)) if w_dom.shape[1] < dm * dm else 0.0
+    del g_full
     if resid > bound:
         raise IllDefinedProduct(f"Galois map does not descend to M (x)_N M ({resid:.3e})")
+    mat = _onto_the_corner(action, image, bound, tol)
+    if mat is not None:
+        return mat, True
+    # the range of (m (x) phi) -> (m (x) phi) rho(1) on M (x) A^, whose product is the transpose of Delta
+    corner = orth(contract("rt,irk,stu->kuis", action.unit_map, m_alg.c, w.delta3).reshape(dm * da, -1), tol)
     mat = corner.conj().T @ image
     outside = float(np.linalg.norm(image - corner @ mat))
     if outside > bound:
         raise CrossCheckMismatch(f"Galois map leaves the corner (M (x) A^) rho(1) ({outside:.3e})")
     bijective = mat.shape[0] == mat.shape[1] == matrix_rank(mat, tol)
     return mat, bijective
+
+
+def _onto_the_corner(action: WhaAction, image, bound: float, tol: Tolerance) -> np.ndarray | None:
+    """The Galois map's matrix when it is onto the corner (M (x) A^) rho(1), or None.
+
+    Right multiplication by ``rho(1) = sum_t u_t (x) e^_t``, u_t = alpha_{e_t}(1_M),
+    is ``sum_t R_M(u_t) (x) R_A^(e^_t)`` and is never formed.  The image, of
+    d = dim M (x)_N M columns, spans the corner when
+
+    * rho(1) is idempotent, ``|rho(1)^2 - rho(1)|_F <= bound``, so the rank
+      of right multiplication by it is its trace, ``sum_t tr R_M(u_t) tr
+      R_A^(e^_t)``, which must lie within ``bound`` of d;
+    * the image lies in the corner, ``|image rho(1) - image|_F <= bound``,
+      applied through the factors: with the SVD ``(u_t)_t = sum_s m_s
+      phi_s^T`` cut at its rank (at most dim A^L), ``rho(1) = sum_s m_s (x)
+      phi_s``, two GEMMs per term s;
+    * the image has rank d: ``image = Q R`` (QR), and the singular values of
+      the triangular R, which are the image's, pass the cut of
+      :func:`~whakit.linalg.orth`.
+
+    Q is then an orthonormal basis of the corner, never formed, and R the
+    matrix of the map in the domain's basis and Q, which is returned: the
+    map is bijective.  None when a check misses or the image has a smaller
+    rank, so that the dense corner decides.  Costs O(r n^3 d) for r = rank of
+    the u_t and n = max(dim M, dim A); no (dim M dim A)^2 array is formed.
+    """
+    m_alg, hat = action.module, action.wha.dual_algebra
+    dm, da, d = m_alg.dim, action.wha.dim, image.shape[1]
+    units = action.unit_map  # column t is u_t
+    square = contract("is,jt,ijk,stu->ku", units, units, m_alg.c, hat.c)  # rho(1)^2 in M (x) A^
+    trace = complex(np.einsum("iri,rt,sts->", m_alg.c, units, hat.c))
+    if float(np.linalg.norm(square - units)) > bound or abs(trace - d) > bound:
+        return None
+    u, s, vh = np.linalg.svd(units, full_matrices=False)
+    r = _svd_cut(s, tol, s[0]) if s.size and s[0] > 0 else 0
+    # image rho(1)[k, b, g] = sum_s sum_ia R_M(m_s)[k, i] R_A^(phi_s)[b, a] image[i, a, g], one term s at a time
+    legs = image.reshape(dm, da, d).transpose(1, 0, 2).reshape(da, -1)  # [a, (i, g)]
+    moved = -image.reshape(dm, -1)
+    for r_m, r_a in zip(m_alg._right_stack(u[:, :r] * s[:r]), hat._right_stack(vh[:r].T)):
+        moved += r_m @ (r_a @ legs).reshape(da, dm, d).transpose(1, 0, 2).reshape(dm, -1)
+    if float(np.linalg.norm(moved)) > bound:
+        return None
+    mat = np.linalg.qr(image, mode="r")
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return mat if sv.size == d and _svd_cut(sv, tol, sv[0]) == d else None
 
 
 # ---------------------------------------------------------------------------
@@ -866,9 +871,16 @@ def arrow_action(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> WhaAction:
 
 
 def _arrow(w: WeakHopfAlgebra, name: str, tol: Tolerance | None) -> WhaAction:
-    """The validated arrow action of ``w`` on ``w.dual.algebra``; alpha is the view ``c.transpose(1, 2, 0)``."""
+    """The validated arrow action of ``w`` on ``w.dual.algebra``; alpha is the view ``c.transpose(1, 2, 0)``.
+
+    Its covariance row is Delta's multiplicativity row of ``w.dual``: with M =
+    A^ and alpha = c_A.transpose(1, 2, 0), whose coproduct tensor is
+    c_{A^}, :func:`~whakit.algebra._covariance_defect` receives the arrays
+    that :func:`~whakit.wha.validate_wba` of ``w.dual`` gives it, so the action
+    reads that residual from ``w.dual.derived(tol)``.
+    """
     tol = get_tol(tol)
-    action = WhaAction(w, w.dual.algebra, w.algebra.c.transpose(1, 2, 0), name=name)
+    action = WhaAction(w, w.dual.algebra, w.algebra.c.transpose(1, 2, 0), name=name, covariance_of=w.dual)
     action.validate(tol).raise_if_failed()
     return action
 

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import INT_ROUNDING_TOL, Derived, HasDerived, Tolerance, get_tol, rng, round_to_int
+from .config import INT_ROUNDING_TOL, Derived, HasDerived, Tolerance, gaussian, get_tol, rng, round_to_int
 from .errors import (
     CrossCheckMismatch,
     DimensionMismatch,
@@ -51,7 +51,18 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .linalg import Subspace, contract, is_irreducible_nonneg, kernel, lstsq, matrix_rank, orth, perron_frobenius
+from .linalg import (
+    Subspace,
+    _positive_qr,
+    contract,
+    idempotent_ranges,
+    is_irreducible_nonneg,
+    kernel,
+    lstsq,
+    matrix_rank,
+    orth_stack,
+    perron_frobenius,
+)
 from .report import AxiomReport
 
 __all__ = [
@@ -61,6 +72,7 @@ __all__ = [
     "BlockDecomposition",
     "block_decomposition",
     "WedderburnMap",
+    "relative_tensor_carrier",
     "inclusion_matrix",
     "MarkovTrace",
     "markov_trace",
@@ -73,8 +85,9 @@ __all__ = [
 
 
 class AlgebraDerived(Derived):
-    """Whether an algebra is semisimple, its center, blocks and Wedderburn map at one tolerance,
-    the last three computed by the storage's ``_center``, ``_decompose`` and ``_wedderburn``."""
+    """Whether an algebra is semisimple, its center, blocks, Wedderburn map and associativity
+    residual at one tolerance, the last four computed by the storage's ``_center``,
+    ``_decompose``, ``_wedderburn`` and ``_associativity``."""
 
     @cached_property
     def semisimple(self) -> bool:
@@ -95,6 +108,12 @@ class AlgebraDerived(Derived):
     @cached_property
     def wedderburn(self) -> "WedderburnMap":
         return self.owner._wedderburn(self.tol)
+
+    @cached_property
+    def associativity(self) -> tuple[float, bool]:
+        """The residual of the associativity row of ``validate``, and whether it is a certified
+        upper bound on :func:`_dense_associator_norm` (True) or that norm itself (False)."""
+        return self.owner._associativity(self.tol)
 
 
 class FinDimAlgebra(HasDerived):
@@ -253,10 +272,16 @@ class FinDimAlgebra(HasDerived):
           threshold.  Otherwise, and whenever the algebra does not decompose,
           the dense norm is computed and reported, so the verdict, and a
           failing row's residual, are those of the dense route.
+
+        The associativity residual is computed once per tolerance and kept in
+        ``derived(tol).associativity``, with whether it is the certificate.
         """
-        tol = get_tol(tol)
+        return _validated(self, get_tol(tol))
+
+    def _associativity(self, tol: Tolerance) -> tuple[float, bool]:
+        """The associativity row of :meth:`validate`, kept in ``derived(tol)``: see :func:`_certified_or_dense`."""
         bound = _associator_bound(self, tol) if self.dim >= CERTIFY_ASSOCIATIVITY_FROM_DIM else None
-        return _validated(self, bound, tol)
+        return _certified_or_dense(self, bound, tol)
 
     # -- trace and semisimplicity ------------------------------------------
 
@@ -347,13 +372,13 @@ class FinDimAlgebra(HasDerived):
         """The blocks of a semisimple algebra, split from its center by minimal central idempotents."""
         idems = _minimal_central_idempotents(self, self.center(tol), tol)
         blocks = []
-        for e in idems:
-            image = Subspace(self.left_mult(e), self.dim, tol)
-            d = image.dim
+        # the ideals e A, each orth(L(e)), from one batched SVD
+        for e, image in zip(idems, orth_stack(self._left_stack(np.column_stack(idems)), tol)):
+            d = image.shape[1]
             size = int(round(np.sqrt(d)))
             if abs(size * size - d) > 0 or abs(np.sqrt(d) - size) > INT_ROUNDING_TOL:
                 raise NonIntegerBlockSize(f"central block of dimension {d} is not a square")
-            blocks.append(Block(e, size, image))
+            blocks.append(Block(e, size, Subspace.orthonormal(image, tol)))
         blocks.sort(key=lambda b: (b.size, _support_key(b.central_idempotent, tol)))
         return BlockDecomposition(blocks)
 
@@ -369,7 +394,9 @@ class FinDimAlgebra(HasDerived):
     def _wedderburn(self, tol: Tolerance) -> "WedderburnMap":
         """The Wedderburn map, computed on the orthonormal left ideals ``A p``."""
         blocks = self.block_decomposition(tol)
-        ideals = [orth(self.right_mult(_minimal_idempotent_in_block(self, b, tol)), tol) for b in blocks]
+        # the left ideals A p, each orth(R(p)), from one batched SVD
+        minimal = np.column_stack([_minimal_idempotent_in_block(self, b, tol) for b in blocks])
+        ideals = orth_stack(self._right_stack(minimal), tol)
         for v, b in zip(ideals, blocks):
             if v.shape[1] != b.size:
                 raise CrossCheckMismatch(f"ideal carrier {v.shape[1]} != block size {b.size}")
@@ -499,10 +526,14 @@ class WedderburnAlgebra(FinDimAlgebra):
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
         """The rows of :meth:`FinDimAlgebra.validate`, associativity certified through Pi, the star through G."""
         tol = get_tol(tol)
-        phi_norm = float(np.linalg.norm(self.ops))
-        assoc = _associator_certificate(self.norm, phi_norm, self.closure, self.singular_values[-1])
         star = self._star_bound() if self.involution is not None else None
-        return _validated(self, assoc, tol, star)
+        return _validated(self, tol, star)
+
+    def _associativity(self, tol: Tolerance) -> tuple[float, bool]:
+        """The associativity row, certified through Pi (:func:`_certified_or_dense`)."""
+        phi_norm = float(np.linalg.norm(self.ops))
+        bound = _associator_certificate(self.norm, phi_norm, self.closure, self.singular_values[-1])
+        return _certified_or_dense(self, bound, tol)
 
     def _star_form(self) -> np.ndarray | None:
         """``G = sum_ij (K^-T)_ij Pi_i^H Pi_j``, or None when K is singular.
@@ -574,6 +605,7 @@ class WedderburnAlgebra(FinDimAlgebra):
         """The (n, m) coordinates x with ``Pi(x) = X`` of m matrices X of the span, (m, k, k): ``T^-1`` of their blocks."""
         return self._inverse @ self._wedderburn_coords(ops)
 
+    @cached_property
     def _offsets(self) -> list[slice]:
         """The rows of T that hold each block."""
         ends = np.cumsum([0] + [m * m for m in self.sizes])
@@ -581,7 +613,7 @@ class WedderburnAlgebra(FinDimAlgebra):
 
     def _blocks(self, w) -> list[np.ndarray]:
         """The (s, m_l, m_l) blocks of the s columns of Wedderburn coordinates ``w`` (n, s)."""
-        return [w[sl].T.reshape(-1, m, m) for sl, m in zip(self._offsets(), self.sizes)]
+        return [w[sl].T.reshape(-1, m, m) for sl, m in zip(self._offsets, self.sizes)]
 
     def _exact_norm(self) -> float:
         """``|c|_F`` from ``P = T T^H`` and ``Q = P^-1``, one GEMM per pair of blocks (l, m).
@@ -593,8 +625,8 @@ class WedderburnAlgebra(FinDimAlgebra):
         p = self.coords @ self.coords.conj().T
         q = self._inverse.conj().T @ self._inverse
         acc = 0.0
-        for sl, m in zip(self._offsets(), self.sizes):
-            for sm, mm in zip(self._offsets(), self.sizes):
+        for sl, m in zip(self._offsets, self.sizes):
+            for sm, mm in zip(self._offsets, self.sizes):
                 q_lm = q[sl, sm].reshape(m, m, mm, mm).transpose(0, 2, 1, 3).reshape(m * mm, m * mm)
                 p_ml = p[sm, sl].reshape(mm, mm, m, m)
                 first = p_ml.transpose(2, 0, 1, 3).reshape(m * mm, mm * m)
@@ -655,7 +687,7 @@ class WedderburnAlgebra(FinDimAlgebra):
     def _block_units(self) -> np.ndarray:
         """The (n, number of blocks) coordinates of the blocks' identities, the minimal central idempotents."""
         w = np.zeros((self.dim, len(self.sizes)), dtype=complex)
-        for col, (sl, m) in enumerate(zip(self._offsets(), self.sizes)):
+        for col, (sl, m) in enumerate(zip(self._offsets, self.sizes)):
             w[sl, col] = np.eye(m).ravel()
         return self._inverse @ w
 
@@ -667,7 +699,7 @@ class WedderburnAlgebra(FinDimAlgebra):
         """The blocks ⊕_l M_{m_l}, after the semisimplicity check of :func:`block_decomposition`."""
         blocks = [
             Block(z, m, Subspace(self._inverse[:, sl], self.dim, tol))
-            for z, sl, m in zip(self._block_units().T, self._offsets(), self.sizes)
+            for z, sl, m in zip(self._block_units().T, self._offsets, self.sizes)
         ]
         blocks.sort(key=lambda b: (b.size, _support_key(b.central_idempotent, tol)))
         return BlockDecomposition(blocks)
@@ -682,7 +714,7 @@ class WedderburnAlgebra(FinDimAlgebra):
         is spanned by the matrix units E_a1 of its first column (not orthonormal)."""
         blocks = self.block_decomposition(tol)
         order = [self._block_of(b) for b in blocks]
-        phis, offsets = self._blocks(self.coords), self._offsets()
+        phis, offsets = self._blocks(self.coords), self._offsets
         ideals = [self._inverse[:, offsets[l]][:, :: self.sizes[l]] for l in order]
         return WedderburnMap(blocks, ideals, [phis[l] for l in order])
 
@@ -716,10 +748,14 @@ def _covariance_defect(c_m, alpha, delta) -> float:
     End(M), M with structure constants ``c_m`` (n, n, n).  With t and j in
     slices of 16, the right side is one GEMM of ``sum_q Delta[p, q, t]
     alpha_q(m_k)`` against ``alpha_p(m_j) m_b``, (16 n, dim A n) and (dim A n,
-    16 n), so no (dim A, n, n, n) array is formed.  Â's arrow action on A,
-    ``alpha = Delta_A.transpose(1, 2, 0)`` with ``delta = c_m = c_A``, makes it
-    the defect of ``Delta(xy) = Delta(x) Delta(y)``.
+    16 n), so no (dim A, n, n, n) array is formed.  When the three tensors
+    are real, as in any real basis, the GEMMs run in real arithmetic, a
+    fourth of the complex work.  Â's arrow action on A, ``alpha =
+    Delta_A.transpose(1, 2, 0)`` with ``delta = c_m = c_A``, makes it the
+    defect of ``Delta(xy) = Delta(x) Delta(y)``.
     """
+    if not any(np.iscomplexobj(x) and np.any(x.imag) for x in (c_m, alpha, delta)):
+        c_m, alpha, delta = np.real(c_m), np.real(alpha), np.real(delta)
     da, n = alpha.shape[:2]
     acc = 0.0
     for lo in range(0, da, 16):
@@ -735,23 +771,25 @@ def _covariance_defect(c_m, alpha, delta) -> float:
     return float(np.sqrt(acc))
 
 
-def _validated(
-    algebra: FinDimAlgebra, associator_bound: float | None, tol: Tolerance, star_bound: float | None = None
-) -> AxiomReport:
-    """The rows of :meth:`FinDimAlgebra.validate`, given certified bounds on the associator and the star row.
+def _certified_or_dense(algebra: FinDimAlgebra, associator_bound: float | None, tol: Tolerance) -> tuple[float, bool]:
+    """``(associator_bound, True)`` when that upper bound on :func:`_dense_associator_norm`
+    meets the associativity threshold ``tol.bound(|c|_F^2)``; otherwise ``(the dense norm, False)``."""
+    if associator_bound is not None and associator_bound <= tol.bound((algebra.norm or 1.0) ** 2):
+        return associator_bound, True
+    return _dense_associator_norm(algebra.c), False
 
-    ``associator_bound`` is an upper bound on :func:`_dense_associator_norm`
-    and ``star_bound`` one on :meth:`FinDimAlgebra._star_defect`, or None.
-    Each row reports its bound when the bound meets the threshold; otherwise
-    the norm itself is computed and reported.
+
+def _validated(algebra: FinDimAlgebra, tol: Tolerance, star_bound: float | None = None) -> AxiomReport:
+    """The rows of :meth:`FinDimAlgebra.validate`, associativity read from ``algebra.derived(tol)``.
+
+    ``star_bound`` is an upper bound on :meth:`FinDimAlgebra._star_defect`,
+    or None.  Each row reports its certified bound when the bound meets the
+    threshold; otherwise the norm itself is computed and reported.
     """
     rep = AxiomReport(algebra.name)
     scale = algebra.norm or 1.0
     threshold = tol.bound(scale**2)
-    assoc = associator_bound
-    if assoc is None or not assoc <= threshold:
-        assoc = _dense_associator_norm(algebra.c)
-    rep.add("associativity", assoc, threshold)
+    rep.add("associativity", algebra.derived(tol).associativity[0], threshold)
     eye = np.eye(algebra.dim)
     rep.add("left-unit", np.linalg.norm(algebra.left_mult(algebra.unit) - eye), tol.bound(scale))
     rep.add("right-unit", np.linalg.norm(algebra.right_mult(algebra.unit) - eye), tol.bound(scale))
@@ -883,6 +921,125 @@ class WedderburnMap:
         """``np.linalg.svd`` of :attr:`matrix`."""
         return np.linalg.svd(self.matrix)
 
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The (n, n) coordinates of the matrix units: column (q, a, b), in the row order of
+        :attr:`matrix`, is phi^-1(e^q_ab)."""
+        return np.linalg.inv(self.matrix)
+
+    @property
+    def sizes(self) -> list[int]:
+        """The block sizes n_q, in the order of :attr:`phis`."""
+        return [phi.shape[1] for phi in self.phis]
+
+
+def relative_tensor_carrier(wedderburn: WedderburnMap, rho, lam, bound: float, tol: Tolerance) -> np.ndarray | None:
+    """The carrier of X (x)_B Y read off the matrix units of a semisimple B, or None when a check misses.
+
+    B acts on X from the right by the (k, dim X, dim X) stack ``rho`` and on Y
+    from the left by the (k, dim Y, dim Y) stack ``lam``, both over the basis
+    of B in which ``wedderburn``, B's Wedderburn map, is written.  The
+    relations are ``rho_b x (x) y - x (x) lam_b y``, and the carrier is the
+    orthonormal basis of their orthogonal complement that
+    :func:`whakit.actions.crossed_product` and :func:`whakit.actions.galois_map`
+    take as the quotient.  With B's matrix units e^l_ij and f_l = e^l_11, the
+    separability idempotent ``sum_l sum_i e^l_i1 (x) e^l_1i`` of B acts on X (x)
+    Y as ``P = sum_t R_t (x) L_t`` over t = (l, i), with ``R_t = rho(e^l_i1)``
+    and ``L_t = lam(e^l_1i)``: sum_l n_l Kronecker products, never added up.
+    By Morita, X (x)_B Y is ⊕_l X f_l (x) f_l Y, and P projects onto it along
+    the relations.  Three residuals, each against ``bound``, and one count
+    make that so:
+
+    * unit, ``|sum_t lam(e^l_i1) L_t - 1|_F``: ``(1 - P)(x (x) y)`` is then a
+      sum of relations;
+    * kills, ``|P (rho_b (x) 1) - P (1 (x) lam_b)|_F`` over the basis of B: P
+      vanishes on the relations, so ker P is their span;
+    * fixes, a bound on ``|P W - W|_F`` for ``W = ⊕_l U_l (x) V_l``, U_l and
+      V_l orthonormal bases of X f_l = ran R(f_l) and f_l Y = ran L(f_l), all
+      read off pivoted searches of those idempotents
+      (:func:`~whakit.linalg.idempotent_ranges`), with no SVD.
+      With ``D_t = R_t U - delta_t U`` and ``E_t = L_t V - delta_t V`` over
+      all blocks at once (delta_t selecting the term f_l of each block's
+      columns), ``P W - W`` is a sum of ``D (x) V``, ``U (x) E`` and ``D (x)
+      E`` terms, so ``|D| |V| + |U| |E| + |D| |E|`` bounds it: W lies in ran P;
+    * count, ``d = sum_l dim U_l dim V_l`` lies within ``bound`` of
+      ``tr P = sum_t tr R_t tr L_t``, so W is all of ran P.
+
+    The carrier ran P^H is then ``P^H W``, the sketch of P^H by the test
+    matrix W, which spans it exactly: P^H is one to one on ran P.  The sketch
+    is applied through the factors, ``R_t^H U_l (x) L_t^H V_l``, and
+    orthonormalized by one QR of the (dim X dim Y, d) sketch with its diagonal
+    made real positive.  U_l and V_l depend on R(f_l) and L(f_l) alone, and
+    W's columns are ordered by the pivots (p, q) of their two factors in the
+    row-major order of X (x) Y, blocks breaking ties, so the carrier depends on
+    the quotient and B's matrix units alone, not on how an SVD rotates
+    singular vectors; where the sketch's columns are standard basis vectors
+    it is the :func:`~whakit.linalg.pivoted_basis` of the complement.  When d = dim X
+    dim Y the carrier is the identity, and no sketch is formed.
+
+    The kills norm ``|sum_t A_t (x) B_t|_F`` is read as ``|Q A|_F``, Q the
+    triangular factor of the QR of the stacked vec(B_t), one batched QR over
+    the basis of B; no (dim X dim Y)^2 array is formed.  None when a residual
+    or the count misses, a range's rank is not its trace, or LAPACK does not
+    converge.
+    """
+    k, dx, dy = rho.shape[0], rho.shape[1], lam.shape[1]
+    sizes = wedderburn.sizes
+    starts = np.cumsum([0] + [n * n for n in sizes])
+    first = [int(lo) + i * n for lo, n in zip(starts, sizes) for i in range(n)]  # e_i1 over t
+    row = [int(lo) + i for lo, n in zip(starts, sizes) for i in range(n)]  # e_1i over t
+    heads = np.cumsum([0] + sizes[:-1])  # the term t of f_l = e^l_11
+    units = wedderburn.units
+    r_t = np.tensordot(units[:, first].T, rho, axes=1)
+    l_t = np.tensordot(units[:, row].T, lam, axes=1)
+    try:
+        unit = np.linalg.norm((np.tensordot(units[:, first].T, lam, axes=1) @ l_t).sum(axis=0) - np.eye(dy))
+        # P (rho_b (x) 1) - P (1 (x) lam_b) = sum_t R_t rho_b (x) L_t - R_t (x) L_t lam_b, over b at once
+        lefts = np.concatenate([r_t @ rho[:, None], np.broadcast_to(r_t, (k, *r_t.shape))], axis=1)
+        rights = np.concatenate([np.broadcast_to(l_t, (k, *l_t.shape)), -(l_t @ lam[:, None])], axis=1)
+        tri = np.linalg.qr(rights.reshape(k, 2 * len(l_t), -1).transpose(0, 2, 1), mode="r")
+        kills = np.linalg.norm(tri @ lefts.reshape(k, 2 * len(r_t), -1))
+        if max(unit, kills) > bound:
+            return None
+        factors = idempotent_ranges([*r_t[heads], *l_t[heads]], tol)
+        if factors is None:
+            return None
+        factors = list(zip(factors[: len(heads)], factors[len(heads) :]))
+        u_all = np.concatenate([u for (u, _), _ in factors], axis=1)
+        v_all = np.concatenate([v for _, (v, _) in factors], axis=1)
+        # delta[t, column] = 1 where t is the head of the column's block
+        terms = np.arange(len(r_t))[:, None]
+        u_delta = terms == np.repeat(heads, [u.shape[1] for (u, _), _ in factors])
+        v_delta = terms == np.repeat(heads, [v.shape[1] for _, (v, _) in factors])
+        off_u = np.linalg.norm(r_t @ u_all - u_delta[:, None, :] * u_all)
+        off_v = np.linalg.norm(l_t @ v_all - v_delta[:, None, :] * v_all)
+        fixes = off_u * np.linalg.norm(v_all) + np.linalg.norm(u_all) * off_v + off_u * off_v
+        d = sum(u.shape[1] * v.shape[1] for (u, _), (v, _) in factors)
+        trace = np.einsum("tii->t", r_t) @ np.einsum("tii->t", l_t)
+        if fixes > bound or abs(trace - d) > bound:
+            return None
+        if d == dx * dy:
+            return np.eye(d, dtype=complex)
+        # the sketch P^H (U_l (x) V_l) = sum_t R_t^H U_l (x) L_t^H V_l, one GEMM over t per block,
+        # written into its columns in the order of the pivots
+        left_all = np.conj(r_t).transpose(0, 2, 1) @ u_all  # (T, dx, sum r_l)
+        right_all = np.conj(l_t).transpose(0, 2, 1) @ v_all  # (T, dy, sum s_l)
+        keys = np.concatenate([np.add.outer(np.multiply(pu, dy), pv).ravel() for (_, pu), (_, pv) in factors])
+        column = np.empty(d, dtype=int)
+        column[np.argsort(keys, kind="stable")] = np.arange(d)
+        sketch = np.empty((dx * dy, d), dtype=complex)
+        lo_u = lo_v = lo = 0
+        for (u, _), (v, _) in factors:
+            nu, nv = u.shape[1], v.shape[1]
+            left, right = left_all[:, :, lo_u : lo_u + nu], right_all[:, :, lo_v : lo_v + nv]
+            z = (left.transpose(1, 2, 0).reshape(-1, len(r_t)) @ right.reshape(len(l_t), -1)).reshape(dx, nu, dy, nv)
+            sketch[:, column[lo : lo + nu * nv]] = z.transpose(0, 2, 1, 3).reshape(dx * dy, -1)
+            lo_u, lo_v, lo = lo_u + nu, lo_v + nv, lo + nu * nv
+        del left_all, right_all
+        return _positive_qr(sketch)[0]
+    except np.linalg.LinAlgError:
+        return None
+
 
 def _minimal_central_idempotents(algebra: FinDimAlgebra, center: Subspace, tol: Tolerance):
     """Split a commutative semisimple subalgebra into its minimal idempotents."""
@@ -892,34 +1049,27 @@ def _minimal_central_idempotents(algebra: FinDimAlgebra, center: Subspace, tol: 
         raise NotSemisimple(f"{algebra.name}: the center is 0-dimensional at this tolerance")
     z = center.basis
     for attempt in range(8):
-        t = rng(attempt).standard_normal(m)
+        t = gaussian(attempt, m)
         w = z @ t
         lw = algebra.left_mult(w)
         op = z.conj().T @ lw @ z  # action of w on the center, in center coordinates
         vals, vecs = np.linalg.eig(op)
         scale = max(1.0, float(np.max(np.abs(vals))))
-        gaps_ok = all(
-            abs(vals[i] - vals[j]) > 1e-6 * scale for i in range(m) for j in range(i + 1, m)
-        )
-        if not gaps_ok:
+        if not np.all(np.abs(vals[:, None] - vals[None, :])[np.triu_indices(m, 1)] > 1e-6 * scale):
             continue
-        idems = []
-        for i in range(m):
-            v = z @ vecs[:, i]
-            v2 = algebra.mul(v, v)
-            lam = complex(np.vdot(v, v2) / np.vdot(v, v))
-            if abs(lam) < 1e-12:
-                break
-            e = v / lam
-            if np.linalg.norm(algebra.mul(e, e) - e) > 1e-6 * max(1.0, np.linalg.norm(e)):
-                break
-            idems.append(e)
-        else:
-            total = np.sum(idems, axis=0)
-            if np.linalg.norm(total - center.project(algebra.unit)) <= 1e-6 * max(
-                1.0, np.linalg.norm(total)
-            ):
-                return idems
+        # all m eigenvectors v at once: v^2 is column i of L(v_i) v_i, and e = v / lam
+        v = z @ vecs
+        v2 = np.einsum("inm,mi->ni", algebra._left_stack(v), v)
+        lam = np.einsum("ni,ni->i", v.conj(), v2) / np.einsum("ni,ni->i", v.conj(), v)
+        if np.any(np.abs(lam) < 1e-12):
+            continue
+        e = v / lam
+        e2 = np.einsum("inm,mi->ni", algebra._left_stack(e), e)
+        if np.any(np.linalg.norm(e2 - e, axis=0) > 1e-6 * np.maximum(1.0, np.linalg.norm(e, axis=0))):
+            continue
+        total = e.sum(axis=1)
+        if np.linalg.norm(total - center.project(algebra.unit)) <= 1e-6 * max(1.0, np.linalg.norm(total)):
+            return list(e.T)
     raise NotSemisimple("could not split the center into minimal idempotents")
 
 
@@ -933,10 +1083,10 @@ def _support_key(v, tol: Tolerance):
     the order they give is the same on every run.
     """
     v = np.asarray(v)
-    cut = 1e-8 * max(1.0, float(np.max(np.abs(v))))
+    mag = np.abs(v)
+    cut = 1e-8 * max(1.0, float(mag.max()))
     rounded = np.round(v, 6)
-    support = tuple(int(i) for i in np.flatnonzero(np.abs(v) > cut))
-    return support, tuple(rounded.real.tolist()), tuple(rounded.imag.tolist())
+    return tuple(np.flatnonzero(mag > cut).tolist()), tuple(rounded.real.tolist()), tuple(rounded.imag.tolist())
 
 
 def block_decomposition(algebra: FinDimAlgebra, tol: Tolerance | None = None) -> BlockDecomposition:
@@ -1036,7 +1186,7 @@ def _minimal_idempotent_in_block(algebra: FinDimAlgebra, block: Block, tol: Tole
     q = block.subspace.basis
     m2 = q.shape[1]
     for attempt in range(8):
-        t = rng(1000 + attempt).standard_normal(m2) + 1j * rng(2000 + attempt).standard_normal(m2)
+        t = gaussian(1000 + attempt, m2) + 1j * gaussian(2000 + attempt, m2)
         g = q @ t
         op = q.conj().T @ algebra.left_mult(g) @ q
         vals = np.linalg.eigvals(op)

@@ -11,6 +11,7 @@ kept in one :class:`Derived` per tolerance, ``obj.derived(tol)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +82,14 @@ class HasDerived:
 def rng(seed: int | None = None) -> np.random.Generator:
     """Fresh deterministic generator (results never depend on call order)."""
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+
+
+@lru_cache(maxsize=1024)
+def gaussian(seed: int, size: int) -> np.ndarray:
+    """``rng(seed).standard_normal(size)``, drawn once per seed and size and kept read-only."""
+    draw = rng(seed).standard_normal(size)
+    draw.flags.writeable = False
+    return draw
 
 
 def round_to_int(x: float, what: str = "value", tol: float = INT_ROUNDING_TOL) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GnsRep, gns_rep
-from .config import Tolerance, get_tol, rng
+from .config import Tolerance, gaussian, get_tol
 from .errors import (
     CrossCheckMismatch,
     InconsistentCriterion,
@@ -141,9 +141,7 @@ def haar_criterion(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> bool:
         if space.shape[1]:
             blocks = w.algebra.block_decomposition(tol)
             for attempt in range(8):
-                t = rng(attempt).standard_normal(space.shape[1]) + 1j * rng(
-                    100 + attempt
-                ).standard_normal(space.shape[1])
+                t = gaussian(attempt, space.shape[1]) + 1j * gaussian(100 + attempt, space.shape[1])
                 g = space @ t
                 try:
                     g_inv = w.algebra.inverse(g, tol)

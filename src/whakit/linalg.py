@@ -15,14 +15,12 @@ singular vectors, ``a = R^H Q^H`` for wide ``a`` keeps the left ones, and
 QR is backward stable, so the rank cut sees ``a``'s singular values to
 roundoff; no Gram matrix is formed, which would square them.
 
-An idempotent needs no SVD at all: its rank is its trace, so
-:func:`idempotent_range` takes r = round(tr p) and reads the range off one
-seeded sketch ``p Omega`` for an (n, r) Gaussian Omega, orthonormalized and
-projected by p once more (Halko-Martinsson-Tropp, *Finding structure with
-randomness*, SIAM Rev. 53, 2011).  It returns the basis Q only when the
-singular values of ``Q^H p`` and the residual ``|p - Q Q^H p|_F`` show that
-the cut of :func:`matrix_rank` keeps exactly r singular values of p;
-otherwise it returns None, and the caller's SVD decides.
+The rank of an idempotent is its trace, so its range needs no SVD:
+:func:`idempotent_ranges` takes round(tr p) columns of each small one by a
+pivoted Gram-Schmidt search, and returns them only when the residual of the
+search shows that rank.  The large idempotents of a relative tensor product
+are never formed: :func:`whakit.algebra.relative_tensor_carrier` builds
+their ranges block by block from small ones.
 """
 
 from __future__ import annotations
@@ -31,15 +29,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import Tolerance, get_tol, rng
+from .config import INT_ROUNDING_TOL, Tolerance, get_tol
 from .errors import DimensionMismatch, NotNonnegative, NotPositive, RankDeficient
 
 __all__ = [
     "orth",
     "kernel",
     "span_and_complement",
-    "coimage_and_kernel",
-    "idempotent_range",
+    "orth_stack",
+    "idempotent_ranges",
     "pivoted_basis",
     "lstsq",
     "matrix_rank",
@@ -157,72 +155,90 @@ def span_and_complement(a, tol: Tolerance | None = None):
     return _phase_normalized(u[:, :r]), _phase_normalized(u[:, r:])
 
 
-def coimage_and_kernel(a, tol: Tolerance | None = None):
-    """Orthonormal bases ``(coimage, kernel)`` of the range of ``a^H`` and of
-    the null space of ``a``, both from one SVD.
+def orth_stack(mats, tol: Tolerance | None = None) -> list[np.ndarray]:
+    """:func:`orth` of each matrix in the (m, n, n) stack ``mats``, from one batched SVD.
 
-    They are the right singular vectors above and below the cut of
-    :func:`kernel`, with its phases; the coimage is the orthogonal complement
-    of the kernel, and its dimension is the rank of ``a``.
+    Basis j holds the left singular vectors of mats[j] above the cut relative
+    to its own largest singular value, with the phases of :func:`orth`; these
+    are the bases :func:`orth` returns for each matrix alone, from the same
+    LAPACK routine.
     """
     tol = get_tol(tol)
-    a = _as_matrix(a)
-    n = a.shape[1]
-    if a.shape[0] == 0 or not np.any(a):
-        return np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    r = _svd_cut(s, tol, s[0])
-    return _phase_normalized(vh[:r].conj().T), _phase_normalized(vh[r:].conj().T)
+    u, s, _ = np.linalg.svd(np.asarray(mats, dtype=complex))
+    return [_phase_normalized(u_j[:, : _svd_cut(s_j, tol, s_j[0]) if s_j[0] > 0 else 0]) for u_j, s_j in zip(u, s)]
 
 
-def idempotent_range(p, tol: Tolerance | None = None):
-    """Orthonormal basis (columns) of the range of a square idempotent ``p``, or None.
+def _positive_qr(a):
+    """The orthonormal factor of the QR of each matrix in the stack ``a``, its columns scaled so
+    that the triangular factor's diagonal is real positive where it is nonzero, and that diagonal's moduli."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(diag)
+    return q * np.divide(diag, size, out=np.ones_like(diag), where=size > 0)[..., None, :], size
 
-    The rank of an idempotent is its trace, r = round(tr p).  For 0 < r < n
-    the basis is the orthonormal factor Q of ``p Q_0``, for Q_0 that of ``p
-    Omega`` and Omega a seeded real Gaussian (n, r) matrix.  In exact
-    arithmetic the two span ran p; the second product moves the roundoff of
-    the first QR, which grows with the condition number of ``p Omega``, back
-    into ran p, so Q is accurate to roundoff in p alone.  Q is returned only
-    when it certifies that the cut of :func:`matrix_rank` keeps exactly r
-    singular values: with s the singular values of ``Q^H p`` and ``res = |p
-    - Q Q^H p|_F``, sigma_r(p) >= s_min, sigma_(r+1)(p) <= res and s_max <=
-    sigma_max(p) <= s_max + res, so ``s_min > tol.bound(s_max + res)`` and
-    ``res <= tol.bound(s_max)`` put the cut between sigma_(r+1) and sigma_r.
-    For r = n the basis is the identity, returned only when ``res = |p -
-    1|_F`` passes the same two tests, every singular value lying within res
-    of 1.  Otherwise the result is None: for an r outside [1, n], a ``p``
-    whose rank cut is not its rounded trace, a sketch that misses ran p, or
-    a non-finite entry.  Costs O(n^2 r); no (n, n) factor of an SVD is
-    formed.
+
+def idempotent_ranges(mats, tol: Tolerance | None = None) -> list[tuple[np.ndarray, list[int]]] | None:
+    """Pivoted orthonormal bases of the ranges of the square idempotents in ``mats``, with their pivots, or None.
+
+    The rank of an idempotent is its trace, r = round(tr p).  Basis j is the
+    orthonormal factor of the QR of the r columns ``p e_k`` that a
+    column-pivoted Gram-Schmidt search of p takes, its diagonal made real
+    positive, and the pivots are those k in order.  The search takes the
+    column of largest residual, ties broken as in :func:`pivoted_basis`.  No
+    SVD is taken, and the basis depends on p alone: where p's columns are
+    standard basis vectors or 0, it is those vectors.  For r = n the basis
+    is the identity, with no search.  Against the cut ``tol.bound(|p|_F)``,
+    every diagonal entry of the triangular factor (the residual of each
+    pivot) must exceed the cut and the residual after r steps must not, or
+    ``|p - 1|_F`` must not for r = n.  None when one of these misses, a
+    trace lies farther than ``INT_ROUNDING_TOL`` from its integer, or a
+    matrix is not square or not finite.  Matrices of one shape and rank are
+    searched together, one step per column over the whole stack.  This is
+    for the small idempotents of the blocks of a semisimple algebra, such as
+    the ranges X f of its minimal projections f acting on a module X.
     """
     tol = get_tol(tol)
-    p = _as_matrix(p)
-    n = p.shape[0]
-    if p.shape != (n, n) or not np.all(np.isfinite(p)):
+    mats = [np.asarray(a, dtype=complex) for a in mats]
+    if any(a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)) for a in mats):
         return None
-    r = int(round(float(np.trace(p).real)))
-    # lo <= sigma_max(p) <= hi, sigma_r(p) >= s_min and sigma_(r+1)(p) <= res
-    if r == n:
-        q, res = np.eye(n, dtype=complex), float(np.linalg.norm(p - np.eye(n)))
-        s_min, lo, hi = 1.0 - res, 1.0 - res, 1.0 + res
-    elif 0 < r < n:
-        # p (p Omega) = p Omega, so the second product only returns the first QR's roundoff to ran p
-        q = np.linalg.qr(p @ np.linalg.qr(p @ rng().standard_normal((n, r)))[0])[0]
-        qp = q.conj().T @ p
-        diff = q @ qp
-        diff -= p
-        res = float(np.linalg.norm(diff))
-        try:
-            s = np.linalg.svd(qp, compute_uv=False)
-        except np.linalg.LinAlgError:
+    traces = np.array([np.trace(a) for a in mats])
+    ranks = np.round(traces.real).astype(int)
+    if np.any(np.abs(traces - ranks) > INT_ROUNDING_TOL):
+        return None
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, (a, r) in enumerate(zip(mats, ranks)):
+        groups.setdefault((a.shape[0], int(r)), []).append(j)
+    out: list = [None] * len(mats)
+    for (n, r), members in groups.items():
+        stack = np.stack([mats[j] for j in members])
+        cuts = np.array([tol.bound(np.linalg.norm(p)) for p in stack])
+        if r == n:
+            if np.any(np.linalg.norm(stack - np.eye(n), axis=(1, 2)) > cuts):
+                return None
+            for j in members:
+                out[j] = np.eye(n, dtype=complex), list(range(n))
+            continue
+        # step t takes the column p e_k of largest residual in every matrix and projects it out of the others
+        res = stack.copy()
+        norms = np.einsum("irk,irk->ik", res.conj(), res).real
+        rows = np.arange(len(members))
+        pivots = np.zeros((len(members), r), dtype=int)
+        for t in range(r):
+            top = norms.max(axis=1, keepdims=True)
+            k = np.argmax(norms >= top - 1e-8 * top, axis=1)
+            pivots[:, t] = k
+            col = res[rows, :, k]
+            length = np.linalg.norm(col, axis=1)
+            unit = col / np.where(length > 0, length, 1.0)[:, None]
+            proj = np.einsum("ir,irk->ik", unit.conj(), res)
+            res -= unit[:, :, None] * proj[:, None, :]
+            norms -= proj.real**2 + proj.imag**2
+        bases, diag = _positive_qr(np.take_along_axis(stack, pivots[:, None, :], axis=2))
+        if np.any(np.linalg.norm(res, axis=(1, 2)) > cuts) or np.any(diag <= cuts[:, None]):
             return None
-        s_min, lo, hi = s[-1], s[0], s[0] + res
-    else:
-        return None
-    if s_min > tol.bound(hi) and res <= tol.bound(lo):
-        return _phase_normalized(q)
-    return None
+        for j, basis, piv in zip(members, bases, pivots):
+            out[j] = basis, piv.tolist()
+    return out
 
 
 def pivoted_basis(q):
@@ -332,6 +348,13 @@ class Subspace:
     membership, containment, equality (via projector distance) and
     intersection (via stacked complements).
     """
+
+    @classmethod
+    def orthonormal(cls, basis, tol: Tolerance | None = None) -> "Subspace":
+        """The span of the orthonormal columns ``basis``, which are kept as they are."""
+        out = cls.__new__(cls)
+        out.basis, out.ambient, out.tol = basis, basis.shape[0], get_tol(tol)
+        return out
 
     def __init__(self, basis, ambient: int | None = None, tol: Tolerance | None = None):
         tol = get_tol(tol)

@@ -80,7 +80,10 @@ class Derived(config.Derived):
     a covector on A), the GNS data of the Haar state (None without the dual's
     h), the canonical grouplike (None without the Haar pair), the vacua, the
     irreducible representations in block order, the sector table, the report
-    of :func:`validate_wba` and the antipode solved from the comultiplication.
+    of :func:`validate_wba`, the antipode solved from the comultiplication,
+    the residual of Delta's multiplicativity (which the arrow actions of the
+    dual report as their covariance row) and A^L as an algebra with its
+    coordinates in A.
     """
 
     counital_subalgebras = _entry("wha", "_counital_subalgebras")
@@ -93,6 +96,8 @@ class Derived(config.Derived):
     sectors = _entry("reptheory", "sector_dimensions")
     wba_report = _entry("wha", "validate_wba")
     solved_antipode = _entry("wha", "solve_antipode")
+    multiplicativity = _entry("wha", "_multiplicativity_defect")
+    left_algebra = _entry("wha", "_left_algebra")
 
     @property
     def haar_functional(self):
@@ -217,19 +222,34 @@ class WeakHopfAlgebra(WeakBialgebra):
             w.__dict__["dual_algebra"] = wba.dual_algebra
         derived = w.derived(tol)
         derived.__dict__["wba_report"] = report  # validate_wha's stage 1
+        derived.__dict__["multiplicativity"] = wba.derived(tol).multiplicativity  # the arrow actions' covariance row
         derived.__dict__["solved_antipode"] = solved  # what validate_wha compares with
         return w
 
 
 @dataclass
 class CounitalSubalgebras:
-    """The distinguished subalgebras cut out by the counital maps."""
+    """The distinguished subalgebras cut out by the counital maps; Z^L, Z^R and the
+    hypercenter are intersected on first use."""
 
     left: Subspace  # A^L = im pi^L
     right: Subspace  # A^R = im pi^R
-    center_left: Subspace  # Z^L = A^L ∩ Center(A)
-    center_right: Subspace  # Z^R = A^R ∩ Center(A)
-    hypercenter: Subspace  # Z^L ∩ Z^R
+    center: Subspace  # Center(A)
+
+    @cached_property
+    def center_left(self) -> Subspace:
+        """Z^L = A^L ∩ Center(A)."""
+        return self.left.intersection(self.center)
+
+    @cached_property
+    def center_right(self) -> Subspace:
+        """Z^R = A^R ∩ Center(A)."""
+        return self.right.intersection(self.center)
+
+    @cached_property
+    def hypercenter(self) -> Subspace:
+        """Z^L ∩ Z^R."""
+        return self.center_left.intersection(self.center_right)
 
     @property
     def pure(self) -> bool:
@@ -257,10 +277,7 @@ def _counital_subalgebras(w: WeakBialgebra, tol: Tolerance) -> CounitalSubalgebr
             raise CrossCheckMismatch(
                 f"{name} via {pi} (dim {space.dim}) disagrees with its comultiplication description (dim {alt.dim})"
             )
-    center = w.algebra.center(tol)
-    zl = left.intersection(center)
-    zr = right.intersection(center)
-    return CounitalSubalgebras(left, right, zl, zr, zl.intersection(zr))
+    return CounitalSubalgebras(left, right, w.algebra.center(tol))
 
 
 def validate_wba(w: WeakBialgebra, tol: Tolerance | None = None) -> AxiomReport:
@@ -274,7 +291,8 @@ def validate_wba(w: WeakBialgebra, tol: Tolerance | None = None) -> AxiomReport:
     The weak counit rows are the weak unit rows of the dual bialgebra, and
     ``comultiplication-multiplicative`` is the covariance row of Â's arrow
     action on A, computed by :func:`~whakit.algebra._covariance_defect` in
-    slices, as :func:`~whakit.actions.validate_action` computes it.
+    slices once per tolerance and kept in ``w.derived(tol)``, where the arrow
+    actions of the dual read it for their own covariance row.
     """
     tol = get_tol(tol)
     rep = w.algebra.validate(tol)
@@ -287,8 +305,7 @@ def validate_wba(w: WeakBialgebra, tol: Tolerance | None = None) -> AxiomReport:
     rep.add("counit-left", dual["left-unit"], tol.bound(scale**2))
     rep.add("counit-right", dual["right-unit"], tol.bound(scale**2))
 
-    multiplicative = _covariance_defect(c, d3.transpose(1, 2, 0), c)  # covariance of Â's arrow action on A
-    rep.add("comultiplication-multiplicative", multiplicative, tol.bound(scale**3))
+    rep.add("comultiplication-multiplicative", w.derived(tol).multiplicativity, tol.bound(scale**3))
 
     unit, unit_opposite = _unit_compatibility(c, d3, w.unit)
     rep.add("unit-comultiplication-compatibility", unit, tol.bound(scale**2))
@@ -300,6 +317,19 @@ def validate_wba(w: WeakBialgebra, tol: Tolerance | None = None) -> AxiomReport:
     if w.algebra.involution is not None:
         _add_star_coalgebra_checks(rep, w, tol)
     return rep
+
+
+def _multiplicativity_defect(w: WeakBialgebra, tol: Tolerance) -> float:
+    """``|Delta(e_i e_j) - Delta(e_i) Delta(e_j)|_F``, the covariance row of Â's arrow action on A
+    (:func:`~whakit.algebra._covariance_defect`); kept in ``w.derived(tol)``."""
+    c = w.algebra.c
+    return _covariance_defect(c, w.delta3.transpose(1, 2, 0), c)
+
+
+def _left_algebra(w: WeakBialgebra, tol: Tolerance) -> tuple[FinDimAlgebra, np.ndarray]:
+    """A^L as an algebra, :func:`~whakit.algebra.induced_algebra` on the orthonormal basis of
+    ``counital_subalgebras.left``; kept in ``w.derived(tol)``."""
+    return induced_algebra(w.algebra, w.derived(tol).counital_subalgebras.left, tol=tol, name=f"{w.name}^L")
 
 
 def _unit_compatibility(c, d3, unit) -> tuple[float, float]:
@@ -328,9 +358,14 @@ def _add_star_coalgebra_checks(rep: AxiomReport, w: WeakBialgebra, tol: Toleranc
 #: numpy 2.4, OpenBLAS): Z_3 (n = 3) 0.7 vs. 3.0 ms; Z_8: 2.1 vs. 4.1 ms;
 #: p_3 and C(p_3) (n = 9): 4.8 vs. 3.6-4.5 ms; Z_10: 5.6 vs. 5.2 ms; Z_12:
 #: 16 vs. 6.4 ms; M2+M3 (n = 13): 31 vs. 5.6 ms; p_4 (n = 16): 74 vs. 8.6 ms;
-#: p_5 (n = 25): 0.64 s vs. 20 ms.  Below 10 the block route gains at most a
+#: p_5 (n = 25): 0.64 s vs. 20 ms.  Below 9 the block route gains at most a
 #: millisecond, and loses up to four where nothing else uses the decompositions.
-SOLVE_ANTIPODE_BY_BLOCKS_FROM_DIM = 10
+#: At n = 9 it wins in every benchmark workload, whose later stages reuse the
+#: decompositions: per pass of the rungs with n <= 9 (p_2, S_3, Z_3, p_3,
+#: C(p_3); process time, median of 6 alternating runs, 1 BLAS thread),
+#: crossprod-ladder 85 vs. 77 ms, file-gate 44 vs. 39 ms, analyze-ladder 129
+#: vs. 117 ms with the bound at 10 vs. 9, and level for any bound from 3 to 9.
+SOLVE_ANTIPODE_BY_BLOCKS_FROM_DIM = 9
 
 
 def solve_antipode(w: WeakBialgebra, tol: Tolerance | None = None):

@@ -662,9 +662,11 @@ def test_without_a_haar_integral_the_crossed_product_takes_the_dense_route(examp
 def test_a_non_galois_action_builds_no_operator_algebra(scalars, monkeypatch, n):
     """C[Z_n] acting trivially on C is not Galois: the count rank Pi = 1 < n = d refuses the
     Wedderburn form before it is built, and the dense algebra is the one algebra that the crossed
-    product attaches.  The invariants N = C are induced beforehand; they are kept per action."""
+    product attaches.  The invariants N = C and A^L, whose matrix units give the quotient, are
+    induced beforehand; they are kept per action and per weak Hopf algebra."""
     act = wk.trivial_action(wk.cyclic_wha(n), scalars)
     act.derived(wk.DEFAULT_TOL).induced
+    act.wha.derived(wk.DEFAULT_TOL).left_algebra
     attached = []
     original = wk.FinDimAlgebra._attach
 
@@ -793,18 +795,18 @@ def test_the_quotients_come_from_the_separability_idempotent(examples, monkeypat
 @pytest.mark.parametrize("key", ["p2", "p3", "fp2", "m23"])
 def test_the_carrier_is_elementary_tensors_on_either_route(examples, monkeypatch, key, make):
     """In canonical bases the carrier's columns are standard basis vectors e_i (x) e_a,
-    whether the idempotent or the relation span computed the quotient."""
+    whether the matrix units or the relation span computed the quotient."""
     act = make(examples[key])
     cp = wk.crossed_product(act)
     assert np.array_equal(np.sum(np.abs(cp.carrier) > 1e-12, axis=0), np.ones(cp.dim))
     assert np.allclose(cp.carrier.sum(axis=0), 1.0, rtol=0, atol=1e-13)
-    monkeypatch.setattr(wk.actions, "_separable_quotient", lambda *args: None)
+    monkeypatch.setattr(wk.actions, "relative_tensor_carrier", lambda *args: None)
     assert np.linalg.norm(wk.crossed_product(act).carrier - cp.carrier) <= 1e-12
 
 
 def test_a_broken_action_takes_the_relation_span(examples, monkeypatch):
     # the input of test_ill_defined_product_is_rejected_where_the_relation_span_is_nonzero:
-    # u(l) = alpha_l(1_M) is not multiplicative on A^L, so the idempotent does not decide
+    # u(l) = alpha_l(1_M) is not multiplicative on A^L, so the matrix units do not decide
     act = wk.dual_regular_action(examples["p2"])
     alpha = act.alpha.copy()
     alpha[1, 0, 2] += 1e-2
@@ -814,19 +816,13 @@ def test_a_broken_action_takes_the_relation_span(examples, monkeypatch):
     assert len(calls) == 1
 
 
-def _no_sketch(monkeypatch):
-    """Make every sketch in ``actions`` miss, so that the full SVD or ``orth`` decides next."""
-    monkeypatch.setattr(wk.actions, "idempotent_range", lambda *args, **kwargs: None)
-
-
 def _no_convergence(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
 def test_an_svd_that_does_not_converge_falls_back_to_the_relation_span(examples, monkeypatch):
-    # LAPACK's SVD of E did not converge on some rotated m23 inputs; after the sketch, the relation span then decides
-    _no_sketch(monkeypatch)
-    monkeypatch.setattr(wk.actions, "coimage_and_kernel", _no_convergence)
+    # LAPACK does not converge on a block's range: the relation span then decides
+    monkeypatch.setattr(wk.algebra, "idempotent_ranges", _no_convergence)
     calls = _spy_on_the_relation_span(monkeypatch)
     sp = wk.smash_product(examples["m23"])
     assert sp.dim == 89
@@ -837,95 +833,102 @@ def test_an_svd_that_does_not_converge_falls_back_to_the_relation_span(examples,
 
 
 def test_an_svd_that_does_not_converge_on_either_route_propagates(examples, monkeypatch):
-    _no_sketch(monkeypatch)
-    monkeypatch.setattr(wk.actions, "coimage_and_kernel", _no_convergence)
+    monkeypatch.setattr(wk.algebra, "idempotent_ranges", _no_convergence)
     monkeypatch.setattr(wk.actions, "span_and_complement", _no_convergence)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         wk.smash_product(examples["m23"])
 
 
 def test_an_svd_that_does_not_converge_is_not_reached_when_the_sketch_decides(examples, monkeypatch):
-    monkeypatch.setattr(wk.actions, "coimage_and_kernel", _no_convergence)
-    calls = _spy_on_the_relation_span(monkeypatch)
+    monkeypatch.setattr(wk.actions, "span_and_complement", _no_convergence)
     sp = wk.smash_product(examples["m23"])
     mat, bijective = wk.galois_map(sp.action)
     assert sp.dim == 89 and mat.shape == (89, 89) and bijective
-    assert calls == []
 
 
-def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples, monkeypatch):
+def _p2_module_stacks(examples):
+    """A^L's Wedderburn map and its stacks on M (x) A for the dual regular action of p2."""
     act = wk.dual_regular_action(examples["p2"])
     w, m_alg = act.wha, act.module
-    lb = w.derived().counital_subalgebras.left.basis
+    al_alg, lb = w.derived().left_algebra
     u_l = np.einsum("pjr,j->rp", act.alpha, m_alg.unit) @ lb
-    rho, lam = m_alg._right_stack(u_l), w.algebra._left_stack(lb)
-    coef = lb.conj().T @ (w.antipode @ w.delta1) @ np.conj(lb)
+    return al_alg.wedderburn_map(), m_alg._right_stack(u_l), w.algebra._left_stack(lb)
+
+
+def test_the_idempotent_refuses_a_wrong_unit_or_a_surviving_relation(examples):
+    """The separability idempotent P of A^L, applied through its factors, gives the relation
+    span's complement, and refuses a Y on which B's unit is not 1 or a right action that
+    leaves a relation alive."""
+    wedderburn, rho, lam = _p2_module_stacks(examples)
     tol = wk.DEFAULT_TOL
     ref = _relation_complement(rho, lam)
+    carrier = wk.algebra.relative_tensor_carrier(wedderburn, rho, lam, 1e-9, tol)
+    assert carrier.shape == (16, 8)
+    assert np.allclose(carrier.conj().T @ carrier, np.eye(8), rtol=0, atol=1e-13)
+    assert np.linalg.norm(carrier @ carrier.conj().T - ref @ ref.conj().T) <= 1e-12
+    # sum_t lam(e_i1) lam(e_1i) = 1/2 on Y
+    assert wk.algebra.relative_tensor_carrier(wedderburn, rho, lam / np.sqrt(2), 1e-9, tol) is None
+    # a right action that is not u: P no longer vanishes on the relations
     bent = rho.copy()
     bent[0, 0, 1] += 1e-3
-    for sketch in (True, False):  # the sketch decides, then the full SVD of E
-        with monkeypatch.context() as patch:
-            if not sketch:
-                _no_sketch(patch)
-            carrier = wk.actions._separable_quotient(rho, lam, coef, 1e-9, tol)
-            assert carrier.shape == (16, 8)
-            assert np.linalg.norm(carrier @ carrier.conj().T - ref @ ref.conj().T) <= 1e-12
-            # sum_ij e_ij lam_i lam_j = 1/2
-            assert wk.actions._separable_quotient(rho, lam, coef / 2, 1e-9, tol) is None
-            # a right action that is not u: E no longer vanishes on the relations
-            assert wk.actions._separable_quotient(bent, lam, coef, 1e-9, tol) is None
+    assert wk.algebra.relative_tensor_carrier(wedderburn, bent, lam, 1e-9, tol) is None
 
 
 def _spy_on_the_sketch(monkeypatch):
-    """Record ``(p, result)`` of every ``idempotent_range`` call in ``actions``."""
+    """Record ``(rho, lam, result)`` of every call of the matrix-unit route in ``actions``."""
     calls = []
-    original = wk.actions.idempotent_range
+    original = wk.actions.relative_tensor_carrier
 
-    def spy(p, tol=None):
-        out = original(p, tol)
-        calls.append((np.array(p), out))
+    def spy(wedderburn, rho, lam, bound, tol):
+        out = original(wedderburn, rho, lam, bound, tol)
+        calls.append((rho, lam, out))
         return out
 
-    monkeypatch.setattr(wk.actions, "idempotent_range", spy)
+    monkeypatch.setattr(wk.actions, "relative_tensor_carrier", spy)
     return calls
 
 
 @pytest.mark.parametrize("key", ["p2", "s3", "p3", "fp3", "m23", "p4", "m23 complex"])
 def test_the_sketch_spans_what_the_full_svd_spans(examples, rotated, monkeypatch, key):
-    """Every idempotent the smash product and its Galois map hand to the sketch (E^H of both
-    quotients, the corner rho(1)) is decided by it, and its projector is the full SVD's."""
+    """Both quotients of the smash product and its Galois map are decided by the sketch P^H W of
+    the matrix units, whose projector is the relation span's full SVD's, and no relation span is
+    formed; the corner is the span of the image, and no dense corner is formed."""
     w = {"fp3": lambda: wk.function_wha(wk.pair_groupoid(3)), "m23 complex": lambda: rotated(examples["m23"], 7)}
     calls = _spy_on_the_sketch(monkeypatch)
+    spans = _spy_on_the_relation_span(monkeypatch)
+    corners = []
+    original = wk.actions._onto_the_corner
+    monkeypatch.setattr(wk.actions, "_onto_the_corner", lambda *args: corners.append(original(*args)) or corners[-1])
     sp = wk.smash_product(w[key]() if key in w else examples[key])
     _, bijective = wk.galois_map(sp.action)
-    assert bijective and len(calls) == 3
-    for p, q in calls:
+    assert bijective and len(calls) == 2 and spans == []
+    for rho, lam, q in calls:
         assert q is not None
-        u = wk.linalg.orth(p)
+        u = _relation_complement(rho, lam)
         assert np.linalg.norm(q @ q.conj().T - u @ u.conj().T) <= 1e-12
+    assert len(corners) == 1 and corners[0] is not None
 
 
 def test_a_sketch_that_misses_the_range_leaves_the_decision_to_the_svd(examples, monkeypatch):
-    class Zero:
-        """A sketch Omega = 0, which misses the range; on p3 so does its second product p Q_0."""
-
-        def standard_normal(self, shape):
-            return np.zeros(shape)
-
+    """Factor bases that miss the ranges X f and f Y (here the last columns of the identity,
+    of the right count) give a test matrix W outside ran P: the fixes bound on |P W - W|_F
+    refuses them, and the relation span decides, with the same carrier and product."""
     act = wk.dual_regular_action(examples["p3"])
     ref = wk.crossed_product(act)
     ref_mat, _ = wk.galois_map(act)
-    monkeypatch.setattr(wk.linalg, "rng", lambda *args: Zero())
-    svds = []
-    original = wk.actions.coimage_and_kernel
-    monkeypatch.setattr(wk.actions, "coimage_and_kernel", lambda a, tol=None: svds.append(a.shape) or original(a, tol))
+
+    def misses(stack, tol=None):
+        ranks = [int(round(np.trace(p).real)) for p in stack]
+        return [(np.eye(p.shape[0], dtype=complex)[:, ::-1][:, :r], list(range(r))) for p, r in zip(stack, ranks)]
+
+    monkeypatch.setattr(wk.algebra, "idempotent_ranges", misses)
     sketches = _spy_on_the_sketch(monkeypatch)
+    spans = _spy_on_the_relation_span(monkeypatch)
     act = wk.dual_regular_action(examples["p3"])
     cp = wk.crossed_product(act)
     mat, bijective = wk.galois_map(act)
-    assert [q for _, q in sketches] == [None, None, None]
-    assert svds == [(81, 81), (81, 81)]  # the crossed product's E and the Galois domain's; the corner takes orth
+    assert [q for _, _, q in sketches] == [None, None]
+    assert spans == [(81, 243), (81, 243)]  # the crossed product's relations and the Galois domain's
     assert np.linalg.norm(cp.carrier - ref.carrier) <= 1e-12
     assert np.allclose(cp.algebra.c, ref.algebra.c, rtol=0, atol=1e-12)
     assert bijective and mat.shape == ref_mat.shape
@@ -937,21 +940,20 @@ def test_a_sketch_that_misses_the_range_leaves_the_decision_to_the_svd(examples,
     lambda: wk.smash_product(wk.symmetric_wha(3)),
 ], ids=["z8 translation", "s3 smash"])
 def test_hopf_quotients_take_the_identity_without_a_sketch(monkeypatch, build):
-    """For a Hopf algebra A^L = C1, so E = 1 on M (x) A; N = C1 for these actions, so E = 1 on
-    M (x) M; and rho(1) = 1 (x) 1.  Each is checked against 1 and taken whole: no sketch is drawn,
-    and neither an SVD nor a relation span is formed."""
-    def no_draw(*args):
-        raise AssertionError("a sketch was drawn")
-
-    monkeypatch.setattr(wk.linalg, "rng", no_draw)
-    monkeypatch.setattr(wk.actions, "coimage_and_kernel", no_draw)
+    """For a Hopf algebra A^L = C1, so P = 1 on M (x) A; N = C1 for these actions, so P = 1 on
+    M (x) M.  Each is checked against 1 and taken whole: no sketch P^H W is formed, no QR is
+    taken, and no relation span is formed."""
+    qrs = []
+    original = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append((np.shape(a), mode)) or original(a, mode))
     calls = _spy_on_the_relation_span(monkeypatch)
     sketches = _spy_on_the_sketch(monkeypatch)
     cp = build()
     _, bijective = wk.galois_map(cp.action)
-    assert bijective and calls == [] and len(sketches) == 3
-    for p, q in sketches:
-        assert np.array_equal(q, np.eye(p.shape[0]))
+    assert bijective and calls == [] and len(sketches) == 2
+    assert all(mode == "r" for _, mode in qrs), qrs  # the kills norm's triangular factors; no basis is orthonormalized
+    for rho, lam, q in sketches:
+        assert np.array_equal(q, np.eye(rho.shape[1] * lam.shape[1]))
     assert np.array_equal(cp.carrier, np.eye(cp.dim))
 
 
@@ -994,6 +996,129 @@ def test_the_p4_galois_map_peaks_below_eight_mib():
         tracemalloc.stop()
     assert mat.shape == (64, 64) and bijective
     assert peak <= 8 * 2**20, peak / 2**20
+
+
+# ---------------------------------------------------------------------------
+# the quotients and the Galois corner from matrix units
+
+
+LADDER = {
+    "p2": lambda: wk.pair_groupoid_wha(2),
+    "s3": lambda: wk.symmetric_wha(3),
+    "p3": lambda: wk.pair_groupoid_wha(3),
+    "fp3": lambda: wk.function_wha(wk.pair_groupoid(3)),
+    "m23": wk.m2_m3,
+    "p4": lambda: wk.pair_groupoid_wha(4),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 11], ids=["real", "complex"])
+@pytest.mark.parametrize("key", [*LADDER, "translation 8"])
+def test_the_galois_map_of_the_ladder_is_bijective(rotated, key, seed):
+    """The smash products of the crossprod ladder and the Z_8 translation action are Galois:
+    their Galois maps are square and bijective, in canonical and in seeded complex-unitary bases."""
+    if key == "translation 8":
+        w = wk.cyclic_wha(8)
+        act = wk.arrow_action(w if seed is None else rotated(w, seed))
+        dim = wk.crossed_product(act).dim
+    else:
+        w = LADDER[key]()
+        sp = wk.smash_product(w if seed is None else rotated(w, seed))
+        act, dim = sp.action, sp.dim
+    mat, bijective = wk.galois_map(act)
+    assert bijective is True
+    assert mat.shape == (dim, dim)
+
+
+def _relation_span_route(monkeypatch):
+    """Refuse the matrix-unit route, so that the SVD of the relation span takes every quotient."""
+    monkeypatch.setattr(wk.actions, "relative_tensor_carrier", lambda *args: None)
+
+
+@pytest.mark.parametrize(
+    "key, seed", [(key, seed) for key in LADDER for seed in (None, 5)] + [("p5", None)],
+    ids=[f"{key}-{basis}" for key in LADDER for basis in ("canonical", "complex")] + ["p5-canonical"],
+)
+def test_the_product_on_the_new_carrier_is_the_relation_span_product(rotated, monkeypatch, key, seed):
+    """The carrier read off the matrix units spans the relation span's complement, and under the
+    change of carrier U = C_old^H C_new the two crossed products agree: structure constants, unit,
+    star and both embeddings, within 1e-12 of their norms (p5 in its canonical basis only, for time),
+    with the same report verdicts, blocks and inclusion matrix Lambda(A c A # A^)."""
+    w = wk.pair_groupoid_wha(5) if key == "p5" else LADDER[key]()
+    w = w if seed is None else rotated(w, seed)
+    new = wk.smash_product(w)
+    with monkeypatch.context() as mp:
+        _relation_span_route(mp)
+        old = wk.smash_product(w)
+    u = old.carrier.conj().T @ new.carrier
+    assert np.linalg.norm(u.conj().T @ u - np.eye(new.dim)) <= 1e-12 * np.sqrt(new.dim)
+
+    def close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+    close(new.carrier, old.carrier @ u)
+    c_old = old.algebra.c
+    close(new.algebra.c, np.einsum("ai,bj,abc,ck->ijk", u, u, c_old, u.conj(), optimize=True))
+    close(new.algebra.unit, u.conj().T @ old.algebra.unit)
+    close(new.algebra.involution, u.conj().T @ old.algebra.involution @ np.conj(u))
+    close(new.embed_m, u.conj().T @ old.embed_m)
+    close(new.embed_a, u.conj().T @ old.embed_a)
+    assert [(r.name, r.passed) for r in new.report.checks] == [(r.name, r.passed) for r in old.report.checks]
+    assert wk.block_decomposition(new.algebra).sizes == wk.block_decomposition(old.algebra).sizes
+    assert np.array_equal(_inclusion_of_m(new), _inclusion_of_m(old))
+
+
+def test_the_p5_quotients_and_corner_form_no_square_array():
+    """On p5's smash product (d_full = 625) neither quotient nor the Galois corner forms a
+    (d_full, d_full) array: each call peaks below the 5.96 MiB that one such complex array takes
+    (5.2 MiB for each quotient, the QR of the (625, 125) sketch, and 4.9 MiB for the corner)."""
+    sp = wk.smash_product(wk.pair_groupoid_wha(5))
+    act, tol = sp.action, wk.DEFAULT_TOL
+    w, m_alg = act.wha, act.module
+    lb = w.derived(tol).counital_subalgebras.left.basis
+    crossed = (m_alg._right_stack(act.unit_map @ lb), w.algebra._left_stack(lb), w.derived(tol).left_algebra[0])
+    nb = wk.invariants(act).basis
+    domain = (m_alg._right_stack(nb), m_alg._left_stack(nb), act.derived(tol).induced[0])
+    square = 16 * (m_alg.dim * w.dim) ** 2
+    for rho, lam, b_alg in (crossed, domain):
+        wedderburn = b_alg.wedderburn_map(tol)
+        tracemalloc.start()
+        try:
+            carrier = wk.actions._relative_quotient(rho, lam, wedderburn, 1e-7, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert carrier.shape == (625, 125)
+        assert peak < square, (peak / 2**20, square / 2**20)
+    g_full = wk.linalg.contract("tjr,irk->ktij", act.alpha, m_alg.c).reshape(625, -1)
+    image = g_full @ wk.actions._relative_quotient(*domain[:2], domain[2].wedderburn_map(tol), 1e-7, tol)
+    del g_full
+    tracemalloc.start()
+    try:
+        mat = wk.actions._onto_the_corner(act, image, 1e-7, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (125, 125)
+    assert peak < square, (peak / 2**20, square / 2**20)
+
+
+def test_the_smash_product_reads_the_module_associativity_once(monkeypatch):
+    """M = A was validated on load: the Wedderburn route reads M's associativity row from
+    ``A.derived(tol)`` and recomputes the dense norm only for a certificate that misses its bound."""
+    w = wk.whafile.loads(wk.whafile.dumps(wk.pair_groupoid_wha(4)), validate=True)
+    calls = []
+    dense = wk.actions._dense_associator_norm
+    monkeypatch.setattr(wk.actions, "_dense_associator_norm", lambda c: calls.append(c.shape) or dense(c))
+    assert wk.smash_product(w).route == "wedderburn" and calls == []
+    # a certified bound above the crossed product's bound is redone densely, and the dense norm decides
+    w = wk.pair_groupoid_wha(4)
+    w.algebra.derived(wk.DEFAULT_TOL).__dict__["associativity"] = (1.0, True)
+    assert wk.smash_product(w).route == "wedderburn" and calls == [(16, 16, 16)]
+    # a dense norm above the bound refuses the Wedderburn route without a second computation
+    w = wk.pair_groupoid_wha(4)
+    w.algebra.derived(wk.DEFAULT_TOL).__dict__["associativity"] = (1.0, False)
+    assert wk.smash_product(w).route == "dense" and calls == [(16, 16, 16)]
 
 
 def test_basic_construction_thresholds_follow_the_tolerance(actions):

@@ -316,6 +316,49 @@ def test_inclusion_matrix_with_block_sizes_and_multiplicities_above_one(build, w
     assert np.array_equal(lam, _reference_inclusion_matrix(alg, sub, blocks_b))
 
 
+def _m2_plus_c_in_m3():
+    """M_2 + C in M_3, spanned by e_ab (a, b < 2) and e_22: blocks of sizes 1 and 2."""
+    cols = np.zeros((9, 5))
+    for k, (a, b) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]):
+        cols[3 * a + b, k] = 1.0
+    return matrix_units(3), Subspace(cols, 9)
+
+
+def _unitary_coordinates(alg, sub, seed):
+    """``alg`` and ``sub`` in the basis ``f_a = sum_i p[i, a] e_i`` of a seeded random unitary p."""
+    r = np.random.default_rng(seed)
+    p, _ = np.linalg.qr(r.normal(size=(alg.dim, alg.dim)) + 1j * r.normal(size=(alg.dim, alg.dim)))
+    q = p.conj().T
+    c = np.einsum("ia,jb,ijk,dk->abd", p, p, alg.c, q, optimize=True)
+    moved = wk.FinDimAlgebra(c, q @ alg.unit, involution=q @ alg.involution @ np.conj(p), name=alg.name)
+    return moved, Subspace(q @ sub.basis, alg.dim)
+
+
+@pytest.mark.parametrize("seed", [None, 5], ids=["matrix units", "complex"])
+@pytest.mark.parametrize("build, d", [(_m2_tensor_1_in_m4, 64), (_m2_plus_c_in_m3, 18)])
+def test_the_matrix_unit_carrier_is_the_relation_spans_complement(build, d, seed):
+    """For B c A with a block of size 2, A (x)_B A from B's matrix units spans what the SVD of the
+    relation span leaves: d = sum_l dim A f_l dim f_l A, 8 * 8 for M_2 (x) 1 in M_4 and 3 * 3 + 3 * 3 for
+    M_2 + C in M_3.  A wrong unit or a bent right action is refused."""
+    alg, sub = build()
+    if seed is not None:
+        alg, sub = _unitary_coordinates(alg, sub, seed)
+    b_alg, q = wk.induced_algebra(alg, sub)
+    wedderburn = b_alg.wedderburn_map()
+    assert max(wedderburn.sizes) == 2
+    rho, lam = alg._right_stack(q), alg._left_stack(q)
+    carrier = algebra.relative_tensor_carrier(wedderburn, rho, lam, 1e-9, DEFAULT_TOL)
+    rel = wk.linalg.kron_sum(rho, lam)
+    ref = wk.linalg.span_and_complement(rel.transpose(1, 0, 2).reshape(rel.shape[1], -1))[1]
+    assert carrier.shape == ref.shape == (alg.dim**2, d)
+    assert np.allclose(carrier.conj().T @ carrier, np.eye(d), rtol=0, atol=1e-12)
+    assert np.linalg.norm(carrier @ carrier.conj().T - ref @ ref.conj().T) <= 1e-12
+    assert algebra.relative_tensor_carrier(wedderburn, rho, 0.5 * lam, 1e-9, DEFAULT_TOL) is None
+    bent = rho.copy()
+    bent[-1] += 1e-3 * np.eye(alg.dim)
+    assert algebra.relative_tensor_carrier(wedderburn, bent, lam, 1e-9, DEFAULT_TOL) is None
+
+
 @pytest.fixture(scope="module")
 def inclusion_ladder(examples, rotated, ising):
     """The fixture ladder with fp3, complex-rotated copies of each, and Ising."""
@@ -687,8 +730,9 @@ def test_blocks_of_a_perturbed_algebra_do_not_depend_on_the_basis(monkeypatch, s
     The base is built with its quotients taken from the relation span: how
     the quotient route rounds the carrier moves the base's structure
     constants at roundoff, and that alone decides whether seeds 9 and 13
-    raise, so the base is pinned to the route that does not change."""
-    monkeypatch.setattr(wk.actions, "_separable_quotient", lambda *args: None)
+    raise, so the base is pinned to the route that does not change, by
+    refusing the matrix-unit route."""
+    monkeypatch.setattr(wk.actions, "relative_tensor_carrier", lambda *args: None)
     base = wk.smash_product(wk.pair_groupoid_wha(3)).algebra
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((base.dim, base.dim)))
     q = q * np.sign(np.diag(r))

@@ -173,11 +173,13 @@ def _assert_rows_match(report, reference):
 
 
 def _variants(examples, rotated, key):
-    """``key`` canonical, complex-rotated, and rotated with each field perturbed by 1e-3."""
+    """``key`` canonical, complex-rotated, and rotated with each field perturbed by 1e-3; and a
+    real-rotated copy with its comultiplication perturbed, whose defects are computed in real arithmetic."""
     w = examples[key]
     turned = rotated(w, 17)
     fields = [f for f in FIELDS if f != "involution" or w.algebra.involution is not None]
-    return [w, turned] + [wk.perturb(turned, field=f, magnitude=1e-3, seed=5) for f in fields]
+    real = wk.perturb(rotated(w, 17, real=True), field="comultiplication", magnitude=1e-3, seed=5)
+    return [w, turned, real] + [wk.perturb(turned, field=f, magnitude=1e-3, seed=5) for f in fields]
 
 
 @pytest.mark.parametrize("key", KEYS)

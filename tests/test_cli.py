@@ -236,6 +236,29 @@ def test_crossprod_smash_reports_the_galois_domain(m23_file, capsys):
     assert "galois map 89x89: bijective" in out
 
 
+@pytest.mark.parametrize("tol", [None, "1e-8"], ids=["default", "1e-8"])
+def test_crossprod_smash_checks_the_multiplicativity_of_delta_once(m23, m23_file, monkeypatch, capsys, tol):
+    """The dual regular action's covariance row is the multiplicativity row of A's Delta, which the
+    validating load keeps in A's derived structures: one sliced-kernel call per tolerance, and the
+    action's row carries the load's residual, bitwise, against its own threshold."""
+    calls = []
+    kernel = wk.algebra._covariance_defect
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return kernel(*args)
+
+    for module in (wk.algebra, wk.wha, wk.actions):
+        monkeypatch.setattr(module, "_covariance_defect", counting)
+    argv = ["crossprod", "smash", m23_file, "--format", "json"] + ([] if tol is None else ["--tol", tol])
+    assert main(argv) == EX_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == [m23.dim]
+    [row] = [r for r in doc["action_checks"] if r["name"] == "action-module-algebra"]
+    want = kernel(m23.algebra.c, m23.delta3.transpose(1, 2, 0), m23.algebra.c)
+    assert row["residual"] == want and row["passed"]
+
+
 def test_crossprod_trivial_is_not_galois(z3_file, capsys):
     assert main(["crossprod", "trivial", z3_file, "--format", "json"]) == EX_OK
     doc = json.loads(capsys.readouterr().out)

@@ -6,9 +6,8 @@ from whakit.errors import DimensionMismatch, NotNonnegative
 from whakit.linalg import (
     Subspace,
     _phase_normalized,
-    coimage_and_kernel,
     hermitian_sqrt,
-    idempotent_range,
+    idempotent_ranges,
     is_irreducible_nonneg,
     kernel,
     kron_sum,
@@ -109,10 +108,13 @@ def test_one_sided_svds_match_the_full_svd(case):
 
 @pytest.mark.parametrize("case", sorted(k for k in SVD_CASES if "400" not in k))
 def test_coimage_and_kernel_split_the_domain(case):
+    """The coimage of ``a`` (the span of ``a^H``) and its complement from one SVD of ``a^H`` split the
+    domain, and that complement is ``kernel(a)``, the relation-span fallback's two sides."""
     m, k, rank, real = SVD_CASES[case]
     a = _svd_test_matrix(m, k, rank, real, seed=m * k + rank)
-    coimage, ker = coimage_and_kernel(a)
+    coimage, ker = span_and_complement(a.conj().T)
     _assert_same_subspace_and_phases(ker, _full_svd_reference(a)[2])
+    _assert_same_subspace_and_phases(kernel(a), ker)
     assert coimage.shape == (k, rank)
     both = np.hstack([coimage, ker])
     assert np.allclose(both.conj().T @ both, np.eye(k), atol=1e-12)
@@ -121,10 +123,10 @@ def test_coimage_and_kernel_split_the_domain(case):
 def test_the_pivoted_basis_depends_only_on_the_span():
     """Any orthonormal basis of a span gives the same pivoted basis; a span of
     standard basis vectors gets those vectors."""
-    coimage, ker = coimage_and_kernel(np.diag([1.0, 0.0, 1.0, 1.0, 0.0]))
+    coimage, ker = span_and_complement(np.diag([1.0, 0.0, 1.0, 1.0, 0.0]))
     assert ker.shape == (5, 2)
     assert np.allclose(pivoted_basis(coimage), np.eye(5)[:, [0, 2, 3]], atol=1e-15)
-    q, _ = coimage_and_kernel(_svd_test_matrix(7, 7, 4, real=False, seed=9))
+    q, _ = span_and_complement(_svd_test_matrix(7, 7, 4, real=False, seed=9))
     u, _ = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
     want, got = pivoted_basis(q), pivoted_basis(q @ u)
     assert np.linalg.norm(got - want) <= 1e-12
@@ -139,65 +141,51 @@ def _oblique_idempotent(n, r, seed, real=False):
     return a @ np.linalg.solve(b @ a, b)
 
 
+def idempotent_range(p):
+    """``idempotent_ranges`` of the list holding ``p`` alone: its basis and pivots, or None."""
+    ranges = idempotent_ranges([np.asarray(p)])
+    return None if ranges is None else ranges[0]
+
+
 @pytest.mark.parametrize("n, r, real", [(12, 5, True), (30, 12, False), (64, 1, False), (50, 49, True)])
 def test_the_range_of_an_idempotent_is_the_full_svd_range(n, r, real):
+    """The pivoted basis spans what the SVD's rank cut keeps, and is the QR of p's pivot columns."""
     p = _oblique_idempotent(n, r, seed=n + r, real=real)
-    q = idempotent_range(p)
+    q, pivots = idempotent_range(p)
     u = orth(p)
-    assert q.shape == u.shape == (n, r)
+    assert q.shape == u.shape == (n, r) and len(set(pivots)) == r
     assert np.allclose(q.conj().T @ q, np.eye(r), atol=1e-12)
     assert np.linalg.norm(q @ q.conj().T - u @ u.conj().T) <= 1e-12
-    _assert_same_subspace_and_phases(q, q)  # first significant entry of each column real positive
+    tri = q.conj().T @ p[:, pivots]  # upper triangular with a real positive diagonal
+    assert np.linalg.norm(np.tril(tri, -1)) <= 1e-12 and np.all(np.diagonal(tri).real > 0)
+    assert np.allclose(np.diagonal(tri).imag, 0.0, atol=1e-12)
 
 
-def test_the_identity_is_its_own_range_without_a_sketch(monkeypatch):
-    monkeypatch.setattr("whakit.linalg.rng", lambda *args: pytest.fail("a sketch was drawn"))
-    assert np.array_equal(idempotent_range(np.eye(7)), np.eye(7))
-    assert idempotent_range(np.eye(7) + 1e-6 * np.eye(7)[:, ::-1]) is None  # trace 7, but 1 is not what it is
+def test_the_range_of_a_coordinate_idempotent_is_its_standard_basis_vectors():
+    q, pivots = idempotent_range(np.diag([1.0, 0.0, 1.0, 1.0, 0.0]))
+    assert pivots == [0, 2, 3] and np.array_equal(q, np.eye(5)[:, [0, 2, 3]])
+    assert idempotent_range(np.eye(4))[1] == [0, 1, 2, 3]
 
 
 def test_a_matrix_whose_trace_is_not_its_rank_cut_is_refused():
     p = _oblique_idempotent(20, 6, seed=3)
-    assert idempotent_range(np.zeros((5, 5))) is None  # trace 0
+    assert idempotent_range(np.zeros((5, 5)))[0].shape == (5, 0)  # trace 0, rank 0
     assert idempotent_range(2 * p) is None  # trace 12, rank 6
+    assert idempotent_range(p + 0.01 * np.eye(20)) is None  # trace 6.2, not an integer
+    assert idempotent_range(np.eye(4) + 1e-6 * np.eye(4)[:, ::-1]) is None  # trace 4, but not 1
     # a 1e-6 perturbation keeps the trace but lifts 14 singular values above the cut of matrix_rank
     noisy = p + 1e-6 * RNG.normal(size=(20, 20))
     assert round(np.trace(noisy).real) == 6 and matrix_rank(noisy) == 20
     assert idempotent_range(noisy) is None
-    # below the cut the sketch decides, and the cut keeps 6
+    # below the cut the rank is the trace, 6
     quiet = p + 1e-13 * RNG.normal(size=(20, 20))
-    assert matrix_rank(quiet) == 6 and idempotent_range(quiet).shape == (20, 6)
+    assert matrix_rank(quiet) == 6 and idempotent_range(quiet)[0].shape == (20, 6)
     assert idempotent_range(np.full((4, 4), np.nan)) is None
     assert idempotent_range(np.ones((3, 4))) is None
-
-
-class _Constant:
-    """A stand-in generator whose every draw is ``value``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def standard_normal(self, shape):
-        return np.full(shape, self.value)
-
-
-def test_a_sketch_that_misses_the_range_is_refused(monkeypatch):
-    # Omega = 0 misses ran p, Q_0 is then the first 6 unit vectors, and p kills the first of them
-    a = _svd_test_matrix(20, 6, 6, False, 5)
-    b = _svd_test_matrix(6, 20, 6, False, 6)
-    b[:, 0] = 0.0
-    p = a @ np.linalg.solve(b @ a, b)
-    monkeypatch.setattr("whakit.linalg.rng", lambda *args: _Constant(0.0))
-    assert idempotent_range(p) is None
-
-
-def test_the_second_product_repairs_a_sketch_of_rank_one(monkeypatch):
-    # p Omega has rank 1 for Omega = 1, but the completion of its QR factor is generic, and p maps it onto ran p
-    p = _oblique_idempotent(20, 6, seed=5)
-    monkeypatch.setattr("whakit.linalg.rng", lambda *args: _Constant(1.0))
-    q = idempotent_range(p)
-    u = orth(p)
-    assert np.linalg.norm(q @ q.conj().T - u @ u.conj().T) <= 1e-12
+    # a stack is refused as a whole when one of its matrices is
+    ranges = idempotent_ranges(np.stack([p, quiet]))
+    assert [q.shape for q, _ in ranges] == [(20, 6), (20, 6)] and ranges[0][1] == ranges[1][1]
+    assert idempotent_ranges(np.stack([p, noisy])) is None
 
 
 @pytest.mark.parametrize(
