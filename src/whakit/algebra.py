@@ -205,13 +205,14 @@ class FinDimAlgebra(HasDerived):
         """The Frobenius norm of the structure constants, the scale of the product."""
         return float(np.linalg.norm(self.c))
 
-    def homomorphism_defect(self, images, into: "FinDimAlgebra | None" = None) -> float:
+    def homomorphism_defect(self, images, into: "FinDimAlgebra | None" = None) -> float | np.ndarray:
         """Frobenius norm of ``f(e_i e_j) - f(e_i) f(e_j)`` over all basis pairs.
 
         f is ``e_k -> images[k]`` for an (n, k, k) stack of matrices or, with
         ``into``, the (into.dim, n) matrix ``images`` of a linear map into that
-        algebra, whose products are ``into._left_products``.  16 values of i at a
-        time, so no (n, n, k, k) array is formed.
+        algebra, whose products are ``into._left_products``.  For an (n, m, k,
+        k) family of m such stacks, the (m,) array of their norms.  16 values of
+        i at a time, so no (n, n, k, k) array is formed.
         """
         n = self.dim
         flat = images.reshape(n, -1) if into is None else images.T
@@ -223,8 +224,8 @@ class FinDimAlgebra(HasDerived):
                 got = np.matmul(images[sl, None], images[None]).reshape(want.shape)
             else:
                 got = into._left_products(images[:, sl], images).transpose(0, 2, 1)
-            acc += float(np.linalg.norm(want - got)) ** 2
-        return float(np.sqrt(acc))
+            acc = acc + _squared_norms(want - got, images, into)
+        return np.sqrt(acc) if np.ndim(acc) else float(np.sqrt(acc))
 
     def _star_defect(self) -> float:
         """Frobenius norm of ``(e_i e_j)* - e_j* e_i*`` over all basis pairs, the star row of :meth:`validate`."""
@@ -667,7 +668,7 @@ class WedderburnAlgebra(FinDimAlgebra):
     def _left_products(self, g, h):
         return self._inverse @ self._multiply(self.coords @ g, self.coords @ h, left=True)
 
-    def homomorphism_defect(self, images, into: FinDimAlgebra | None = None) -> float:
+    def homomorphism_defect(self, images, into: FinDimAlgebra | None = None) -> float | np.ndarray:
         """As :meth:`FinDimAlgebra.homomorphism_defect`, with ``f(e_i e_j) = F T^-1 vec(phi(e_i) phi(e_j))``
         for F the matrix of f, 16 values of i at a time."""
         n = self.dim
@@ -681,8 +682,8 @@ class WedderburnAlgebra(FinDimAlgebra):
                 got = np.matmul(images[sl, None], images[None]).reshape(want.shape)
             else:
                 got = into._left_products(images[:, sl], images).transpose(0, 2, 1)
-            acc += float(np.linalg.norm(want - got)) ** 2
-        return float(np.sqrt(acc))
+            acc = acc + _squared_norms(want - got, images, into)
+        return np.sqrt(acc) if np.ndim(acc) else float(np.sqrt(acc))
 
     def _block_units(self) -> np.ndarray:
         """The (n, number of blocks) coordinates of the blocks' identities, the minimal central idempotents."""
@@ -722,6 +723,15 @@ class WedderburnAlgebra(FinDimAlgebra):
         """``tr phi_l(x)`` for the block l of ``block``, O(n^2)."""
         phi = self._blocks(self.coords @ np.asarray(x, dtype=complex).reshape(-1, 1))[self._block_of(block)]
         return complex(np.trace(phi[0]))
+
+
+def _squared_norms(diff, images, into):
+    """The squared Frobenius norm of the (s, n, ...) defect ``diff`` of :meth:`FinDimAlgebra.homomorphism_defect`,
+    or, for an (n, m, k, k) family ``images``, the (m,) array of the squared norms of its members' parts."""
+    if into is not None or images.ndim != 4:
+        return float(np.linalg.norm(diff)) ** 2
+    part = diff.reshape(-1, images.shape[1], images.shape[2] * images.shape[3])
+    return np.einsum("imk,imk->m", part.conj(), part).real
 
 
 def _dense_associator_norm(c) -> float:

@@ -34,6 +34,10 @@ class Tolerance:
         """Comparison threshold for quantities of the given magnitudes."""
         return self.abs_tol + self.rel_tol * (max(map(float, scales)) if scales else 0.0)
 
+    def bounds(self, scales: np.ndarray) -> np.ndarray:
+        """:meth:`bound` of each of the magnitudes in the array ``scales``."""
+        return self.abs_tol + self.rel_tol * np.asarray(scales, dtype=float)
+
     def quasi_basis_residual(self, n: int) -> float:
         """Bound on the residual of the two quasi-basis equations of an
         expectation on an n-dimensional algebra, each an identity of Frobenius
@@ -45,6 +49,50 @@ class Tolerance:
         ``magnitude``, and still be the scalar ``lam``: 50 ``bound(1)`` max(1,
         magnitude), 1e-7 max(1, magnitude) at the default."""
         return 50 * self.bound(1.0) * max(1.0, float(magnitude))
+
+    # -- the checks of the conjugate equations and the sector table
+
+    def representation_residual(self, scale: float) -> float:
+        """How far a representation of matrix scale ``scale`` (squared for the
+        multiplicativity row) may miss being a unital homomorphism: 10 ``bound(scale)``."""
+        return 10 * self.bound(scale)
+
+    def unitor_residual(self, magnitude: float = 0.0) -> float:
+        """How far a unitor may miss being an isometry onto the range of Delta(1), or, for a
+        representation of norm ``magnitude``, an intertwiner: 50 ``bound(1)`` max(1,
+        magnitude), 1e-7 max(1, magnitude) at the default."""
+        return 50 * self.bound(1.0) * max(1.0, float(magnitude))
+
+    def proportionality_residual(self, magnitude: float) -> float:
+        """How far X*X may lie from ``c`` times a vacuum projection, |c| = ``magnitude``: 50
+        ``bound(1)`` max(1, magnitude), 1e-7 max(1, magnitude) at the default."""
+        return 50 * self.bound(1.0) * max(1.0, float(magnitude))
+
+    def zigzag_scalar_residual(self, magnitude: float) -> float:
+        """How far a zigzag composite may lie from ``lam`` times the identity, |lam| =
+        ``magnitude``: 500 ``bound(1)`` max(1, magnitude), 1e-6 max(1, magnitude) at the default."""
+        return 500 * self.bound(1.0) * max(1.0, float(magnitude))
+
+    def zigzag_floor(self) -> float:
+        """The modulus below which a zigzag scalar vanishes: ``bound(1)`` / 2, 1e-9 at the default."""
+        return self.bound(1.0) / 2
+
+    def zigzag_pair_residual(self, magnitude: float) -> float:
+        """How far the two zigzag scalars of a sector, of modulus up to ``magnitude``, may
+        differ in modulus, and their product lie off the positive axis: 500 ``bound(1)``
+        magnitude, 1e-6 magnitude at the default."""
+        return 500 * self.bound(1.0) * float(magnitude)
+
+    def trace_imaginary_residual(self, magnitude: float) -> float:
+        """How large the imaginary part of a sector trace tr_q(g) of modulus ``magnitude`` may
+        be: 5 ``bound(1)`` max(1, magnitude), 1e-8 max(1, magnitude) at the default."""
+        return 5 * self.bound(1.0) * max(1.0, float(magnitude))
+
+    def dimension_agreement(self, magnitude: float) -> float:
+        """How far the trace-formula and standard-solution routes to a d_q of size
+        ``magnitude`` may disagree: 500 ``bound(1)`` max(1, magnitude), 1e-6 max(1,
+        magnitude) at the default."""
+        return 500 * self.bound(1.0) * max(1.0, float(magnitude))
 
     def scaled(self, factor: float) -> "Tolerance":
         return Tolerance(self.abs_tol * factor, self.rel_tol * factor)

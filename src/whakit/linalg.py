@@ -37,6 +37,7 @@ __all__ = [
     "kernel",
     "span_and_complement",
     "orth_stack",
+    "kernel_stack",
     "idempotent_ranges",
     "pivoted_basis",
     "lstsq",
@@ -65,6 +66,11 @@ def _svd_cut(s, tol: Tolerance, scale: float) -> int:
     return int(np.count_nonzero(s > tol.bound(scale)))
 
 
+def _svd_cuts(s, tol: Tolerance) -> list[int]:
+    """:func:`_svd_cut` of each row of the (m, k) singular values ``s``, relative to its largest."""
+    return np.count_nonzero(s > tol.bounds(s[:, :1]), axis=1).tolist()
+
+
 def normalize_phase(v, tol: Tolerance | None = None):
     """Rescale so the first entry of significant magnitude is real positive."""
     tol = get_tol(tol)
@@ -80,11 +86,15 @@ def normalize_phase(v, tol: Tolerance | None = None):
 
 
 def _phase_normalized(q):
-    """The columns of ``q``, each scaled as :func:`normalize_phase` scales a vector.
+    """The columns of ``q``, or of each matrix of an (m, r, c) stack ``q``, each
+    scaled as :func:`normalize_phase` scales a vector.
 
     The first entry above 0.1 max|column| is made real positive; zero columns
     are left alone.
     """
+    if q.ndim == 3:  # the columns of a stack side by side
+        m, r, c = q.shape
+        return _phase_normalized(q.transpose(1, 0, 2).reshape(r, m * c)).reshape(r, m, c).transpose(1, 0, 2)
     mag = np.abs(q)
     top = mag.max(axis=0, initial=0.0)
     first, cols = np.argmax(mag > 0.1 * top, axis=0), np.arange(q.shape[1])
@@ -156,16 +166,37 @@ def span_and_complement(a, tol: Tolerance | None = None):
 
 
 def orth_stack(mats, tol: Tolerance | None = None) -> list[np.ndarray]:
-    """:func:`orth` of each matrix in the (m, n, n) stack ``mats``, from one batched SVD.
+    """:func:`orth` of each matrix in the (m, r, c) stack ``mats``, from one batched SVD.
 
     Basis j holds the left singular vectors of mats[j] above the cut relative
-    to its own largest singular value, with the phases of :func:`orth`; these
-    are the bases :func:`orth` returns for each matrix alone, from the same
-    LAPACK routine.
+    to its own largest singular value, with the phases of :func:`orth`: the
+    basis :func:`orth` returns for that matrix alone, to roundoff, where those
+    singular values are distinct.
     """
     tol = get_tol(tol)
     u, s, _ = np.linalg.svd(np.asarray(mats, dtype=complex))
-    return [_phase_normalized(u_j[:, : _svd_cut(s_j, tol, s_j[0]) if s_j[0] > 0 else 0]) for u_j, s_j in zip(u, s)]
+    return [u_j[:, :r] for u_j, r in zip(_phase_normalized(u), _svd_cuts(s, tol))]
+
+
+def kernel_stack(mats, tol: Tolerance | None = None) -> list[np.ndarray]:
+    """:func:`kernel` of each matrix in the (m, r, c) stack ``mats``, from one batched QR and SVD.
+
+    Basis j holds the right singular vectors of mats[j] below the cut relative
+    to its own largest singular value, with the phases of :func:`kernel`.  A
+    tall stack is first reduced to the (c, c) triangular factors of its QRs,
+    as :func:`kernel` reduces one matrix.
+    """
+    tol = get_tol(tol)
+    a = np.asarray(mats, dtype=complex)
+    m, rows, cols = a.shape
+    if cols == 0:
+        return [np.zeros((0, 0), dtype=complex) for _ in range(m)]
+    if rows == 0:
+        return [np.eye(cols, dtype=complex) for _ in range(m)]
+    if rows > cols:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a)
+    return [v[:, r:] for v, r in zip(_phase_normalized(vh.conj().swapaxes(1, 2)), _svd_cuts(s, tol))]
 
 
 def _positive_qr(a):
@@ -285,17 +316,18 @@ def matrix_rank(a, tol: Tolerance | None = None) -> int:
 
 
 def kron_sum(x, y):
-    """The stack ``X_b (x) 1 - 1 (x) Y_b`` for square ``x`` (B, p, p) and ``y`` (B, r, r).
+    """The stack ``X_b (x) 1 - 1 (x) Y_b`` for square ``x`` (..., B, p, p) and ``y`` (..., B, r, r).
 
-    Returns shape (B, p r, p r) in row-major Kronecker order, entry
-    ``[b, (i, k), (j, l)] = X_b[i, j] delta_kl - delta_ij Y_b[k, l]``.  The
-    kernel of the stacked rows is a Hom space; the span of the stacked columns
-    is the relation space of a relative tensor product.
+    Returns shape (..., B, p r, p r) in row-major Kronecker order, entry
+    ``[..., b, (i, k), (j, l)] = X_b[i, j] delta_kl - delta_ij Y_b[k, l]``; the
+    leading axes broadcast.  The kernel of the stacked rows is a Hom space;
+    the span of the stacked columns is the relation space of a relative tensor
+    product.
     """
     x, y = np.asarray(x), np.asarray(y)
-    n, p, r = x.shape[0], x.shape[1], y.shape[1]
-    out = x[:, :, None, :, None] * np.eye(r)[:, None, :] - np.eye(p)[:, None, :, None] * y[:, None, :, None, :]
-    return out.reshape(n, p * r, p * r)
+    p, r = x.shape[-1], y.shape[-1]
+    out = x[..., :, None, :, None] * np.eye(r)[:, None, :] - np.eye(p)[:, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], p * r, p * r)
 
 
 def contract(subscripts: str, *operands):

@@ -11,6 +11,13 @@ Sectors (irreducible blocks) carry intrinsic dimensions d_q obtained two
 independent ways — the grouplike trace formula and zigzag-normalized standard
 solutions of the conjugate equations — and assemble into vacuum-indexed
 dimension matrices whose Perron eigenvalue is the Markov index.
+
+The standard solutions are solved by size class: the sectors of one n_q are
+stacked along a leading axis, and their conjugates, truncated products,
+Hom(D_eps, .) systems, unitors and zigzags are formed by stacked contractions
+and one batched kernel, every check kept per sector.  The one-sector route
+through :func:`monoidal_product` and :func:`intertwiner_space` is the
+reference the tests hold the batch to.
 """
 
 from __future__ import annotations
@@ -37,10 +44,11 @@ from .errors import (
     NotProportionalToMinimal,
     NotSemisimple,
     VacuumAssignmentFailed,
+    ValidationError,
     ZeroIntertwiner,
 )
 from .integrals import CanonicalGrouplikes
-from .linalg import Subspace, kernel, kron_sum, matrix_rank, orth, perron_frobenius
+from .linalg import Subspace, kernel, kernel_stack, kron_sum, matrix_rank, orth, orth_stack, perron_frobenius
 from .report import AxiomReport
 from .wha import WeakHopfAlgebra
 
@@ -83,17 +91,7 @@ class Representation:
         return np.einsum("j,jab->ab", np.asarray(a, dtype=complex).ravel(), self.matrices)
 
     def validate(self, tol: Tolerance | None = None) -> AxiomReport:
-        tol = get_tol(tol)
-        rep = AxiomReport(self.name or "representation")
-        scale = max(1.0, float(np.linalg.norm(self.matrices)))
-        defect = self.wha.algebra.homomorphism_defect(self.matrices)
-        rep.add("representation-multiplicative", defect, tol.bound(scale**2) * 10)
-        rep.add(
-            "representation-unital",
-            np.linalg.norm(self.apply(self.wha.unit) - np.eye(self.dim)),
-            tol.bound(scale) * 10,
-        )
-        return rep
+        return _representation_reports(self.wha, self.matrices[None], [self.name or "representation"], get_tol(tol))[0]
 
     def direct_sum(self, other: "Representation") -> "Representation":
         n = self.wha.dim
@@ -102,6 +100,27 @@ class Representation:
         mats[:, :d1, :d1] = self.matrices
         mats[:, d1:, d1:] = other.matrices
         return Representation(self.wha, mats, name=f"{self.name}(+){other.name}")
+
+
+def _at_unit(w, images) -> np.ndarray:
+    """``sum_j 1_j images[:, j]`` for a stack of representations (m, n, k, k): the images of 1."""
+    m, n, k = images.shape[:3]
+    return (w.unit @ images.reshape(m, n, k * k)).reshape(m, k, k)
+
+
+def _representation_reports(w, mats, names, tol: Tolerance) -> list[AxiomReport]:
+    """The multiplicativity and unitality rows of each representation in the (m, n, k, k) stack ``mats``."""
+    eye = np.eye(mats.shape[-1])
+    scales = np.maximum(1.0, np.linalg.norm(mats.reshape(len(mats), -1), axis=1))
+    defects = w.algebra.homomorphism_defect(mats.swapaxes(0, 1))
+    unital = np.linalg.norm(_at_unit(w, mats) - eye, axis=(1, 2))
+    out = []
+    for name, scale, defect, off in zip(names, scales, defects, unital):
+        report = AxiomReport(name)
+        report.add("representation-multiplicative", defect, tol.representation_residual(scale**2))
+        report.add("representation-unital", off, tol.representation_residual(scale))
+        out.append(report)
+    return out
 
 
 def regular_representation(w: WeakHopfAlgebra) -> Representation:
@@ -166,21 +185,34 @@ def monoidal_product(
 
 def conjugate_rep(w: WeakHopfAlgebra, d: Representation, tol: Tolerance | None = None) -> Representation:
     """Conjugate representation ``a -> conj(D(S(a)*))`` on the conjugate carrier."""
-    return _star_conjugate_rep(w, d, w.unit, w.unit, tol)
+    name = f"conj({d.name})"
+    return Representation(w, _conjugates(w, w.star_antipode, d.matrices[None], [name], get_tol(tol))[0], name=name)
 
 
-def _star_conjugate_rep(
-    w: WeakHopfAlgebra, d: Representation, g_half, g_half_inv, tol: Tolerance | None = None
-) -> Representation:
-    """Conjugate ``a -> conj(D(g^(1/2) S(a)* g^(-1/2)))``, twisted by g^(1/2) so a
-    *-representation stays a *-representation; g^(1/2) = 1 gives :func:`conjugate_rep`."""
-    tol = get_tol(tol)
+def _twisted_conjugation(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> np.ndarray:
+    """The (n, n) matrix L(g^(1/2)) R(g^(-1/2)) K, column j ``g^(1/2) S(e_j)* g^(-1/2)``.
+
+    Through it every sector's conjugate is read: twisting by g^(1/2) keeps a
+    *-representation a *-representation.  Kept in ``w.derived(tol).conjugation``.
+    """
+    cg = w.derived(tol).grouplike
+    if cg is None:
+        raise NotSemisimple(f"{w.name}: the twisted conjugation needs the canonical grouplike")
     alg = w.algebra
-    # column j is g^(1/2) S(e_j)* g^(-1/2)
-    twisted = alg.left_mult(g_half) @ alg.right_mult(g_half_inv) @ w.star_antipode
-    mats = np.conj(np.tensordot(twisted, d.matrices, axes=(0, 0)))
-    out = Representation(w, mats, name=f"conj({d.name})")
-    out.validate(tol).raise_if_failed()
+    return alg.left_mult(cg.g_half) @ alg.right_mult(cg.g_half_inv) @ w.star_antipode
+
+
+def _conjugates(w, twisted, mats, names, tol: Tolerance) -> np.ndarray:
+    """The stack of ``a -> conj(D(t(a)))`` for the representations D of the (m, n, k, k) stack
+    ``mats``, t the antilinear map whose column j is ``twisted[:, j]``; each is checked as
+    :meth:`Representation.validate` checks one, a failure raising ValidationError that names it."""
+    m, n, k = mats.shape[:3]
+    out = np.conj(twisted.T @ mats.reshape(m, n, k * k)).reshape(m, n, k, k)
+    for report in _representation_reports(w, out, names, tol):
+        try:
+            report.raise_if_failed()
+        except ValidationError as exc:
+            raise ValidationError(f"{exc.axiom} of {report.subject}", exc.residual, exc.threshold) from None
     return out
 
 
@@ -284,70 +316,94 @@ def block_multiplicities(w: WeakHopfAlgebra, rep: Representation, tol: Tolerance
 # standard solutions of the conjugate equations
 
 
-def _unitor(w, d_eps, d, side):
-    """Canonical unitor of ``d`` in the flat space, normalized to an isometry.
+def _delta_images(w, first, second) -> np.ndarray:
+    """``(D1 (x) D2)(Delta(e_j))`` at [..., j] for stacks of representations ``first`` (..., n, f, f)
+    and ``second`` (..., n, s, s), either of which may be one (n, ., .) representation shared by
+    the stack: shape (..., n, f s, f s) in row-major Kronecker order, two GEMMs."""
+    n, f, s = w.dim, first.shape[-1], second.shape[-1]
+    x = w.delta3.reshape(n, n * n).T @ first.reshape(*first.shape[:-3], n, f * f)  # [..., (q, j), (a, b)]
+    x = x.reshape(*x.shape[:-2], n, n * f * f).swapaxes(-1, -2)  # [..., (j, a, b), q]
+    t = x @ second.reshape(*second.shape[:-3], n, s * s)  # [..., (j, a, b), (c, d)]
+    lead = t.shape[:-2]
+    return t.reshape(*lead, n, f, f, s, s).swapaxes(-3, -2).reshape(*lead, n, f * s, f * s)
+
+
+def _unitors(w, d_eps, mats, names, side, tol: Tolerance) -> np.ndarray:
+    """Canonical unitors of the representations in the (m, n, k, k) stack ``mats``, in the flat
+    space, each normalized to an isometry: shape (m, a k, k) for a = dim D_eps.
 
     ``side='left'``: ``v -> (D_eps (x) D)(Delta(1)) (Omega (x) v)`` into
     H_eps (x) H; ``side='right'``: ``v -> (D (x) D_eps)(Delta(1)) (v (x) Omega)``
-    into H (x) H_eps; Omega is the GNS vector of the unit.  It must be an
+    into H (x) H_eps; Omega is the GNS vector of the unit.  Each must be an
     isometry whose range projection is that image of Delta(1), and it must
     intertwine D with the product representation ``(D_eps (x) D) o Delta`` (or
-    ``(D (x) D_eps) o Delta``); either failure raises CrossCheckMismatch.
+    ``(D (x) D_eps) o Delta``); either failure raises CrossCheckMismatch, naming
+    the first representation of the stack that fails it.
     """
-    first, second = (d_eps, d) if side == "left" else (d, d_eps)
-    f, s, k = first.dim, second.dim, d.dim
-    omega, eye = d_eps.gns.vector(w.unit)[:, None], np.eye(k)
-    proj = np.einsum("qac,qbd->abcd", np.tensordot(w.delta1, first.matrices, axes=(0, 0)), second.matrices)
-    proj = proj.reshape(f * s, f * s)
-    u = proj @ (np.kron(omega, eye) if side == "left" else np.kron(eye, omega))
-    norm2 = float(np.vdot(u, u).real) / k
-    if norm2 <= 0.0:
-        raise CrossCheckMismatch(f"{side} unitor of {d.name} vanishes")
-    u = u / np.sqrt(norm2)
-    isometry = float(np.linalg.norm(u.conj().T @ u - eye))
-    support = float(np.linalg.norm(u @ u.conj().T - proj))
-    if max(isometry, support) > 1e-7:
-        raise CrossCheckMismatch(
-            f"{side} unitor of {d.name} is not an isometry onto the range of Delta(1) "
-            f"(residuals {isometry:.3e}, {support:.3e})"
-        )
-    # (first (x) second)(Delta(e_j)) u against u D(e_j), Delta contracted last
-    fu = np.tensordot(first.matrices, u.reshape(f, s, k), axes=(2, 0))  # [p, a, d, l]
-    sfu = np.tensordot(fu, second.matrices, axes=(2, 2))  # [p, a, l, q, b]
-    moved = np.tensordot(w.delta3, sfu, axes=([0, 1], [0, 3]))  # [j, a, l, b]
-    moved = moved.transpose(0, 1, 3, 2).reshape(w.dim, f * s, k)
-    resid = float(np.linalg.norm(moved - u @ d.matrices))
-    if resid > 1e-7 * max(1.0, float(np.linalg.norm(d.matrices))):
-        raise CrossCheckMismatch(f"{side} unitor of {d.name} fails to intertwine (residual {resid:.3e})")
+    m, k, a = len(mats), mats.shape[-1], d_eps.dim
+    images = _delta_images(w, d_eps.matrices, mats) if side == "left" else _delta_images(w, mats, d_eps.matrices)
+    proj = _at_unit(w, images)  # (m, a k, a k)
+    omega = d_eps.gns.vector(w.unit)
+    u = omega @ proj.reshape(m, a * k, a, k) if side == "left" else proj.reshape(m, k * a, k, a) @ omega
+    norm2 = np.einsum("mij,mij->m", u.conj(), u).real / k
+    for name, size in zip(names, norm2):
+        if size <= 0.0:
+            raise CrossCheckMismatch(f"{side} unitor of {name} vanishes")
+    u = u / np.sqrt(norm2)[:, None, None]
+    uh = u.conj().swapaxes(1, 2)
+    isometry = np.linalg.norm(uh @ u - np.eye(k), axis=(1, 2))
+    support = np.linalg.norm(u @ uh - proj, axis=(1, 2))
+    for name, iso, sup in zip(names, isometry, support):
+        if max(iso, sup) > tol.unitor_residual():
+            raise CrossCheckMismatch(
+                f"{side} unitor of {name} is not an isometry onto the range of Delta(1) "
+                f"(residuals {iso:.3e}, {sup:.3e})"
+            )
+    # (first (x) second)(Delta(e_j)) u against u D(e_j)
+    resid = np.linalg.norm((images @ u[:, None] - u[:, None] @ mats).reshape(m, -1), axis=1)
+    scales = np.linalg.norm(mats.reshape(m, -1), axis=1)
+    for name, r, scale in zip(names, resid, scales):
+        if r > tol.unitor_residual(scale):
+            raise CrossCheckMismatch(f"{side} unitor of {name} fails to intertwine (residual {r:.3e})")
     return u
 
 
-def _zigzag(w, d_eps, d, x, y, what):
-    """Scalar of ``E_l^H (y^H (x) 1)(1 (x) x) E_r`` on ``d``, for flat maps
-    x: H_eps -> H' (x) H and y: H_eps -> H (x) H' and the unitors E of ``d``."""
-    e_l = _unitor(w, d_eps, d, "left")
-    e_r = _unitor(w, d_eps, d, "right")
-    eye = np.eye(d.dim)
-    return _scalar_of(e_l.conj().T @ np.kron(y.conj().T, eye) @ np.kron(eye, x) @ e_r, what)
+def _zigzags(e_l, e_r, x, y) -> np.ndarray:
+    """``E_l^H (y^H (x) 1)(1 (x) x) E_r`` on H, stacked: for flat maps x: H_eps -> H' (x) H and
+    y: H_eps -> H (x) H' (m, k^2, a) and the unitors E_l (m, a k, k), E_r (m, k a, k) of H."""
+    m, k = e_r.shape[0], e_r.shape[-1]
+    a = e_r.shape[1] // k
+    # (1 (x) x) E_r at [m, (t, u), (s, l)], then ordered [m, (s, t), (u, l)]
+    lifted = x @ e_r.reshape(m, k, a, k).transpose(0, 2, 1, 3).reshape(m, a, k * k)
+    lifted = lifted.reshape(m, k, k, k, k).transpose(0, 3, 1, 2, 4).reshape(m, k * k, k * k)
+    lowered = (y.conj().swapaxes(1, 2) @ lifted).reshape(m, a * k, k)  # (y^H (x) 1) at [m, (e, u), l]
+    return e_l.conj().swapaxes(1, 2) @ lowered
 
 
-def _scalar_of(m, what):
-    d = m.shape[0]
-    lam = complex(np.trace(m) / d)
-    resid = float(np.linalg.norm(m - lam * np.eye(d)))
-    if resid > 1e-6 * max(1.0, abs(lam)):
-        raise NonScalarIndex(f"{what} is not scalar (residual {resid:.3e})")
-    if abs(lam) < 1e-9:
-        raise ZeroIntertwiner(f"{what} vanishes")
-    return lam
+def _scalars_of(mats, whats, tol: Tolerance) -> np.ndarray:
+    """The scalars lam with ``mats[i] = lam I``, raising NonScalarIndex or ZeroIntertwiner naming ``whats[i]``."""
+    k = mats.shape[-1]
+    lams = np.trace(mats, axis1=1, axis2=2) / k
+    resid = np.linalg.norm(mats - lams[:, None, None] * np.eye(k), axis=(1, 2))
+    for what, lam, r in zip(whats, lams, resid):
+        if r > tol.zigzag_scalar_residual(abs(lam)):
+            raise NonScalarIndex(f"{what} is not scalar (residual {r:.3e})")
+        if abs(lam) < tol.zigzag_floor():
+            raise ZeroIntertwiner(f"{what} vanishes")
+    return lams
 
 
 @dataclass
 class StandardSolution:
-    """Normalized solution (R, Rbar) of the conjugate equations for one sector."""
+    """Normalized solution (R, Rbar) of the conjugate equations for one sector.
 
-    r: np.ndarray  # H_eps -> H_(conj q (x) q)
-    rbar: np.ndarray  # H_eps -> H_(q (x) conj q)
+    R and Rbar are maps into the flat spaces, as (n_q^2, dim D_eps) matrices:
+    their ranges lie in the carriers of the truncated products, and neither
+    depends on the basis chosen for a carrier.
+    """
+
+    r: np.ndarray  # H_eps -> H_conj(q) (x) H_q
+    rbar: np.ndarray  # H_eps -> H_q (x) H_conj(q)
     d: float
     vacuum_left: int  # nu with Rbar* Rbar = d * D_eps(z_nu)
     vacuum_right: int  # mu with R* R = d * D_eps(z_mu)
@@ -356,38 +412,136 @@ class StandardSolution:
     conj: Representation
 
 
-def _pick_supported_hom(w, d_eps, target, vac: VacuumData, tol, what: str):
-    """The unique vacuum mu with nontrivial Hom supported on D_eps(z_mu), and its element.
+def _vacuum_homs(w, vac: VacuumData, first, second, whats, tol: Tolerance):
+    """For each pair of the (m, n, f, f) and (m, n, s, s) stacks, the unique vacuum mu with a
+    nontrivial part of Hom(D_eps, first (x) second) on D_eps(z_mu), that part's unit element X
+    as a flat map H_eps -> H_f (x) H_s, and c with X*X = c D_eps(z_mu).
 
-    The part of Hom(D_eps, target) on mu is span{X D_eps(z_mu)}: each
-    D_eps(z_mu) is a central projection in the image of D_eps, so X D_eps(z_mu)
-    is again an intertwiner, and it is the whole of X when X = X D_eps(z_mu).
+    The truncated product is compressed to the carrier of (D1 (x) D2)(Delta(1)), and the Hom
+    systems of the pairs whose carriers have the same dimension are solved by one stacked kernel.
+    The part of Hom on mu is span{X D_eps(z_mu)}: each D_eps(z_mu) is a central projection in
+    the image of D_eps, so X D_eps(z_mu) is again an intertwiner, and it is the whole of X when
+    X = X D_eps(z_mu).  Failures name ``whats[i]``.
     """
-    homs = intertwiner_space(w, d_eps, target, tol)
-    if not homs:
-        raise ZeroIntertwiner(f"{what}: intertwiner space is trivial")
-    found = []
-    for mu, proj in enumerate(vac.rep_projections):
-        part = orth(np.column_stack([(x @ proj).ravel() for x in homs]), tol)
-        if part.shape[1]:
-            found.append((mu, part))
-    if len(found) > 1:
-        labels = [mu for mu, _ in found]
-        raise NotProportionalToMinimal(f"{what}: support on several minimal projections {labels}")
-    mu, part = found[0]
-    if part.shape[1] > 1:
-        raise VacuumAssignmentFailed(f"{what}: Hom space on vacuum {mu} has dimension {part.shape[1]}")
-    return mu, part[:, 0].reshape(homs[0].shape)
+    m, n, a = len(first), w.dim, vac.counit_rep.dim
+    projs = np.stack(vac.rep_projections)  # (V, a, a)
+    images = _delta_images(w, first, second)
+    carriers = orth_stack(_at_unit(w, images), tol)
+    eps_t = vac.counit_rep.matrices.swapaxes(1, 2)
+    flat = np.zeros((m, images.shape[-1], a), dtype=complex)
+    mus = np.zeros(m, dtype=int)
+    by_dim: dict[int, list[int]] = {}
+    for i, v in enumerate(carriers):
+        by_dim.setdefault(v.shape[1], []).append(i)
+    for b, members in by_dim.items():
+        v = np.stack([carriers[i] for i in members])  # (g, f s, b)
+        prods = v.conj().swapaxes(1, 2)[:, None] @ images[members] @ v[:, None]  # (g, n, b, b)
+        homs = kernel_stack(kron_sum(prods, eps_t).reshape(len(members), n * b * a, b * a), tol)
+        for i, h in zip(members, homs):
+            if h.shape[1] == 0:
+                raise ZeroIntertwiner(f"{whats[i]}: intertwiner space is trivial")
+        width = max(h.shape[1] for h in homs)
+        padded = np.zeros((len(members), b, a, width), dtype=complex)
+        for j, h in enumerate(homs):
+            padded[j, :, :, : h.shape[1]] = h.reshape(b, a, -1)
+        # X D_eps(z_mu) over the basis of Hom, at [g, mu, (b, a), h]
+        parts = np.tensordot(padded, projs, axes=(2, 1)).transpose(0, 3, 1, 4, 2)
+        spans = orth_stack(parts.reshape(-1, b * a, width), tol)
+        for j, i in enumerate(members):
+            found = [mu for mu in range(len(projs)) if spans[j * len(projs) + mu].shape[1]]
+            if len(found) > 1:
+                raise NotProportionalToMinimal(f"{whats[i]}: support on several minimal projections {found}")
+            mu = found[0]
+            span = spans[j * len(projs) + mu]
+            if span.shape[1] > 1:
+                raise VacuumAssignmentFailed(f"{whats[i]}: Hom space on vacuum {mu} has dimension {span.shape[1]}")
+            mus[i] = mu
+            flat[i] = carriers[i] @ span[:, 0].reshape(b, a)
+    gram = flat.conj().swapaxes(1, 2) @ flat  # X*X
+    vacua = projs[mus]
+    consts = (np.trace(gram, axis1=1, axis2=2) / np.trace(vacua, axis1=1, axis2=2)).real
+    resid = np.linalg.norm(gram - consts[:, None, None] * vacua, axis=(1, 2))
+    for what, c, r in zip(whats, consts, resid):
+        if r > tol.proportionality_residual(abs(c)):
+            raise NotProportionalToMinimal(f"{what}: X*X is not proportional to the minimal projection")
+    return mus, flat, consts
 
 
-def _proportionality_constant(x, proj, what):
-    xe = x.conj().T @ x
-    denom = np.trace(proj).real
-    c = float((np.trace(xe) / denom).real)
-    resid = float(np.linalg.norm(xe - c * proj))
-    if resid > 1e-7 * max(1.0, abs(c)):
-        raise NotProportionalToMinimal(f"{what}: X*X is not proportional to the minimal projection")
-    return c
+def _solve_conjugate_equations(
+    w: WeakHopfAlgebra, qs: list[int], tol: Tolerance | None = None
+) -> list[StandardSolution]:
+    """Standard solutions of the conjugate equations for the blocks ``qs``, all of one size n_q.
+
+    The sectors are stacked along a leading axis and solved together: one
+    contraction forms their conjugates, one their truncated products
+    ``conj(q) (x) q`` and ``q (x) conj(q)``, one stacked kernel per carrier
+    dimension their Hom(D_eps, .) systems, and stacked products their unitors
+    and zigzags.  Each sector keeps every check of :func:`standard_solutions`,
+    with its own residual and threshold, and a failure names the sector.
+    """
+    tol = get_tol(tol)
+    derived = w.derived(tol)
+    if derived.grouplike is None:
+        raise NotSemisimple(f"{w.name}: standard solutions need the Haar integral")
+    vac = derived.vacua
+    reps = [derived.irreps[q] for q in qs]
+    m = len(qs)
+    mats = np.stack([rep.matrices for rep in reps])  # (m, n, k, k)
+    labels = [f"sector {q}" for q in qs]
+    conj_labels = [f"conj({label})" for label in labels]
+    bars = _conjugates(w, derived.conjugation, mats, conj_labels, tol)
+
+    # R spans Hom(D_eps, conj(q) (x) q) over one vacuum mu, Rbar Hom(D_eps, q (x) conj(q)) over nu
+    q_and_bar = np.concatenate([mats, bars])
+    whats = [f"R of {label}" for label in labels] + [f"Rbar of {label}" for label in labels]
+    vacs, flat, consts = _vacuum_homs(w, vac, np.concatenate([bars, mats]), q_and_bar, whats, tol)
+    mu, nu = vacs[:m], vacs[m:]
+    rf, rbf = flat[:m], flat[m:]
+    c1, c2 = consts[:m], consts[m:]
+
+    # lambda1 on H_q from (Rbf, Rf) and lambda2 on H_conj(q) from (Rf, Rbf), both with canonical unitors
+    names = labels + conj_labels
+    d_eps = vac.counit_rep
+    e_l = _unitors(w, d_eps, q_and_bar, names, "left", tol)
+    e_r = _unitors(w, d_eps, q_and_bar, names, "right", tol)
+    lams = _scalars_of(
+        _zigzags(e_l, e_r, np.concatenate([rf, rbf]), np.concatenate([rbf, rf])),
+        [f"zigzag on {name}" for name in names],
+        tol,
+    )
+    lam1, lam2 = lams[:m], lams[m:]
+
+    out = []
+    for i in range(m):
+        l1, l2 = complex(lam1[i]), complex(lam2[i])
+        top = max(abs(l1), abs(l2))
+        if abs(abs(l1) - abs(l2)) > tol.zigzag_pair_residual(top):
+            raise CrossCheckMismatch(
+                f"{labels[i]}: zigzag scalars have different moduli: |{l1:.6g}| vs |{l2:.6g}|"
+            )
+        # R -> e^{i theta} R multiplies lambda1 by e^{i theta} and lambda2 by e^{-i theta}, not their product
+        product = l1 * l2
+        if product.real <= 0 or abs(product.imag) > tol.zigzag_pair_residual(abs(product)):
+            raise CrossCheckMismatch(
+                f"{labels[i]}: zigzag product lambda1 lambda2 = {product:.6g} is not real positive"
+            )
+        phase = abs(l1) / l1
+        l1, l2 = l1 * phase, l2 / phase
+        d_val = float(np.sqrt(c1[i] * c2[i] / abs(l1 * l2)))
+        scale = np.sqrt(d_val / c1[i]) * np.sqrt(d_val / c2[i])
+        out.append(
+            StandardSolution(
+                r=rf[i] * (phase * np.sqrt(d_val / c1[i])),
+                rbar=rbf[i] * np.sqrt(d_val / c2[i]),
+                d=d_val,
+                vacuum_left=int(nu[i]),
+                vacuum_right=int(mu[i]),
+                zigzag_left=l1 * scale,
+                zigzag_right=l2 * scale,
+                conj=Representation(w, bars[i], name=f"conj({reps[i].name})"),
+            )
+        )
+    return out
 
 
 def standard_solutions(w: WeakHopfAlgebra, q: int, tol: Tolerance | None = None) -> StandardSolution:
@@ -402,63 +556,21 @@ def standard_solutions(w: WeakHopfAlgebra, q: int, tol: Tolerance | None = None)
     unitors the gauge-invariant lambda1 lambda2 must be real positive, so both
     zigzag composites are 1.
 
-    The zigzags are formed in the flat spaces.  With Rf = V1 R and Rbf = V2 Rbar
-    pushed through the carrier isometries V of conj(q) (x) q and q (x) conj(q),
+    The zigzags are formed in the flat spaces.  With Rf and Rbf the flat maps
+    into H_conj(q) (x) H_q and H_q (x) H_conj(q),
 
         lambda1 = E_l^H (Rbf^H (x) 1)(1 (x) Rf) E_r   on H_q,
         lambda2 = E_l^H (Rf^H (x) 1)(1 (x) Rbf) E_r   on H_conj(q),
 
     E_l, E_r the canonical unitors ``v -> (D_eps (x) D)(Delta(1))(Omega (x) v)``
-    and ``v -> (D (x) D_eps)(Delta(1))(v (x) Omega)`` (:func:`_unitor`, which
+    and ``v -> (D (x) D_eps)(Delta(1))(v (x) Omega)`` (:func:`_unitors`, which
     checks each).  No associator is needed: both bracketings of q conj(q) q
     are the same subspace of H_q (x) H_conj(q) (x) H_q because Delta is
     coassociative, which :func:`~whakit.wha.validate_wba` has checked.
+
+    This is the batch :func:`_solve_conjugate_equations` of one sector.
     """
-    tol = get_tol(tol)
-    derived = w.derived(tol)
-    cg = derived.grouplike
-    if cg is None:
-        raise NotSemisimple(f"{w.name}: standard solutions need the Haar integral")
-    vac = derived.vacua
-    d_q = derived.irreps[q]
-    d_eps = vac.counit_rep
-    qbar = _star_conjugate_rep(w, d_q, cg.g_half, cg.g_half_inv, tol)
-
-    m2 = monoidal_product(w, d_q, qbar, tol)
-    m1 = monoidal_product(w, qbar, d_q, tol)
-    mu, r = _pick_supported_hom(w, d_eps, m1, vac, tol, "R")
-    nu, rbar = _pick_supported_hom(w, d_eps, m2, vac, tol, "Rbar")
-    c1 = _proportionality_constant(r, vac.rep_projections[mu], "R")
-    c2 = _proportionality_constant(rbar, vac.rep_projections[nu], "Rbar")
-
-    rf, rbf = m1.isometry @ r, m2.isometry @ rbar  # into H_conj(q) (x) H_q and H_q (x) H_conj(q)
-    lam1 = _zigzag(w, d_eps, d_q, rf, rbf, "zigzag on q")
-    lam2 = _zigzag(w, d_eps, qbar, rbf, rf, "zigzag on conj q")
-
-    if abs(abs(lam1) - abs(lam2)) > 1e-6 * max(abs(lam1), abs(lam2)):
-        raise CrossCheckMismatch(
-            f"zigzag scalars have different moduli: |{lam1:.6g}| vs |{lam2:.6g}|"
-        )
-    # R -> e^{i theta} R multiplies lambda1 by e^{i theta} and lambda2 by e^{-i theta}, not their product
-    product = lam1 * lam2
-    if product.real <= 0 or abs(product.imag) > 1e-6 * abs(product):
-        raise CrossCheckMismatch(f"zigzag product lambda1 lambda2 = {product:.6g} is not real positive")
-    phase = abs(lam1) / lam1
-    r, lam1, lam2 = r * phase, lam1 * phase, lam2 / phase
-    d_val = float(np.sqrt(c1 * c2 / abs(lam1 * lam2)))
-    r = r * np.sqrt(d_val / c1)
-    rbar = rbar * np.sqrt(d_val / c2)
-    scale = np.sqrt(d_val / c1) * np.sqrt(d_val / c2)
-    return StandardSolution(
-        r=r,
-        rbar=rbar,
-        d=d_val,
-        vacuum_left=nu,
-        vacuum_right=mu,
-        zigzag_left=lam1 * scale,
-        zigzag_right=lam2 * scale,
-        conj=qbar,
-    )
+    return _solve_conjugate_equations(w, [q], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +627,10 @@ class SectorTable:
 def sector_dimensions(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> SectorTable:
     """Full sector table: vacuum assignments, d_q by two routes, dimension matrix.
 
-    d_q from the grouplike trace formula ``k(qL)^(-1/2) k(qR)^(-1/2) tr_q(g)``
-    must agree with the standard-solution route within 1e-6.
+    The standard solutions are solved by size class, the sectors of one n_q
+    in one batch (:func:`_solve_conjugate_equations`).  d_q from the grouplike
+    trace formula ``k(qL)^(-1/2) k(qR)^(-1/2) tr_q(g)`` must agree with the
+    standard-solution route within ``tol.dimension_agreement(d_q)``.
     """
     tol = get_tol(tol)
     derived = w.derived(tol)
@@ -525,14 +639,20 @@ def sector_dimensions(w: WeakHopfAlgebra, tol: Tolerance | None = None) -> Secto
         raise NotSemisimple(f"{w.name}: sector pipeline needs the Haar integral")
     vac = derived.vacua
     blocks = w.algebra.block_decomposition(tol)
+    classes: dict[int, list[int]] = {}
+    for qi, block in enumerate(blocks):
+        classes.setdefault(block.size, []).append(qi)
+    solutions: dict[int, StandardSolution] = {}
+    for qs in classes.values():
+        solutions.update(zip(qs, _solve_conjugate_equations(w, qs, tol)))
     sectors = []
     for qi, (block, rep) in enumerate(zip(blocks, derived.irreps)):
-        sol = standard_solutions(w, qi, tol)
+        sol = solutions[qi]
         tr_g = w.algebra.block_trace(block, cg.g)
-        if abs(tr_g.imag) > 1e-8 * max(1.0, abs(tr_g)):
-            raise CrossCheckMismatch(f"tr_q(g) = {tr_g} is not real")
+        if abs(tr_g.imag) > tol.trace_imaginary_residual(abs(tr_g)):
+            raise CrossCheckMismatch(f"sector {qi}: tr_q(g) = {tr_g} is not real")
         d_trace = float(tr_g.real) / np.sqrt(vac.weights[sol.vacuum_left] * vac.weights[sol.vacuum_right])
-        if abs(d_trace - sol.d) > 1e-6 * max(1.0, abs(d_trace)):
+        if abs(d_trace - sol.d) > tol.dimension_agreement(abs(d_trace)):
             raise CrossCheckMismatch(
                 f"sector {qi}: trace formula gives d = {d_trace:.9g}, standard solution {sol.d:.9g}"
             )

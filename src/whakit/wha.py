@@ -78,7 +78,8 @@ class Derived(config.Derived):
     The entries are the counital subalgebras, the (left, right) integral
     spaces, the Haar pair (``haar`` = h, ``haar_functional`` = the dual's h as
     a covector on A), the GNS data of the Haar state (None without the dual's
-    h), the canonical grouplike (None without the Haar pair), the vacua, the
+    h), the canonical grouplike (None without the Haar pair), the twisted
+    conjugation through which every sector's conjugate is read, the vacua, the
     irreducible representations in block order, the sector table, the report
     of :func:`validate_wba`, the antipode solved from the comultiplication,
     the residual of Delta's multiplicativity (which the arrow actions of the
@@ -91,6 +92,7 @@ class Derived(config.Derived):
     haar = _entry("integrals", "haar_integral")
     haar_state = _entry("integrals", "haar_state")
     grouplike = _entry("integrals", "canonical_grouplike")
+    conjugation = _entry("reptheory", "_twisted_conjugation")
     vacua = _entry("reptheory", "vacua")
     irreps = _entry("reptheory", "irreducible_representations")
     sectors = _entry("reptheory", "sector_dimensions")

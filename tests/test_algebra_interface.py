@@ -145,6 +145,19 @@ def test_the_matrix_form_matches_its_einsum_form(examples, rotated, key, seed):
 
 
 @pytest.mark.parametrize("key", ["p3", "m23"])
+def test_a_family_of_matrix_stacks_gives_each_member_its_defect(examples, smash, key):
+    """An (n, m, k, k) family returns the (m,) defects of its members, on the structure
+    constants of A and on the Wedderburn storage of its smash product."""
+    r = np.random.default_rng(2)
+    for a in (examples[key].algebra, smash[key].algebra):
+        family = r.normal(size=(a.dim, 3, 2, 2)) + 1j * r.normal(size=(a.dim, 3, 2, 2))
+        got = a.homomorphism_defect(family)
+        assert got.shape == (3,)
+        for j in range(3):
+            assert got[j] == pytest.approx(a.homomorphism_defect(np.ascontiguousarray(family[:, j])), rel=1e-13)
+
+
+@pytest.mark.parametrize("key", ["p3", "m23"])
 def test_the_map_form_matches_its_einsum_form(smash, key):
     cp = smash[key]
     big, m_alg, a_alg = cp.algebra, cp.action.module, cp.action.wha.algebra

@@ -362,11 +362,12 @@ def test_analyze_computes_each_derived_structure_once(monkeypatch):
         "integrals.haar_integral": 2,  # h and the dual's h^
         "integrals.canonical_grouplike": 2,  # A and A^
         "reptheory.sector_dimensions": 2,  # A and A^
-        "reptheory.standard_solutions": 4,  # two sectors on each side
+        "reptheory._solve_conjugate_equations": 4,  # one batch per size class: sizes 2 and 3 on each side
+        "reptheory.standard_solutions": 0,  # the batch does not go through the one-sector entry
         "algebra._decompose": 2,  # the corner and its subalgebra; the antipode solve built A's and A^'s
         "algebra.gns_rep": 4,  # the Haar states of A and A^, and D_eps of each
-        "reptheory.monoidal_product": 8,  # two per standard solution
-        "reptheory.intertwiner_space": 10,  # two per standard solution, End(D_eps) of A and A^
+        "reptheory.monoidal_product": 0,  # the batch forms its truncated products itself
+        "reptheory.intertwiner_space": 2,  # End(D_eps) of A and A^; the batch solves its Hom systems stacked
     }
     w = wk.m2_m3()
     calls = dict.fromkeys(expected, 0)

@@ -10,11 +10,13 @@ from whakit.linalg import (
     idempotent_ranges,
     is_irreducible_nonneg,
     kernel,
+    kernel_stack,
     kron_sum,
     lstsq,
     matrix_rank,
     normalize_phase,
     orth,
+    orth_stack,
     perron_frobenius,
     pivoted_basis,
     span_and_complement,
@@ -43,6 +45,52 @@ def test_kernel_wide_and_tall():
         assert np.allclose(k.conj().T @ k, np.eye(k.shape[1]), atol=1e-12)
         # rank-nullity
         assert k.shape[1] == shape[1] - np.linalg.matrix_rank(a, tol=1e-10)
+
+
+def _stack_of_ranks(shape, ranks, seed):
+    """Complex matrices of the given shape and ranks, one per rank, with distinct singular values."""
+    r = np.random.default_rng(seed)
+    out = []
+    for rank in ranks:
+        left = r.normal(size=(shape[0], rank)) + 1j * r.normal(size=(shape[0], rank))
+        right = r.normal(size=(rank, shape[1])) + 1j * r.normal(size=(rank, shape[1]))
+        out.append(left @ right)
+    return np.stack(out)
+
+
+def test_kernel_stack_is_kernel_of_each_matrix():
+    """Tall (QR-reduced), wide and square stacks of mixed ranks, with a zero matrix among
+    them: each basis is the one kernel() returns for its matrix alone, phases included."""
+    for shape in ((9, 4), (3, 7), (5, 5)):
+        stack = _stack_of_ranks(shape, [0, 1, min(shape) - 1, min(shape)], seed=sum(shape))
+        got = kernel_stack(stack)
+        assert len(got) == len(stack)
+        for mat, basis in zip(stack, got):
+            want = kernel(mat)
+            assert basis.shape == want.shape, shape
+            assert np.linalg.norm(basis - want) <= 1e-12, shape
+            assert np.linalg.norm(mat @ basis) <= 1e-10 * max(1.0, np.linalg.norm(mat))
+    assert [k.shape for k in kernel_stack(np.zeros((2, 0, 3)))] == [(3, 3)] * 2
+    assert [k.shape for k in kernel_stack(np.zeros((2, 4, 0)))] == [(0, 0)] * 2
+
+
+def test_orth_stack_is_orth_of_each_matrix():
+    """Square and non-square stacks of mixed ranks, a zero matrix among them: each basis
+    spans its matrix's range with the phases orth() gives it."""
+    for shape in ((5, 5), (8, 3), (3, 6)):
+        stack = _stack_of_ranks(shape, [0, 1, min(shape) - 1, min(shape)], seed=3 * sum(shape))
+        for mat, basis in zip(stack, orth_stack(stack)):
+            want = orth(mat)
+            assert basis.shape == want.shape, shape
+            assert np.linalg.norm(basis - want) <= 1e-12, shape
+
+
+def test_phase_normalization_of_a_stack_is_that_of_each_matrix():
+    stack = RNG.normal(size=(4, 6, 3)) + 1j * RNG.normal(size=(4, 6, 3))
+    stack[2] = 0.0
+    got = _phase_normalized(stack)
+    for mat, norm in zip(stack, got):
+        assert np.array_equal(norm, _phase_normalized(mat))
 
 
 def test_span_and_complement_split_the_ambient_space():
@@ -222,6 +270,9 @@ def test_kron_sum_matches_np_kron():
     want = np.stack([np.kron(x[b], np.eye(4)) - np.kron(np.eye(2), y[b]) for b in range(3)])
     np.testing.assert_array_equal(kron_sum(x, y), want)
     assert kron_sum(x[:0], y[:0]).shape == (0, 8, 8)
+    # leading axes broadcast: a family of x stacks against one y stack
+    family = np.stack([x, 2 * x, x.conj()])
+    np.testing.assert_array_equal(kron_sum(family, y), np.stack([kron_sum(f, y) for f in family]))
 
 
 def test_matrix_rank_uses_the_orth_cut():

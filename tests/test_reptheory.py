@@ -64,7 +64,8 @@ def test_vacua(examples):
 
 def test_standard_solutions_solve_the_vacuum_supported_hom_systems(fp2):
     """R spans the solutions X of X D_eps(a) = T(a) X, X = X D_eps(z_mu) (the
-    system stacked with its support condition), on its vacuum mu only."""
+    system stacked with its support condition), on its vacuum mu only, and lies
+    in the carrier of the truncated product."""
     vac = wk.vacua(fp2)
     assert vac.count == 2
     d_eps = vac.counit_rep
@@ -72,6 +73,7 @@ def test_standard_solutions_solve_the_vacuum_supported_hom_systems(fp2):
         sol = wk.standard_solutions(fp2, q)
         target = wk.monoidal_product(fp2, sol.conj, rep)
         a, b = d_eps.dim, target.dim
+        assert np.linalg.norm(sol.r - target.isometry @ (target.isometry.conj().T @ sol.r)) <= 1e-12
         for mu, proj in enumerate(vac.rep_projections):
             rows = [
                 np.kron(np.eye(b), d_eps.matrices[j].T) - np.kron(target.matrices[j], np.eye(a))
@@ -81,7 +83,8 @@ def test_standard_solutions_solve_the_vacuum_supported_hom_systems(fp2):
             ref = kernel(np.vstack(rows))
             assert ref.shape[1] == (mu == sol.vacuum_right)
             if ref.shape[1]:
-                r = sol.r.reshape(-1) / np.linalg.norm(sol.r)
+                # R is the flat map into H_conj(q) (x) H_q; its carrier coordinates are V^H R
+                r = (target.isometry.conj().T @ sol.r).reshape(-1) / np.linalg.norm(sol.r)
                 assert abs(np.vdot(ref[:, 0], r)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -206,7 +209,8 @@ def test_zigzags_are_one_whatever_the_rounding_or_the_basis(m23, ising, rotated)
 @pytest.mark.parametrize("key", ["m23", "ising"])
 def test_twisted_conjugate_matches_the_per_element_formula(examples, ising, key):
     """conj(D(g^(1/2) S(e_j)* g^(-1/2))) one basis element at a time, against the
-    one-matrix form; g is far from 1 on both (|g - 1| = 0.73 on m23)."""
+    stacked form read through the derived conjugation; g is far from 1 on both
+    (|g - 1| = 0.73 on m23)."""
     w = ising if key == "ising" else examples[key]
     cg = w.derived().grouplike
     assert np.linalg.norm(cg.g - w.unit) > 0.5
@@ -215,7 +219,7 @@ def test_twisted_conjugate_matches_the_per_element_formula(examples, ising, key)
         want = np.stack(
             [np.conj(d.apply(w.mul(cg.g_half, w.mul(k[:, j], cg.g_half_inv)))) for j in range(w.dim)]
         )
-        got = reptheory._star_conjugate_rep(w, d, cg.g_half, cg.g_half_inv).matrices
+        got = reptheory._conjugates(w, w.derived().conjugation, d.matrices[None], [d.name], wk.DEFAULT_TOL)[0]
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
 
 
@@ -231,29 +235,52 @@ def test_monoidal_product_matches_the_einsum_contraction(m23):
     assert np.linalg.norm(v @ v.conj().T - np.einsum("j,jab->ab", m23.unit, t)) <= 1e-12
 
 
+def _unitor_failure(w, d_eps, reps, side):
+    """The CrossCheckMismatch message of the unitors of ``reps``, solved as one stack."""
+    with pytest.raises(wk.CrossCheckMismatch) as err:
+        reptheory._unitors(w, d_eps, np.stack([r.matrices for r in reps]), [r.name for r in reps], side, wk.DEFAULT_TOL)
+    return str(err.value)
+
+
+def _turned(rep, seed):
+    """``rep`` conjugated by a seeded random unitary: the same sector in another basis of its carrier."""
+    g = np.random.default_rng(seed).normal(size=(2, rep.dim, rep.dim))
+    u, _ = np.linalg.qr(g[0] + 1j * g[1])
+    return wk.Representation(rep.wha, u.conj().T @ rep.matrices @ u, name=f"turned({rep.name})")
+
+
 def test_unitor_must_be_an_isometry_onto_the_range_of_delta_one(m23):
     """Padding the sector with a zero block keeps it intertwining but makes
-    the canonical left unitor vanish on the padding."""
+    the canonical left unitor vanish on the padding.  Stacked beside healthy
+    representations of its dimension, it raises the message it raises alone."""
     d_eps = wk.vacua(m23).counit_rep
-    tau = wk.irreducible_representations(m23)[1]
-    assert reptheory._unitor(m23, d_eps, tau, "left").shape == (d_eps.dim * tau.dim, tau.dim)
+    small, tau = wk.irreducible_representations(m23)
+    unitor = reptheory._unitors(m23, d_eps, tau.matrices[None], [tau.name], "left", wk.DEFAULT_TOL)
+    assert unitor.shape == (1, d_eps.dim * tau.dim, tau.dim)
     padded = tau.direct_sum(wk.Representation(m23, np.zeros((m23.dim, 1, 1))))
-    with pytest.raises(wk.CrossCheckMismatch, match="not an isometry"):
-        reptheory._unitor(m23, d_eps, padded, "left")
+    alone = _unitor_failure(m23, d_eps, [padded], "left")
+    assert "left unitor of irrep[3](+) is not an isometry" in alone
+    twice = small.direct_sum(small)
+    healthy = [twice, _turned(twice, 3)]
+    stack = np.stack([r.matrices for r in healthy])
+    assert reptheory._unitors(m23, d_eps, stack, ["a", "b"], "left", wk.DEFAULT_TOL).shape == (2, 8, 4)
+    assert _unitor_failure(m23, d_eps, [healthy[0], padded, healthy[1]], "left") == alone
 
 
 def test_unitor_must_intertwine(m23):
     """The right unitor sees D only on A^R, through Delta(1) in A^R (x) A^L; a
     perturbation of D that vanishes on A^R leaves it an isometry onto the same
-    range but breaks the intertwining."""
+    range but breaks the intertwining, alone or stacked beside healthy sectors."""
     d_eps = wk.vacua(m23).counit_rep
     tau = wk.irreducible_representations(m23)[1]
     ar = m23.derived().counital_subalgebras.right.basis
     off_ar = np.eye(m23.dim) - ar @ np.linalg.pinv(ar)
     x = 1e-3 * np.random.default_rng(1).standard_normal((m23.dim, tau.dim, tau.dim))
-    bent = wk.Representation(m23, tau.matrices + np.einsum("ij,iab->jab", off_ar, x))
-    with pytest.raises(wk.CrossCheckMismatch, match="fails to intertwine"):
-        reptheory._unitor(m23, d_eps, bent, "right")
+    bent = wk.Representation(m23, tau.matrices + np.einsum("ij,iab->jab", off_ar, x), name="bent")
+    alone = _unitor_failure(m23, d_eps, [bent], "right")
+    assert "right unitor of bent fails to intertwine" in alone
+    assert _unitor_failure(m23, d_eps, [tau, _turned(tau, 4), bent], "right") == alone
+    assert _unitor_failure(m23, d_eps, [bent, tau], "right") == alone
 
 
 def test_dimension_is_additive_and_multiplicative(s3):
